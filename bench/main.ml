@@ -475,8 +475,8 @@ let () =
            ~seed ~events:opts.chaos_events ())
       opts.chaos_seed
   in
-  (* Startup hygiene (tmp reap, over-limit reap) and the optional shared
-     fleet index all live in the one cache constructor the CLIs share. *)
+  (* Startup hygiene (tmp reap, over-limit reap) lives in the one cache
+     constructor the CLIs share. *)
   let cache = Cli_common.cache_of_engine ?chaos ~tag:"cache" eng in
   let journal =
     match opts.journal_path, cache_dir with

@@ -1,15 +1,12 @@
 (* xloops_serve: the persistent spec-batch daemon.  Accepts batches of
-   serialized run specs over a Unix or TCP socket (wire protocol v2,
-   v1 clients still served), dedupes in-flight work by spec digest,
-   schedules across a bounded worker pool with admission control, and
-   consults/populates the content-addressed result cache before
-   simulating.  With --cache-index the cache coordinates through the
-   mmap'd shared fleet index, so several daemons (one per digest-prefix
-   shard, fronted by xloops_proxy) share one bounded blob store.
+   serialized run specs over a Unix or TCP socket, dedupes in-flight
+   work by spec digest, schedules across a bounded worker pool with
+   admission control, and consults/populates the content-addressed
+   result cache before simulating.
 
      dune exec bin/xloops_serve.exe -- --listen unix:/tmp/xloops.sock
      dune exec bin/xloops_serve.exe -- --listen tcp:127.0.0.1:7440 \
-       --jobs 4 --cache-dir _xloops_cache --cache-index _xloops_cache/index *)
+       --jobs 4 --cache-dir _xloops_cache *)
 
 open Cmdliner
 module Service = Xloops_service

@@ -9,10 +9,10 @@ module Sim = Xloops.Sim
 module C = Xloops.Compiler
 
 (* -- Service addresses ---------------------------------------------------
-   One parser for every tool that names a socket: the daemon, the
-   proxy, bench --server, and the shard map all accept the same
-   spellings.  [Protocol.addr] re-exports this type, so the service
-   library and the CLIs agree by construction. *)
+   One parser for every tool that names a socket: the daemon and
+   bench --server accept the same spellings.  [Protocol.addr]
+   re-exports this type, so the service library and the CLIs agree by
+   construction. *)
 
 type addr =
   | Unix_path of string
@@ -91,7 +91,6 @@ type engine_args = {
   ea_max_retries : int;
   ea_jobs : int;
   ea_cache_dir : string option; (* None: on-disk cache disabled *)
-  ea_cache_index : string option; (* mmap'd shared index: fleet tier *)
   ea_cache_limit_mb : int option; (* None: unbounded cache *)
   ea_exec_tier : Sim.Tier.t;    (* functional-run execution tier *)
 }
@@ -113,14 +112,9 @@ let cache_dir_doc =
   "Content-addressed on-disk result cache directory \
    (env XLOOPS_CACHE_DIR)."
 let no_cache_doc = "Disable the on-disk result cache."
-let cache_index_doc =
-  "mmap'd shared cache index file backing the blob store: concurrent \
-   daemons sharing one cache directory coordinate hits and eviction \
-   through it (env XLOOPS_CACHE_INDEX)."
 let cache_limit_mb_doc =
-  "Size bound on the result cache in megabytes: the shared index \
-   evicts clock/second-chance past it; a private cache reaps \
-   least-recently-used blobs at startup (env XLOOPS_CACHE_LIMIT_MB)."
+  "Size bound on the result cache in megabytes: least-recently-written \
+   blobs past it are reaped at startup (env XLOOPS_CACHE_LIMIT_MB)."
 let exec_tier_doc =
   "Execution tier for functional (observer-free) runs: ref, predecode, \
    threaded or block (env XLOOPS_EXEC_TIER).  All tiers are \
@@ -152,10 +146,6 @@ let default_engine_args ?(max_retries = 0) () =
     ea_cache_dir =
       Some (Option.value (Sys.getenv_opt "XLOOPS_CACHE_DIR")
               ~default:Run_cache.default_dir);
-    ea_cache_index =
-      (match Sys.getenv_opt "XLOOPS_CACHE_INDEX" with
-       | Some "" | None -> None
-       | Some p -> Some p);
     ea_cache_limit_mb = env_opt_int ~min:1 "XLOOPS_CACHE_LIMIT_MB";
     (* Tier.get is initialized from XLOOPS_EXEC_TIER at module init *)
     ea_exec_tier = Sim.Tier.get () }
@@ -184,10 +174,6 @@ let cache_dir_arg =
 
 let no_cache_arg = Arg.(value & flag & info [ "no-cache" ] ~doc:no_cache_doc)
 
-let cache_index_arg =
-  Arg.(value & opt (some string) None
-       & info [ "cache-index" ] ~doc:cache_index_doc)
-
 let cache_limit_mb_arg =
   Arg.(value & opt (some int) None
        & info [ "cache-limit-mb" ] ~doc:cache_limit_mb_doc)
@@ -214,7 +200,7 @@ let exec_tier_arg =
 let engine_term ?(pool = false) ?max_retries ?tier_default ()
   : engine_args Cmdliner.Term.t =
   let combine fuel watchdog deadline retries jobs cache_dir no_cache
-      cache_index cache_limit_mb exec_tier =
+      cache_limit_mb exec_tier =
     let d = default_engine_args ?max_retries () in
     let tier =
       match exec_tier with
@@ -239,10 +225,6 @@ let engine_term ?(pool = false) ?max_retries ?tier_default ()
         (if no_cache then None
          else match cache_dir with Some _ -> cache_dir
                                  | None -> d.ea_cache_dir);
-      ea_cache_index =
-        (if no_cache then None
-         else match cache_index with Some _ -> cache_index
-                                   | None -> d.ea_cache_index);
       ea_cache_limit_mb =
         (match cache_limit_mb with
          | Some _ -> cache_limit_mb
@@ -252,11 +234,11 @@ let engine_term ?(pool = false) ?max_retries ?tier_default ()
   if pool then
     Term.(const combine $ fuel_arg $ watchdog_arg $ deadline_arg
           $ max_retries_arg $ jobs_arg $ cache_dir_arg $ no_cache_arg
-          $ cache_index_arg $ cache_limit_mb_arg $ exec_tier_arg)
+          $ cache_limit_mb_arg $ exec_tier_arg)
   else
     Term.(const combine $ fuel_arg $ watchdog_arg $ deadline_arg
           $ max_retries_arg $ const None $ const None $ const false
-          $ const None $ const None $ exec_tier_arg)
+          $ const None $ exec_tier_arg)
 
 (** Hand-rolled-parser form of the same flags for bench/main.exe (which
     parses argv itself): consume one engine flag from the head of
@@ -295,15 +277,12 @@ let consume_engine_flag (o : engine_args ref) (args : string list) :
   | "--cache-dir" :: d :: tl ->
     o := { !o with ea_cache_dir = Some d };
     Some tl
-  | "--cache-index" :: p :: tl ->
-    o := { !o with ea_cache_index = Some p };
-    Some tl
   | "--cache-limit-mb" :: v :: tl ->
     int_arg ~min:1 "--cache-limit-mb" v
       (fun n -> o := { !o with ea_cache_limit_mb = Some n });
     Some tl
   | "--no-cache" :: tl ->
-    o := { !o with ea_cache_dir = None; ea_cache_index = None };
+    o := { !o with ea_cache_dir = None };
     Some tl
   | "--exec-tier" :: v :: tl ->
     (match Sim.Tier.of_string v with
@@ -316,34 +295,25 @@ let consume_engine_flag (o : engine_args ref) (args : string list) :
     Some tl
   | _ -> None
 
-(** Build the result cache the engine arguments describe: plain private
-    cache, or the shared fleet tier when [--cache-index] names an mmap'd
-    index file.  Startup hygiene runs here — orphaned temp files are
-    reaped, and a [--cache-limit-mb] bound on a private cache triggers
-    the LRU reap (the shared index enforces its bound continuously
-    instead).  Diagnostics go to stderr under the given [tag]. *)
+(** Build the result cache the engine arguments describe.  Startup
+    hygiene runs here — orphaned temp files are reaped, and a
+    [--cache-limit-mb] bound triggers the LRU reap.  Diagnostics go to
+    stderr under the given [tag]. *)
 let cache_of_engine ?chaos ?(tag = "cache") (eng : engine_args) =
   match eng.ea_cache_dir with
   | None -> None
   | Some dir ->
-    let index =
-      Option.map
-        (fun path ->
-           Xloops.Cache_index.openf ?limit_mb:eng.ea_cache_limit_mb path)
-        eng.ea_cache_index
-    in
     let limit_bytes =
       Option.map (fun mb -> mb * 1024 * 1024) eng.ea_cache_limit_mb
     in
-    let c = Run_cache.create ~dir ?chaos ?index ?limit_bytes () in
+    let c = Run_cache.create ~dir ?chaos ?limit_bytes () in
     let reaped = Run_cache.reap_tmp c in
     if reaped > 0 then
       Fmt.epr "[%s] reaped %d stale tmp file(s)@." tag reaped;
-    (if Option.is_none index then
-       let evicted = Run_cache.reap_over_limit c in
-       if evicted > 0 then
-         Fmt.epr "[%s] evicted %d blob(s) over the %d MB limit@." tag
-           evicted (Option.value eng.ea_cache_limit_mb ~default:0));
+    let evicted = Run_cache.reap_over_limit c in
+    if evicted > 0 then
+      Fmt.epr "[%s] evicted %d blob(s) over the %d MB limit@." tag
+        evicted (Option.value eng.ea_cache_limit_mb ~default:0);
     Some c
 
 let fault_seed_arg =

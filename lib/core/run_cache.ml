@@ -27,8 +27,7 @@ type t = {
   dir : string;
   version : int;
   chaos : Chaos.t option;
-  index : Cache_index.t option;   (* shared fleet index over this dir *)
-  limit_bytes : int option;       (* private-cache bound (reap_over_limit) *)
+  limit_bytes : int option;       (* size bound (reap_over_limit) *)
   mu : Mutex.t;
   mutable hits : int;
   mutable misses : int;      (* absent or stale — simply not usable *)
@@ -59,9 +58,9 @@ let rec mkdir_p d =
     with Sys_error _ when Sys.file_exists d -> ()
   end
 
-let create ?(version = current_version) ?(dir = default_dir) ?chaos ?index
+let create ?(version = current_version) ?(dir = default_dir) ?chaos
     ?limit_bytes () =
-  { dir; version; chaos; index; limit_bytes; mu = Mutex.create ();
+  { dir; version; chaos; limit_bytes; mu = Mutex.create ();
     hits = 0; misses = 0; corrupt = 0; stores = 0; evictions = 0 }
 
 let counted cache f =
@@ -143,54 +142,8 @@ let write_blob cache ~key ~suffix payload =
   | Some c -> Chaos.after_store c p
   | None -> ()
 
-(* -- Shared-index integration --------------------------------------------- *)
-
-let tag_of_suffix = function ".run" -> 'r' | _ -> 'm'
-
-let blob_size p = try (Unix.stat p).Unix.st_size with Unix.Unix_error _ -> 0
-
-(* Deleting a victim's blob is the index's [evict] callback; the handle
-   doing the insert does the unlink and owns the count. *)
-let evict_blob cache ~key ~tag =
-  let suffix = if Char.equal tag 'r' then ".run" else ".meta" in
-  (try Sys.remove (path cache ~key ~suffix) with Sys_error _ -> ());
-  counted cache (fun () -> cache.evictions <- cache.evictions + 1)
-
-let index_insert cache ~key ~suffix =
-  match cache.index with
-  | None -> ()
-  | Some idx ->
-    let size = blob_size (path cache ~key ~suffix) in
-    Cache_index.insert idx ~key ~tag:(tag_of_suffix suffix) ~size
-      ~evict:(evict_blob cache)
-
 let find cache ~key ~suffix =
-  let verdict =
-    match cache.index with
-    | None -> read_blob cache ~key ~suffix
-    | Some idx ->
-      let tag = tag_of_suffix suffix in
-      (match Cache_index.find idx ~key ~tag with
-       | None ->
-         (* Not indexed: a blob may still exist on disk (written before
-            the index did, or after a lost index file).  Adopt it. *)
-         (match read_blob cache ~key ~suffix with
-          | `Hit _ as hit -> index_insert cache ~key ~suffix; hit
-          | other -> other)
-       | Some entry ->
-         (match read_blob cache ~key ~suffix with
-          | `Hit _ as hit ->
-            (* Serve only if no eviction/replacement raced the read:
-               a concurrent writer may have recycled the slot while we
-               were reading a blob another daemon already deleted. *)
-            if Cache_index.still_valid idx ~key ~tag entry then hit
-            else `Absent
-          | `Absent ->
-            (* The index outlived the blob — heal the entry. *)
-            Cache_index.delete idx ~key ~tag; `Absent
-          | (`Stale | `Corrupt) as bad ->
-            Cache_index.delete idx ~key ~tag; bad))
-  in
+  let verdict = read_blob cache ~key ~suffix in
   counted cache (fun () ->
       match verdict with
       | `Hit _ -> cache.hits <- cache.hits + 1
@@ -203,7 +156,6 @@ let find_run cache ~key : Run_spec.run_data option =
 
 let store_run cache ~key (rd : Run_spec.run_data) =
   write_blob cache ~key ~suffix:".run" rd;
-  index_insert cache ~key ~suffix:".run";
   counted cache (fun () -> cache.stores <- cache.stores + 1)
 
 let find_meta cache ~key : int array option =
@@ -211,7 +163,6 @@ let find_meta cache ~key : int array option =
 
 let store_meta cache ~key (m : int array) =
   write_blob cache ~key ~suffix:".meta" m;
-  index_insert cache ~key ~suffix:".meta";
   counted cache (fun () -> cache.stores <- cache.stores + 1)
 
 (* -- Startup hygiene ----------------------------------------------------- *)
@@ -247,16 +198,16 @@ let reap_tmp cache =
       (Sys.readdir vdir);
   !reaped
 
-(** Bound the private cache directory: when the version tree holds more
-    blob bytes than [limit_bytes], delete the least-recently-written
-    blobs ({!Evict.lru} over mtimes — without a shared index there is no
-    access record, so write age is the recency signal) until back under
-    the limit.  Returns how many blobs were removed.  No-ops when no
-    limit was configured or a shared index owns eviction. *)
+(** Bound the cache directory: when the version tree holds more blob
+    bytes than [limit_bytes], delete the least-recently-written blobs
+    (there is no access record, so write age is the recency signal;
+    ties go to the earlier-listed blob) until back under the limit.
+    Returns how many blobs were removed.  No-op when no limit was
+    configured. *)
 let reap_over_limit cache =
-  match cache.limit_bytes, cache.index with
-  | None, _ | _, Some _ -> 0
-  | Some limit, None ->
+  match cache.limit_bytes with
+  | None -> 0
+  | Some limit ->
     let vdir = version_dir cache in
     if not (Sys.file_exists vdir && Sys.is_directory vdir) then 0
     else begin
@@ -282,17 +233,22 @@ let reap_over_limit cache =
                           (Array.to_list (Sys.readdir vdir))));
       if !total <= limit then 0
       else begin
-        let arr = Array.of_list (List.rev !blobs) in
-        let items = Array.map (fun (_, sz, mt) -> (sz, mt)) arr in
-        let victims = Evict.lru ~items ~excess:(!total - limit) in
+        let excess = !total - limit in
+        let oldest_first =
+          List.stable_sort (fun (_, _, a) (_, _, b) -> Float.compare a b)
+            (List.rev !blobs)
+        in
+        let freed = ref 0 and n = ref 0 in
         List.iter
-          (fun i ->
-             let (p, _, _) = arr.(i) in
-             try Sys.remove p with Sys_error _ -> ())
-          victims;
-        let n = List.length victims in
-        counted cache (fun () -> cache.evictions <- cache.evictions + n);
-        n
+          (fun (p, size, _) ->
+             if !freed < excess then begin
+               (try Sys.remove p with Sys_error _ -> ());
+               freed := !freed + size;
+               incr n
+             end)
+          oldest_first;
+        counted cache (fun () -> cache.evictions <- cache.evictions + !n);
+        !n
       end
     end
 
@@ -307,7 +263,6 @@ let misses c = counted c (fun () -> c.misses)
 let corrupt c = counted c (fun () -> c.corrupt)
 let stores c = counted c (fun () -> c.stores)
 let evictions c = counted c (fun () -> c.evictions)
-let index c = c.index
 
 let pp_counters ppf c =
   Fmt.pf ppf

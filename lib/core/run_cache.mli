@@ -23,20 +23,13 @@ val quarantine_subdir : string
 (** ["quarantine"], under the cache [dir]. *)
 
 val create :
-  ?version:int -> ?dir:string -> ?chaos:Chaos.t ->
-  ?index:Cache_index.t -> ?limit_bytes:int -> unit -> t
+  ?version:int -> ?dir:string -> ?chaos:Chaos.t -> ?limit_bytes:int ->
+  unit -> t
 (** A cache handle.  Nothing is touched on disk until the first store;
     [version] defaults to {!current_version} (override only to test
     invalidation).  [chaos] injects read errors and post-store blob
-    corruption for integrity testing.
-
-    [index] attaches a shared mmap'd {!Cache_index} over [dir]: lookups
-    consult the index first (falling back to — and adopting — on-disk
-    blobs the index does not know), stores register their blob, entries
-    whose blobs turn out absent or corrupt are healed out of the index,
-    and the index's clock sweep bounds the store, deleting victim blobs
-    through this handle.  [limit_bytes] bounds a {e private} (index-less)
-    cache instead, enforced by {!reap_over_limit} at startup. *)
+    corruption for integrity testing.  [limit_bytes] bounds the cache,
+    enforced by {!reap_over_limit} at startup. *)
 
 val find_run : t -> key:Digest_hex.t -> Run_spec.run_data option
 val store_run : t -> key:Digest_hex.t -> Run_spec.run_data -> unit
@@ -52,11 +45,10 @@ val reap_tmp : t -> int
     version's tree; returns the count.  Run at startup. *)
 
 val reap_over_limit : t -> int
-(** For a private cache with [limit_bytes]: delete least-recently-written
-    blobs until the version tree fits the limit; returns how many were
-    removed.  Recency is blob mtime — without a shared index there is no
-    access record.  Returns [0] with no limit, or when a shared [index]
-    owns eviction.  Run at startup, like {!reap_tmp}. *)
+(** For a cache with [limit_bytes]: delete least-recently-written blobs
+    until the version tree fits the limit; returns how many were
+    removed.  Recency is blob mtime — there is no access record.
+    Returns [0] with no limit.  Run at startup, like {!reap_tmp}. *)
 
 val quarantined : t -> int
 (** Files currently in the quarantine directory. *)
@@ -72,10 +64,6 @@ val stores : t -> int
 (** Lookup/store counters for this handle (thread-safe). *)
 
 val evictions : t -> int
-(** Blobs this handle deleted for space — via the shared index's clock
-    sweep or {!reap_over_limit}. *)
-
-val index : t -> Cache_index.t option
-(** The shared index attached at {!create}, if any. *)
+(** Blobs this handle deleted for space by {!reap_over_limit}. *)
 
 val pp_counters : Format.formatter -> t -> unit

@@ -46,8 +46,6 @@ module Digest_hex = Digest_hex
 module Run_spec = Run_spec
 module Pool = Pool
 module Run_cache = Run_cache
-module Cache_index = Cache_index
-module Evict = Evict
 module Failure = Failure
 module Journal = Journal
 module Chaos = Chaos

@@ -12,8 +12,6 @@ type session = {
   ic : in_channel;
   oc : out_channel;
   s_banner : string;
-  s_version : int;           (* negotiated in the handshake *)
-  s_wmu : Mutex.t;           (* [cancel] writes from a callback thread *)
   mutable alive : bool;
 }
 
@@ -26,7 +24,6 @@ let pp_connect_error ppf = function
   | Conn msg -> Fmt.pf ppf "connection: %s" msg
 
 let banner s = s.s_banner
-let negotiated_version s = s.s_version
 
 let close s =
   if s.alive then begin
@@ -63,9 +60,8 @@ let connect ?(version = P.version) ?(ocaml = Sys.ocaml_version) addr =
         | `Error m -> fail m
         | `Frame payload ->
           (match P.decode_response payload with
-           | Ok (P.Welcome { banner = b; version = v; _ }) ->
-             Ok { fd; ic; oc; s_banner = b; s_version = v;
-                  s_wmu = Mutex.create (); alive = true }
+           | Ok (P.Welcome { banner = b; _ }) ->
+             Ok { fd; ic; oc; s_banner = b; alive = true }
            | Ok (P.Rejected e) ->
              (try Unix.close fd with Unix.Unix_error _ -> ());
              Error (Refused e)
@@ -77,8 +73,6 @@ type submit_error =
   | Submit_conn of string
 
 let send_request s req =
-  Mutex.lock s.s_wmu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock s.s_wmu) @@ fun () ->
   match P.write_frame s.oc (P.encode_request req) with
   | () -> Ok ()
   | exception (Sys_error m | Stdlib.Failure m) -> Error (Submit_conn m)
@@ -92,7 +86,7 @@ let read_response s =
      | Ok r -> Ok r
      | Error m -> Error (Submit_conn ("bad frame: " ^ m)))
 
-let submit s ?deadline_ms ?(max_retries = 0) ?on_progress ~on_result specs =
+let submit s ?deadline_ms ?(max_retries = 0) ~on_result specs =
   match send_request s (P.Submit { deadline_ms; max_retries; specs }) with
   | Error _ as e -> e
   | Ok () ->
@@ -102,27 +96,11 @@ let submit s ?deadline_ms ?(max_retries = 0) ?on_progress ~on_result specs =
       | Ok (P.Result { index; digest; outcome }) ->
         on_result ~index ~digest outcome;
         loop ()
-      | Ok (P.Progress { index }) ->
-        (match on_progress with
-         | Some f -> f ~index
-         | None -> ());  (* v2 servers send these unasked; ignore *)
-        loop ()
       | Ok (P.Batch_done { delivered }) -> Ok delivered
       | Ok (P.Rejected e) -> Error (Submit_rejected e)
       | Ok _ -> Error (Submit_conn "unexpected response mid-batch")
     in
     loop ()
-
-(* Write-only: the reply is the early [Batch_done] the in-progress
-   [submit] loop is already reading.  Callable from [on_result] /
-   [on_progress] (the writer mutex, not the reader, is taken). *)
-let cancel s =
-  if s.s_version < 2 then
-    Error
-      (Submit_rejected
-         { P.code = P.Version_mismatch; transient = false;
-           message = "CANCEL requires protocol v2" })
-  else send_request s P.Cancel
 
 let simple_request s req ~expect =
   match send_request s req with

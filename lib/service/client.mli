@@ -34,16 +34,11 @@ val connect :
   ?version:int -> ?ocaml:string -> Protocol.addr ->
   (session, connect_error) result
 (** Dial, send [Hello], wait for [Welcome].  [version] (default
-    {!Protocol.version}) is the protocol version to offer — pass [1] to
-    run a v1 session against a v2 server; [ocaml] overrides the
-    advertised compiler version (tests exercise the server's rejection
-    path). *)
+    {!Protocol.version}) and [ocaml] override what the handshake offers
+    (tests exercise the server's rejection path). *)
 
 val banner : session -> string
 (** The server's [Welcome] banner. *)
-
-val negotiated_version : session -> int
-(** The protocol version the [Welcome] confirmed for this session. *)
 
 val close : session -> unit
 
@@ -53,23 +48,13 @@ type submit_error =
 
 val submit :
   session -> ?deadline_ms:int -> ?max_retries:int ->
-  ?on_progress:(index:int -> unit) ->
   on_result:
     (index:int -> digest:Digest_hex.t ->
      (Run_spec.run_data, Protocol.error) result -> unit) ->
   Run_spec.t list -> (int, submit_error) result
 (** One batch: send [Submit], invoke [on_result] for each streamed
     [Result] (completion order, [index] is the spec's position in this
-    batch), return the server's [Batch_done] count.  On a v2 session,
-    [on_progress] fires for each [Progress] frame (spec [index] started
-    executing); without it, progress frames are consumed silently. *)
-
-val cancel : session -> (unit, submit_error) result
-(** v2: ask the server to drop this connection's queued-but-unstarted
-    specs.  Write-only — safe to call from [on_result]/[on_progress]
-    while {!submit} is still streaming; the effect shows up as an early
-    [Batch_done] with a reduced [delivered] count.  [Submit_rejected]
-    with [Version_mismatch] on a v1 session. *)
+    batch), return the server's [Batch_done] count. *)
 
 val stats : session -> (Protocol.stats, submit_error) result
 val ping : session -> (unit, submit_error) result

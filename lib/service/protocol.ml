@@ -1,19 +1,18 @@
-(* Wire protocol v2 (v1 still spoken): framing, message codec, and the
-   failure-taxonomy mapping.  See protocol.mli for the format contract. *)
+(* Wire protocol: framing, message codec, and the failure-taxonomy
+   mapping.  See protocol.mli for the format contract. *)
 
 module Run_spec = Xloops.Run_spec
 module Failure = Xloops.Failure
 module Digest_hex = Xloops.Digest_hex
 
-let version = 2
-let min_version = 1
+let version = 1
 
 let max_frame_bytes = 64 * 1024 * 1024
 
 (* -- Addresses ------------------------------------------------------------ *)
 
-(* The address grammar is shared with every CLI ([--listen], [--server],
-   [--shard]), so the single parser lives in [Cli_common]; this module
+(* The address grammar is shared with every CLI ([--listen], [--server]),
+   so the single parser lives in [Cli_common]; this module
    re-exports it so protocol users need not depend on the CLI library's
    name. *)
 
@@ -317,7 +316,6 @@ type request =
       max_retries : int;
       specs : Run_spec.t list;
     }
-  | Cancel                                             (* v2 *)
   | Stats
   | Ping
   | Shutdown
@@ -329,7 +327,6 @@ type response =
       digest : Digest_hex.t;
       outcome : (Run_spec.run_data, error) result;
     }
-  | Progress of { index : int }                        (* v2 *)
   | Batch_done of { delivered : int }
   | Stats_reply of stats
   | Pong
@@ -347,7 +344,6 @@ let encode_request (r : request) =
      enc_int b max_retries;
      enc_int b (List.length specs);
      List.iter (fun spec -> enc_str b (Run_spec.encode spec)) specs
-   | Cancel -> Buffer.add_char b 'C'
    | Stats -> Buffer.add_char b 'T'
    | Ping -> Buffer.add_char b 'P'
    | Shutdown -> Buffer.add_char b 'Q');
@@ -374,7 +370,6 @@ let decode_request s : (request, string) result =
               raise (Bad (Fmt.str "spec %d of %d: %s" i n msg)))
       in
       finish c (Submit { deadline_ms; max_retries; specs })
-    | 'C' -> finish c Cancel
     | 'T' -> finish c Stats
     | 'P' -> finish c Ping
     | 'Q' -> finish c Shutdown
@@ -383,8 +378,7 @@ let decode_request s : (request, string) result =
   | req -> Ok req
   | exception Bad msg -> Error ("decode_request: " ^ msg)
 
-let encode_response ?(version = version) ?(compress_threshold = Codec.threshold)
-    (r : response) =
+let encode_response (r : response) =
   let b = Buffer.create 256 in
   (match r with
    | Welcome { version; ocaml; banner } ->
@@ -395,21 +389,8 @@ let encode_response ?(version = version) ?(compress_threshold = Codec.threshold)
      enc_int b index;
      enc_str b (Digest_hex.to_hex digest);
      (match outcome with
-      | Ok rd ->
-        let blob = bytes_of_run_data rd in
-        (* 'z' (LZSS) only to v2 peers, only above the threshold, and
-           only when compression actually pays. *)
-        let compressed =
-          if version >= 2 && String.length blob >= compress_threshold then
-            let z = Codec.compress blob in
-            if String.length z < String.length blob then Some z else None
-          else None
-        in
-        (match compressed with
-         | Some z -> Buffer.add_char b 'z'; enc_str b z
-         | None -> Buffer.add_char b 'k'; enc_str b blob)
+      | Ok rd -> Buffer.add_char b 'k'; enc_str b (bytes_of_run_data rd)
       | Error e -> Buffer.add_char b 'e'; enc_error b e)
-   | Progress { index } -> Buffer.add_char b 'G'; enc_int b index
    | Batch_done { delivered } -> Buffer.add_char b 'D'; enc_int b delivered
    | Stats_reply st -> Buffer.add_char b 'A'; enc_stats b st
    | Pong -> Buffer.add_char b 'O'
@@ -439,18 +420,10 @@ let decode_response s : (response, string) result =
           (match run_data_of_bytes (dec_str c) with
            | Ok rd -> Ok rd
            | Error msg -> fail_at c msg)
-        | 'z' ->
-          (match Codec.decompress (dec_str c) with
-           | Error msg -> fail_at c msg
-           | Ok blob ->
-             (match run_data_of_bytes blob with
-              | Ok rd -> Ok rd
-              | Error msg -> fail_at c msg))
         | 'e' -> Error (dec_error c)
         | _ -> fail_at c "unknown outcome tag"
       in
       finish c (Result { index; digest; outcome })
-    | 'G' -> let index = dec_int c in finish c (Progress { index })
     | 'D' -> let delivered = dec_int c in finish c (Batch_done { delivered })
     | 'A' -> finish c (Stats_reply (dec_stats c))
     | 'O' -> finish c Pong

@@ -1,5 +1,4 @@
-(** The xloops service wire protocol, version 2 (version 1 still
-    spoken).
+(** The xloops service wire protocol.
 
     Framing: every message is a 4-byte big-endian length followed by
     that many payload bytes.  Payloads are deterministic field-by-field
@@ -12,19 +11,10 @@
     Sessions open with a handshake: the client's first frame must be
     {!Hello} carrying the protocol version {e and} the client's OCaml
     version (result payloads are checksummed [Marshal] blobs, so the
-    OCaml versions must match exactly); anything else is answered with
-    {!Rejected} [Version_mismatch] and the connection is closed.  The
-    protocol version {e negotiates down}: a server speaking [version]
-    accepts any client in [[min_version, version]] and the session runs
-    at the client's version, echoed back in {!Welcome} — so v1 clients
-    interoperate with v2 servers unchanged.
-
-    Version 2 adds: {!Progress} frames (a spec of your batch started
-    executing), the {!Cancel} request (drop this connection's queued,
-    not-yet-started work), and LZSS-compressed result blobs (['z']
-    outcome tag, {!Codec}) for payloads where compression pays.  None
-    of these reach a v1 peer: servers suppress [Progress] and compress
-    nothing on a v1 session.
+    OCaml versions must match exactly).  Both must equal the server's
+    own; anything else is answered with {!Rejected} [Version_mismatch]
+    and the connection is closed.  There is exactly one protocol
+    version; the handshake checks it, it does not negotiate.
 
     Specs cross the boundary only in their canonical
     {!Xloops.Run_spec.encode} form — {!decode_request} runs
@@ -43,10 +33,8 @@ module Failure = Xloops.Failure
 module Digest_hex = Xloops.Digest_hex
 
 val version : int
-(** The newest protocol version this build speaks (2). *)
-
-val min_version : int
-(** The oldest version still accepted in a handshake (1). *)
+(** The protocol version this build speaks (1); a handshake must offer
+    exactly this. *)
 
 val max_frame_bytes : int
 (** Upper bound on a frame payload (defense against garbage lengths). *)
@@ -57,7 +45,7 @@ type addr = Cli_common.addr =
   | Unix_path of string          (** a filesystem socket *)
   | Tcp of string * int          (** host, port *)
 (** Re-exported from {!Cli_common}, where the one parser for the
-    [--listen]/[--server]/[--shard] address grammar lives. *)
+    [--listen]/[--server] address grammar lives. *)
 
 val parse_addr : string -> (addr, string) result
 (** ["unix:PATH"], ["tcp:HOST:PORT"], or bare ["HOST:PORT"]. *)
@@ -141,24 +129,17 @@ type request =
       max_retries : int;         (** transient-failure retry budget *)
       specs : Run_spec.t list;
     }
-  | Cancel
-      (** v2: drop this connection's queued, not-yet-started specs;
-          executing and finished ones still deliver.  {!Batch_done}'s
-          [delivered] reflects what was actually sent. *)
   | Stats
   | Ping
   | Shutdown
 
 type response =
   | Welcome of { version : int; ocaml : string; banner : string }
-      (** [version] is the negotiated session version. *)
   | Result of {
       index : int;               (** position in the submitted batch *)
       digest : Digest_hex.t;     (** {!Xloops.Run_spec.digest} *)
       outcome : (Run_spec.run_data, error) result;
     }
-  | Progress of { index : int }
-      (** v2: spec [index] of your batch started executing. *)
   | Batch_done of { delivered : int }
   | Stats_reply of stats
   | Pong
@@ -168,16 +149,8 @@ type response =
 val encode_request : request -> string
 val decode_request : string -> (request, string) result
 
-val encode_response :
-  ?version:int -> ?compress_threshold:int -> response -> string
-(** [version] (default {!version}) is the session's negotiated version:
-    at [>= 2], [Result] blobs of at least [compress_threshold] bytes
-    (default {!Codec.threshold}) are LZSS-compressed when that actually
-    shrinks them.  At 1, the v1 encoding is produced byte-for-byte. *)
-
+val encode_response : response -> string
 val decode_response : string -> (response, string) result
-(** Accepts both the plain (['k']) and compressed (['z']) result blob
-    encodings regardless of session version. *)
 
 (** {1 Framing} *)
 

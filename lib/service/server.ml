@@ -22,31 +22,27 @@ type config = {
   chaos : Chaos.t option;
   default_deadline_ms : int option;
   default_max_retries : int;
-  compress_threshold : int;
   banner : string;
   verbose : bool;
 }
 
 let config ~addr ?(workers = 1) ?(max_queue = 256) ?cache ?chaos
-    ?deadline_ms ?(max_retries = 0) ?(compress_threshold = Codec.threshold)
-    ?(banner = "xloops") ?(verbose = false) () =
+    ?deadline_ms ?(max_retries = 0) ?(banner = "xloops") ?(verbose = false)
+    () =
   if workers < 1 then invalid_arg "Server.config: workers must be >= 1";
   if max_queue < 1 then invalid_arg "Server.config: max_queue must be >= 1";
   { addr; workers; max_queue; cache; chaos;
     default_deadline_ms = deadline_ms; default_max_retries = max_retries;
-    compress_threshold; banner; verbose }
+    banner; verbose }
 
 type conn = {
   c_id : int;
   c_fd : Unix.file_descr;
   c_oc : out_channel;
   c_wmu : Mutex.t;
-  c_zthresh : int;           (* config.compress_threshold, for [send] *)
-  mutable c_version : int;   (* negotiated protocol version *)
   mutable c_alive : bool;
   mutable c_pending : int;   (* results still owed for the current batch *)
   mutable c_batch : int;     (* size of the current batch *)
-  mutable c_cancelled : int; (* batch entries dropped by CANCEL *)
 }
 
 type waiter = { w_conn : conn; w_index : int }
@@ -56,7 +52,6 @@ type job = {
   j_spec : Run_spec.t;
   j_deadline_ms : int option;
   j_max_retries : int;
-  mutable j_started : bool;  (* picked up by a worker (v2 PROGRESS) *)
   mutable j_waiters : waiter list;
 }
 
@@ -105,11 +100,7 @@ let send conn resp =
   Mutex.lock conn.c_wmu;
   let ok =
     conn.c_alive
-    && (match
-          P.write_frame conn.c_oc
-            (P.encode_response ~version:conn.c_version
-               ~compress_threshold:conn.c_zthresh resp)
-        with
+    && (match P.write_frame conn.c_oc (P.encode_response resp) with
         | () -> true
         | exception (Sys_error _ | Unix.Unix_error _) ->
           conn.c_alive <- false;
@@ -117,11 +108,6 @@ let send conn resp =
   in
   Mutex.unlock conn.c_wmu;
   ok
-
-(* PROGRESS is a v2 frame; v1 peers never see it. *)
-let send_progress conn ~index =
-  if conn.c_version >= 2 then
-    ignore (send conn (P.Progress { index }))
 
 let stats t : P.stats =
   locked t (fun () ->
@@ -172,7 +158,7 @@ let finish_one t conn =
   let batch_done, delivered =
     locked t (fun () ->
         conn.c_pending <- conn.c_pending - 1;
-        (conn.c_pending = 0, conn.c_batch - conn.c_cancelled))
+        (conn.c_pending = 0, conn.c_batch))
   in
   if batch_done then ignore (send conn (P.Batch_done { delivered }))
 
@@ -185,21 +171,8 @@ let worker t wi =
     if Queue.is_empty t.queue then Mutex.unlock t.mu (* stopping, drained *)
     else begin
       let job = Queue.pop t.queue in
-      (* CANCEL may have stripped every waiter while the job sat queued.
-         Re-check under the same lock dedup attachment uses: nobody
-         wants this result, so drop the job instead of simulating.  (A
-         later twin resubmission re-queues it from scratch.) *)
-      if job.j_waiters = [] then begin
-        Hashtbl.remove t.inflight job.j_digest;
-        Mutex.unlock t.mu;
-        loop ()
-      end
-      else begin
-      job.j_started <- true;
-      let starters = job.j_waiters in
       t.executing <- t.executing + 1;
       Mutex.unlock t.mu;
-      List.iter (fun w -> send_progress w.w_conn ~index:w.w_index) starters;
       let t0 = Unix.gettimeofday () in
       let deadline_ms =
         match job.j_deadline_ms with
@@ -257,7 +230,6 @@ let worker t wi =
            finish_one t w.w_conn)
         waiters;
       loop ()
-      end
     end
   in
   loop ()
@@ -305,32 +277,26 @@ let admit t conn ~deadline_ms ~max_retries specs =
           else begin
             conn.c_pending <- n;
             conn.c_batch <- n;
-            conn.c_cancelled <- 0;
             t.accepted <- t.accepted + n;
-            let late = ref [] in
             List.iteri
               (fun i (spec, d) ->
                  match Hashtbl.find_opt t.inflight d with
                  | Some job ->
                    t.dedup_hits <- t.dedup_hits + 1;
                    job.j_waiters <-
-                     { w_conn = conn; w_index = i } :: job.j_waiters;
-                   (* Attached to a job already on a worker: this batch
-                      entry's PROGRESS moment has passed — replay it. *)
-                   if job.j_started then late := i :: !late
+                     { w_conn = conn; w_index = i } :: job.j_waiters
                  | None ->
                    let job =
                      { j_digest = d; j_spec = spec;
                        j_deadline_ms = deadline_ms;
                        j_max_retries = max_retries;
-                       j_started = false;
                        j_waiters = [ { w_conn = conn; w_index = i } ] }
                    in
                    Hashtbl.replace t.inflight d job;
                    Queue.push job t.queue)
               (List.combine specs digests);
             Condition.broadcast t.work;
-            Ok (nfresh, List.rev !late)
+            Ok nfresh
           end
         end)
   in
@@ -339,42 +305,10 @@ let admit t conn ~deadline_ms ~max_retries specs =
     logf t "conn %d: batch of %d rejected (%s)" conn.c_id n
       (P.error_code_name e.P.code);
     ignore (send conn (P.Rejected e))
-  | Ok (nfresh, late) ->
+  | Ok nfresh ->
     logf t "conn %d: admitted batch of %d (%d fresh, %d coalesced)"
       conn.c_id n nfresh (n - nfresh);
-    List.iter (fun i -> send_progress conn ~index:i) late;
     if n = 0 then ignore (send conn (P.Batch_done { delivered = 0 }))
-
-(* CANCEL: detach this connection from every admitted-but-not-started
-   job.  Executing (and finished) specs still deliver; [Batch_done]'s
-   [delivered] accounts for the drop.  Jobs left waiter-less stay queued
-   and are skipped at worker pop. *)
-let cancel t conn =
-  let batch_done, delivered, dropped =
-    locked t (fun () ->
-        if conn.c_pending = 0 then (false, 0, 0)
-        else begin
-          let dropped = ref 0 in
-          Hashtbl.iter
-            (fun _ job ->
-               if not job.j_started then begin
-                 let mine, others =
-                   List.partition (fun w -> w.w_conn == conn) job.j_waiters
-                 in
-                 if mine <> [] then begin
-                   job.j_waiters <- others;
-                   dropped := !dropped + List.length mine
-                 end
-               end)
-            t.inflight;
-          conn.c_pending <- conn.c_pending - !dropped;
-          conn.c_cancelled <- conn.c_cancelled + !dropped;
-          (conn.c_pending = 0 && !dropped > 0,
-           conn.c_batch - conn.c_cancelled, !dropped)
-        end)
-  in
-  logf t "conn %d: cancel dropped %d queued spec(s)" conn.c_id dropped;
-  if batch_done then ignore (send conn (P.Batch_done { delivered }))
 
 (* -- Connections ---------------------------------------------------------- *)
 
@@ -384,11 +318,7 @@ let handshake t conn ic =
   | `Frame payload ->
     (match P.decode_request payload with
      | Ok (P.Hello { version; ocaml })
-       when version >= P.min_version && version <= P.version
-            && String.equal ocaml Sys.ocaml_version ->
-       (* Negotiate down to the client's version; every later frame on
-          this session is encoded for it. *)
-       conn.c_version <- version;
+       when version = P.version && String.equal ocaml Sys.ocaml_version ->
        ignore
          (send conn
             (P.Welcome
@@ -401,10 +331,9 @@ let handshake t conn ic =
             (P.Rejected
                (reject_error P.Version_mismatch
                   (Fmt.str
-                     "server speaks protocol v%d..v%d on OCaml %s; client \
+                     "server speaks protocol v%d on OCaml %s; client \
                       offered v%d on OCaml %s"
-                     P.min_version P.version Sys.ocaml_version version
-                     ocaml))));
+                     P.version Sys.ocaml_version version ocaml))));
        false
      | Ok _ ->
        ignore
@@ -440,7 +369,6 @@ let serve_conn t conn =
            closing := true
          | Ok (P.Submit { deadline_ms; max_retries; specs }) ->
            admit t conn ~deadline_ms ~max_retries specs
-         | Ok P.Cancel -> cancel t conn
          | Ok P.Stats -> ignore (send conn (P.Stats_reply (stats t)))
          | Ok P.Ping -> ignore (send conn P.Pong)
          | Ok P.Shutdown ->
@@ -479,10 +407,8 @@ let acceptor t =
                   let c =
                     { c_id = id; c_fd = fd;
                       c_oc = Unix.out_channel_of_descr fd;
-                      c_wmu = Mutex.create ();
-                      c_zthresh = t.cfg.compress_threshold;
-                      c_version = P.version; c_alive = true;
-                      c_pending = 0; c_batch = 0; c_cancelled = 0 }
+                      c_wmu = Mutex.create (); c_alive = true;
+                      c_pending = 0; c_batch = 0 }
                   in
                   t.conns <- c :: t.conns;
                   c)

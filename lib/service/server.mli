@@ -23,12 +23,8 @@
     back in completion order, tagged with their batch index, and
     [Batch_done] closes the stream.
 
-    Sessions negotiate their protocol version down to the client's
-    ({!Protocol.min_version} .. {!Protocol.version}): a v1 session gets
-    the v1 byte stream exactly (no [Progress] frames, no compressed
-    blobs), a v2 session additionally receives [Progress] when a spec of
-    its batch starts executing, may [Cancel] its queued-but-unstarted
-    specs, and receives large result blobs LZSS-compressed.
+    A session opens only on an exact {!Protocol.version} and OCaml
+    version match; there is no negotiation.
 
     Chaos ({!Xloops.Chaos}) can be injected server-side — worker stalls
     and transient crashes before each job, cache read errors and blob
@@ -46,7 +42,6 @@ type config = {
   chaos : Chaos.t option;           (** server-side fault injection *)
   default_deadline_ms : int option; (** for [Submit]s that carry none *)
   default_max_retries : int;
-  compress_threshold : int;         (** v2 blob compression cutoff *)
   banner : string;                  (** free-text, echoed in [Welcome] *)
   verbose : bool;                   (** [serve] diagnostics on stderr *)
 }
@@ -54,20 +49,13 @@ type config = {
 val config :
   addr:Protocol.addr -> ?workers:int -> ?max_queue:int ->
   ?cache:Run_cache.t -> ?chaos:Chaos.t -> ?deadline_ms:int ->
-  ?max_retries:int -> ?compress_threshold:int -> ?banner:string ->
-  ?verbose:bool -> unit -> config
+  ?max_retries:int -> ?banner:string -> ?verbose:bool -> unit -> config
 (** Defaults: 1 worker, queue bound 256, no cache, no chaos, no
-    deadline, 0 retries, {!Codec.threshold} compression cutoff, quiet.
+    deadline, 0 retries, quiet.
     Raises [Invalid_argument] on a non-positive worker count or queue
     bound. *)
 
 type t
-
-val listen_on : Protocol.addr -> Unix.file_descr * Protocol.addr
-(** Bind + listen on an address, returning the socket and the actual
-    bound address (a [Tcp (host, 0)] request carries the kernel-assigned
-    port back).  Unlinks a stale Unix socket file first.  Shared with
-    {!Proxy}, which fronts the same protocol. *)
 
 val start : config -> t
 (** Bind, listen, spawn workers and the acceptor, return immediately.

@@ -1,9 +1,11 @@
-(* Service-tier tests: the wire protocol codec (round-trip and
-   mutation fuzz), the Failure-taxonomy → error-code mapping, and the
-   daemon end-to-end over a loopback socket — handshake version
-   rejection, in-flight dedupe, whole-batch admission control
-   (OVERLOADED), failure streaming, warm-cache hits, and result
-   equality between a remote plan and in-process execution. *)
+(* Service-tier tests: the address parsers (protocol and CLI), the
+   wire protocol codec (round-trip and mutation fuzz), the
+   Failure-taxonomy → error-code mapping, and the daemon end-to-end
+   over a loopback socket — handshake version rejection (any version
+   but the one this build speaks), in-flight dedupe, whole-batch
+   admission control (OVERLOADED), failure streaming, warm-cache hits,
+   and result equality between a remote plan and in-process
+   execution. *)
 
 module P = Xloops_service.Protocol
 module Client = Xloops_service.Client
@@ -55,7 +57,28 @@ let test_parse_addr () =
          (Result.is_error (P.parse_addr s)))
     [ ""; "tcp:host"; "tcp:host:notaport"; "host:-1"; "host:70000" ]
 
-(* -- Codec round-trip and fuzz ------------------------------------------- *)
+(* The CLI-side parser every tool shares: the full accept/reject
+   matrix, printed back through [Cli_common.pp_addr]. *)
+let test_cli_parse_addr () =
+  let ok s exp =
+    match Cli_common.parse_addr s with
+    | Ok a -> Alcotest.(check string) s exp (Fmt.str "%a" Cli_common.pp_addr a)
+    | Error e -> Alcotest.failf "parse_addr %S: %s" s e
+  in
+  ok "unix:/tmp/x.sock" "unix:/tmp/x.sock";
+  ok "tcp:10.0.0.1:7501" "tcp:10.0.0.1:7501";
+  ok "localhost:0" "tcp:localhost:0";
+  ok "tcp:host:65535" "tcp:host:65535";
+  List.iter
+    (fun s ->
+       match Cli_common.parse_addr s with
+       | Error _ -> ()
+       | Ok a ->
+         Alcotest.failf "%S accepted as %s" s (Fmt.str "%a" Cli_common.pp_addr a))
+    [ ""; "noport"; "unix:"; "tcp:"; "tcp:host"; "tcp:host:notaport";
+      "tcp::7501"; "host:-1"; "host:65536"; "host:"; ":7501" ]
+
+(* -- Message encoding: round-trip and fuzz ----------------------------- *)
 
 (* Equality via the canonical encoding: the codec is deterministic, so
    re-encoding the decoded value must reproduce the input bytes. *)
@@ -134,6 +157,31 @@ let prop_response_roundtrip =
   QCheck.Test.make ~name:"response codec round-trips" ~count:200
     (QCheck.make gen_response) roundtrip_response
 
+(* A [Result] frame as a compressing peer would have sent it: the
+   blob re-tagged ['z'] and wrapped in a literal-only LZSS stream (a
+   4-byte big-endian length, then groups of one all-literal flag byte
+   and up to eight bytes).  The only outcome tags are ['k'] and ['e'],
+   so it must decode to [Error]. *)
+let z_tagged_result index =
+  let s =
+    P.encode_response
+      (P.Result { index; digest = Run_spec.digest (List.hd spec_pool);
+                  outcome = Ok (Lazy.force sample_rd) })
+  in
+  let k = String.index s 'k' in
+  let rest = String.sub s (k + 1) (String.length s - k - 1) in
+  let semi = String.index rest ';' in
+  let blob = String.sub rest (semi + 1) (String.length rest - semi - 1) in
+  let n = String.length blob in
+  let z = Buffer.create (n + n / 8 + 8) in
+  Buffer.add_int32_be z (Int32.of_int n);
+  String.iteri
+    (fun i ch -> if i mod 8 = 0 then Buffer.add_char z '\000';
+      Buffer.add_char z ch)
+    blob;
+  let z = Buffer.contents z in
+  String.sub s 0 k ^ "z" ^ string_of_int (String.length z) ^ ";" ^ z
+
 (* A tampered payload must decode to [Error] (or to some valid message,
    for byte flips the codec cannot distinguish) — never raise. *)
 let prop_decode_total =
@@ -147,7 +195,7 @@ let prop_decode_total =
        let s = Bytes.to_string s in
        (match P.decode_request s with Ok _ | Error _ -> ());
        (match P.decode_response s with Ok _ | Error _ -> ());
-       true)
+       Result.is_error (P.decode_response (z_tagged_result pos)))
 
 let test_framing () =
   let path = tmp_dir () ^ ".frames" in
@@ -191,18 +239,17 @@ let test_error_of_failure () =
 
 (* -- The daemon, end to end ---------------------------------------------- *)
 
-let with_server ?workers ?max_queue ?cache ?chaos ?deadline_ms ?max_retries
-    ?compress_threshold f =
+let with_server ?workers ?max_queue ?cache ?chaos ?deadline_ms ?max_retries f =
   let cfg =
     Server.config ~addr:(P.Tcp ("127.0.0.1", 0)) ?workers ?max_queue ?cache
-      ?chaos ?deadline_ms ?max_retries ?compress_threshold ~banner:"test" ()
+      ?chaos ?deadline_ms ?max_retries ~banner:"test" ()
   in
   let t = Server.start cfg in
   Fun.protect ~finally:(fun () -> Server.stop t)
     (fun () -> f t (Server.bound_addr t))
 
-let connect ?version addr =
-  match Client.connect ?version addr with
+let connect addr =
+  match Client.connect addr with
   | Ok s -> s
   | Error e -> Alcotest.failf "connect: %a" Client.pp_connect_error e
 
@@ -220,13 +267,18 @@ let submit_all s specs =
 
 let test_version_mismatch () =
   with_server @@ fun _t addr ->
-  (match Client.connect ~version:(P.version + 99) addr with
-   | Error (Client.Refused e) ->
-     Alcotest.(check string) "code" "version-mismatch"
-       (P.error_code_name e.P.code);
-     Alcotest.(check bool) "permanent" false e.P.transient
-   | Error (Client.Conn m) -> Alcotest.failf "wrong error: %s" m
-   | Ok _ -> Alcotest.fail "handshake should have been rejected");
+  List.iter
+    (fun version ->
+       match Client.connect ~version addr with
+       | Error (Client.Refused e) ->
+         Alcotest.(check string) "code" "version-mismatch"
+           (P.error_code_name e.P.code);
+         Alcotest.(check bool) "permanent" false e.P.transient
+       | Error (Client.Conn m) -> Alcotest.failf "wrong error: %s" m
+       | Ok _ ->
+         Alcotest.failf "handshake offering v%d should have been rejected"
+           version)
+    [ P.version - 1; P.version + 1; P.version + 99 ];
   (* The rejection must not poison the listener for the next client. *)
   let s = connect addr in
   Alcotest.(check string) "banner still served" "test" (Client.banner s);
@@ -344,131 +396,6 @@ let test_run_plan_matches_local () =
            Alcotest.failf "spec %d: remote and local disagree" i)
       plan
 
-(* -- Protocol v2: negotiation, progress, cancel, compression ------------- *)
-
-(* A v1 client against a v2 server: the session must downgrade — same
-   results, no Progress frames, no compressed blobs, cancel refused. *)
-let test_v1_downgrade () =
-  (* threshold 1 would compress every blob on a v2 session — a v1
-     session must never see one *)
-  with_server ~compress_threshold:1 @@ fun _t addr ->
-  let s = connect ~version:1 addr in
-  Alcotest.(check int) "negotiated down to v1" 1
-    (Client.negotiated_version s);
-  let progress = ref [] in
-  let results = Array.make 2 None in
-  let batch = [ spec "war-uc"; spec ~mode:Machine.Traditional "war-uc" ] in
-  (match
-     Client.submit s
-       ~on_progress:(fun ~index -> progress := index :: !progress)
-       ~on_result:(fun ~index ~digest:_ r -> results.(index) <- Some r)
-       batch
-   with
-   | Ok delivered -> Alcotest.(check int) "batch delivered" 2 delivered
-   | Error _ -> Alcotest.fail "v1 session must still serve batches");
-  Alcotest.(check (list int)) "no progress frames on v1" [] !progress;
-  List.iteri
-    (fun i sp ->
-       match results.(i) with
-       | Some (Ok rd) ->
-         Alcotest.(check bool) (Printf.sprintf "spec %d equals local" i) true
-           (strip rd = strip (Run_spec.execute sp))
-       | _ -> Alcotest.failf "spec %d failed over v1" i)
-    batch;
-  (match Client.cancel s with
-   | Error (Client.Submit_rejected e) ->
-     Alcotest.(check string) "cancel refused on v1" "version-mismatch"
-       (P.error_code_name e.P.code)
-   | Ok () -> Alcotest.fail "cancel must be a v2 feature"
-   | Error (Client.Submit_conn m) -> Alcotest.failf "connection died: %s" m);
-  Client.close s
-
-(* Every job that starts announces itself to every waiter — including
-   both indexes of an in-batch duplicate. *)
-let test_progress_frames () =
-  with_server @@ fun _t addr ->
-  let s = connect addr in
-  Alcotest.(check int) "negotiated v2" P.version
-    (Client.negotiated_version s);
-  let a = List.nth spec_pool 0 and b = List.nth spec_pool 1 in
-  let progress = ref [] in
-  let delivered =
-    match
-      Client.submit s
-        ~on_progress:(fun ~index -> progress := index :: !progress)
-        ~on_result:(fun ~index:_ ~digest:_ _ -> ())
-        [ a; b; a ]
-    with
-    | Ok d -> d
-    | Error _ -> Alcotest.fail "submit failed"
-  in
-  Client.close s;
-  Alcotest.(check int) "all delivered" 3 delivered;
-  Alcotest.(check (list int)) "progress for every index, dupes included"
-    [ 0; 1; 2 ] (List.sort compare !progress)
-
-(* CANCEL drops the unstarted tail of a batch.  A chaos stall pins the
-   single worker inside job 0 (its PROGRESS is sent before the stall),
-   so the cancel provably races nothing: 1..3 are still queued. *)
-let test_cancel_unstarted () =
-  let chaos = Xloops.Chaos.explicit ~stall_ms:500 [ (0, Xloops.Chaos.Worker_stall) ] in
-  with_server ~workers:1 ~chaos @@ fun _t addr ->
-  let s = connect addr in
-  let batch =
-    [ spec "war-uc"; spec ~mode:Machine.Traditional "war-uc";
-      spec ~cfg:Config.ooo2_x "war-uc"; spec ~cfg:Config.ooo4_x "war-uc" ]
-  in
-  let results = Array.make 4 None in
-  let cancelled = ref false in
-  let delivered =
-    match
-      Client.submit s
-        ~on_progress:(fun ~index:_ ->
-          if not !cancelled then begin
-            cancelled := true;
-            match Client.cancel s with
-            | Ok () -> ()
-            | Error _ -> Alcotest.fail "cancel failed"
-          end)
-        ~on_result:(fun ~index ~digest:_ r -> results.(index) <- Some r)
-        batch
-    with
-    | Ok d -> d
-    | Error (Client.Submit_rejected e) ->
-      Alcotest.failf "batch rejected: %a" P.pp_error e
-    | Error (Client.Submit_conn m) -> Alcotest.failf "connection died: %s" m
-  in
-  Alcotest.(check int) "only the started job delivered" 1 delivered;
-  (match results.(0) with
-   | Some (Ok _) -> ()
-   | _ -> Alcotest.fail "the in-flight job must still complete");
-  for i = 1 to 3 do
-    if results.(i) <> None then
-      Alcotest.failf "cancelled spec %d was answered" i
-  done;
-  (* the session survives a cancel: a fresh batch runs normally *)
-  let delivered, _ = submit_all s [ spec ~cfg:Config.io "war-uc" ] in
-  Alcotest.(check int) "session reusable after cancel" 1 delivered;
-  Client.close s
-
-(* With the threshold floored, every result blob crosses the wire
-   LZSS-compressed — and must decode back to exactly the local run. *)
-let test_compressed_results () =
-  with_server ~compress_threshold:1 @@ fun _t addr ->
-  let s = connect addr in
-  let delivered, results = submit_all s spec_pool in
-  Client.close s;
-  Alcotest.(check int) "all delivered" (List.length spec_pool) delivered;
-  List.iteri
-    (fun i sp ->
-       match results.(i) with
-       | Some (Ok rd) ->
-         Alcotest.(check bool)
-           (Printf.sprintf "compressed spec %d equals local" i) true
-           (strip rd = strip (Run_spec.execute sp))
-       | _ -> Alcotest.failf "spec %d failed" i)
-    spec_pool
-
 let test_shutdown_request () =
   let cfg =
     Server.config ~addr:(P.Tcp ("127.0.0.1", 0)) ~banner:"test" ()
@@ -503,10 +430,6 @@ let () =
            test_run_plan_matches_local;
          Alcotest.test_case "shutdown request" `Quick
            test_shutdown_request ]);
-      ("protocol-v2",
-       [ Alcotest.test_case "v1 client downgrade" `Quick test_v1_downgrade;
-         Alcotest.test_case "progress frames" `Quick test_progress_frames;
-         Alcotest.test_case "cancel unstarted tail" `Quick
-           test_cancel_unstarted;
-         Alcotest.test_case "compressed result blobs" `Quick
-           test_compressed_results ]) ]
+      ("cli",
+       [ Alcotest.test_case "parse_addr grammar" `Quick
+           test_cli_parse_addr ]) ]

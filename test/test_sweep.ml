@@ -1,10 +1,10 @@
 (* Fault-tolerant orchestration tests: the failure taxonomy and seeded
    retry/backoff ([Failure]), the crash-safe sweep journal ([Journal]),
-   cache integrity (checksums, quarantine, tmp reaping), crash isolation
-   in [Pool.run_each], and whole sweeps under injected infrastructure
-   chaos — including the acceptance scenario (poisoned spec + stalling
-   spec + bit-flipped blobs) and the kill-at-a-random-prefix /
-   [--resume] property. *)
+   cache integrity (checksums, quarantine, tmp reaping, the size
+   reaper), crash isolation in [Pool.run_each], and whole sweeps under
+   injected infrastructure chaos — including the acceptance scenario
+   (poisoned spec + stalling spec + bit-flipped blobs) and the
+   kill-at-a-random-prefix / [--resume] property. *)
 
 module E = Xloops.Experiments
 module Run_spec = Xloops.Run_spec
@@ -253,6 +253,36 @@ let test_cache_reaps_tmp () =
   Alcotest.(check bool) "live blob untouched" true
     (Run_cache.find_run c ~key <> None)
 
+let key_of i = dg (Printf.sprintf "k%d" i)
+
+let sample_rd = lazy (Run_spec.execute war_spec)
+
+let test_reap_over_limit () =
+  let dir = tmp_dir () in
+  let seed = Run_cache.create ~dir () in
+  let rd = Lazy.force sample_rd in
+  let n = 8 in
+  for i = 0 to n - 1 do
+    Run_cache.store_run seed ~key:(key_of i) rd
+  done;
+  let size_of p = (Unix.stat p).Unix.st_size in
+  let total = List.fold_left (fun a p -> a + size_of p) 0 (run_blobs dir) in
+  let limit = total / 2 in
+  let c = Run_cache.create ~dir ~limit_bytes:limit () in
+  let removed = Run_cache.reap_over_limit c in
+  Alcotest.(check bool) "over-limit blobs reaped" true (removed > 0);
+  Alcotest.(check int) "reaps counted as evictions" removed
+    (Run_cache.evictions c);
+  let blobs = run_blobs dir in
+  Alcotest.(check int) "removed + surviving = stored" n
+    (removed + List.length blobs);
+  Alcotest.(check bool) "survivors fit the limit" true
+    (List.fold_left (fun a p -> a + size_of p) 0 blobs <= limit);
+  (* a second reap is a no-op; so is one without a limit *)
+  Alcotest.(check int) "reap is idempotent" 0 (Run_cache.reap_over_limit c);
+  Alcotest.(check int) "no limit, no reap" 0
+    (Run_cache.reap_over_limit (Run_cache.create ~dir ()))
+
 (* -- Pool.run_each ------------------------------------------------------- *)
 
 let test_run_each_isolates_crashes () =
@@ -477,7 +507,8 @@ let () =
            (test_cache_detects_corruption Chaos.Blob_bitflip);
          Alcotest.test_case "truncation quarantined" `Quick
            (test_cache_detects_corruption Chaos.Blob_truncate);
-         Alcotest.test_case "tmp reaping" `Quick test_cache_reaps_tmp ]);
+         Alcotest.test_case "tmp reaping" `Quick test_cache_reaps_tmp;
+         Alcotest.test_case "reap_over_limit" `Quick test_reap_over_limit ]);
       ("run-each",
        [ Alcotest.test_case "crash isolation" `Quick
            test_run_each_isolates_crashes;
