@@ -60,10 +60,6 @@ module Chaos = Xloops.Chaos
 module Registry = Xloops.Kernels.Registry
 module Kernel = Xloops.Kernels.Kernel
 
-let quick_kernels =
-  [ "sgemm-uc"; "war-uc"; "kmeans-or"; "adpcm-or"; "ksack-sm-om";
-    "bfs-uc-db" ]
-
 (* One engine for the whole invocation: in-memory memoization over the
    shared on-disk result cache.  (This replaces the old private
    [Hashtbl] memo of whole evals — a second caching layer here would
@@ -76,7 +72,7 @@ let section title =
   Fmt.pr "@.=== %s ===@.@." title
 
 let kernels_for ~quick =
-  if quick then List.map Registry.find quick_kernels else Registry.table2
+  if quick then List.map Registry.find E.quick_kernels else Registry.table2
 
 let table2 ~quick () =
   section "Table II: application kernels and cycle-level results";
@@ -325,21 +321,6 @@ let csv ~quick () =
 
 (* -- Extensions ---------------------------------------------------------- *)
 
-let extension_runs =
-  [ ("serial (general, io)",
-     Run_spec.make ~target:Xloops.Compiler.Compile.general
-       ~cfg:Xloops.Sim.Config.io ~mode:Xloops.Sim.Machine.Traditional
-       "find-de");
-    ("traditional (io)",
-     Run_spec.make ~cfg:Xloops.Sim.Config.io
-       ~mode:Xloops.Sim.Machine.Traditional "find-de");
-    ("specialized (io+x)",
-     Run_spec.make ~cfg:Xloops.Sim.Config.io_x
-       ~mode:Xloops.Sim.Machine.Specialized "find-de");
-    ("specialized (ooo/4+x)",
-     Run_spec.make ~cfg:Xloops.Sim.Config.ooo4_x
-       ~mode:Xloops.Sim.Machine.Specialized "find-de") ]
-
 let extensions () =
   section "Extension: data-dependent exit (xloop.uc.de, paper future work)";
   Fmt.pr "%-28s %10s %12s@." "run" "cycles" "squashed";
@@ -348,7 +329,7 @@ let extensions () =
        let r = !engine.E.run spec in
        Fmt.pr "%-28s %10d %12d@." label r.E.cycles
          r.E.stats.squashed_insns)
-    extension_runs;
+    E.extension_runs;
   Fmt.pr "@.(iterations past the exit run control-speculatively on the lanes@.and are discarded — the squashed-instruction column)@."
 
 (* -- Bechamel micro-benchmarks ---------------------------------------- *)
@@ -523,17 +504,9 @@ let () =
         (if all || has "--fig9" then E.fig9_specs () else []);
         (if all || has "--table4" then E.table4_specs () else []);
         (if all || has "--fig10" then E.fig10_specs () else []);
-        (if all || has "--extensions" then List.map snd extension_runs
+        (if all || has "--extensions" then List.map snd E.extension_runs
          else []) ]
-  in
-  let plan =
-    let seen = Hashtbl.create 512 in
-    List.filter
-      (fun s ->
-         let d = Run_spec.digest s in
-         if Hashtbl.mem seen d then false
-         else (Hashtbl.add seen d (); true))
-      plan
+    |> E.dedupe_specs
   in
   (* Warm phase: execute the plan under the fault-tolerance stack.  A
      failing or timed-out spec is a per-item failure (reported below),

@@ -52,9 +52,8 @@ let baseline = [
    regression past these fails --check (and CI).  The threaded tier is
    gated at (effectively) zero: it has no event scratch and no boxed
    values on any path, so any allocation is a design regression.  The
-   predecode tier's residue is the boxed int32s crossing the [mem_iface]
-   closure boundary on loads (the LSQ-overlay interface is int32-typed);
-   budgets are ~2x the values measured at commit time.  The ref tier
+   predecode tier allocates nothing per instruction either (memory values
+   cross [mem_iface] as native ints); its budgets are looser.  The ref tier
    legitimately allocates (int32 register views); its loose budget only
    catches catastrophic drift. *)
 let alloc_budget ~(tier : Tier.t) name =

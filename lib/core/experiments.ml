@@ -540,3 +540,35 @@ let pp_fig10 ppf rows =
   List.iter
     (fun (name, s, e) -> Fmt.pf ppf "%-14s %8.2f %8.2f@." name s e)
     rows
+
+(* -- The find-de extension and the quick plan ------------------------- *)
+
+let extension_runs =
+  [ ("serial (general, io)",
+     Run_spec.make ~target:Compile.general ~cfg:Config.io
+       ~mode:Machine.Traditional "find-de");
+    ("traditional (io)",
+     Run_spec.make ~cfg:Config.io ~mode:Machine.Traditional "find-de");
+    ("specialized (io+x)",
+     Run_spec.make ~cfg:Config.io_x ~mode:Machine.Specialized "find-de");
+    ("specialized (ooo/4+x)",
+     Run_spec.make ~cfg:Config.ooo4_x ~mode:Machine.Specialized "find-de") ]
+
+let quick_kernels =
+  [ "sgemm-uc"; "war-uc"; "kmeans-or"; "adpcm-or"; "ksack-sm-om";
+    "bfs-uc-db" ]
+
+let dedupe_specs specs =
+  let seen = Hashtbl.create 512 in
+  List.filter
+    (fun s ->
+       let d = Run_spec.digest s in
+       if Hashtbl.mem seen d then false else (Hashtbl.add seen d (); true))
+    specs
+
+let quick_plan () =
+  dedupe_specs
+    (List.concat
+       [ List.concat_map (fun n -> specs_for (Registry.find n)) quick_kernels;
+         fig9_specs (); table4_specs (); fig10_specs ();
+         List.map snd extension_runs ])

@@ -181,3 +181,21 @@ val fig10_kernels : string list
 val fig10_specs : unit -> Run_spec.t list
 val fig10 : ?engine:engine -> unit -> (string * float * float) list
 val pp_fig10 : Format.formatter -> (string * float * float) list -> unit
+
+(** {1 The find-de extension and the quick plan} *)
+
+val extension_runs : (string * Run_spec.t) list
+(** The labelled [find-de] runs of the data-dependent-exit extension
+    section. *)
+
+val quick_kernels : string list
+(** The six kernels [bench/main.exe --quick] tabulates. *)
+
+val dedupe_specs : Run_spec.t list -> Run_spec.t list
+(** Drop specs whose {!Run_spec.digest} already occurred, keeping the
+    first occurrence's order. *)
+
+val quick_plan : unit -> Run_spec.t list
+(** Every spec [bench/main.exe --quick] simulates, deduplicated and in
+    its planning order: Table II for {!quick_kernels}, Figure 9, Table
+    IV, Figure 10 and {!extension_runs}. *)

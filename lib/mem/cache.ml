@@ -8,8 +8,10 @@ type t = {
   sets : int;
   ways : int;
   line_bytes : int;
-  tags : int array array;       (* [set].(way) = tag, -1 invalid *)
-  lru : int array array;        (* higher = more recently used *)
+  line_shift : int;             (* log2 line_bytes, when line_bytes and *)
+  set_shift : int;              (* sets are powers of two; else -1 *)
+  tags : int array;             (* [set * ways + way] = tag, -1 invalid *)
+  lru : int array;              (* higher = more recently used *)
   mutable tick : int;
   mutable accesses : int;
   mutable misses : int;
@@ -19,9 +21,18 @@ let create ?(size_bytes = 16 * 1024) ?(ways = 2) ?(line_bytes = 32) () =
   let lines = size_bytes / line_bytes in
   let sets = lines / ways in
   if sets <= 0 then invalid_arg "Cache.create: too small";
-  { sets; ways; line_bytes;
-    tags = Array.init sets (fun _ -> Array.make ways (-1));
-    lru = Array.init sets (fun _ -> Array.make ways 0);
+  let log2 n =
+    let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+    let k = go 0 in
+    if 1 lsl k = n then k else -1
+  in
+  let line_shift, set_shift =
+    if log2 line_bytes >= 0 && log2 sets >= 0 then log2 line_bytes, log2 sets
+    else -1, -1
+  in
+  { sets; ways; line_bytes; line_shift; set_shift;
+    tags = Array.make (sets * ways) (-1);
+    lru = Array.make (sets * ways) 0;
     tick = 0; accesses = 0; misses = 0 }
 
 (** [access t addr] returns [true] on hit.  On a miss the line is filled
@@ -29,24 +40,29 @@ let create ?(size_bytes = 16 * 1024) ?(ways = 2) ?(line_bytes = 32) () =
 let access t addr =
   t.accesses <- t.accesses + 1;
   t.tick <- t.tick + 1;
-  let line = addr / t.line_bytes in
-  let set = line mod t.sets in
-  let tag = line / t.sets in
-  let tags = t.tags.(set) and lru = t.lru.(set) in
-  let rec find w = if w >= t.ways then None
-    else if tags.(w) = tag then Some w else find (w + 1) in
-  match find 0 with
-  | Some w -> lru.(w) <- t.tick; true
-  | None ->
+  (* Shifts and masks replace the divisions (tens of cycles each) for
+     power-of-two geometries; they agree on every address >= 0. *)
+  let pow2 = t.line_shift >= 0 && addr >= 0 in
+  let line = if pow2 then addr lsr t.line_shift else addr / t.line_bytes in
+  let set = if pow2 then line land (t.sets - 1) else line mod t.sets in
+  let tag = if pow2 then line lsr t.set_shift else line / t.sets in
+  let base = set * t.ways and tags = t.tags and lru = t.lru in
+  let w = ref base in
+  while !w < base + t.ways && tags.(!w) <> tag do incr w done;
+  if !w < base + t.ways then begin
+    lru.(!w) <- t.tick;
+    true
+  end else begin
     t.misses <- t.misses + 1;
     (* Fill into the least-recently-used way. *)
-    let victim = ref 0 in
-    for w = 1 to t.ways - 1 do
+    let victim = ref base in
+    for w = base + 1 to base + t.ways - 1 do
       if lru.(w) < lru.(!victim) then victim := w
     done;
     tags.(!victim) <- tag;
     lru.(!victim) <- t.tick;
     false
+  end
 
 let accesses t = t.accesses
 let misses t = t.misses

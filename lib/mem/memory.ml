@@ -13,54 +13,99 @@ type t = {
   mutable loads : int;   (* event counters for the energy model *)
   mutable stores : int;
   mutable amos : int;
-  mutable journal : (int, char) Hashtbl.t option;
-      (* pre-image of every byte written since [journal_begin]; rollback
-         support for the machine's specialized-loop checkpoints *)
+  mutable journal_on : bool;
+  mutable jlog : int array;
+      (* undo log since [journal_begin], oldest first: one (address lsl 3
+         lor length, old little-endian bytes) pair per write of at most
+         4 bytes; rollback support for the machine's specialized-loop
+         checkpoints *)
+  mutable jlen : int;    (* ints of [jlog] in use *)
 }
 
 let create ?(size = 1 lsl 20) () =
   { data = Bytes.make size '\000'; size; loads = 0; stores = 0; amos = 0;
-    journal = None }
+    journal_on = false; jlog = [||]; jlen = 0 }
 
 let size t = t.size
 
 (* -- Write journal ----------------------------------------------------- *)
 
-(* The journal records the first pre-image of each byte written while
-   active; aborting restores them, committing discards them.  This is the
-   memory half of the architectural checkpoint the machine takes at
-   specialized-loop entry (registers being the other half), so a faulted
-   or hung LPSU run can be rolled back and re-executed traditionally. *)
+(* The journal is an append-only undo log of the bytes each write
+   overwrote; aborting replays it newest first, so every byte ends at its
+   oldest pre-image, the value it had at [journal_begin].  Committing
+   discards it.  This is the memory half of the architectural checkpoint
+   the machine takes at specialized-loop entry (registers being the
+   other half), so a faulted or hung LPSU run can be rolled back and
+   re-executed traditionally.  The log's array is kept across journals,
+   so a write under an active journal allocates only when the log
+   outgrows every earlier one. *)
 
-let journal_active t = t.journal <> None
+let journal_active t = t.journal_on
 
 let journal_begin t =
-  if journal_active t then
+  if t.journal_on then
     invalid_arg "Memory.journal_begin: journal already active";
-  t.journal <- Some (Hashtbl.create 64)
+  t.journal_on <- true;
+  t.jlen <- 0
 
 let journal_commit t =
-  if not (journal_active t) then
+  if not t.journal_on then
     invalid_arg "Memory.journal_commit: no active journal";
-  t.journal <- None
+  t.journal_on <- false
 
 let journal_abort t =
-  match t.journal with
-  | None -> invalid_arg "Memory.journal_abort: no active journal"
-  | Some j ->
-    Hashtbl.iter (fun addr old -> Bytes.set t.data addr old) j;
-    t.journal <- None
+  if not t.journal_on then
+    invalid_arg "Memory.journal_abort: no active journal";
+  let i = ref (t.jlen - 2) in
+  while !i >= 0 do
+    let tag = t.jlog.(!i) and old = t.jlog.(!i + 1) in
+    let addr = tag lsr 3 in
+    for b = 0 to (tag land 7) - 1 do
+      Bytes.unsafe_set t.data (addr + b)
+        (Char.unsafe_chr ((old lsr (8 * b)) land 0xFF))
+    done;
+    i := !i - 2
+  done;
+  t.journal_on <- false
 
 let journal_size t =
-  match t.journal with None -> 0 | Some j -> Hashtbl.length j
+  if not t.journal_on then 0
+  else begin
+    let seen = Hashtbl.create 64 in
+    for e = 0 to t.jlen / 2 - 1 do
+      let tag = t.jlog.(2 * e) in
+      for b = 0 to (tag land 7) - 1 do
+        Hashtbl.replace seen ((tag lsr 3) + b) ()
+      done
+    done;
+    Hashtbl.length seen
+  end
 
-let note_write t addr bytes =
-  match t.journal with
-  | None -> ()
-  | Some j ->
-    for a = addr to addr + bytes - 1 do
-      if not (Hashtbl.mem j a) then Hashtbl.add j a (Bytes.get t.data a)
+let log_write t addr n =
+  if t.jlen + 2 > Array.length t.jlog then begin
+    let bigger = Array.make (2 * Array.length t.jlog + 64) 0 in
+    Array.blit t.jlog 0 bigger 0 t.jlen;
+    t.jlog <- bigger
+  end;
+  let old = ref 0 in
+  for b = n - 1 downto 0 do
+    old := (!old lsl 8) lor Char.code (Bytes.unsafe_get t.data (addr + b))
+  done;
+  t.jlog.(t.jlen) <- (addr lsl 3) lor n;
+  t.jlog.(t.jlen + 1) <- !old;
+  t.jlen <- t.jlen + 2
+
+(* Called before every write of [addr, addr+bytes), after its range
+   check. *)
+let[@inline] note_write t addr bytes =
+  if t.journal_on then begin
+    let a = ref addr in
+    while !a < addr + bytes do
+      let n = if addr + bytes - !a < 4 then addr + bytes - !a else 4 in
+      log_write t !a n;
+      a := !a + n
     done
+  end
 
 let check t addr bytes what =
   if addr < 0 || addr + bytes > t.size then

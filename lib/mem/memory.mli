@@ -11,8 +11,10 @@ type t = {
   mutable loads : int;   (** architectural load count (energy model) *)
   mutable stores : int;
   mutable amos : int;
-  mutable journal : (int, char) Hashtbl.t option;
-      (** pre-images of bytes written while a journal is active *)
+  mutable journal_on : bool;
+  mutable jlog : int array;
+  mutable jlen : int;
+      (** the write journal's undo log; see {!journal_begin} *)
 }
 
 val create : ?size:int -> unit -> t
@@ -23,11 +25,11 @@ val size : t -> int
 (** {1 Write journal}
 
     Checkpoint/rollback support for graceful degradation: the machine
-    begins a journal before handing a loop to the LPSU; every byte
-    written records its pre-image, so a faulted or hung specialized run
-    can be rolled back ({!journal_abort}) and the loop re-executed
-    traditionally, or the journal discarded ({!journal_commit}) on a
-    clean finish.  Journals do not nest. *)
+    begins a journal before handing a loop to the LPSU; every write
+    appends the bytes it overwrites to an undo log, so a faulted or hung
+    specialized run can be rolled back ({!journal_abort}) and the loop
+    re-executed traditionally, or the journal discarded
+    ({!journal_commit}) on a clean finish.  Journals do not nest. *)
 
 val journal_begin : t -> unit
 (** Raises [Invalid_argument] if a journal is already active. *)
@@ -37,8 +39,9 @@ val journal_commit : t -> unit
     if no journal is active. *)
 
 val journal_abort : t -> unit
-(** Restore every journalled byte to its pre-image.  Raises
-    [Invalid_argument] if no journal is active. *)
+(** Restore every journalled byte to its value at {!journal_begin}, by
+    replaying the undo log newest first.  Raises [Invalid_argument] if
+    no journal is active. *)
 
 val journal_active : t -> bool
 val journal_size : t -> int

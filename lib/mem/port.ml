@@ -28,7 +28,7 @@ let sync_cycle t now =
 (** [try_grant t ~now ~occupancy] attempts to acquire the port at cycle
     [now].  Returns [true] on success; [occupancy > 1] keeps the whole port
     busy (all slots) until [now + occupancy]. *)
-let try_grant ?(occupancy = 1) t ~now =
+let try_grant t ~now ~occupancy =
   sync_cycle t now;
   if now < t.busy_until || t.granted >= t.width then begin
     t.conflicts <- t.conflicts + 1;

@@ -7,9 +7,10 @@ type t
 
 val create : ?width:int -> string -> t
 
-val try_grant : ?occupancy:int -> t -> now:int -> bool
+val try_grant : t -> now:int -> occupancy:int -> bool
 (** Attempt to acquire the port at cycle [now]; [occupancy > 1] keeps
-    the whole port busy until [now + occupancy]. *)
+    the whole port busy until [now + occupancy] (an unpipelined unit),
+    [occupancy = 1] takes one of the cycle's [width] slots. *)
 
 val hold : t -> until:int -> unit
 (** Keep the port busy until the given cycle (miss occupancy). *)

@@ -2,7 +2,7 @@
     always hit) used by the out-of-order GPP timing model. *)
 
 type t = {
-  counters : int array;   (* 0..3; >=2 predicts taken *)
+  counters : Bytes.t;     (* 0..3; >=2 predicts taken *)
   mask : int;
   mutable lookups : int;
   mutable mispredicts : int;
@@ -11,7 +11,7 @@ type t = {
 let create ?(entries = 1024) () =
   (* Initialize weakly-taken: loop back-edges predict well immediately,
      like a BTB-resident backward-taken heuristic. *)
-  { counters = Array.make entries 2; mask = entries - 1;
+  { counters = Bytes.make entries '\002'; mask = entries - 1;
     lookups = 0; mispredicts = 0 }
 
 (** [predict_update t ~pc ~taken] returns [true] if the prediction was
@@ -19,10 +19,11 @@ let create ?(entries = 1024) () =
 let predict_update t ~pc ~taken =
   t.lookups <- t.lookups + 1;
   let i = pc land t.mask in
-  let c = t.counters.(i) in
+  let c = Bytes.get_uint8 t.counters i in
   let predicted = c >= 2 in
-  t.counters.(i) <-
-    (if taken then min 3 (c + 1) else max 0 (c - 1));
+  Bytes.set_uint8 t.counters i
+    (if taken then (if c < 3 then c + 1 else 3)
+     else if c > 0 then c - 1 else 0);
   let correct = predicted = taken in
   if not correct then t.mispredicts <- t.mispredicts + 1;
   correct

@@ -45,17 +45,19 @@ let get_int h r = h.regs.(r)
 let set_int h r v = if r <> Reg.zero then h.regs.(r) <- norm v
 
 (** Memory interface: the GPP binds this straight to {!Xloops_mem.Memory};
-    a speculative LPSU lane binds it to its LSQ overlay. *)
+    a speculative LPSU lane binds it to its LSQ overlay.  Values cross it
+    in the register-file representation (sign-extended native ints), so
+    no [int32] is boxed per access. *)
 type mem_iface = {
-  load : Insn.width -> int -> int32;
-  store : Insn.width -> int -> int32 -> unit;
-  amo : Insn.amo_op -> int -> int32 -> int32;
+  load : Insn.width -> int -> int;
+  store : Insn.width -> int -> int -> unit;
+  amo : Insn.amo_op -> int -> int -> int;
 }
 
 let direct_mem (m : Xloops_mem.Memory.t) : mem_iface = {
-  load = (fun w a -> Xloops_mem.Memory.load m w a);
-  store = (fun w a v -> Xloops_mem.Memory.store m w a v);
-  amo = (fun op a v -> Xloops_mem.Memory.amo m op a v);
+  load = (fun w a -> Xloops_mem.Memory.load_int m w a);
+  store = (fun w a v -> Xloops_mem.Memory.store_int m w a v);
+  amo = (fun op a v -> Xloops_mem.Memory.amo_int m op a v);
 }
 
 (** What one dynamic instruction did; everything a timing or energy model
@@ -222,7 +224,7 @@ let branch_eval_int (c : Insn.branch_cond) (a : int) (b : int) =
 
 (* Reset the scratch to the fall-through defaults for the instruction at
    [pc]; arms below only touch the fields that deviate. *)
-let reset_event (ev : event) prog pc =
+let[@inline] reset_event (ev : event) prog pc =
   if ev.prog != prog then ev.prog <- prog;
   ev.pc <- pc;
   ev.next_pc <- pc + 1;
@@ -264,20 +266,20 @@ let step (p : Program.predecoded) (h : hart) (mem : mem_iface)
   | U_lui (rd, v) -> if rd <> 0 then regs.(rd) <- v
   | U_load (w, rd, rs, imm, bytes) ->
     let addr = regs.(rs) + imm in
-    if rd <> 0 then regs.(rd) <- Int32.to_int (mem.load w addr)
+    if rd <> 0 then regs.(rd) <- mem.load w addr
     else ignore (mem.load w addr);
     ev.mem_addr <- addr;
     ev.mem_bytes <- bytes
   | U_store (w, rt, rs, imm, bytes) ->
     let addr = regs.(rs) + imm in
-    mem.store w addr (Int32.of_int regs.(rt));
+    mem.store w addr regs.(rt);
     ev.mem_addr <- addr;
     ev.mem_bytes <- bytes;
     ev.mem_is_store <- true
   | U_amo (op, rd, rs, rt) ->
     let addr = regs.(rs) in
-    let old = mem.amo op addr (Int32.of_int regs.(rt)) in
-    if rd <> 0 then regs.(rd) <- Int32.to_int old;
+    let old = mem.amo op addr regs.(rt) in
+    if rd <> 0 then regs.(rd) <- old;
     ev.mem_addr <- addr;
     ev.mem_bytes <- 4;
     ev.mem_is_store <- true;
@@ -322,19 +324,19 @@ let step_ref (prog : Program.t) (h : hart) (mem : mem_iface)
   | Lui (rd, imm) -> set h rd (u32 (Int32.shift_left (Int32.of_int imm) 16))
   | Load (w, rd, rs, imm) ->
     let addr = get_int h rs + imm in
-    set h rd (mem.load w addr);
+    set_int h rd (mem.load w addr);
     ev.mem_addr <- addr;
     ev.mem_bytes <- Insn.width_bytes w
   | Store (w, rt, rs, imm) ->
     let addr = get_int h rs + imm in
-    mem.store w addr (get h rt);
+    mem.store w addr (get_int h rt);
     ev.mem_addr <- addr;
     ev.mem_bytes <- Insn.width_bytes w;
     ev.mem_is_store <- true
   | Amo (op, rd, rs, rt) ->
     let addr = get_int h rs in
-    let old = mem.amo op addr (get h rt) in
-    set h rd old;
+    let old = mem.amo op addr (get_int h rt) in
+    set_int h rd old;
     ev.mem_addr <- addr;
     ev.mem_bytes <- 4;
     ev.mem_is_store <- true;

@@ -35,10 +35,14 @@ val set_int : hart -> Xloops_isa.Reg.t -> int -> unit
     LSQ overlay for speculative lanes.  Build once per machine or lane —
     not per instruction. *)
 type mem_iface = {
-  load : Xloops_isa.Insn.width -> int -> int32;
-  store : Xloops_isa.Insn.width -> int -> int32 -> unit;
-  amo : Xloops_isa.Insn.amo_op -> int -> int32 -> int32;
+  load : Xloops_isa.Insn.width -> int -> int;
+  store : Xloops_isa.Insn.width -> int -> int -> unit;
+  amo : Xloops_isa.Insn.amo_op -> int -> int -> int;
 }
+(** Values are sign-extended native ints, the register-file
+    representation: [load] returns the sign- or zero-extended value,
+    [store] writes the low bytes of its value, [amo] returns the old
+    word. *)
 
 val direct_mem : Xloops_mem.Memory.t -> mem_iface
 

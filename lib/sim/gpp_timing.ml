@@ -21,6 +21,13 @@
 
 open Xloops_isa
 module Cache = Xloops_mem.Cache
+module Program = Xloops_asm.Program
+
+(* The timing paths run once per simulated instruction, so they follow
+   the functional core's rules: no allocation, no polymorphic compare
+   (without flambda [Stdlib.max] on ints is a [caml_greaterequal] call),
+   no partial application and no closures. *)
+let[@inline] imax (a : int) b = if a >= b then a else b
 
 type latencies = {
   alu : int; mul : int; div : int; fpu : int; load_use : int; amo : int;
@@ -35,13 +42,68 @@ let latencies_of (g : Config.gpp) = {
   amo = g.load_use_latency + 1;
 }
 
-let insn_class_latency lat (i : int Insn.t) =
-  match i with
-  | Alu ((Mul | Mulh), _, _, _) | Alui ((Mul | Mulh), _, _, _) -> lat.mul
-  | Alu ((Div | Rem), _, _, _) | Alui ((Div | Rem), _, _, _) -> lat.div
-  | Fpu (Fdiv, _, _, _) -> lat.div
-  | Fpu (_, _, _, _) -> lat.fpu
-  | _ -> lat.alu
+let[@inline] class_latency lat (cls : Insn_meta.latency) =
+  match cls with
+  | Lat_alu -> lat.alu
+  | Lat_mul -> lat.mul
+  | Lat_div -> lat.div
+  | Lat_fpu -> lat.fpu
+
+let[@inline] count_events (s : Stats.t) (m : Insn_meta.t) =
+  s.decodes <- s.decodes + 1;
+  s.rf_reads <- s.rf_reads + m.rf_reads;
+  if m.rd >= 0 then s.rf_writes <- s.rf_writes + 1;
+  (match m.fu with
+   | Fu_alu -> s.alu_ops <- s.alu_ops + 1
+   | Fu_mul -> s.mul_ops <- s.mul_ops + 1
+   | Fu_div -> s.div_ops <- s.div_ops + 1
+   | Fu_fpu -> s.fpu_ops <- s.fpu_ops + 1
+   | Fu_xi -> s.xi_ops <- s.xi_ops + 1
+   | Fu_amo -> s.amo_ops <- s.amo_ops + 1);
+  if m.branch then s.branches <- s.branches + 1
+
+(* The metadata of the program an event indexes, looked up again only
+   when the stepped program changes. *)
+type meta_cache = {
+  mutable m_prog : Program.t;
+  mutable m_meta : Insn_meta.t array;
+}
+
+let meta_cache () =
+  let p = { Program.insns = [||]; symbols = [] } in
+  { m_prog = p; m_meta = [||] }
+
+let[@inline] meta_of mc (ev : Exec.event) =
+  if ev.prog != mc.m_prog then begin
+    mc.m_prog <- ev.prog;
+    mc.m_meta <- Insn_meta.of_program ev.prog
+  end;
+  Array.unsafe_get mc.m_meta ev.pc
+
+(* Instruction fetch through the L1I.  The pcs of the line the latest
+   fetch touched are kept as a range: a fetch from that line is a hit
+   and would leave the set's LRU order as it is (the line is already the
+   most recently used), so it skips the cache lookup. *)
+type fetch = {
+  l1i : Cache.t;
+  line_bytes : int;
+  mutable lo : int;              (* pcs [lo, hi) share the last line *)
+  mutable hi : int;
+}
+
+let fetch_unit (cfg : Config.gpp) =
+  { l1i = Cache.create ~size_bytes:cfg.l1_size ~ways:cfg.l1_ways
+        ~line_bytes:cfg.l1_line ();
+    line_bytes = cfg.l1_line; lo = 0; hi = 0 }
+
+let[@inline] fetch_hits f pc =
+  (pc >= f.lo && pc < f.hi)
+  || begin
+    let line = pc * 4 / f.line_bytes in
+    f.lo <- (line * f.line_bytes + 3) / 4;
+    f.hi <- ((line + 1) * f.line_bytes + 3) / 4;
+    Cache.access f.l1i (pc * 4)
+  end
 
 (* ------------------------------------------------------------------ *)
 (*  In-order                                                           *)
@@ -52,9 +114,10 @@ module Inorder = struct
     cfg : Config.gpp;
     lat : latencies;
     stats : Stats.t;
-    l1i : Cache.t;
+    fetch : fetch;
     l1d : Cache.t;
     reg_ready : int array;
+    mc : meta_cache;
     mutable last_issue : int;
     mutable last_complete : int;
     mutable div_busy_until : int;
@@ -62,40 +125,23 @@ module Inorder = struct
 
   let create (cfg : Config.gpp) (stats : Stats.t) = {
     cfg; lat = latencies_of cfg; stats;
-    l1i = Cache.create ~size_bytes:cfg.l1_size ~ways:cfg.l1_ways
-        ~line_bytes:cfg.l1_line ();
+    fetch = fetch_unit cfg;
     l1d = Cache.create ~size_bytes:cfg.l1_size ~ways:cfg.l1_ways
         ~line_bytes:cfg.l1_line ();
     reg_ready = Array.make Reg.num_regs 0;
+    mc = meta_cache ();
     last_issue = 0; last_complete = 0; div_busy_until = 0;
   }
 
-  let count_exec_events (s : Stats.t) (i : int Insn.t) =
-    s.decodes <- s.decodes + 1;
-    s.rf_reads <- s.rf_reads
-                  + (if Insn.src1 i >= 0 then 1 else 0)
-                  + (if Insn.src2 i >= 0 then 1 else 0);
-    if Insn.dest_reg i >= 0 then s.rf_writes <- s.rf_writes + 1;
-    (match i with
-     | Alu ((Mul | Mulh), _, _, _) | Alui ((Mul | Mulh), _, _, _) ->
-       s.mul_ops <- s.mul_ops + 1
-     | Alu ((Div | Rem), _, _, _) | Alui ((Div | Rem), _, _, _) ->
-       s.div_ops <- s.div_ops + 1
-     | Fpu _ -> s.fpu_ops <- s.fpu_ops + 1
-     | Xi_addi _ | Xi_add _ -> s.xi_ops <- s.xi_ops + 1
-     | Amo _ -> s.amo_ops <- s.amo_ops + 1
-     | _ -> s.alu_ops <- s.alu_ops + 1);
-    if Insn.is_branch i then s.branches <- s.branches + 1
-
   let consume t (ev : Exec.event) =
     let s = t.stats in
-    let insn = Exec.event_insn ev in
+    let m = meta_of t.mc ev in
     s.committed_insns <- s.committed_insns + 1;
     s.icache_fetches <- s.icache_fetches + 1;
-    count_exec_events s insn;
+    count_events s m;
     (* Fetch. *)
     let fetch_extra =
-      if Cache.access t.l1i (ev.pc * 4) then 0
+      if fetch_hits t.fetch ev.pc then 0
       else begin
         s.icache_misses <- s.icache_misses + 1;
         t.cfg.miss_penalty
@@ -103,51 +149,43 @@ module Inorder = struct
     in
     (* Operand readiness. *)
     let ready =
-      let s1 = Insn.src1 insn and s2 = Insn.src2 insn in
-      max (if s1 >= 0 then t.reg_ready.(s1) else 0)
-        (if s2 >= 0 then t.reg_ready.(s2) else 0)
+      imax (if m.s1 >= 0 then t.reg_ready.(m.s1) else 0)
+        (if m.s2 >= 0 then t.reg_ready.(m.s2) else 0)
     in
-    let struct_ready =
-      match insn with
-      | Alu ((Div | Rem), _, _, _) | Alui ((Div | Rem), _, _, _)
-      | Fpu (Fdiv, _, _, _) -> t.div_busy_until
-      | _ -> 0
-    in
+    let struct_ready = if m.unpipelined then t.div_busy_until else 0 in
     let issue =
-      max (t.last_issue + 1 + fetch_extra) (max ready struct_ready)
+      imax (t.last_issue + 1 + fetch_extra) (imax ready struct_ready)
     in
-    (* Completion. *)
-    let miss_stall = ref 0 in
-    let complete =
+    (* Completion.  A simple in-order core blocks on an L1 miss
+       regardless of whether anything consumes the value. *)
+    let miss_stall =
       if ev.mem_addr >= 0 then begin
         s.dcache_accesses <- s.dcache_accesses + 1;
-        let hit = Cache.access t.l1d ev.mem_addr in
-        if not hit then begin
+        if Cache.access t.l1d ev.mem_addr then 0
+        else begin
           s.dcache_misses <- s.dcache_misses + 1;
-          (* A simple in-order core blocks on an L1 miss regardless of
-             whether anything consumes the value. *)
-          miss_stall := t.cfg.miss_penalty
-        end;
+          t.cfg.miss_penalty
+        end
+      end else 0
+    in
+    let complete =
+      if ev.mem_addr >= 0 then
         let base = if ev.mem_is_amo then t.lat.amo
           else if ev.mem_is_store then 1
           else t.lat.load_use in
-        issue + base + !miss_stall
-      end else
-        issue + insn_class_latency t.lat insn
+        issue + base + miss_stall
+      else
+        issue + class_latency t.lat m.lat
     in
-    (match insn with
-     | Alu ((Div | Rem), _, _, _) | Alui ((Div | Rem), _, _, _)
-     | Fpu (Fdiv, _, _, _) -> t.div_busy_until <- complete
-     | _ -> ());
-    let rd = Insn.dest_reg insn in
-    if rd >= 0 then t.reg_ready.(rd) <- complete;
+    if m.unpipelined then t.div_busy_until <- complete;
+    if m.rd >= 0 then t.reg_ready.(m.rd) <- complete;
     (* Control flow: taken branches insert fetch bubbles. *)
     t.last_issue <-
-      issue + !miss_stall
+      issue + miss_stall
       + (if ev.taken then t.cfg.branch_penalty else 0);
-    t.last_complete <- max t.last_complete complete
+    t.last_complete <- imax t.last_complete complete
 
-  let now t = max t.last_issue t.last_complete
+  let now t = imax t.last_issue t.last_complete
 
   (** Drain the pipeline (used before a specialized phase / at halt). *)
   let barrier t =
@@ -157,7 +195,7 @@ module Inorder = struct
 
   (** Jump the clock forward (used after a specialized phase). *)
   let skip_to t cycle =
-    let c = max cycle (now t) in
+    let c = imax cycle (now t) in
     t.last_issue <- c;
     t.last_complete <- c;
     Array.fill t.reg_ready 0 (Array.length t.reg_ready) c
@@ -167,6 +205,100 @@ end
 (*  Out-of-order                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Word address -> completion cycle of the youngest store to it: an
+   open-addressing table with int keys (no [caml_hash] call per memory
+   operation).  A slot's tag is [gen lsl 32 lor key]; it is live only
+   while [gen] is the table's current generation, so [reset] is O(1).
+
+   An entry whose completion is at or before the current dispatch cycle
+   can no longer delay any load (a later load issues no earlier), so a
+   full table first drops those; it grows only if a quarter of it is
+   still in flight.  The table thus stays the size of the store window,
+   not of the data set. *)
+module Store_table = struct
+  type t = {
+    mutable tags : int array;
+    mutable vals : int array;
+    mutable live_keys : int array;   (* purge scratch, half the size *)
+    mutable live_vals : int array;
+    mutable gen : int;
+    mutable count : int;
+    mutable mask : int;
+  }
+
+  let create n =
+    { tags = Array.make n 0; vals = Array.make n 0;
+      live_keys = Array.make (n / 2) 0; live_vals = Array.make (n / 2) 0;
+      gen = 1; count = 0; mask = n - 1 }
+
+  let reset t = t.gen <- t.gen + 1; t.count <- 0
+
+  let[@inline] slot t k =
+    let h = k * 0x9E3779B1 in
+    (h lxor (h lsr 17)) land t.mask
+
+  (* Linear probing: the live slot holding [tag], or the first dead slot,
+     where it would go. *)
+  let rec probe t tag i =
+    let x = t.tags.(i) in
+    if x = tag || x lsr 32 <> t.gen then i
+    else probe t tag ((i + 1) land t.mask)
+
+  let find t k ~default =
+    let tag = (t.gen lsl 32) lor k in
+    let i = probe t tag (slot t k) in
+    if t.tags.(i) = tag then t.vals.(i) else default
+
+  (* Insert a key known to be absent, with room to spare. *)
+  let insert t k v =
+    let tag = (t.gen lsl 32) lor k in
+    let i = probe t tag (slot t k) in
+    t.tags.(i) <- tag;
+    t.vals.(i) <- v;
+    t.count <- t.count + 1
+
+  (* Keep only the entries completing after [horizon], at [size] slots. *)
+  let rebuild t ~horizon ~size =
+    let n = ref 0 in
+    for i = 0 to Array.length t.tags - 1 do
+      let x = t.tags.(i) in
+      if x lsr 32 = t.gen && t.vals.(i) > horizon then begin
+        t.live_keys.(!n) <- x land 0xFFFF_FFFF;
+        t.live_vals.(!n) <- t.vals.(i);
+        incr n
+      end
+    done;
+    if size > Array.length t.tags then begin
+      let live_keys = t.live_keys and live_vals = t.live_vals in
+      t.tags <- Array.make size 0;
+      t.vals <- Array.make size 0;
+      t.live_keys <- Array.make (size / 2) 0;
+      t.live_vals <- Array.make (size / 2) 0;
+      t.mask <- size - 1;
+      t.gen <- 1;
+      t.count <- 0;
+      for j = 0 to !n - 1 do insert t live_keys.(j) live_vals.(j) done
+    end else begin
+      reset t;
+      for j = 0 to !n - 1 do insert t t.live_keys.(j) t.live_vals.(j) done
+    end
+
+  (** [replace t k v ~horizon]: stores completing at or before [horizon]
+      may be forgotten. *)
+  let replace t k v ~horizon =
+    let tag = (t.gen lsl 32) lor k in
+    let i = probe t tag (slot t k) in
+    if t.tags.(i) = tag then t.vals.(i) <- v
+    else begin
+      let n = Array.length t.tags in
+      if 2 * (t.count + 1) > n then begin
+        rebuild t ~horizon ~size:n;
+        if 4 * (t.count + 1) > n then rebuild t ~horizon ~size:(2 * n)
+      end;
+      insert t k v
+    end
+end
+
 module Ooo = struct
   type t = {
     cfg : Config.gpp;
@@ -174,17 +306,18 @@ module Ooo = struct
     window : int;
     lat : latencies;
     stats : Stats.t;
-    l1i : Cache.t;
+    fetch : fetch;
     l1d : Cache.t;
     bp : Branch_pred.t;
     reg_ready : int array;
     ring : int array;              (* completion times, window ring *)
-    mutable n : int;               (* dynamic instruction number *)
+    mutable slot : int;            (* the next instruction's ring entry *)
+    mc : meta_cache;
     mutable dispatch_cycle : int;
     mutable dispatched_in_cycle : int;
     mutable redirect : int;        (* front end stalled until this cycle *)
     mutable mem_serial : int;      (* AMO/fence serialization point *)
-    store_ready : (int, int) Hashtbl.t;  (* word addr -> completion *)
+    store_ready : Store_table.t;   (* word addr -> completion *)
     mutable max_complete : int;
   }
 
@@ -195,35 +328,35 @@ module Ooo = struct
       | Config.Inorder -> invalid_arg "Gpp_timing.Ooo.create: in-order config"
     in
     { cfg; width; window; lat = latencies_of cfg; stats;
-      l1i = Cache.create ~size_bytes:cfg.l1_size ~ways:cfg.l1_ways
-          ~line_bytes:cfg.l1_line ();
+      fetch = fetch_unit cfg;
       l1d = Cache.create ~size_bytes:cfg.l1_size ~ways:cfg.l1_ways
           ~line_bytes:cfg.l1_line ();
       bp = Branch_pred.create ();
       reg_ready = Array.make Reg.num_regs 0;
       ring = Array.make window 0;
-      n = 0; dispatch_cycle = 0; dispatched_in_cycle = 0;
+      mc = meta_cache ();
+      slot = 0; dispatch_cycle = 0; dispatched_in_cycle = 0;
       redirect = 0; mem_serial = 0;
-      store_ready = Hashtbl.create 64;
+      store_ready = Store_table.create 64;
       max_complete = 0 }
 
   let consume t (ev : Exec.event) =
     let s = t.stats in
-    let insn = Exec.event_insn ev in
+    let m = meta_of t.mc ev in
     s.committed_insns <- s.committed_insns + 1;
     s.icache_fetches <- s.icache_fetches + 1;
     s.renames <- s.renames + 1;
     s.rob_ops <- s.rob_ops + 1;
     s.iq_ops <- s.iq_ops + 1;
-    Inorder.count_exec_events s insn;
+    count_events s m;
     (* Fetch-side cache (fetch groups share lines; charge misses only). *)
-    if not (Cache.access t.l1i (ev.pc * 4)) then begin
+    if not (fetch_hits t.fetch ev.pc) then begin
       s.icache_misses <- s.icache_misses + 1;
-      t.redirect <- max t.redirect (t.dispatch_cycle + t.cfg.miss_penalty)
+      t.redirect <- imax t.redirect (t.dispatch_cycle + t.cfg.miss_penalty)
     end;
     (* Dispatch: width, window, and redirect constraints. *)
-    let window_ready = t.ring.(t.n mod t.window) in
-    let d = max (max t.dispatch_cycle t.redirect) window_ready in
+    let slot = t.slot in
+    let d = imax (imax t.dispatch_cycle t.redirect) t.ring.(slot) in
     if d > t.dispatch_cycle then begin
       t.dispatch_cycle <- d;
       t.dispatched_in_cycle <- 0
@@ -236,12 +369,11 @@ module Ooo = struct
     t.dispatched_in_cycle <- t.dispatched_in_cycle + 1;
     (* Operand readiness. *)
     let ready =
-      let s1 = Insn.src1 insn and s2 = Insn.src2 insn in
-      max dispatch
-        (max (if s1 >= 0 then t.reg_ready.(s1) else 0)
-           (if s2 >= 0 then t.reg_ready.(s2) else 0))
+      imax dispatch
+        (imax (if m.s1 >= 0 then t.reg_ready.(m.s1) else 0)
+           (if m.s2 >= 0 then t.reg_ready.(m.s2) else 0))
     in
-    let issue = max ready t.mem_serial in
+    let issue = imax ready t.mem_serial in
     (* Completion. *)
     let complete =
       if ev.mem_addr >= 0 then begin
@@ -254,63 +386,51 @@ module Ooo = struct
           (* Conservative AMO: waits for all earlier memory traffic and
              serializes later traffic (Section IV-B's "rather
              conservative" implementation). *)
-          let c = max issue t.mem_serial + t.lat.amo + miss in
+          let c = imax issue t.mem_serial + t.lat.amo + miss in
           t.mem_serial <- c;
-          Hashtbl.replace t.store_ready word c;
+          Store_table.replace t.store_ready word c ~horizon:dispatch;
           c
         end else if ev.mem_is_store then begin
           let c = issue + 1 + miss in
-          Hashtbl.replace t.store_ready word c;
+          Store_table.replace t.store_ready word c ~horizon:dispatch;
           c
         end else begin
           (* Load: wait for the youngest earlier store to the same word
              (store-to-load forwarding at its completion). *)
-          let dep =
-            match Hashtbl.find_opt t.store_ready word with
-            | Some c -> c
-            | None -> 0
-          in
-          max issue dep + t.lat.load_use + miss
+          let dep = Store_table.find t.store_ready word ~default:0 in
+          imax issue dep + t.lat.load_use + miss
         end
-      end else
-        (match insn with
-         | Sync ->
-           let c = max issue t.mem_serial in
-           t.mem_serial <- c;
-           c
-         | _ -> issue + insn_class_latency t.lat insn)
+      end else if m.sync then begin
+        let c = imax issue t.mem_serial in
+        t.mem_serial <- c;
+        c
+      end else issue + class_latency t.lat m.lat
     in
-    let rd = Insn.dest_reg insn in
-    if rd >= 0 then t.reg_ready.(rd) <- complete;
-    (* Branch prediction. *)
-    if Insn.is_branch insn then begin
-      let correct =
-        match insn with
-        | Branch _ | Xloop _ ->
-          Branch_pred.predict_update t.bp ~pc:ev.pc ~taken:ev.taken
-        | Jr _ -> true  (* return-address stack assumed perfect *)
-        | _ -> true     (* direct jumps *)
-      in
-      if not correct then begin
-        s.mispredicts <- s.mispredicts + 1;
-        t.redirect <- max t.redirect (complete + t.cfg.branch_penalty)
-      end
+    if m.rd >= 0 then t.reg_ready.(m.rd) <- complete;
+    (* Branch prediction: conditional branches and xloops go through the
+       bimodal predictor; the return-address stack is assumed perfect and
+       direct jumps never mispredict. *)
+    if m.predicted
+    && not (Branch_pred.predict_update t.bp ~pc:ev.pc ~taken:ev.taken)
+    then begin
+      s.mispredicts <- s.mispredicts + 1;
+      t.redirect <- imax t.redirect (complete + t.cfg.branch_penalty)
     end;
-    t.ring.(t.n mod t.window) <- complete;
-    t.n <- t.n + 1;
-    t.max_complete <- max t.max_complete complete
+    t.ring.(slot) <- complete;
+    t.slot <- (if slot + 1 = t.window then 0 else slot + 1);
+    t.max_complete <- imax t.max_complete complete
 
-  let now t = max t.dispatch_cycle t.max_complete
+  let now t = imax t.dispatch_cycle t.max_complete
 
   let barrier t =
     let c = now t in
     t.dispatch_cycle <- c;
     t.dispatched_in_cycle <- 0;
-    t.redirect <- max t.redirect c;
-    t.mem_serial <- max t.mem_serial c
+    t.redirect <- imax t.redirect c;
+    t.mem_serial <- imax t.mem_serial c
 
   let skip_to t cycle =
-    let c = max cycle (now t) in
+    let c = imax cycle (now t) in
     t.dispatch_cycle <- c;
     t.dispatched_in_cycle <- 0;
     t.redirect <- c;
@@ -318,7 +438,7 @@ module Ooo = struct
     t.max_complete <- c;
     Array.fill t.reg_ready 0 (Array.length t.reg_ready) c;
     Array.fill t.ring 0 (Array.length t.ring) c;
-    Hashtbl.reset t.store_ready
+    Store_table.reset t.store_ready
 end
 
 (* ------------------------------------------------------------------ *)
@@ -334,9 +454,10 @@ let create (cfg : Config.gpp) (stats : Stats.t) =
   | Config.Inorder -> In_order (Inorder.create cfg stats)
   | Config.Ooo _ -> Out_of_order (Ooo.create cfg stats)
 
-let consume = function
-  | In_order m -> Inorder.consume m
-  | Out_of_order m -> Ooo.consume m
+let consume t ev =
+  match t with
+  | In_order m -> Inorder.consume m ev
+  | Out_of_order m -> Ooo.consume m ev
 
 let now = function
   | In_order m -> Inorder.now m
@@ -346,9 +467,10 @@ let barrier = function
   | In_order m -> Inorder.barrier m
   | Out_of_order m -> Ooo.barrier m
 
-let skip_to = function
-  | In_order m -> Inorder.skip_to m
-  | Out_of_order m -> Ooo.skip_to m
+let skip_to t cycle =
+  match t with
+  | In_order m -> Inorder.skip_to m cycle
+  | Out_of_order m -> Ooo.skip_to m cycle
 
 (** The GPP's L1 data cache — shared with the LPSU, which arbitrates for
     the same data-memory port (Figure 4). *)
@@ -362,6 +484,6 @@ let l1d = function
 let scan_cycles t (lpsu : Config.lpsu) ~body_insns =
   let fixed = match t with
     | In_order _ -> lpsu.scan_fixed
-    | Out_of_order _ -> max 1 (lpsu.scan_fixed / 2)
+    | Out_of_order _ -> imax 1 (lpsu.scan_fixed / 2)
   in
   fixed + (lpsu.scan_per_insn * body_insns)

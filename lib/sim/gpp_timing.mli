@@ -16,7 +16,12 @@ type latencies = {
 }
 
 val latencies_of : Config.gpp -> latencies
-val insn_class_latency : latencies -> int Xloops_isa.Insn.t -> int
+
+val class_latency : latencies -> Insn_meta.latency -> int
+
+val count_events : Stats.t -> Insn_meta.t -> unit
+(** Account one executed instruction's decode, register-file, functional
+    unit and branch events; shared with the LPSU lanes. *)
 
 module Inorder : sig
   type t
@@ -25,9 +30,6 @@ module Inorder : sig
   val now : t -> int
   val barrier : t -> unit
   val skip_to : t -> int -> unit
-  val count_exec_events : Stats.t -> int Xloops_isa.Insn.t -> unit
-  (** Shared per-instruction event accounting (decode, RF, FU class),
-      also used by the LPSU lanes. *)
 end
 
 module Ooo : sig

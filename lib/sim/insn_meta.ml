@@ -1,0 +1,79 @@
+(** Per-pc timing metadata: what the GPP and LPSU timing models need to
+    know about a static instruction, decoded once per program instead of
+    re-matching [Insn.t] several times per dynamic instruction. *)
+
+open Xloops_isa
+module Program = Xloops_asm.Program
+
+(* Functional-unit classes, one per {!Stats} execute counter. *)
+type fu = Fu_alu | Fu_mul | Fu_div | Fu_fpu | Fu_xi | Fu_amo
+
+type latency = Lat_alu | Lat_mul | Lat_div | Lat_fpu
+
+type t = {
+  s1 : int;              (* source registers, -1 when absent *)
+  s2 : int;
+  rd : int;              (* destination register, -1 when none *)
+  rf_reads : int;        (* number of present sources *)
+  fu : fu;
+  lat : latency;
+  unpipelined : bool;    (* occupies the divider: div, rem, fdiv *)
+  llfu : bool;           (* executes on the shared long-latency unit *)
+  mem : bool;            (* load, store or AMO *)
+  branch : bool;         (* any control transfer, xloop included *)
+  predicted : bool;      (* conditional: branch or xloop *)
+  sync : bool;
+}
+
+let of_insn (i : int Insn.t) =
+  let s1 = Insn.src1 i and s2 = Insn.src2 i in
+  let fu =
+    match i with
+    | Alu ((Mul | Mulh), _, _, _) | Alui ((Mul | Mulh), _, _, _) -> Fu_mul
+    | Alu ((Div | Rem), _, _, _) | Alui ((Div | Rem), _, _, _) -> Fu_div
+    | Fpu _ -> Fu_fpu
+    | Xi_addi _ | Xi_add _ -> Fu_xi
+    | Amo _ -> Fu_amo
+    | _ -> Fu_alu
+  in
+  let lat =
+    match i with
+    | Alu ((Mul | Mulh), _, _, _) | Alui ((Mul | Mulh), _, _, _) -> Lat_mul
+    | Alu ((Div | Rem), _, _, _) | Alui ((Div | Rem), _, _, _)
+    | Fpu (Fdiv, _, _, _) -> Lat_div
+    | Fpu _ -> Lat_fpu
+    | _ -> Lat_alu
+  in
+  { s1; s2; rd = Insn.dest_reg i;
+    rf_reads = (if s1 >= 0 then 1 else 0) + (if s2 >= 0 then 1 else 0);
+    fu; lat;
+    unpipelined = lat = Lat_div;
+    llfu = Insn.is_llfu i;
+    mem = Insn.is_mem i;
+    branch = Insn.is_branch i;
+    predicted = (match i with Branch _ | Xloop _ -> true | _ -> false);
+    sync = (match i with Sync -> true | _ -> false) }
+
+let of_program_fresh (p : Program.t) = Array.map of_insn p.Program.insns
+
+(* Per-domain memo keyed by physical equality, the shape of the
+   predecode and compiled-tier memos: a sweep runs the same few programs
+   many times. *)
+let memo : (Program.t * t array) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let memo_cap = 8
+
+let of_program (p : Program.t) =
+  let cache = Domain.DLS.get memo in
+  match List.find_opt (fun (src, _) -> src == p) !cache with
+  | Some (_, m) -> m
+  | None ->
+    let m = of_program_fresh p in
+    let rest =
+      if List.length !cache >= memo_cap
+      then List.filteri (fun i _ -> i < memo_cap - 1) !cache
+      else !cache
+    in
+    cache := (p, m) :: rest;
+    m

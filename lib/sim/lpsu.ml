@@ -38,6 +38,22 @@ module Port = Xloops_mem.Port
 
 exception Lane_trap of string
 
+(* The lane cycle loop runs once per lane per simulated cycle and the
+   issue path once per lane instruction, so both follow the functional
+   core's rules: no allocation, no polymorphic compare and no closures.
+   Values the lanes exchange (CIB entries, index and bound, forwarded
+   bytes) are sign-extended native ints, as in the register file.  The
+   dev build profile compiles every module [-opaque], so no call into
+   another module is ever inlined: the register-file accessors below
+   are local copies of {!Exec}'s. *)
+
+let[@inline] imax (a : int) b = if a >= b then a else b
+
+let sext_shift = Sys.int_size - 32
+let[@inline] norm v = (v lsl sext_shift) asr sext_shift
+let[@inline] get_reg (h : Exec.hart) r = h.regs.(r)
+let[@inline] set_reg (h : Exec.hart) r v = if r <> 0 then h.regs.(r) <- norm v
+
 type ctx_state =
   | Idle
   | Run           (** executing the iteration body *)
@@ -52,18 +68,21 @@ type ctx = {
   mutable st : ctx_state;
   mutable iter : int;            (** local iteration number; -1 when idle *)
   lsq : Lsq.t;
-  mutable drain_q : Lsq.store_entry list;
-  mutable got_cir : bool array;
+  mutable drain_next : int;      (** next LSQ store to drain; -1 = none *)
+  got_cir : bool array;          (** per CIB slot: chain value consumed *)
+  mutable cir_wait_gen : int;    (** [cib_gen] of the last CIR stall; -1 *)
+  mutable cir_wake : int;        (** that stall lasts until this cycle,
+                                     unless a CIB changes first *)
   mutable insns_iter : int;
   mutable next_issue : int;
-  mutable exit_flag : int32;   (** .de: exit-register value at loop end *)
-  mutable frozen_until : int;  (** injected lane freeze; [max_int] = dead *)
+  mutable exit_flag : int;       (** .de: exit-register value at loop end *)
+  mutable frozen_until : int;    (** injected lane freeze; [max_int] = dead *)
   (* Per-context memory interfaces, built once at LPSU creation instead
      of once per memory instruction. *)
   mutable spec_if : Exec.mem_iface;   (** LSQ overlay for this context *)
   mutable fwd_if : Exec.mem_iface;    (** inter-lane forward; reads fwd_* *)
   mutable fwd_src : int;              (** forwarding source iteration *)
-  mutable fwd_raw : int32;            (** forwarded raw store bytes *)
+  mutable fwd_raw : int;              (** forwarded raw store bytes *)
   mutable fwd_addr : int;
   mutable fwd_bytes : int;
   tstate : Threaded.state;            (** compiled-closure view of this
@@ -71,12 +90,16 @@ type ctx = {
                                           lane fast path *)
 }
 
+(* A CIR chain's history: (consumer iteration, value, ready cycle)
+   entries, oldest first in [0, len).  History is kept (not popped on
+   read) so that orm squashes can roll back. *)
 type cib = {
-  cir : Scan.cir;
+  mutable cir : Scan.cir;
   slot : int;
-  (* (consumer iteration, value, ready cycle), newest first.  History is
-     kept (not popped on read) so that orm squashes can roll back. *)
-  mutable hist : (int * int32 * int) list;
+  mutable h_iter : int array;
+  mutable h_val : int array;
+  mutable h_ready : int array;
+  mutable len : int;
 }
 
 type stall = [ `Raw | `Mem | `Llfu | `Cir | `Lsq | `Idle | `Frozen ]
@@ -91,34 +114,49 @@ type result = {
   miv_finals : (Reg.t * int32) list;
 }
 
+(* The LPSU of one machine: the lanes' contexts, LSQs, CIB chains and
+   shared ports are built once, on the machine's first specialized loop,
+   and [start] resets them for every loop after it.  The fields from
+   [info] on describe the loop being run. *)
 type t = {
   prog : Program.t;
   pre : Program.predecoded;      (* prog, predecoded once *)
+  meta : Insn_meta.t array;      (* per-pc timing metadata of prog *)
   mem : Memory.t;
   direct_if : Exec.mem_iface;    (* architectural memory, built once *)
   ev : Exec.event;               (* shared reusable step scratch *)
   dcache : Cache.t;
   lat : Gpp_timing.latencies;
+  miss_penalty : int;            (* the GPP's L1 miss penalty *)
   lpsu : Config.lpsu;
   stats : Stats.t;
-  info : Scan.t;
-  base_regs : int array;         (* GPP register snapshot at scan *)
-  idx0 : int32;
-  miv_bases : (Reg.t * int32 * int32) list;  (* reg, base, inc *)
-  ctxs : ctx array;              (* lane-major, then thread *)
-  cibs : cib array;
+  all_ctxs : ctx array;          (* lane-major, then thread *)
+  lane0_ctxs : ctx array;        (* each lane's first context *)
   mem_port : Port.t;
   llfu_port : Port.t;
-  mutable bound : int32;
+  lane_reason : stall array;     (* last cycle's stall reason per lane *)
+  violated : bool array;         (* broadcast scratch, per context *)
+  mutable cib_pool : cib array;
+  mutable info : Scan.t;
+  base_regs : int array;         (* GPP register snapshot at scan *)
+  mutable idx0 : int;
+  mutable idx_step : int;
+  miv_regs : Reg.t array;        (* MIVT: register, base, increment *)
+  miv_base : int array;
+  miv_inc : int array;
+  mutable n_mivs : int;
+  mutable ctxs : ctx array;      (* this loop's: [all_ctxs] under MT *)
+  mutable cibs : cib array;
+  mutable cib_gen : int;         (* bumped on every change to a CIB *)
+  mutable bound : int;
   mutable next_k : int;          (* next iteration to dispense *)
   mutable commit_iter : int;     (* lowest uncommitted iteration *)
   mutable committed : int;
-  mutable exit_at : int option;  (* .de: iteration that took the exit *)
+  mutable exit_at : int;         (* .de: iteration that took the exit; -1 *)
   mutable cycle : int;
-  stop_after : int option;
-  spec_pattern : bool;
-  has_cirs : bool;
-  mt_enabled : bool;
+  mutable stop_after : int;      (* dispatch limit; [max_int] = none *)
+  mutable spec_pattern : bool;
+  mutable has_cirs : bool;
   trace : Trace.t option;
   (* Robustness machinery *)
   faults : Fault.t option;
@@ -127,16 +165,19 @@ type t = {
      record ({!Threaded.lane_meta}, further demoted below for CIR and
      dynamic-bound bookkeeping).  [fast_ok] gates the whole array off
      whenever an observer is attached or the reference tier is forced. *)
-  lane_fast : Threaded.lane_meta array;
+  mutable lane_fast : Threaded.lane_meta array;  (* by pc - body_start *)
   fast_ok : bool;
-  watchdog : int;                (* no-progress cycles before a hang; 0=off *)
+  mutable watchdog : int;        (* no-progress cycles before a hang; 0=off *)
   mutable last_progress : int;   (* cycle of the last dispatch or commit *)
   mutable drop_broadcasts : int; (* injected: swallow this many broadcasts *)
-  lane_reason : stall array;     (* last cycle's stall reason per lane *)
 }
 
-let idx_of t k =
-  Int32.add t.idx0 (Int32.mul (Int32.of_int k) t.info.Scan.idx_step)
+(* [Trace.enabled], short-circuited locally for the untraced case. *)
+let[@inline] tracing t lvl = t.trace != None && Trace.enabled t.trace lvl
+
+let[@inline] idx_of t k = norm (t.idx0 + k * t.idx_step)
+
+let[@inline] active c = c.st = Run || c.st = Wait_commit
 
 (* -- Memory interfaces ------------------------------------------------ *)
 
@@ -157,12 +198,12 @@ let spec_iface t (c : ctx) : Exec.mem_iface = {
       let old = Lsq.read c.lsq t.mem Insn.W a in
       Lsq.record_load c.lsq ~addr:a ~bytes:4;
       let nv = match op with
-        | Insn.Amo_add -> Int32.add old v
-        | Amo_and -> Int32.logand old v
-        | Amo_or -> Int32.logor old v
+        | Insn.Amo_add -> norm (old + v)
+        | Amo_and -> old land v
+        | Amo_or -> old lor v
         | Amo_xchg -> v
-        | Amo_min -> if Int32.compare old v <= 0 then old else v
-        | Amo_max -> if Int32.compare old v >= 0 then old else v
+        | Amo_min -> if old <= v then old else v
+        | Amo_max -> if old >= v then old else v
       in
       Lsq.record_store c.lsq ~addr:a ~bytes:4 ~value:nv;
       t.stats.lsq_writes <- t.stats.lsq_writes + 2;
@@ -170,13 +211,12 @@ let spec_iface t (c : ctx) : Exec.mem_iface = {
 }
 
 (* Sign/zero-extend raw little-endian bytes per access width. *)
-let extend_raw (w : Insn.width) (raw : int32) : int32 =
-  let v = Int32.to_int raw in
+let extend_raw (w : Insn.width) raw =
   match w with
-  | B -> Int32.of_int (if v land 0x80 <> 0 then v - 0x100 else v)
-  | H -> Int32.of_int (if v land 0x8000 <> 0 then v - 0x10000 else v)
+  | B -> if raw land 0x80 <> 0 then raw - 0x100 else raw
+  | H -> if raw land 0x8000 <> 0 then raw - 0x10000 else raw
   | Bu | Hu -> raw
-  | W -> raw
+  | W -> norm raw
 
 (* One-load interface delivering an inter-lane forwarded value; the
    source iteration, raw value and address live in the context's [fwd_*]
@@ -184,28 +224,22 @@ let extend_raw (w : Insn.width) (raw : int32) : int32 =
 let fwd_iface t (c : ctx) : Exec.mem_iface = {
   Exec.load = (fun w a ->
       assert (a = c.fwd_addr);
-      Lsq.record_load c.lsq ~addr:c.fwd_addr ~bytes:c.fwd_bytes
-        ~fwd:{ Lsq.f_iter = c.fwd_src; f_value = c.fwd_raw };
+      Lsq.record_forwarded_load c.lsq ~addr:c.fwd_addr ~bytes:c.fwd_bytes
+        ~from_iter:c.fwd_src ~raw:c.fwd_raw;
       t.stats.lsq_writes <- t.stats.lsq_writes + 1;
       extend_raw w c.fwd_raw);
   store = (fun _ _ _ -> assert false);
   amo = (fun _ _ _ -> assert false);
 }
 
-let create ~prog ~mem ~dcache ~(cfg : Config.t) ~stats ~(info : Scan.t)
-    ~(regs : int array) ~start_cycle ?stop_after ?trace ?faults
-    ?(watchdog = 0) () =
+let create ~prog ~mem ~dcache ~(cfg : Config.t) ~stats ?trace ?faults () =
   let lpsu = match cfg.lpsu with
     | Some l -> l
     | None -> invalid_arg "Lpsu.create: config has no LPSU"
   in
-  let spec_pattern = Scan.is_speculative_pattern info.pat in
-  let has_cirs = Scan.has_cirs info.pat in
-  let mt_enabled =
-    lpsu.threads_per_lane > 1 && info.pat.dp = Insn.Uc in
-  let threads = if mt_enabled then lpsu.threads_per_lane else 1 in
+  let threads = lpsu.threads_per_lane in
   let direct_if = Exec.direct_mem mem in
-  let ctxs =
+  let all_ctxs =
     Array.init (lpsu.lanes * threads) (fun i ->
         let hart = Exec.create_hart () in
         { lane = i / threads; tid = i mod threads;
@@ -214,100 +248,168 @@ let create ~prog ~mem ~dcache ~(cfg : Config.t) ~stats ~(info : Scan.t)
           st = Idle; iter = -1;
           lsq = Lsq.create ~max_loads:lpsu.lsq_loads
               ~max_stores:lpsu.lsq_stores;
-          drain_q = []; got_cir = [||]; insns_iter = 0; next_issue = 0;
-          exit_flag = 0l; frozen_until = 0;
+          drain_next = -1; got_cir = Array.make Reg.num_regs false;
+          cir_wait_gen = -1; cir_wake = 0;
+          insns_iter = 0; next_issue = 0;
+          exit_flag = 0; frozen_until = 0;
           (* real interfaces are installed after [t] exists *)
           spec_if = direct_if; fwd_if = direct_if;
-          fwd_src = -1; fwd_raw = 0l; fwd_addr = -1; fwd_bytes = 0;
+          fwd_src = -1; fwd_raw = 0; fwd_addr = -1; fwd_bytes = 0;
           tstate = { Threaded.regs = hart.Exec.regs; mem;
                      pc = 0; retired = 0 } })
   in
-  let cibs =
-    Array.of_list
-      (List.mapi
-         (fun slot (c : Scan.cir) ->
-            { cir = c; slot;
-              hist = [ (0, Int32.of_int regs.(c.c_reg), start_cycle) ] })
-         info.cirs)
+  let t =
+    { prog; pre = Program.predecode prog; meta = Insn_meta.of_program prog;
+      mem; direct_if;
+      ev = Exec.create_event ();
+      dcache; lat = Gpp_timing.latencies_of cfg.gpp;
+      miss_penalty = cfg.gpp.miss_penalty; lpsu; stats;
+      all_ctxs;
+      lane0_ctxs = Array.init lpsu.lanes (fun l -> all_ctxs.(l * threads));
+      mem_port = Port.create ~width:lpsu.mem_ports "dmem";
+      llfu_port = Port.create ~width:lpsu.llfu_ports "llfu";
+      lane_reason = Array.make lpsu.lanes (`Idle : stall);
+      violated = Array.make (Array.length all_ctxs) false;
+      cib_pool = [||];
+      info = { xloop_pc = -1; body_start = 0; body_len = 0;
+               pat = { dp = Uc; cp = Fixed }; r_idx = 0; r_bound = 0;
+               idx_step = 0l; mivs = []; cirs = [] };
+      base_regs = Array.make Reg.num_regs 0;
+      idx0 = 0; idx_step = 0;
+      miv_regs = Array.make Reg.num_regs 0;
+      miv_base = Array.make Reg.num_regs 0;
+      miv_inc = Array.make Reg.num_regs 0;
+      n_mivs = 0;
+      ctxs = [||]; cibs = [||]; cib_gen = 0;
+      bound = 0; next_k = 0; commit_iter = 0; committed = 0; exit_at = -1;
+      cycle = 0; stop_after = max_int;
+      spec_pattern = false; has_cirs = false; trace;
+      faults; lane_fast = [||];
+      fast_ok = trace = None && faults = None && Tier.get () <> Tier.Ref;
+      watchdog = 0; last_progress = 0; drop_broadcasts = 0 }
   in
-  let miv_bases =
-    List.map
-      (fun (m : Scan.miv) -> (m.m_reg, Int32.of_int regs.(m.m_reg), m.m_inc))
-      info.mivs
-  in
-  let pre = Program.predecode prog in
-  (* Start from the compiled tier's per-pc metadata, then demote the
-     pcs whose execution the LPSU must see one at a time: anything
-     reading a CIR (first-read stall and got_cir bookkeeping), anything
-     writing one (got_cir), the last-CIR-write pc (CIB forwarding), and
-     dynamic-bound writes (LMU bound raising). *)
-  let lane_fast = Array.copy (Threaded.lane_meta pre) in
+  Array.iter
+    (fun c ->
+       c.spec_if <- spec_iface t c;
+       if lpsu.inter_lane_fwd then c.fwd_if <- fwd_iface t c)
+    all_ctxs;
+  t
+
+(** Reset every context, chain and port for the loop [info], entered
+    with GPP registers [regs] at [start_cycle]. *)
+let start t ~(info : Scan.t) ~(regs : int array) ~start_cycle ~stop_after
+    ~watchdog =
+  let pat = info.pat in
+  t.info <- info;
+  t.spec_pattern <- Scan.is_speculative_pattern pat;
+  t.has_cirs <- Scan.has_cirs pat;
+  (* Vertical multithreading serves only uc loops. *)
+  t.ctxs <-
+    (if t.lpsu.threads_per_lane > 1 && pat.dp = Insn.Uc then t.all_ctxs
+     else t.lane0_ctxs);
+  Array.iter
+    (fun c ->
+       c.st <- Idle; c.iter <- -1; c.drain_next <- -1;
+       c.cir_wait_gen <- -1; c.insns_iter <- 0; c.next_issue <- 0;
+       c.exit_flag <- 0; c.frozen_until <- 0;
+       c.fwd_src <- -1; c.fwd_raw <- 0; c.fwd_addr <- -1; c.fwd_bytes <- 0;
+       c.tstate.pc <- 0; c.tstate.retired <- 0;
+       Lsq.clear c.lsq)
+    t.all_ctxs;
+  let n_cibs = List.length info.cirs in
+  if Array.length t.cib_pool < n_cibs then begin
+    let cap = 4 * (Array.length t.all_ctxs + 4) in
+    t.cib_pool <-
+      Array.init n_cibs (fun slot ->
+          if slot < Array.length t.cib_pool then t.cib_pool.(slot)
+          else { cir = { c_reg = 0; c_last_write_pc = -1 }; slot;
+                 h_iter = Array.make cap 0; h_val = Array.make cap 0;
+                 h_ready = Array.make cap 0; len = 0 })
+  end;
+  t.cibs <- Array.sub t.cib_pool 0 n_cibs;
+  List.iteri
+    (fun slot (c : Scan.cir) ->
+       let cb = t.cibs.(slot) in
+       cb.cir <- c;
+       cb.h_iter.(0) <- 0;
+       cb.h_val.(0) <- regs.(c.c_reg);
+       cb.h_ready.(0) <- start_cycle;
+       cb.len <- 1)
+    info.cirs;
+  t.cib_gen <- 0;
+  Array.blit regs 0 t.base_regs 0 Reg.num_regs;
+  t.idx0 <- regs.(info.r_idx);
+  t.idx_step <- Int32.to_int info.idx_step;
+  t.n_mivs <- 0;
+  List.iter
+    (fun (m : Scan.miv) ->
+       t.miv_regs.(t.n_mivs) <- m.m_reg;
+       t.miv_base.(t.n_mivs) <- regs.(m.m_reg);
+       t.miv_inc.(t.n_mivs) <- Int32.to_int m.m_inc;
+       t.n_mivs <- t.n_mivs + 1)
+    info.mivs;
+  (* Start from the compiled tier's metadata for the body's pcs, then
+     demote the pcs whose execution the LPSU must see one at a time:
+     anything reading a CIR (first-read stall and got_cir bookkeeping),
+     anything writing one (got_cir), the last-CIR-write pc (CIB
+     forwarding), and dynamic-bound writes (LMU bound raising). *)
+  let lane_fast =
+    Array.sub (Threaded.lane_meta t.pre) info.body_start info.body_len in
   let demote pc =
-    if pc >= 0 && pc < Array.length lane_fast then
-      lane_fast.(pc) <- Threaded.L_slow
+    let i = pc - info.body_start in
+    if i >= 0 && i < Array.length lane_fast then
+      lane_fast.(i) <- Threaded.L_slow
   in
   Array.iteri
-    (fun pc m ->
+    (fun i m ->
        match m with
        | Threaded.L_plain { l_rd; l_s1; l_s2; _ } ->
          let cir r =
            r >= 0
            && List.exists (fun (c : Scan.cir) -> c.c_reg = r) info.cirs
          in
+         let pc = info.body_start + i in
          if cir l_rd || cir l_s1 || cir l_s2 then demote pc;
-         if info.pat.cp = Insn.Dyn && l_rd = info.r_bound then demote pc
+         if pat.cp = Insn.Dyn && l_rd = info.r_bound then demote pc
        | Threaded.L_slow -> ())
     lane_fast;
   List.iter (fun (c : Scan.cir) -> demote c.c_last_write_pc) info.cirs;
-  let fast_ok = trace = None && faults = None && Tier.get () <> Tier.Ref in
-  let t =
-    { prog; pre; mem; direct_if;
-      ev = Exec.create_event ();
-      dcache; lat = Gpp_timing.latencies_of cfg.gpp; lpsu; stats;
-      info; base_regs = Array.copy regs;
-      idx0 = Int32.of_int regs.(info.r_idx); miv_bases;
-      ctxs; cibs;
-      mem_port = Port.create ~width:lpsu.mem_ports "dmem";
-      llfu_port = Port.create ~width:lpsu.llfu_ports "llfu";
-      bound = Int32.of_int regs.(info.r_bound);
-      next_k = 0; commit_iter = 0; committed = 0; exit_at = None;
-      cycle = start_cycle;
-      stop_after; spec_pattern; has_cirs; mt_enabled; trace;
-      faults; lane_fast; fast_ok;
-      watchdog; last_progress = start_cycle; drop_broadcasts = 0;
-      lane_reason = Array.make lpsu.lanes (`Idle : stall) }
-  in
-  Array.iter
-    (fun c ->
-       c.spec_if <- spec_iface t c;
-       c.fwd_if <- fwd_iface t c)
-    t.ctxs;
-  t
+  t.lane_fast <- lane_fast;
+  Port.reset t.mem_port;
+  Port.reset t.llfu_port;
+  Array.fill t.lane_reason 0 (Array.length t.lane_reason) `Idle;
+  t.bound <- regs.(info.r_bound);
+  t.next_k <- 0; t.commit_iter <- 0; t.committed <- 0; t.exit_at <- -1;
+  t.cycle <- start_cycle;
+  t.stop_after <- Option.value stop_after ~default:max_int;
+  t.watchdog <- watchdog;
+  t.last_progress <- start_cycle;
+  t.drop_broadcasts <- 0
 
 (* -- Dispatch -------------------------------------------------------- *)
 
-let can_dispense t =
-  (match t.stop_after with Some m -> t.next_k < m | None -> true)
+let[@inline] can_dispense t =
+  t.next_k < t.stop_after
   && (match t.info.pat.cp with
-      | De -> t.exit_at = None
-      | Fixed | Dyn -> Int32.compare (idx_of t t.next_k) t.bound < 0)
+      | De -> t.exit_at < 0
+      | Fixed | Dyn -> idx_of t t.next_k < t.bound)
 
 (** Seed a context's register file for iteration [k]: live-ins from the
     scan snapshot, index and MIVs from the MIVT computation. *)
 let seed_ctx t (c : ctx) k =
   Array.blit t.base_regs 0 c.hart.regs 0 Reg.num_regs;
-  Exec.set c.hart t.info.r_idx (idx_of t k);
-  List.iter
-    (fun (r, base, inc) ->
-       Exec.set c.hart r (Int32.add base (Int32.mul (Int32.of_int k) inc));
-       t.stats.xi_ops <- t.stats.xi_ops + 1)
-    t.miv_bases;
+  set_reg c.hart t.info.r_idx (idx_of t k);
+  for i = 0 to t.n_mivs - 1 do
+    set_reg c.hart t.miv_regs.(i) (t.miv_base.(i) + k * t.miv_inc.(i));
+    t.stats.xi_ops <- t.stats.xi_ops + 1
+  done;
   Array.fill c.reg_ready 0 Reg.num_regs t.cycle;
   c.hart.pc <- t.info.body_start;
-  c.got_cir <- Array.make (Array.length t.cibs) false;
+  Array.fill c.got_cir 0 (Array.length t.cibs) false;
+  c.cir_wait_gen <- -1;
   c.insns_iter <- 0
 
-let frozen (t : t) (c : ctx) = t.cycle < c.frozen_until
+let[@inline] frozen (t : t) (c : ctx) = t.cycle < c.frozen_until
 
 let dispatch t (c : ctx) =
   let k = t.next_k in
@@ -317,17 +419,47 @@ let dispatch t (c : ctx) =
   t.last_progress <- t.cycle;
   seed_ctx t c k;
   Lsq.clear c.lsq;
-  c.drain_q <- [];
+  c.drain_next <- -1;
   c.next_issue <- t.cycle + 1;  (* IDQ dequeue costs a cycle *)
   t.stats.idq_ops <- t.stats.idq_ops + 1;
-  if Trace.enabled t.trace Lanes then
-    Trace.event t.trace Lanes "[%7d] lane%d.%d dispatch iter=%d idx=%ld"
+  if tracing t Lanes then
+    Trace.event t.trace Lanes "[%7d] lane%d.%d dispatch iter=%d idx=%d"
       t.cycle c.lane c.tid k (idx_of t k)
 
 (* -- CIB ------------------------------------------------------------- *)
 
+(** Index of the newest history entry for consumer iteration [k], or -1. *)
 let cib_lookup (cb : cib) k =
-  List.find_opt (fun (i, _, _) -> i = k) cb.hist
+  let i = ref (cb.len - 1) in
+  while !i >= 0 && cb.h_iter.(!i) <> k do decr i done;
+  !i
+
+let cib_push (cb : cib) ~iter ~value ~ready =
+  if cb.len = Array.length cb.h_iter then begin
+    let grow a = Array.append a (Array.make (Array.length a) 0) in
+    cb.h_iter <- grow cb.h_iter;
+    cb.h_val <- grow cb.h_val;
+    cb.h_ready <- grow cb.h_ready
+  end;
+  cb.h_iter.(cb.len) <- iter;
+  cb.h_val.(cb.len) <- value;
+  cb.h_ready.(cb.len) <- ready;
+  cb.len <- cb.len + 1
+
+(* Keep only the entries whose consumer iteration lies in [lo, hi],
+   preserving their order. *)
+let cib_keep (cb : cib) ~lo ~hi =
+  let n = ref 0 in
+  for i = 0 to cb.len - 1 do
+    let k = cb.h_iter.(i) in
+    if k >= lo && k <= hi then begin
+      cb.h_iter.(!n) <- k;
+      cb.h_val.(!n) <- cb.h_val.(i);
+      cb.h_ready.(!n) <- cb.h_ready.(i);
+      incr n
+    end
+  done;
+  cb.len <- !n
 
 (* Oldest history entry any future lookup can need: speculative patterns
    may roll back to the commit point; non-speculative ones only ever look
@@ -338,31 +470,31 @@ let cib_lookup (cb : cib) k =
    every lookup into an O(iterations) walk. *)
 let cib_keep_from t =
   if t.spec_pattern then t.commit_iter - 1
-  else
-    Array.fold_left
-      (fun acc c ->
-         if c.st <> Idle && c.iter >= 0 && c.iter < acc then c.iter else acc)
-      t.committed t.ctxs
-    - 1
-
-let cib_write t (cb : cib) ~producer_iter ~value =
-  cb.hist <- (producer_iter + 1, value, t.cycle + 1) :: cb.hist;
-  t.stats.cib_writes <- t.stats.cib_writes + 1;
-  (* Prune entries no consumer can ever need again. *)
-  if List.length cb.hist > Array.length t.ctxs * 2 + 4 then begin
-    let keep_from = cib_keep_from t in
-    cb.hist <- List.filter (fun (i, _, _) -> i >= keep_from) cb.hist
+  else begin
+    let acc = ref t.committed in
+    for i = 0 to Array.length t.ctxs - 1 do
+      let c = t.ctxs.(i) in
+      if c.st <> Idle && c.iter >= 0 && c.iter < !acc then acc := c.iter
+    done;
+    !acc - 1
   end
 
+let cib_write t (cb : cib) ~producer_iter ~value =
+  t.cib_gen <- t.cib_gen + 1;
+  cib_push cb ~iter:(producer_iter + 1) ~value ~ready:(t.cycle + 1);
+  t.stats.cib_writes <- t.stats.cib_writes + 1;
+  (* Prune entries no consumer can ever need again. *)
+  if cb.len > Array.length t.ctxs * 2 + 4 then
+    cib_keep cb ~lo:(cib_keep_from t) ~hi:max_int
+
 let cib_rollback t k_min =
-  Array.iter
-    (fun cb -> cb.hist <- List.filter (fun (i, _, _) -> i <= k_min) cb.hist)
-    t.cibs
+  t.cib_gen <- t.cib_gen + 1;
+  Array.iter (fun cb -> cib_keep cb ~lo:min_int ~hi:k_min) t.cibs
 
 (* -- Squash ---------------------------------------------------------- *)
 
 let squash_ctx t (c : ctx) =
-  if Trace.enabled t.trace Lanes then
+  if tracing t Lanes then
     Trace.event t.trace Lanes
       "[%7d] lane%d.%d SQUASH iter=%d (%d insns thrown away)"
       t.cycle c.lane c.tid c.iter c.insns_iter;
@@ -373,7 +505,7 @@ let squash_ctx t (c : ctx) =
   t.stats.cyc_squash <-
     t.stats.cyc_squash + c.insns_iter + t.lpsu.squash_penalty;
   Lsq.clear c.lsq;
-  c.drain_q <- [];
+  c.drain_next <- -1;
   seed_ctx t c c.iter;
   c.st <- Run;
   c.next_issue <- t.cycle + t.lpsu.squash_penalty
@@ -384,64 +516,64 @@ let squash_ctx t (c : ctx) =
 let rec squash_with_forward_cascade t (c : ctx) =
   let k = c.iter in
   squash_ctx t c;
-  Array.iter
-    (fun o ->
-       if (o.st = Run || o.st = Wait_commit) && o.iter > k
-       && Lsq.has_forward_from o.lsq k then
-         squash_with_forward_cascade t o)
-    t.ctxs
+  for i = 0 to Array.length t.ctxs - 1 do
+    let o = t.ctxs.(i) in
+    if active o && o.iter > k && Lsq.has_forward_from o.lsq k then
+      squash_with_forward_cascade t o
+  done
 
-(** Violation check for a committed [store] by iteration [from_iter].
-    Squashes any speculative context that already loaded from an
-    overlapping address — except loads whose value was forwarded from
-    this very store and is byte-identical.  With CIRs present (orm) the
-    register chain makes every younger iteration dependent, so squashes
-    cascade; with inter-lane forwarding, consumers of a squashed
-    iteration's buffers cascade too. *)
-let broadcast_store t ~from_iter ~(store : Lsq.store_entry) =
+(** Violation check for a store of [value] (little-endian bytes) to
+    [addr, addr+bytes) committed by iteration [from_iter].  Squashes any
+    speculative context that already loaded from an overlapping address —
+    except loads whose value was forwarded from this very store and is
+    byte-identical.  With CIRs present (orm) the register chain makes
+    every younger iteration dependent, so squashes cascade; with
+    inter-lane forwarding, consumers of a squashed iteration's buffers
+    cascade too. *)
+let broadcast_store t ~from_iter ~addr ~bytes ~value =
   if t.drop_broadcasts > 0 then begin
     (* Injected fault: the broadcast is swallowed — speculative lanes
        that already loaded from the range never hear about the store. *)
     t.drop_broadcasts <- t.drop_broadcasts - 1;
-    if Trace.enabled t.trace Lanes then
+    if tracing t Lanes then
       Trace.event t.trace Lanes
-        "[%7d] FAULT broadcast of store @%d swallowed" t.cycle
-        store.Lsq.s_addr
+        "[%7d] FAULT broadcast of store @%d swallowed" t.cycle addr
   end
   else if t.spec_pattern then begin
     t.stats.store_broadcasts <- t.stats.store_broadcasts + 1;
-    let addr = store.Lsq.s_addr and bytes = store.Lsq.s_bytes in
-    let violated = ref [] in
-    Array.iter
-      (fun c ->
-         if (c.st = Run || c.st = Wait_commit) && c.iter > from_iter then begin
-           t.stats.lsq_searches <- t.stats.lsq_searches + 1;
-           if Lsq.violated_loads c.lsq ~from_iter ~addr ~bytes ~store <> []
-           then violated := c :: !violated
-         end)
-      t.ctxs;
-    match !violated with
-    | [] -> ()
-    | vs ->
-      let k_min = List.fold_left (fun a c -> min a c.iter) max_int vs in
+    let n = Array.length t.ctxs in
+    (* Check every context before squashing any. *)
+    let k_min = ref max_int in
+    for i = 0 to n - 1 do
+      let c = t.ctxs.(i) in
+      let v =
+        active c && c.iter > from_iter
+        && begin
+          t.stats.lsq_searches <- t.stats.lsq_searches + 1;
+          Lsq.violated c.lsq ~from_iter ~addr ~bytes ~value
+        end
+      in
+      t.violated.(i) <- v;
+      if v && c.iter < !k_min then k_min := c.iter
+    done;
+    if !k_min < max_int then begin
       if t.has_cirs then begin
         (* Cascade: squash every active iteration >= k_min and roll the
            CIB chains back so iteration k_min can re-read its input. *)
-        Array.iter
-          (fun c ->
-             if (c.st = Run || c.st = Wait_commit) && c.iter >= k_min then
-               squash_ctx t c)
-          t.ctxs;
-        cib_rollback t k_min
+        for i = 0 to n - 1 do
+          let c = t.ctxs.(i) in
+          if active c && c.iter >= !k_min then squash_ctx t c
+        done;
+        cib_rollback t !k_min
       end else
-        List.iter
-          (fun c ->
-             (* A context may already have been squashed by an earlier
-                cascade step this broadcast; its cleared LSQ makes the
-                recursion idempotent. *)
-             if c.st = Run || c.st = Wait_commit then
-               squash_with_forward_cascade t c)
-          vs
+        (* Youngest context first.  A context may already have been
+           squashed by an earlier cascade step this broadcast; its
+           cleared LSQ makes the recursion idempotent. *)
+        for i = n - 1 downto 0 do
+          let c = t.ctxs.(i) in
+          if t.violated.(i) && active c then squash_with_forward_cascade t c
+        done
+    end
   end
 
 (* -- Inter-lane forwarding -------------------------------------------- *)
@@ -451,50 +583,46 @@ let broadcast_store t ~from_iter ~(store : Lsq.store_entry) =
     whose buffered stores fully cover the load supplies the value; the
     load entry remembers its source so commits can confirm it and
     squashes can cascade.  On a hit the context's [fwd_*] scratch fields
-    are armed and its pre-built [fwd_if] returned. *)
-let inter_lane_forward t (c : ctx) ~addr ~bytes
-  : Exec.mem_iface option =
-  if not t.lpsu.inter_lane_fwd then None
-  else begin
-    let best = ref None in
-    Array.iter
-      (fun o ->
-         if (o.st = Run || o.st = Wait_commit)
-         && o.iter < c.iter && o.iter >= t.commit_iter then begin
-           t.stats.lsq_searches <- t.stats.lsq_searches + 1;
-           match Lsq.covering_store_value o.lsq ~addr ~bytes with
-           | Some raw ->
-             (match !best with
-              | Some (bi, _) when bi > o.iter -> ()
-              | _ -> best := Some (o.iter, raw))
-           | None -> ()
-         end)
-      t.ctxs;
-    match !best with
-    | None -> None
-    | Some (src, raw) ->
+    are armed for its pre-built [fwd_if] and the result is [true]. *)
+let inter_lane_forward t (c : ctx) ~addr ~bytes =
+  t.lpsu.inter_lane_fwd
+  && begin
+    let best = ref (-1) and best_raw = ref 0 in
+    for i = 0 to Array.length t.ctxs - 1 do
+      let o = t.ctxs.(i) in
+      if active o && o.iter < c.iter && o.iter >= t.commit_iter then begin
+        t.stats.lsq_searches <- t.stats.lsq_searches + 1;
+        let raw = Lsq.covering_store o.lsq ~addr ~bytes in
+        if raw >= 0 && o.iter >= !best then begin
+          best := o.iter;
+          best_raw := raw
+        end
+      end
+    done;
+    !best >= 0
+    && begin
       t.stats.lsq_forwards <- t.stats.lsq_forwards + 1;
-      c.fwd_src <- src;
-      c.fwd_raw <- raw;
+      c.fwd_src <- !best;
+      c.fwd_raw <- !best_raw;
       c.fwd_addr <- addr;
       c.fwd_bytes <- bytes;
-      Some c.fwd_if
+      true
+    end
   end
 
 (* An L1 miss is charged to the value's latency, blocks the issuing lane
    (simple in-order lanes), and holds the shared memory port for the
    fill — the single port is the structural bottleneck the paper's
-   L1-resident datasets deliberately avoid. *)
-let miss_penalty = 20
-
+   L1-resident datasets deliberately avoid.  The penalty is the GPP's
+   configured one: the lanes share its L1D. *)
 let dcache_latency t (c : ctx) ~addr ~base_latency =
   t.stats.dcache_accesses <- t.stats.dcache_accesses + 1;
   if Cache.access t.dcache addr then base_latency
   else begin
     t.stats.dcache_misses <- t.stats.dcache_misses + 1;
-    c.next_issue <- max c.next_issue (t.cycle + miss_penalty);
-    Port.hold t.mem_port ~until:(t.cycle + miss_penalty);
-    base_latency + miss_penalty
+    c.next_issue <- imax c.next_issue (t.cycle + t.miss_penalty);
+    Port.hold t.mem_port ~until:(t.cycle + t.miss_penalty);
+    base_latency + t.miss_penalty
   end
 
 (* -- Commit ---------------------------------------------------------- *)
@@ -503,11 +631,11 @@ let dcache_latency t (c : ctx) ~addr ~base_latency =
     every in-flight younger iteration is control-speculative and is
     discarded outright (buffered state vanishes, nothing re-dispatches). *)
 let take_exit t (c : ctx) =
-  if Trace.enabled t.trace Decisions then
+  if tracing t Decisions then
     Trace.event t.trace Decisions
       "[%7d] data-dependent exit taken at iter=%d; discarding younger work"
       t.cycle c.iter;
-  t.exit_at <- Some c.iter;
+  t.exit_at <- c.iter;
   t.bound <- c.exit_flag;
   Array.iter
     (fun o ->
@@ -516,14 +644,14 @@ let take_exit t (c : ctx) =
          t.stats.cyc_squash <- t.stats.cyc_squash + o.insns_iter;
          t.stats.cyc_exec <- t.stats.cyc_exec - o.insns_iter;
          Lsq.clear o.lsq;
-         o.drain_q <- [];
+         o.drain_next <- -1;
          o.st <- Idle;
          o.iter <- -1
        end)
     t.ctxs
 
 let commit_iteration t (c : ctx) =
-  if Trace.enabled t.trace Lanes then
+  if tracing t Lanes then
     Trace.event t.trace Lanes "[%7d] lane%d.%d commit iter=%d (%d insns)"
       t.cycle c.lane c.tid c.iter c.insns_iter;
   t.committed <- t.committed + 1;
@@ -531,7 +659,7 @@ let commit_iteration t (c : ctx) =
   t.stats.iterations <- t.stats.iterations + 1;
   t.stats.committed_insns <- t.stats.committed_insns + c.insns_iter;
   if t.spec_pattern then t.commit_iter <- t.commit_iter + 1;
-  if t.info.pat.cp = Insn.De && c.exit_flag <> 0l && t.exit_at = None
+  if t.info.pat.cp = Insn.De && c.exit_flag <> 0 && t.exit_at < 0
   then take_exit t c;
   c.st <- Idle;
   c.iter <- -1
@@ -543,25 +671,27 @@ let commit_iteration t (c : ctx) =
     filled so the issue loop empties it before the lane proceeds. *)
 let rec try_commits t =
   if t.spec_pattern then begin
-    let oldest =
-      Array.fold_left
-        (fun acc c -> if c.iter = t.commit_iter && c.st <> Idle
-          then Some c else acc)
-        None t.ctxs
-    in
-    match oldest with
-    | Some c when c.st = Wait_commit ->
-      if Lsq.n_stores c.lsq = 0 then begin
-        commit_iteration t c;
-        try_commits t
-      end else if c.drain_q = [] then begin
-        c.drain_q <- Lsq.drain_order c.lsq;
-        c.st <- Drain_commit
-      end
-    | Some c when c.st = Run && Lsq.n_stores c.lsq > 0 && c.drain_q = [] ->
-      (* Promoted while still running: drain before continuing. *)
-      c.drain_q <- Lsq.drain_order c.lsq
-    | _ -> ()
+    let oldest = ref (-1) in
+    for i = 0 to Array.length t.ctxs - 1 do
+      let c = t.ctxs.(i) in
+      if c.iter = t.commit_iter && c.st <> Idle then oldest := i
+    done;
+    if !oldest >= 0 then begin
+      let c = t.ctxs.(!oldest) in
+      match c.st with
+      | Wait_commit ->
+        if Lsq.n_stores c.lsq = 0 then begin
+          commit_iteration t c;
+          try_commits t
+        end else if c.drain_next < 0 then begin
+          c.drain_next <- 0;
+          c.st <- Drain_commit
+        end
+      | Run when Lsq.n_stores c.lsq > 0 && c.drain_next < 0 ->
+        (* Promoted while still running: drain before continuing. *)
+        c.drain_next <- 0
+      | _ -> ()
+    end
   end
 
 (* -- Issue ----------------------------------------------------------- *)
@@ -571,262 +701,265 @@ let rec try_commits t =
     already exists; if that instruction was skipped, the lane copies the
     CIR value through — but if it never consumed the incoming value it
     must first wait for the previous iteration to produce it (the copy
-    forwards the {e chain} value, not the lane's stale register). *)
-let cir_finish_ready t (c : ctx) =
-  Array.for_all
-    (fun cb ->
-       match cib_lookup cb (c.iter + 1) with
-       | Some _ -> true  (* already forwarded by the last-write insn *)
-       | None ->
-         c.got_cir.(cb.slot)
-         || (match cib_lookup cb c.iter with
-             | Some (_, _, ready) -> ready <= t.cycle
-             | None -> false))
-    t.cibs
+    forwards the {e chain} value, not the lane's stale register).
+    Returns -1 if it can, else the earliest cycle it might ([max_int]
+    while a value is missing) unless a CIB changes. *)
+let cir_finish_wait t (c : ctx) =
+  let wake = ref (-1) and i = ref 0 in
+  while !wake < 0 && !i < Array.length t.cibs do
+    let cb = t.cibs.(!i) in
+    (* Neither forwarded by the last-write insn nor consumed by this
+       lane: the copy needs the incoming value. *)
+    if cib_lookup cb (c.iter + 1) < 0 && not c.got_cir.(cb.slot) then begin
+      let j = cib_lookup cb c.iter in
+      if j < 0 then wake := max_int
+      else if cb.h_ready.(j) > t.cycle then wake := cb.h_ready.(j)
+    end;
+    incr i
+  done;
+  !wake
+
+(* Record a CIR stall: it lasts until [wake] unless a CIB changes first. *)
+let cir_stall t (c : ctx) ~wake : (unit, stall) Result.t =
+  c.cir_wait_gen <- t.cib_gen;
+  c.cir_wake <- wake;
+  Error `Cir
 
 let end_of_iteration t (c : ctx) =
   (* The implicit xloop at the end of the iteration. *)
   c.insns_iter <- c.insns_iter + 1;
   t.stats.ib_fetches <- t.stats.ib_fetches + 1;
   if t.info.pat.cp = Insn.De then
-    c.exit_flag <- Exec.get c.hart t.info.r_bound;
+    c.exit_flag <- get_reg c.hart t.info.r_bound;
   if t.has_cirs then
     (* End-of-iteration CIR copy for chains whose last-write instruction
        was skipped by control flow. *)
-    Array.iter
-      (fun cb ->
-         match cib_lookup cb (c.iter + 1) with
-         | Some _ -> ()
-         | None ->
-           let value =
-             if c.got_cir.(cb.slot) then Exec.get c.hart cb.cir.c_reg
-             else
-               match cib_lookup cb c.iter with
-               | Some (_, v, _) -> v
-               | None -> assert false  (* guarded by cir_finish_ready *)
-           in
-           cib_write t cb ~producer_iter:c.iter ~value)
-      t.cibs;
+    for i = 0 to Array.length t.cibs - 1 do
+      let cb = t.cibs.(i) in
+      if cib_lookup cb (c.iter + 1) < 0 then begin
+        let value =
+          if c.got_cir.(cb.slot) then get_reg c.hart cb.cir.c_reg
+          else
+            let j = cib_lookup cb c.iter in
+            (* guarded by cir_finish_wait *)
+            assert (j >= 0);
+            cb.h_val.(j)
+        in
+        cib_write t cb ~producer_iter:c.iter ~value
+      end
+    done;
   if t.spec_pattern && c.iter > t.commit_iter then
     c.st <- Wait_commit
   else if t.spec_pattern && Lsq.n_stores c.lsq > 0 then begin
-    c.drain_q <- Lsq.drain_order c.lsq;
+    c.drain_next <- 0;
     c.st <- Drain_commit
   end else
     commit_iteration t c
 
-(** Attempt to issue one instruction from [c] at the current cycle.
-    Returns [Ok ()] if the lane did useful work, [Error reason] on a
-    stall. *)
+(** Execute the slow-path instruction at [c]'s pc through [iface], its
+    resources granted and its result [latency] known.  Accounts the issue
+    and performs every lane-level side effect: scoreboard, branch bubble,
+    store broadcast, dynamic-bound raise and CIB forwarding. *)
+let execute t (c : ctx) ~now iface latency : (unit, stall) Result.t =
+  Exec.step t.pre c.hart iface t.ev;
+  let ev = t.ev in
+  let m = t.meta.(ev.pc) in
+  if tracing t Insns then
+    Trace.event t.trace Insns "[%7d] lane%d.%d it=%-4d %4d: %a"
+      t.cycle c.lane c.tid c.iter ev.pc Insn.pp_resolved
+      (Exec.event_insn ev);
+  c.insns_iter <- c.insns_iter + 1;
+  t.stats.ib_fetches <- t.stats.ib_fetches + 1;
+  Gpp_timing.count_events t.stats m;
+  let rd = m.rd in
+  if rd >= 0 then c.reg_ready.(rd) <- now + latency;
+  (* Taken branches inside the body cost one fetch bubble. *)
+  if ev.taken then c.next_issue <- now + 2;
+  (* Non-speculative stores are broadcast for violation checks; the
+     just-written memory bytes stand in for the store data. *)
+  if ev.mem_is_store && not (t.spec_pattern && c.iter > t.commit_iter)
+  then begin
+    let raw = ref 0 in
+    for i = ev.mem_bytes - 1 downto 0 do
+      raw := (!raw lsl 8) lor Memory.get_u8 t.mem (ev.mem_addr + i)
+    done;
+    broadcast_store t ~from_iter:c.iter ~addr:ev.mem_addr
+      ~bytes:ev.mem_bytes ~value:!raw
+  end;
+  (* Dynamic bound: report writes to the bound register. *)
+  if t.info.pat.cp = Insn.Dyn && rd = t.info.r_bound then begin
+    let v = get_reg c.hart t.info.r_bound in
+    if v > t.bound then begin
+      if tracing t Lanes then
+        Trace.event t.trace Lanes
+          "[%7d] lmu bound raised %d -> %d (lane%d iter=%d)"
+          t.cycle t.bound v c.lane c.iter;
+      t.bound <- v
+    end
+  end;
+  (* Last-CIR-write forwarding; a local write also supersedes the
+     incoming chain value (a write-before-read iteration must not have
+     its value clobbered by a later consumption). *)
+  if t.has_cirs then
+    for i = 0 to Array.length t.cibs - 1 do
+      let cb = t.cibs.(i) in
+      if rd = cb.cir.c_reg then c.got_cir.(cb.slot) <- true;
+      if cb.cir.c_last_write_pc = ev.pc then
+        cib_write t cb ~producer_iter:c.iter
+          ~value:(get_reg c.hart cb.cir.c_reg)
+    done;
+  Ok ()
+
+(* Resource checks and latency selection for a memory instruction, then
+   [execute] with the interface that serves it. *)
+let issue_mem t (c : ctx) ~now : (unit, stall) Result.t =
+  let speculative = t.spec_pattern && c.iter > t.commit_iter in
+  match t.prog.Program.insns.(c.hart.pc) with
+  | Load (w, _, rs, imm) ->
+    let addr = get_reg c.hart rs + imm in
+    let bytes = Memory.width_bytes w in
+    if speculative then begin
+      if Lsq.loads_full c.lsq then Error `Lsq
+      else if Lsq.store_overlaps c.lsq ~addr ~bytes then begin
+        (* Own-lane store-to-load forwarding: no port needed. *)
+        t.stats.lsq_searches <- t.stats.lsq_searches + 1;
+        execute t c ~now c.spec_if 1
+      end else if inter_lane_forward t c ~addr ~bytes then
+        execute t c ~now c.fwd_if 1
+      else if Port.try_grant t.mem_port ~now ~occupancy:1 then begin
+        t.stats.lsq_searches <- t.stats.lsq_searches + 1;
+        let l = dcache_latency t c ~addr ~base_latency:t.lat.load_use in
+        execute t c ~now c.spec_if l
+      end else Error `Mem
+    end else if Port.try_grant t.mem_port ~now ~occupancy:1 then begin
+      let l = dcache_latency t c ~addr ~base_latency:t.lat.load_use in
+      execute t c ~now t.direct_if l
+    end else Error `Mem
+  | Store (_, _, rs, imm) ->
+    if speculative then begin
+      if Lsq.stores_full c.lsq then Error `Lsq
+      else execute t c ~now c.spec_if 1
+    end else if Port.try_grant t.mem_port ~now ~occupancy:1 then begin
+      let l =
+        dcache_latency t c ~addr:(get_reg c.hart rs + imm)
+          ~base_latency:1 in
+      execute t c ~now t.direct_if l
+    end else Error `Mem
+  | Amo (_, _, rs, _) ->
+    let addr = get_reg c.hart rs in
+    if speculative then begin
+      if Lsq.loads_full c.lsq || Lsq.stores_full c.lsq then Error `Lsq
+      else execute t c ~now c.spec_if t.lat.amo
+    end else if Port.try_grant t.mem_port ~now ~occupancy:2 then begin
+      let l = dcache_latency t c ~addr ~base_latency:t.lat.amo in
+      execute t c ~now t.direct_if l
+    end else Error `Mem
+  | _ -> assert false
+
+(** Attempt to issue one instruction from [c] at the current cycle, past
+    its issue time and any known CIR stall ({!attempt}).  Returns [Ok ()]
+    if the lane did useful work, [Error reason] on a stall. *)
 let attempt_issue t (c : ctx) : (unit, stall) Result.t =
   let now = t.cycle in
-  if now < c.next_issue then Error `Raw
-  else if c.hart.pc = t.info.xloop_pc then begin
-    if t.has_cirs && not (cir_finish_ready t c) then Error `Cir
+  let pc = c.hart.pc in
+  if pc = t.info.xloop_pc then begin
+    let wake = if t.has_cirs then cir_finish_wait t c else -1 in
+    if wake >= 0 then cir_stall t c ~wake
     else begin
       end_of_iteration t c; Ok ()
     end
   end else begin
-    if c.hart.pc < t.info.body_start || c.hart.pc > t.info.xloop_pc then
+    if pc < t.info.body_start || pc > t.info.xloop_pc then
       raise (Lane_trap
                (Printf.sprintf "lane pc %d escaped xloop body [%d,%d]"
-                  c.hart.pc t.info.body_start t.info.xloop_pc));
+                  pc t.info.body_start t.info.xloop_pc));
     match
-      (if t.fast_ok && not (t.spec_pattern && c.iter > t.commit_iter)
-       then t.lane_fast.(c.hart.pc)
+      (if t.fast_ok then t.lane_fast.(pc - t.info.body_start)
        else Threaded.L_slow)
     with
-    | Threaded.L_plain { l_op; l_insn; l_rd; l_s1; l_s2; l_ctrl } ->
-      (* Fast path: a plain single-cycle instruction on a
-         non-speculative context with no observer attached.  The
-         compiled closure replays exactly [Exec.step]'s architectural
-         effects (the register file is aliased), and every lane-level
-         effect — issue accounting, RAW scoreboard, taken-branch
-         bubble — is recovered from the metadata and the outgoing pc. *)
+    | Threaded.L_plain { l_op; l_rd; l_s1; l_s2; l_ctrl } ->
+      (* Fast path: a plain single-cycle instruction with no observer
+         attached.  It touches no memory, so speculation does not
+         change it.  The compiled closure replays exactly [Exec.step]'s
+         architectural effects (the register file is aliased), and
+         every lane-level effect — issue accounting, RAW scoreboard,
+         taken-branch bubble — is recovered from the metadata and the
+         outgoing pc. *)
       let ready =
-        max (if l_s1 >= 0 then c.reg_ready.(l_s1) else 0)
+        imax (if l_s1 >= 0 then c.reg_ready.(l_s1) else 0)
           (if l_s2 >= 0 then c.reg_ready.(l_s2) else 0)
       in
       if ready > now then Error `Raw
       else begin
-        let pc = c.hart.pc in
         let st = c.tstate in
         l_op st;
         c.hart.pc <- st.Threaded.pc;
         c.insns_iter <- c.insns_iter + 1;
         t.stats.ib_fetches <- t.stats.ib_fetches + 1;
-        Gpp_timing.Inorder.count_exec_events t.stats l_insn;
+        Gpp_timing.count_events t.stats t.meta.(pc);
         if l_rd >= 0 then c.reg_ready.(l_rd) <- now + 1;
         if l_ctrl = 2 || (l_ctrl = 1 && st.Threaded.pc <> pc + 1) then
           c.next_issue <- now + 2;
         Ok ()
       end
     | Threaded.L_slow ->
-    let insn = t.prog.Program.insns.(c.hart.pc) in
-    (* CIR consumption: the first read of each CIR waits on the CIB. *)
-    let s1 = Insn.src1 insn and s2 = Insn.src2 insn in
-    let cir_stall = ref false in
-    if t.has_cirs then
-      Array.iter
-        (fun cb ->
-           if (not c.got_cir.(cb.slot))
-           && (s1 = cb.cir.c_reg || s2 = cb.cir.c_reg)
-           && not !cir_stall then begin
-             match cib_lookup cb c.iter with
-             | Some (_, v, ready) when ready <= now ->
-               Exec.set c.hart cb.cir.c_reg v;
-               c.reg_ready.(cb.cir.c_reg) <- now;
-               c.got_cir.(cb.slot) <- true;
-               t.stats.cib_reads <- t.stats.cib_reads + 1
-             | _ -> cir_stall := true
-           end)
-        t.cibs;
-    if !cir_stall then Error `Cir
-    else begin
-      let ready =
-        max (if s1 >= 0 then c.reg_ready.(s1) else 0)
-          (if s2 >= 0 then c.reg_ready.(s2) else 0) in
-      if ready > now then Error `Raw
-      else begin
-        let speculative =
-          t.spec_pattern && c.iter > t.commit_iter in
-        (* Resource checks and latency selection, before any side
-           effects. *)
-        let decide : (Exec.mem_iface option * int, stall) Result.t =
-          if Insn.is_llfu insn then begin
-            let occupancy = match insn with
-              | Alu ((Div | Rem), _, _, _) | Alui ((Div | Rem), _, _, _)
-              | Fpu (Fdiv, _, _, _) -> t.lat.div
-              | _ -> 1
-            in
-            if Port.try_grant ~occupancy t.llfu_port ~now then
-              let l = Gpp_timing.insn_class_latency t.lat insn in
-              Ok (None, l)
-            else Error `Llfu
-          end else if Insn.is_mem insn then begin
-            match insn with
-            | Load (w, _, rs, imm) ->
-              let addr = Exec.get_int c.hart rs + imm in
-              let bytes = Memory.width_bytes w in
-              if speculative then begin
-                if Lsq.loads_full c.lsq then Error `Lsq
-                else if Lsq.store_overlaps c.lsq ~addr ~bytes then begin
-                  (* Own-lane store-to-load forwarding: no port needed. *)
-                  t.stats.lsq_searches <- t.stats.lsq_searches + 1;
-                  Ok (Some c.spec_if, 1)
-                end else begin
-                  match inter_lane_forward t c ~addr ~bytes with
-                  | Some iface -> Ok (Some iface, 1)
-                  | None ->
-                    if Port.try_grant t.mem_port ~now then begin
-                      t.stats.lsq_searches <- t.stats.lsq_searches + 1;
-                      Ok (Some c.spec_if,
-                          dcache_latency t c ~addr
-                            ~base_latency:t.lat.load_use)
-                    end else Error `Mem
-                end
-              end else if Port.try_grant t.mem_port ~now then
-                Ok (Some t.direct_if,
-                    dcache_latency t c ~addr ~base_latency:t.lat.load_use)
-              else Error `Mem
-            | Store (_, _, rs, imm) ->
-              if speculative then begin
-                if Lsq.stores_full c.lsq then Error `Lsq
-                else Ok (Some c.spec_if, 1)
-              end else if Port.try_grant t.mem_port ~now then
-                Ok (Some t.direct_if,
-                    dcache_latency t c ~addr:(Exec.get_int c.hart rs + imm)
-                      ~base_latency:1)
-              else Error `Mem
-            | Amo (_, _, rs, _) ->
-              let addr = Exec.get_int c.hart rs in
-              if speculative then begin
-                if Lsq.loads_full c.lsq || Lsq.stores_full c.lsq
-                then Error `Lsq
-                else Ok (Some c.spec_if, t.lat.amo)
-              end else if Port.try_grant ~occupancy:2 t.mem_port ~now then
-                Ok (Some t.direct_if,
-                    dcache_latency t c ~addr ~base_latency:t.lat.amo)
-              else Error `Mem
-            | _ -> assert false
-          end else Ok (None, 1)
-        in
-        match decide with
-        | Error _ as e -> e
-        | Ok (iface, latency) ->
-          let iface = match iface with
-            | Some i -> i
-            | None -> t.direct_if  (* non-memory: never used *)
-          in
-          Exec.step t.pre c.hart iface t.ev;
-          let ev = t.ev in
-          let insn = Exec.event_insn ev in
-          if Trace.enabled t.trace Insns then
-            Trace.event t.trace Insns "[%7d] lane%d.%d it=%-4d %4d: %a"
-              t.cycle c.lane c.tid c.iter ev.pc Insn.pp_resolved insn;
-          c.insns_iter <- c.insns_iter + 1;
-          t.stats.ib_fetches <- t.stats.ib_fetches + 1;
-          Gpp_timing.Inorder.count_exec_events t.stats insn;
-          let rd = Insn.dest_reg insn in
-          if rd >= 0 then c.reg_ready.(rd) <- now + latency;
-          (* Taken branches inside the body cost one fetch bubble. *)
-          if ev.taken then c.next_issue <- now + 2;
-          (* Non-speculative stores are broadcast for violation checks;
-             the just-written memory bytes stand in for the store data. *)
-          if ev.mem_is_store && not (t.spec_pattern && c.iter > t.commit_iter)
-          then begin
-            let raw = ref 0 in
-            for i = ev.mem_bytes - 1 downto 0 do
-              raw := (!raw lsl 8) lor Memory.get_u8 t.mem (ev.mem_addr + i)
-            done;
-            broadcast_store t ~from_iter:c.iter
-              ~store:{ Lsq.s_addr = ev.mem_addr; s_bytes = ev.mem_bytes;
-                       s_value = Int32.of_int !raw }
-          end;
-          (* Dynamic bound: report writes to the bound register. *)
-          if t.info.pat.cp = Insn.Dyn && rd = t.info.r_bound then begin
-            let v = Exec.get c.hart t.info.r_bound in
-            if Int32.compare v t.bound > 0 then begin
-              if Trace.enabled t.trace Lanes then
-                Trace.event t.trace Lanes
-                  "[%7d] lmu bound raised %ld -> %ld (lane%d iter=%d)"
-                  t.cycle t.bound v c.lane c.iter;
-              t.bound <- v
+      let m = t.meta.(pc) in
+      (* CIR consumption: the first read of each CIR waits on the CIB. *)
+      let wake = ref (-1) in
+      if t.has_cirs then
+        for i = 0 to Array.length t.cibs - 1 do
+          let cb = t.cibs.(i) in
+          let r = cb.cir.c_reg in
+          if !wake < 0 && (not c.got_cir.(cb.slot))
+          && (m.s1 = r || m.s2 = r) then begin
+            let j = cib_lookup cb c.iter in
+            if j < 0 then wake := max_int
+            else if cb.h_ready.(j) > now then wake := cb.h_ready.(j)
+            else begin
+              set_reg c.hart r cb.h_val.(j);
+              c.reg_ready.(r) <- now;
+              c.got_cir.(cb.slot) <- true;
+              t.stats.cib_reads <- t.stats.cib_reads + 1
             end
-          end;
-          (* Last-CIR-write forwarding; a local write also supersedes the
-             incoming chain value (a write-before-read iteration must not
-             have its value clobbered by a later consumption). *)
-          if t.has_cirs then
-            Array.iter
-              (fun cb ->
-                 if rd = cb.cir.c_reg then c.got_cir.(cb.slot) <- true;
-                 if cb.cir.c_last_write_pc = ev.pc then
-                   cib_write t cb ~producer_iter:c.iter
-                     ~value:(Exec.get c.hart cb.cir.c_reg))
-              t.cibs;
-          Ok ()
+          end
+        done;
+      if !wake >= 0 then cir_stall t c ~wake:!wake
+      else begin
+        let ready =
+          imax (if m.s1 >= 0 then c.reg_ready.(m.s1) else 0)
+            (if m.s2 >= 0 then c.reg_ready.(m.s2) else 0) in
+        if ready > now then Error `Raw
+        else if m.llfu then begin
+          let occupancy = if m.unpipelined then t.lat.div else 1 in
+          if Port.try_grant t.llfu_port ~now ~occupancy then
+            execute t c ~now t.direct_if
+              (Gpp_timing.class_latency t.lat m.lat)
+          else Error `Llfu
+        end
+        else if m.mem then issue_mem t c ~now
+        (* Non-memory: the interface is never used. *)
+        else execute t c ~now t.direct_if 1
       end
-    end
   end
 
-(** Drain one buffered store to memory through the shared port. *)
+(** Drain the next buffered store to memory through the shared port. *)
 let attempt_drain t (c : ctx) : (unit, stall) Result.t =
-  match c.drain_q with
-  | [] -> assert false
-  | s :: rest ->
-    if Port.try_grant t.mem_port ~now:t.cycle then begin
-      Lsq.apply_store t.mem s;
-      ignore (dcache_latency t c ~addr:s.Lsq.s_addr ~base_latency:1);
-      broadcast_store t ~from_iter:c.iter ~store:s;
-      c.drain_q <- rest;
-      if rest = [] then begin
-        Lsq.clear c.lsq;
-        if c.st = Drain_commit then commit_iteration t c
-        (* A running promoted context just continues non-speculatively. *)
-      end;
-      Ok ()
-    end else Error `Mem
+  if Port.try_grant t.mem_port ~now:t.cycle ~occupancy:1 then begin
+    let i = c.drain_next in
+    let addr = Lsq.store_addr c.lsq i in
+    Lsq.drain_store c.lsq t.mem i;
+    ignore (dcache_latency t c ~addr ~base_latency:1);
+    broadcast_store t ~from_iter:c.iter ~addr
+      ~bytes:(Lsq.store_bytes c.lsq i) ~value:(Lsq.store_value c.lsq i);
+    if i + 1 < Lsq.n_stores c.lsq then c.drain_next <- i + 1
+    else begin
+      c.drain_next <- -1;
+      Lsq.clear c.lsq;
+      if c.st = Drain_commit then commit_iteration t c
+      (* A running promoted context just continues non-speculatively. *)
+    end;
+    Ok ()
+  end else Error `Mem
 
 (* -- Fault injection --------------------------------------------------- *)
 
@@ -843,8 +976,6 @@ let pick_ctx t lane pred =
   in
   go 0
 
-let active c = c.st = Run || c.st = Wait_commit
-
 (** Apply one fault event.  Returns [true] if a target existed; an event
     with no applicable target is deferred and retried later. *)
 let apply_fault t (e : Fault.event) =
@@ -852,16 +983,17 @@ let apply_fault t (e : Fault.event) =
   | Cib_drop ->
     Array.length t.cibs > 0
     && (let cb = t.cibs.(e.ev_lane mod Array.length t.cibs) in
-        match cb.hist with
-        | _ :: (_ :: _ as rest) -> cb.hist <- rest; true
-        | _ -> false)
+        cb.len >= 2
+        && (cb.len <- cb.len - 1; t.cib_gen <- t.cib_gen + 1; true))
   | Cib_dup ->
     Array.length t.cibs > 0
     && (let cb = t.cibs.(e.ev_lane mod Array.length t.cibs) in
-        match cb.hist with
-        | (i, v, r) :: _ when cib_lookup cb (i + 1) = None ->
-          cb.hist <- (i + 1, v, r) :: cb.hist; true
-        | _ -> false)
+        let j = cb.len - 1 in
+        j >= 0 && cib_lookup cb (cb.h_iter.(j) + 1) < 0
+        && (cib_push cb ~iter:(cb.h_iter.(j) + 1) ~value:cb.h_val.(j)
+              ~ready:cb.h_ready.(j);
+            t.cib_gen <- t.cib_gen + 1;
+            true))
   | Lsq_drop_load ->
     (match pick_ctx t e.ev_lane (fun c -> active c && not (Lsq.is_empty c.lsq))
      with
@@ -876,14 +1008,15 @@ let apply_fault t (e : Fault.event) =
        (* A bit-flip in the dispensed index: the iteration computes with
           a wrong induction value (the LMU's own count is unaffected, so
           the loop still terminates — the damage is purely data). *)
-       Exec.set c.hart t.info.r_idx
-         (Int32.logxor (Exec.get c.hart t.info.r_idx) 0x40l);
+       set_reg c.hart t.info.r_idx
+         (get_reg c.hart t.info.r_idx lxor 0x40);
        true
      | None -> false)
   | Mivt_stale ->
-    (match t.miv_bases, pick_ctx t e.ev_lane (fun c -> c.st = Run) with
-     | (r, base, _) :: _, Some c -> Exec.set c.hart r base; true
-     | _ -> false)
+    t.n_mivs > 0
+    && (match pick_ctx t e.ev_lane (fun c -> c.st = Run) with
+        | Some c -> set_reg c.hart t.miv_regs.(0) t.miv_base.(0); true
+        | None -> false)
   | Port_stall ->
     Port.inject_stall t.mem_port ~now:t.cycle
       ~cycles:(32 + 16 * (e.ev_lane land 3));
@@ -896,7 +1029,7 @@ let apply_fault t (e : Fault.event) =
 
 (* -- Main loop -------------------------------------------------------- *)
 
-let account_lane_cycle t issued (reason : stall) =
+let[@inline] account_lane_cycle t issued (reason : stall) =
   let s = t.stats in
   if issued then s.cyc_exec <- s.cyc_exec + 1
   else match reason with
@@ -907,14 +1040,17 @@ let account_lane_cycle t issued (reason : stall) =
     | `Lsq -> s.cyc_stall_lsq <- s.cyc_stall_lsq + 1
     | `Idle | `Frozen -> s.cyc_idle <- s.cyc_idle + 1
 
-let all_idle t = Array.for_all (fun c -> c.st = Idle) t.ctxs
+let[@inline] all_idle t =
+  let i = ref 0 in
+  while !i < Array.length t.ctxs && t.ctxs.(!i).st = Idle do incr i done;
+  !i = Array.length t.ctxs
 
 (** Merge stall priorities: report the most informative reason seen. *)
-let worse (a : stall) (b : stall) =
-  let rank = function
-    | `Idle -> 0 | `Raw -> 1 | `Mem -> 2 | `Llfu -> 3 | `Lsq -> 4
-    | `Cir -> 5 | `Frozen -> 6 in
-  if rank b > rank a then b else a
+let[@inline] rank : stall -> int = function
+  | `Idle -> 0 | `Raw -> 1 | `Mem -> 2 | `Llfu -> 3 | `Lsq -> 4
+  | `Cir -> 5 | `Frozen -> 6
+
+let[@inline] worse (a : stall) (b : stall) = if rank b > rank a then b else a
 
 (** Name the resource the LPSU is blocked on, from the per-lane stall
     reasons of the last simulated cycle — the watchdog's diagnosis. *)
@@ -948,108 +1084,120 @@ let classify_hang t : Fault.hang =
   { h_resource = resource; h_cycle = t.cycle; h_committed = t.committed;
     h_detail = detail }
 
+let inject_faults t plan ~start =
+  List.iter
+    (fun (e : Fault.event) ->
+       if apply_fault t e then begin
+         Fault.record plan e.ev_kind ~cycle:t.cycle;
+         t.stats.faults_injected <- t.stats.faults_injected + 1;
+         if tracing t Lanes then
+           Trace.event t.trace Lanes
+             "[%7d] FAULT inject %a (lane %d)" t.cycle Fault.pp_kind
+             e.ev_kind e.ev_lane
+       end else Fault.defer plan e)
+    (Fault.due plan ~rel:(t.cycle - start))
+
+(* One context's issue slot for this cycle. *)
+let[@inline] attempt t (c : ctx) : (unit, stall) Result.t =
+  if frozen t c && c.st <> Idle then Error `Frozen
+  else match c.st with
+    | Idle -> Error `Idle
+    | Wait_commit -> Error `Lsq
+    | Drain_commit -> attempt_drain t c
+    | Run ->
+      if c.drain_next >= 0 then attempt_drain t c
+      else if t.spec_pattern && c.iter <= t.commit_iter
+           && Lsq.n_stores c.lsq > 0 then begin
+        (* Promoted since its last issue (possibly mid-cycle): buffered
+           state must reach memory before the lane may touch memory
+           directly. *)
+        c.drain_next <- 0;
+        attempt_drain t c
+      end
+      else if t.cycle < c.next_issue then Error `Raw
+      else if c.cir_wait_gen = t.cib_gen && t.cycle < c.cir_wake then
+        Error `Cir
+      else attempt_issue t c
+
 let run_to_completion t ~fuel : (unit, Fault.hang) Stdlib.result =
-  let threads = Array.length t.ctxs / t.lpsu.lanes in
+  let lanes = t.lpsu.lanes in
+  let threads = Array.length t.ctxs / lanes in
   let start = t.cycle in
   let rotate = ref 0 in
-  let failure = ref None in
-  while !failure = None && not (all_idle t && not (can_dispense t)) do
-    if t.cycle - start > fuel then
-      failure := Some { Fault.h_resource = Fault.Fuel; h_cycle = t.cycle;
-                        h_committed = t.committed;
-                        h_detail =
-                          Printf.sprintf "cycle budget %d exhausted" fuel }
-    else if t.watchdog > 0 && t.cycle - t.last_progress > t.watchdog then begin
+  let hang = ref None and running = ref true in
+  while !running && not (all_idle t && not (can_dispense t)) do
+    if t.cycle - start > fuel then begin
+      hang := Some { Fault.h_resource = Fault.Fuel; h_cycle = t.cycle;
+                     h_committed = t.committed;
+                     h_detail =
+                       Printf.sprintf "cycle budget %d exhausted" fuel };
+      running := false
+    end else if t.watchdog > 0 && t.cycle - t.last_progress > t.watchdog
+    then begin
       t.stats.watchdog_hangs <- t.stats.watchdog_hangs + 1;
-      failure := Some (classify_hang t)
+      hang := Some (classify_hang t);
+      running := false
     end else begin
-    (match t.faults with
-     | None -> ()
-     | Some plan ->
-       List.iter
-         (fun (e : Fault.event) ->
-            if apply_fault t e then begin
-              Fault.record plan e.ev_kind ~cycle:t.cycle;
-              t.stats.faults_injected <- t.stats.faults_injected + 1;
-              if Trace.enabled t.trace Lanes then
-                Trace.event t.trace Lanes
-                  "[%7d] FAULT inject %a (lane %d)" t.cycle Fault.pp_kind
-                  e.ev_kind e.ev_lane
-            end else Fault.defer plan e)
-         (Fault.due plan ~rel:(t.cycle - start)));
-    (* LMU: dispense iteration indices to idle contexts, in lane order.
-       Frozen contexts take no new work. *)
-    Array.iter
-      (fun c ->
-         if c.st = Idle && not (frozen t c) && can_dispense t then
-           dispatch t c)
-      t.ctxs;
-    try_commits t;
-    (* Each lane owns [lane_issue_width] issue slots per cycle (1 in the
-       paper's simple lanes; 2 models the "superscalar lane" future
-       work).  Vertical multithreading lets the second context use a
-       slot when the first stalls; a context that stalls is not retried
-       within the cycle. *)
-    for li = 0 to t.lpsu.lanes - 1 do
-      let lane = (li + !rotate) mod t.lpsu.lanes in
-      let budget = ref t.lpsu.lane_issue_width in
-      let issued = ref false in
-      let reason = ref (`Idle : stall) in
-      for ti = 0 to threads - 1 do
-        let c = t.ctxs.(lane * threads + ti) in
-        let stalled = ref false in
-        while !budget > 0 && not !stalled do
-          let r =
-            if frozen t c && c.st <> Idle then Error `Frozen
-            else match c.st with
-            | Idle -> Error `Idle
-            | Wait_commit -> Error `Lsq
-            | Drain_commit -> attempt_drain t c
-            | Run ->
-              if c.drain_q <> [] then attempt_drain t c
-              else if t.spec_pattern && c.iter <= t.commit_iter
-                   && Lsq.n_stores c.lsq > 0 then begin
-                (* Promoted since its last issue (possibly mid-cycle):
-                   buffered state must reach memory before the lane may
-                   touch memory directly. *)
-                c.drain_q <- Lsq.drain_order c.lsq;
-                attempt_drain t c
-              end
-              else attempt_issue t c
-          in
-          match r with
-          | Ok () ->
-            issued := true;
-            decr budget
-          | Error e ->
-            stalled := true;
-            reason := worse !reason e
-        done
+      (match t.faults with
+       | None -> ()
+       | Some plan -> inject_faults t plan ~start);
+      (* LMU: dispense iteration indices to idle contexts, in lane order.
+         Frozen contexts take no new work. *)
+      for i = 0 to Array.length t.ctxs - 1 do
+        let c = t.ctxs.(i) in
+        if c.st = Idle && not (frozen t c) && can_dispense t then
+          dispatch t c
       done;
-      t.lane_reason.(lane) <- (if !issued then `Idle else !reason);
-      account_lane_cycle t !issued !reason
-    done;
-    try_commits t;
-    rotate := !rotate + 1;
-    t.cycle <- t.cycle + 1
+      try_commits t;
+      (* Each lane owns [lane_issue_width] issue slots per cycle (1 in the
+         paper's simple lanes; 2 models the "superscalar lane" future
+         work).  Vertical multithreading lets the second context use a
+         slot when the first stalls; a context that stalls is not retried
+         within the cycle. *)
+      for li = 0 to lanes - 1 do
+        let lane =
+          if li + !rotate >= lanes then li + !rotate - lanes else li + !rotate
+        in
+        let budget = ref t.lpsu.lane_issue_width in
+        let issued = ref false in
+        let reason = ref (`Idle : stall) in
+        for ti = 0 to threads - 1 do
+          let c = t.ctxs.(lane * threads + ti) in
+          let stalled = ref false in
+          while !budget > 0 && not !stalled do
+            match attempt t c with
+            | Ok () ->
+              issued := true;
+              decr budget
+            | Error e ->
+              stalled := true;
+              reason := worse !reason e
+          done
+        done;
+        t.lane_reason.(lane) <- (if !issued then `Idle else !reason);
+        account_lane_cycle t !issued !reason
+      done;
+      try_commits t;
+      rotate := (if !rotate + 1 = lanes then 0 else !rotate + 1);
+      t.cycle <- t.cycle + 1
     end
   done;
-  match !failure with None -> Ok () | Some h -> Error h
+  match !hang with None -> Ok () | Some h -> Error h
 
 let finals t =
-  let k = Int32.of_int t.committed in
+  let k = t.committed in
   let cir_finals =
     Array.to_list t.cibs
     |> List.map (fun cb ->
-        match cib_lookup cb t.committed with
-        | Some (_, v, _) -> (cb.cir.c_reg, v)
-        | None ->
-          (* Can only happen for a loop with zero LPSU iterations. *)
-          (cb.cir.c_reg, Int32.of_int t.base_regs.(cb.cir.c_reg)))
+        let r = cb.cir.c_reg in
+        let j = cib_lookup cb k in
+        (* [j < 0] only for a loop with zero LPSU iterations. *)
+        (r, Int32.of_int (if j >= 0 then cb.h_val.(j) else t.base_regs.(r))))
   in
   let miv_finals =
-    List.map (fun (r, base, inc) -> (r, Int32.add base (Int32.mul k inc)))
-      t.miv_bases
+    List.init t.n_mivs (fun i ->
+        (t.miv_regs.(i),
+         Int32.of_int (norm (t.miv_base.(i) + k * t.miv_inc.(i)))))
   in
   (cir_finals, miv_finals)
 
@@ -1062,19 +1210,18 @@ let finals t =
     crashing.  When a fault plan is active, architectural traps raised by a
     corrupted lane are converted to hangs too — an injected fault must never
     escape as an exception. *)
-let run ~prog ~mem ~dcache ~cfg ~stats ~info ~regs ~start_cycle ?stop_after
-    ?trace ?faults ?(watchdog = 0) ?(fuel = 500_000_000) ()
-  : (result, Fault.hang) Stdlib.result =
-  let t = create ~prog ~mem ~dcache ~cfg ~stats ~info ~regs ~start_cycle
-      ?stop_after ?trace ?faults ~watchdog () in
-  stats.xloops_specialized <- stats.xloops_specialized + 1;
+let run t ~(info : Scan.t) ~regs ~start_cycle ?stop_after ?(watchdog = 0)
+    ?(fuel = 500_000_000) () : (result, Fault.hang) Stdlib.result =
+  start t ~info ~regs ~start_cycle ~stop_after ~watchdog;
+  let trace = t.trace in
+  t.stats.xloops_specialized <- t.stats.xloops_specialized + 1;
   if Trace.enabled trace Decisions then
     Trace.event trace Decisions
-      "[%7d] lpsu start: xloop.%a body=%d idx0=%ld bound=%ld mivs=%d cirs=%d"
-      start_cycle Insn.pp_xpat_suffix info.Scan.pat info.body_len t.idx0
+      "[%7d] lpsu start: xloop.%a body=%d idx0=%d bound=%d mivs=%d cirs=%d"
+      start_cycle Insn.pp_xpat_suffix info.pat info.body_len t.idx0
       t.bound (List.length info.mivs) (List.length info.cirs);
   let outcome =
-    if faults = None then run_to_completion t ~fuel
+    if t.faults = None then run_to_completion t ~fuel
     else
       (* A corrupted index or MIV can push a lane off the address map or
          the program; report it as a hang of kind [Trapped]. *)
@@ -1105,9 +1252,9 @@ let run ~prog ~mem ~dcache ~cfg ~stats ~info ~regs ~start_cycle ?stop_after
          iterations = t.committed;
          finished =
            (match t.info.pat.cp with
-            | Insn.De -> t.exit_at <> None
-            | Fixed | Dyn -> Int32.compare next_idx t.bound >= 0);
-         next_idx;
-         bound = t.bound;
+            | Insn.De -> t.exit_at >= 0
+            | Fixed | Dyn -> next_idx >= t.bound);
+         next_idx = Int32.of_int next_idx;
+         bound = Int32.of_int t.bound;
          cir_finals;
          miv_finals }

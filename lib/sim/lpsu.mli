@@ -22,18 +22,30 @@ type result = {
   miv_finals : (Xloops_isa.Reg.t * int32) list;
 }
 
-val run :
+type t
+(** One machine's LPSU: its lanes' contexts, LSQs, CIB chains and shared
+    ports, built once and reset for every specialized loop. *)
+
+val create :
   prog:Xloops_asm.Program.t ->
   mem:Xloops_mem.Memory.t ->
   dcache:Xloops_mem.Cache.t ->
   cfg:Config.t ->
   stats:Stats.t ->
+  ?trace:Trace.t ->
+  ?faults:Fault.t ->
+  unit -> t
+(** The LPSU of [cfg] for a machine running [prog] on [mem].  [dcache]
+    is the GPP's L1D (the LPSU shares its port); counters accumulate
+    into [stats].  [faults] injects the plan's due events each cycle.
+    Raises [Invalid_argument] if [cfg] has no LPSU. *)
+
+val run :
+  t ->
   info:Scan.t ->
   regs:int array ->
   start_cycle:int ->
   ?stop_after:int ->
-  ?trace:Trace.t ->
-  ?faults:Fault.t ->
   ?watchdog:int ->
   ?fuel:int ->
   unit -> (result, Fault.hang) Stdlib.result
@@ -41,11 +53,10 @@ val run :
     register snapshot [regs] (live-ins, MIV bases, initial CIR values).
     [stop_after] bounds the number of iterations dispatched — the
     adaptive profiling phase; in-flight iterations always drain before
-    returning.  [dcache] is the GPP's L1D (the LPSU shares its port).
+    returning.
 
-    [faults] injects the plan's due events each cycle; [watchdog] (off
-    when 0) declares a hang after that many cycles without a dispatch or
-    commit, classified by the blocked resource.  Hangs — including fuel
-    exhaustion, and architectural traps provoked by an injected fault —
-    return as [Error] so the machine can restore its checkpoint and
-    degrade to traditional execution. *)
+    [watchdog] (off when 0) declares a hang after that many cycles
+    without a dispatch or commit, classified by the blocked resource.
+    Hangs — including fuel exhaustion, and architectural traps provoked
+    by an injected fault — return as [Error] so the machine can restore
+    its checkpoint and degrade to traditional execution. *)

@@ -4,185 +4,183 @@
     A speculative lane buffers its stores here instead of writing memory,
     records the addresses of its loads for violation detection, and reads
     through a byte-accurate overlay of its own buffered stores on top of
-    architectural memory (store-to-load forwarding). *)
+    architectural memory (store-to-load forwarding).
+
+    Both queues are fixed-capacity arrays, oldest entry first: the LPSU
+    checks [loads_full]/[stores_full] before every speculative access, so
+    [max_loads] and [max_stores] bound them.  A store value is kept as the
+    int of its little-endian bytes (low [bytes] bytes significant). *)
 
 open Xloops_isa
 module Memory = Xloops_mem.Memory
 
-type store_entry = {
-  s_addr : int;
-  s_bytes : int;
-  s_value : int32;  (* little-endian in the low [s_bytes] bytes *)
-}
-
-type forward_source = {
-  f_iter : int;     (** iteration whose buffered store supplied the value *)
-  f_value : int32;  (** raw little-endian bytes observed at forward time *)
-}
-
-type load_entry = {
-  l_addr : int;
-  l_bytes : int;
-  l_fwd : forward_source option;
-      (** [Some _] when the value came from another lane's LSQ
-          (inter-lane store-to-load forwarding) *)
-}
-
 type t = {
-  max_loads : int;
-  max_stores : int;
-  mutable stores : store_entry list;  (* newest first *)
-  mutable loads : load_entry list;
+  s_addr : int array;
+  s_bytes : int array;
+  s_value : int array;
   mutable n_stores : int;
+  l_addr : int array;
+  l_bytes : int array;
+  l_src : int array;    (* forwarding source iteration, -1 if from memory *)
+  l_raw : int array;    (* forwarded raw bytes, when [l_src >= 0] *)
   mutable n_loads : int;
 }
 
 let create ~max_loads ~max_stores =
-  { max_loads; max_stores; stores = []; loads = []; n_stores = 0;
+  { s_addr = Array.make max_stores 0; s_bytes = Array.make max_stores 0;
+    s_value = Array.make max_stores 0; n_stores = 0;
+    l_addr = Array.make max_loads 0; l_bytes = Array.make max_loads 0;
+    l_src = Array.make max_loads 0; l_raw = Array.make max_loads 0;
     n_loads = 0 }
 
-let loads_full t = t.n_loads >= t.max_loads
-let stores_full t = t.n_stores >= t.max_stores
+let loads_full t = t.n_loads >= Array.length t.l_addr
+let stores_full t = t.n_stores >= Array.length t.s_addr
 let n_stores t = t.n_stores
 let is_empty t = t.n_stores = 0 && t.n_loads = 0
 
-let clear t =
-  t.stores <- []; t.loads <- []; t.n_stores <- 0; t.n_loads <- 0
+let clear t = t.n_stores <- 0; t.n_loads <- 0
 
-let ranges_overlap a an b bn = a < b + bn && b < a + an
+let[@inline] ranges_overlap a an b bn = a < b + bn && b < a + an
 
 (** Does any buffered store overlap [addr, addr+bytes)?  (Used to decide
     whether a load can forward without touching the memory port.) *)
 let store_overlaps t ~addr ~bytes =
-  List.exists (fun s -> ranges_overlap s.s_addr s.s_bytes addr bytes) t.stores
+  let i = ref 0 in
+  while !i < t.n_stores
+        && not (ranges_overlap t.s_addr.(!i) t.s_bytes.(!i) addr bytes) do
+    incr i
+  done;
+  !i < t.n_stores
 
 (** Has this lane already issued a load overlapping [addr, addr+bytes)?
     (Violation check against a broadcast store.) *)
 let load_overlaps t ~addr ~bytes =
-  List.exists (fun l -> ranges_overlap l.l_addr l.l_bytes addr bytes) t.loads
+  let i = ref 0 in
+  while !i < t.n_loads
+        && not (ranges_overlap t.l_addr.(!i) t.l_bytes.(!i) addr bytes) do
+    incr i
+  done;
+  !i < t.n_loads
 
-let record_load ?fwd t ~addr ~bytes =
-  t.loads <- { l_addr = addr; l_bytes = bytes; l_fwd = fwd } :: t.loads;
-  t.n_loads <- t.n_loads + 1
+let push_load t ~addr ~bytes ~src ~raw =
+  let i = t.n_loads in
+  if i >= Array.length t.l_addr then invalid_arg "Lsq.record_load: full";
+  t.l_addr.(i) <- addr;
+  t.l_bytes.(i) <- bytes;
+  t.l_src.(i) <- src;
+  t.l_raw.(i) <- raw;
+  t.n_loads <- i + 1
+
+let record_load t ~addr ~bytes = push_load t ~addr ~bytes ~src:(-1) ~raw:0
+
+let record_forwarded_load t ~addr ~bytes ~from_iter ~raw =
+  push_load t ~addr ~bytes ~src:from_iter ~raw
 
 let record_store t ~addr ~bytes ~value =
-  t.stores <- { s_addr = addr; s_bytes = bytes; s_value = value } :: t.stores;
-  t.n_stores <- t.n_stores + 1
+  let i = t.n_stores in
+  if i >= Array.length t.s_addr then invalid_arg "Lsq.record_store: full";
+  t.s_addr.(i) <- addr;
+  t.s_bytes.(i) <- bytes;
+  t.s_value.(i) <- value;
+  t.n_stores <- i + 1
 
-let store_byte_at (s : store_entry) addr =
-  let off = addr - s.s_addr in
-  Int32.to_int (Int32.shift_right_logical s.s_value (off * 8)) land 0xFF
+let[@inline] byte_of value ~base addr =
+  (value lsr ((addr - base) * 8)) land 0xFF
 
 (** Read one byte through the overlay: the youngest buffered store covering
     the byte wins, otherwise architectural memory. *)
 let read_byte t mem addr =
-  let rec find = function
-    | [] -> Memory.get_u8 mem addr
-    | s :: rest ->
-      if addr >= s.s_addr && addr < s.s_addr + s.s_bytes
-      then store_byte_at s addr
-      else find rest
-  in
-  find t.stores
+  let i = ref (t.n_stores - 1) in
+  while !i >= 0
+        && not (addr >= t.s_addr.(!i) && addr < t.s_addr.(!i) + t.s_bytes.(!i))
+  do decr i done;
+  if !i < 0 then Memory.get_u8 mem addr
+  else byte_of t.s_value.(!i) ~base:t.s_addr.(!i) addr
 
 let sext v bits =
   let m = 1 lsl (bits - 1) in
   ((v lxor m) - m)
 
-(** Architectural load through the overlay. *)
-let read t mem (w : Insn.width) addr : int32 =
+(** Architectural load through the overlay, sign- or zero-extended. *)
+let read t mem (w : Insn.width) addr =
   let nbytes = Memory.width_bytes w in
   let raw = ref 0 in
   for i = nbytes - 1 downto 0 do
     raw := (!raw lsl 8) lor read_byte t mem (addr + i)
   done;
   match w with
-  | B -> Int32.of_int (sext !raw 8)
-  | H -> Int32.of_int (sext !raw 16)
-  | Bu | Hu -> Int32.of_int !raw
-  | W -> Int32.of_int (sext !raw 32)
+  | B -> sext !raw 8
+  | H -> sext !raw 16
+  | Bu | Hu -> !raw
+  | W -> sext !raw 32
 
-(** Buffered stores, oldest first, ready to drain to memory. *)
-let drain_order t = List.rev t.stores
+let store_addr t i = t.s_addr.(i)
+let store_bytes t i = t.s_bytes.(i)
+let store_value t i = t.s_value.(i)
 
-let apply_store mem (s : store_entry) =
-  for i = 0 to s.s_bytes - 1 do
-    Memory.set_u8 mem (s.s_addr + i) (store_byte_at s (s.s_addr + i))
+(** Write the [i]-th oldest buffered store to memory. *)
+let drain_store t mem i =
+  let base = t.s_addr.(i) and v = t.s_value.(i) in
+  for a = base to base + t.s_bytes.(i) - 1 do
+    Memory.set_u8 mem a (byte_of v ~base a)
   done
 
-(** Raw little-endian bytes of the load range, read through the overlay
-    (used to snapshot a forwarded value). *)
-let read_raw t mem ~addr ~bytes =
+(* Raw little-endian bytes of [addr, addr+bytes) within a value stored
+   at [base]. *)
+let raw_within value ~base ~addr ~bytes =
   let raw = ref 0 in
   for i = bytes - 1 downto 0 do
-    raw := (!raw lsl 8) lor read_byte t mem (addr + i)
+    raw := (!raw lsl 8) lor byte_of value ~base (addr + i)
   done;
-  Int32.of_int !raw
+  !raw
 
-(** Does some single buffered store fully cover [addr, addr+bytes)?
-    Returns its raw bytes over that range if so — the only case where an
-    inter-lane forward is attempted (partial covers fall back to memory
-    and rely on violation detection). *)
-let covering_store_value t ~addr ~bytes : int32 option =
-  let covers s =
-    s.s_addr <= addr && addr + bytes <= s.s_addr + s.s_bytes in
-  match List.find_opt covers t.stores with
-  | None -> None
-  | Some s ->
-    let raw = ref 0 in
-    for i = bytes - 1 downto 0 do
-      raw := (!raw lsl 8) lor store_byte_at s (addr + i)
-    done;
-    Some (Int32.of_int !raw)
+(** Raw bytes over [addr, addr+bytes) of the youngest single buffered
+    store fully covering that range, or -1 if none does — the only case
+    where an inter-lane forward is attempted (partial covers fall back to
+    memory and rely on violation detection). *)
+let covering_store t ~addr ~bytes =
+  let i = ref (t.n_stores - 1) in
+  while !i >= 0
+        && not (t.s_addr.(!i) <= addr
+                && addr + bytes <= t.s_addr.(!i) + t.s_bytes.(!i)) do
+    decr i
+  done;
+  if !i < 0 then -1
+  else raw_within t.s_value.(!i) ~base:t.s_addr.(!i) ~addr ~bytes
 
-(** Loads that overlap [addr, addr+bytes) and are {e not} satisfied by
-    this very broadcast: an entry forwarded from iteration [from_iter]
-    is innocent iff the committing store still covers it with the same
-    bytes. *)
-let violated_loads t ~from_iter ~addr ~bytes ~(store : store_entry) =
-  List.filter
-    (fun l ->
-       ranges_overlap l.l_addr l.l_bytes addr bytes
-       && (match l.l_fwd with
-           | Some f when f.f_iter = from_iter ->
-             not (store.s_addr <= l.l_addr
-                  && l.l_addr + l.l_bytes <= store.s_addr + store.s_bytes
-                  && (let raw = ref 0 in
-                      for i = l.l_bytes - 1 downto 0 do
-                        raw := (!raw lsl 8)
-                               lor store_byte_at store (l.l_addr + i)
-                      done;
-                      Int32.of_int !raw = f.f_value))
-           | _ -> true))
-    t.loads
+(** Is some recorded load violated by a broadcast store of [value] to
+    [addr, addr+bytes) from iteration [from_iter]?  Every overlapping
+    load is, except one whose value was forwarded from this very
+    iteration and which the store still covers with the same bytes. *)
+let violated t ~from_iter ~addr ~bytes ~value =
+  let hit = ref false and i = ref 0 in
+  while not !hit && !i < t.n_loads do
+    let la = t.l_addr.(!i) and lb = t.l_bytes.(!i) in
+    if ranges_overlap la lb addr bytes then
+      hit :=
+        not (t.l_src.(!i) = from_iter
+             && addr <= la && la + lb <= addr + bytes
+             && raw_within value ~base:addr ~addr:la ~bytes:lb
+                = t.l_raw.(!i));
+    incr i
+  done;
+  !hit
 
-(* -- Fault-injection hooks --------------------------------------------- *)
+(** Any load entry forwarded from iteration [iter] (such entries must be
+    squashed when [iter] itself squashes). *)
+let has_forward_from t iter =
+  let i = ref 0 in
+  while !i < t.n_loads && t.l_src.(!i) <> iter do incr i done;
+  !i < t.n_loads
+
+(* -- Fault-injection hook ---------------------------------------------- *)
 
 (** Forget the newest recorded load (a transiently lost CAM entry): the
     violation check can no longer see it, so a conflicting broadcast
     store slips past undetected.  Returns whether there was one. *)
 let drop_newest_load t =
-  match t.loads with
-  | [] -> false
-  | _ :: rest ->
-    t.loads <- rest;
+  if t.n_loads = 0 then false
+  else begin
     t.n_loads <- t.n_loads - 1;
     true
-
-(** Flip bits in the newest buffered store's value (a transient data-array
-    upset); it drains to memory corrupted.  Returns whether applied. *)
-let corrupt_newest_store t ~mask =
-  match t.stores with
-  | [] -> false
-  | s :: rest ->
-    t.stores <- { s with s_value = Int32.logxor s.s_value mask } :: rest;
-    true
-
-(** Any load entry forwarded from iteration [iter] (such entries must be
-    squashed when [iter] itself squashes). *)
-let has_forward_from t iter =
-  List.exists
-    (fun l -> match l.l_fwd with
-       | Some f -> f.f_iter = iter
-       | None -> false)
-    t.loads
+  end

@@ -70,6 +70,7 @@ type t = {
   stats : Stats.t;
   hart : Exec.hart;
   timing : Gpp_timing.t;
+  mutable lpsu : Lpsu.t option;  (* built on the first specialized loop *)
   apt : (int, apt_entry) Hashtbl.t;
   scan_fail : (int, Scan.fallback_reason) Hashtbl.t;
   faults : Fault.t option;
@@ -99,6 +100,7 @@ let create ?(adaptive = Config.default_adaptive)
     stats;
     hart = Exec.create_hart ~pc:entry ();
     timing = Gpp_timing.create cfg.Config.gpp stats;
+    lpsu = None;
     apt = Hashtbl.create 8;
     scan_fail = Hashtbl.create 8;
     faults; watchdog; degrade;
@@ -160,11 +162,18 @@ let run_lpsu ?stop_after t (info : Scan.t) =
     Trace.event t.trace Decisions
       "[%7d] scan xloop@%d (%d instructions, %d scan cycles)"
       (Gpp_timing.now t.timing) info.Scan.xloop_pc info.body_len scan;
-  match Lpsu.run ~prog:t.prog ~mem:t.mem
+  let lpsu =
+    match t.lpsu with
+    | Some l -> l
+    | None ->
+      let l = Lpsu.create ~prog:t.prog ~mem:t.mem
           ~dcache:(Gpp_timing.l1d t.timing) ~cfg:t.cfg ~stats:t.stats
-          ~info ~regs:t.hart.regs ~start_cycle ?stop_after
-          ?trace:t.trace ?faults:t.faults ~watchdog:t.watchdog
-          ~fuel:t.lpsu_fuel () with
+          ?trace:t.trace ?faults:t.faults () in
+      t.lpsu <- Some l;
+      l
+  in
+  match Lpsu.run lpsu ~info ~regs:t.hart.regs ~start_cycle ?stop_after
+          ~watchdog:t.watchdog ~fuel:t.lpsu_fuel () with
   | Ok r ->
     writeback t info r;
     Gpp_timing.skip_to t.timing (start_cycle + r.cycles);
@@ -313,7 +322,7 @@ let adaptive_step t ~pc (ev : Exec.event) =
         | Ok info ->
           (* LPSU profiling phase: same number of iterations as measured
              traditionally. *)
-          let budget = max 1 p.iters in
+          let budget = if p.iters > 1 then p.iters else 1 in
           if Trace.enabled t.trace Decisions then
             Trace.event t.trace Decisions
               "xloop@%d: GPP profile done (%d iters, %d cycles); trying \
@@ -356,6 +365,7 @@ let adaptive_step t ~pc (ev : Exec.event) =
     of GPP-committed instructions; exhausting it — or an LPSU hang with
     degradation disabled — is reported as [Error], never raised. *)
 let run ?(fuel = 500_000_000) t : (result, failure) Stdlib.result =
+  let has_lpsu = Option.is_some t.cfg.Config.lpsu in
   try
     (try
        let steps = ref 0 in
@@ -366,15 +376,14 @@ let run ?(fuel = 500_000_000) t : (result, failure) Stdlib.result =
          incr steps;
          Exec.step t.pre t.hart t.gpp_mem t.ev;
          let ev = t.ev in
-         if Trace.enabled t.trace Insns then
+         if t.trace != None && Trace.enabled t.trace Insns then
            Trace.event t.trace Insns "[%7d] gpp      %4d: %a"
              (Gpp_timing.now t.timing) ev.pc
              Xloops_isa.Insn.pp_resolved (Exec.event_insn ev);
          Gpp_timing.consume t.timing ev;
-         (match Exec.event_insn ev with
+         (match t.prog.insns.(ev.pc) with
           | Xloop (_, _, _, _)
-            when t.cfg.Config.lpsu <> None
-              && not (Hashtbl.mem t.degraded ev.pc) ->
+            when has_lpsu && not (Hashtbl.mem t.degraded ev.pc) ->
             if ev.taken then t.stats.iterations <- t.stats.iterations + 1;
             (match t.mode with
              | Traditional -> ()

@@ -58,7 +58,6 @@ and lane_meta =
   | L_slow
   | L_plain of {
       l_op : op;             (** the pc's single-op closure *)
-      l_insn : int Xloops_isa.Insn.t;
       l_rd : int;            (** dest register, -1 when none *)
       l_s1 : int;            (** source registers, -1 when absent *)
       l_s2 : int;
@@ -1054,7 +1053,7 @@ let lane_meta_of (src : int Insn.t array) (uops : P.uop array)
           | U_jump _ | U_jal _ | U_jr _ -> 2
           | _ -> 0
         in
-        L_plain { l_op = ops.(pc); l_insn = insn;
+        L_plain { l_op = ops.(pc);
                   l_rd = Insn.dest_reg insn;
                   l_s1 = Insn.src1 insn; l_s2 = Insn.src2 insn;
                   l_ctrl = ctrl })

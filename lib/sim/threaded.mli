@@ -88,7 +88,6 @@ type lane_meta =
   | L_slow
   | L_plain of {
       l_op : op;
-      l_insn : int Xloops_isa.Insn.t;
       l_rd : int;   (** dest register, -1 when none *)
       l_s1 : int;   (** source registers, -1 when absent *)
       l_s2 : int;

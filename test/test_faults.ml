@@ -84,6 +84,27 @@ let test_journal_commit_keeps () =
   Alcotest.(check int) "write kept" 999 (Memory.get_int mem 0x100);
   Alcotest.(check bool) "journal closed" false (Memory.journal_active mem)
 
+(* Overlapping writes of every width to the same bytes: rollback must
+   restore the pre-image exactly, and the journal still counts distinct
+   bytes, not writes. *)
+let test_journal_rewrites () =
+  let mem = Memory.create () in
+  Memory.set_i32 mem 0x300 0x11223344l;
+  Memory.set_i32 mem 0x304 0x55667788l;
+  let before = Memory.read_bytes mem ~addr:0x2F8 ~n:24 in
+  Memory.journal_begin mem;
+  Memory.set_u8 mem 0x301 0xAA;
+  Memory.set_u16 mem 0x300 0xBEEF;
+  Memory.set_i32 mem 0x300 0x0BADF00Dl;
+  ignore (Memory.amo mem Xloops_isa.Insn.Amo_add 0x300 5l);
+  ignore (Memory.amo_int mem Xloops_isa.Insn.Amo_xchg 0x304 (-1));
+  Memory.set_u8 mem 0x302 0x01;
+  Alcotest.(check int) "distinct bytes" 8 (Memory.journal_size mem);
+  Memory.journal_abort mem;
+  Alcotest.(check (array int)) "pre-image restored" before
+    (Memory.read_bytes mem ~addr:0x2F8 ~n:24);
+  Alcotest.(check int) "closed journal is empty" 0 (Memory.journal_size mem)
+
 let test_journal_no_nesting () =
   let mem = Memory.create () in
   Memory.journal_begin mem;
@@ -237,6 +258,7 @@ let () =
        [ Alcotest.test_case "abort restores" `Quick
            test_journal_abort_restores;
          Alcotest.test_case "commit keeps" `Quick test_journal_commit_keeps;
+         Alcotest.test_case "rewrites restore" `Quick test_journal_rewrites;
          Alcotest.test_case "no nesting" `Quick test_journal_no_nesting ]);
       ("watchdog",
        [ Alcotest.test_case "names frozen lane" `Quick

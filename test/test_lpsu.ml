@@ -540,6 +540,54 @@ let test_stats_merge_doubles () =
       ("cyc lsq", s.cyc_stall_lsq, acc.cyc_stall_lsq);
       ("idq", s.idq_ops, acc.idq_ops) ]
 
+(* -- configured miss penalty ------------------------------------------ *)
+
+(* The lanes share the GPP's L1D, so an LPSU miss costs the GPP's
+   configured penalty.  Runs the vector-add loop on the LPSU alone (cold
+   L1D, every iteration specialized) so the GPP's own misses cannot
+   account for the difference. *)
+let test_lpsu_miss_penalty_configured () =
+  let n = 256 in
+  let prog = vector_add_prog n in
+  let xloop_pc =
+    let rec find pc =
+      match prog.Xloops_asm.Program.insns.(pc) with
+      | Insn.Xloop _ -> pc
+      | _ -> find (pc + 1)
+    in
+    find 0
+  in
+  let lpsu_run (cfg : Config.t) =
+    let regs = Array.make Reg.num_regs 0 in
+    regs.(t0) <- base_b; regs.(t1) <- base_c; regs.(t2) <- base_a;
+    regs.(t3) <- n * 4;
+    let lpsu = Option.get cfg.lpsu in
+    let info =
+      match Xloops_sim.Scan.analyze prog ~xloop_pc ~regs ~lpsu with
+      | Ok info -> info
+      | Error _ -> Alcotest.fail "vector add does not specialize"
+    in
+    let stats = Xloops_sim.Stats.create () in
+    let lpsu =
+      Xloops_sim.Lpsu.create ~prog ~mem:(setup_vectors n)
+        ~dcache:(Xloops_mem.Cache.create ()) ~cfg ~stats ()
+    in
+    match Xloops_sim.Lpsu.run lpsu ~info ~regs ~start_cycle:0 () with
+    | Ok r -> r.cycles, stats.dcache_misses
+    | Error _ -> Alcotest.fail "LPSU hang"
+  in
+  let slow =
+    { Config.io_x with
+      name = "io+x/miss40";
+      gpp = { Config.io_x.gpp with miss_penalty = 40 } }
+  in
+  let c20, misses = lpsu_run Config.io_x in
+  let c40, _ = lpsu_run slow in
+  Alcotest.(check bool) "LPSU misses" true (misses > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "miss penalty 40 (%d cycles) slower than 20 (%d)" c40 c20)
+    true (c40 > c20)
+
 let () =
   Alcotest.run "lpsu"
     [ ("uc",
@@ -582,5 +630,8 @@ let () =
       ("fast-path",
        [ Alcotest.test_case "compiled lanes invisible" `Quick
            test_lane_fast_path_differential ]);
+      ("memory",
+       [ Alcotest.test_case "configured miss penalty" `Quick
+           test_lpsu_miss_penalty_configured ]);
     ]
 

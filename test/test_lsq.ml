@@ -10,36 +10,36 @@ let test_forwarding_exact () =
   let mem = Memory.create () in
   Memory.set_i32 mem 0x100 0x11111111l;
   let q = Lsq.create ~max_loads:8 ~max_stores:8 in
-  Lsq.record_store q ~addr:0x100 ~bytes:4 ~value:0x22222222l;
-  Alcotest.(check int32) "forwarded" 0x22222222l
+  Lsq.record_store q ~addr:0x100 ~bytes:4 ~value:0x22222222;
+  Alcotest.(check int) "forwarded" 0x22222222
     (Lsq.read q mem W 0x100);
-  Alcotest.(check int32) "memory untouched" 0x11111111l
-    (Memory.get_i32 mem 0x100)
+  Alcotest.(check int) "memory untouched" 0x11111111
+    (Memory.get_int mem 0x100)
 
 let test_partial_overlay () =
   (* A byte store overlays one byte of a word read. *)
   let mem = Memory.create () in
   Memory.set_i32 mem 0x200 0x44332211l;
   let q = Lsq.create ~max_loads:8 ~max_stores:8 in
-  Lsq.record_store q ~addr:0x201 ~bytes:1 ~value:0xAAl;
-  Alcotest.(check int32) "one byte overlaid" 0x4433AA11l
+  Lsq.record_store q ~addr:0x201 ~bytes:1 ~value:0xAA;
+  Alcotest.(check int) "one byte overlaid" 0x4433AA11
     (Lsq.read q mem W 0x200)
 
 let test_youngest_store_wins () =
   let mem = Memory.create () in
   let q = Lsq.create ~max_loads:8 ~max_stores:8 in
-  Lsq.record_store q ~addr:0x300 ~bytes:4 ~value:1l;
-  Lsq.record_store q ~addr:0x300 ~bytes:4 ~value:2l;
-  Alcotest.(check int32) "youngest" 2l (Lsq.read q mem W 0x300)
+  Lsq.record_store q ~addr:0x300 ~bytes:4 ~value:1;
+  Lsq.record_store q ~addr:0x300 ~bytes:4 ~value:2;
+  Alcotest.(check int) "youngest" 2 (Lsq.read q mem W 0x300)
 
 let test_sign_extension_through_overlay () =
   let mem = Memory.create () in
   let q = Lsq.create ~max_loads:8 ~max_stores:8 in
-  Lsq.record_store q ~addr:0x400 ~bytes:1 ~value:0x80l;
-  Alcotest.(check int32) "lb sext" (-128l) (Lsq.read q mem B 0x400);
-  Alcotest.(check int32) "lbu zext" 128l (Lsq.read q mem Bu 0x400);
-  Lsq.record_store q ~addr:0x402 ~bytes:2 ~value:0x8000l;
-  Alcotest.(check int32) "lh sext" (-32768l) (Lsq.read q mem H 0x402)
+  Lsq.record_store q ~addr:0x400 ~bytes:1 ~value:0x80;
+  Alcotest.(check int) "lb sext" (-128) (Lsq.read q mem B 0x400);
+  Alcotest.(check int) "lbu zext" 128 (Lsq.read q mem Bu 0x400);
+  Lsq.record_store q ~addr:0x402 ~bytes:2 ~value:0x8000;
+  Alcotest.(check int) "lh sext" (-32768) (Lsq.read q mem H 0x402)
 
 let test_capacity () =
   let q = Lsq.create ~max_loads:2 ~max_stores:2 in
@@ -48,8 +48,8 @@ let test_capacity () =
   Lsq.record_load q ~addr:4 ~bytes:4;
   Alcotest.(check bool) "loads full" true (Lsq.loads_full q);
   Alcotest.(check bool) "stores not full" false (Lsq.stores_full q);
-  Lsq.record_store q ~addr:0 ~bytes:4 ~value:0l;
-  Lsq.record_store q ~addr:4 ~bytes:4 ~value:0l;
+  Lsq.record_store q ~addr:0 ~bytes:4 ~value:0;
+  Lsq.record_store q ~addr:4 ~bytes:4 ~value:0;
   Alcotest.(check bool) "stores full" true (Lsq.stores_full q);
   Lsq.clear q;
   Alcotest.(check bool) "cleared" true (Lsq.is_empty q)
@@ -70,14 +70,13 @@ let test_overlap_checks () =
 let test_drain_order_and_apply () =
   let mem = Memory.create () in
   let q = Lsq.create ~max_loads:8 ~max_stores:8 in
-  Lsq.record_store q ~addr:0x500 ~bytes:4 ~value:1l;
-  Lsq.record_store q ~addr:0x504 ~bytes:4 ~value:2l;
-  Lsq.record_store q ~addr:0x500 ~bytes:4 ~value:3l;  (* overwrites *)
-  let order = Lsq.drain_order q in
-  Alcotest.(check int) "3 stores" 3 (List.length order);
-  List.iter (Lsq.apply_store mem) order;
-  Alcotest.(check int32) "final 0x500" 3l (Memory.get_i32 mem 0x500);
-  Alcotest.(check int32) "final 0x504" 2l (Memory.get_i32 mem 0x504)
+  Lsq.record_store q ~addr:0x500 ~bytes:4 ~value:1;
+  Lsq.record_store q ~addr:0x504 ~bytes:4 ~value:2;
+  Lsq.record_store q ~addr:0x500 ~bytes:4 ~value:3;  (* overwrites *)
+  Alcotest.(check int) "3 stores" 3 (Lsq.n_stores q);
+  for i = 0 to Lsq.n_stores q - 1 do Lsq.drain_store q mem i done;
+  Alcotest.(check int) "final 0x500" 3 (Memory.get_int mem 0x500);
+  Alcotest.(check int) "final 0x504" 2 (Memory.get_int mem 0x504)
 
 (* -- property: overlay == apply-then-read ------------------------------- *)
 
@@ -114,15 +113,15 @@ let prop_overlay_matches_drain =
        List.iteri
          (fun i (slot, (_, bytes)) ->
             let addr = slot * 4 in  (* aligned for any width *)
-            let value = Int32.of_int (0x5A000000 + i) in
+            let value = 0x5A000000 + i in
             Lsq.record_store q ~addr ~bytes ~value)
          stores;
        (* Drain into the shadow memory. *)
-       List.iter (Lsq.apply_store shadow) (Lsq.drain_order q);
+       for i = 0 to Lsq.n_stores q - 1 do Lsq.drain_store q shadow i done;
        (* Every word read through the overlay equals the shadow. *)
        let ok = ref true in
        for w = 0 to 63 do
-         if Lsq.read q mem W (w * 4) <> Memory.get_i32 shadow (w * 4) then
+         if Lsq.read q mem W (w * 4) <> Memory.get_int shadow (w * 4) then
            ok := false
        done;
        !ok)
@@ -136,14 +135,14 @@ let prop_store_overlap_consistent =
        List.iteri
          (fun i (slot, (_, bytes)) ->
             Lsq.record_store q ~addr:(slot * 4) ~bytes
-              ~value:(Int32.of_int (i + 1)))
+              ~value:(i + 1))
          stores;
        (* If no store overlaps a range, the overlay read must equal raw
           memory. *)
        let ok = ref true in
        for w = 0 to 63 do
          if not (Lsq.store_overlaps q ~addr:(w * 4) ~bytes:4)
-         && Lsq.read q mem W (w * 4) <> Memory.get_i32 mem (w * 4) then
+         && Lsq.read q mem W (w * 4) <> Memory.get_int mem (w * 4) then
            ok := false
        done;
        !ok)

@@ -400,6 +400,53 @@ let test_encoded_binary_runs_identically () =
   Alcotest.(check (array int)) "memory identical" m1 m2
 
 
+(* -- Allocation budgets of the timing models ----------------------------- *)
+
+(* Bytes [Machine.simulate] allocates per committed instruction on one
+   kernel.  The minor heap is emptied before and after the run: OCaml 5.1
+   under-counts [Gc.allocated_bytes] for words still in it.  A first run
+   warms the per-program memos (predecode, compiled tier, timing
+   metadata), which every later run of the program shares. *)
+let bytes_per_insn ~cfg ~mode name =
+  let k = Registry.find name in
+  let c = Xloops_compiler.Compile.compile k.kernel in
+  let run () =
+    let mem = Memory.create () in
+    k.init c.array_base mem;
+    Gc.minor ();
+    let a0 = Gc.allocated_bytes () in
+    let r = simulate ~cfg ~mode c.program mem in
+    Gc.minor ();
+    (Gc.allocated_bytes () -. a0) /. float_of_int r.Machine.insns
+  in
+  ignore (run ());
+  run ()
+
+let check_budget ~cfg ~mode name budget =
+  let b = bytes_per_insn ~cfg ~mode name in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s %s/%s: %.2f B/insn <= %.2f" name cfg.Config.name
+       (Machine.mode_name mode) b budget)
+    true (b <= budget)
+
+(* The GPP path allocates nothing per instruction; what remains is the
+   machine's set-up (caches, predictor, register scoreboards). *)
+let test_gpp_allocation_free () =
+  List.iter
+    (fun name ->
+       check_budget ~cfg:Config.io ~mode:Traditional name 1.0;
+       check_budget ~cfg:Config.ooo4 ~mode:Traditional name 1.0)
+    [ "adpcm-or"; "war-uc" ]
+
+(* The LPSU allocates per specialized loop instance (the scan result,
+   the GPP register checkpoint, the loop's lane fast-path table), not
+   per lane cycle; its contexts are built once per machine.  Budgets are
+   about twice the values measured when they were set (1.82 and 6.60
+   B/insn). *)
+let test_lpsu_allocation_budget () =
+  check_budget ~cfg:Config.io_x ~mode:Specialized "adpcm-or" 3.6;
+  check_budget ~cfg:Config.io_x ~mode:Specialized "war-om" 13.0
+
 let () =
   Alcotest.run "machine"
     [ ("timing",
@@ -444,6 +491,9 @@ let () =
          Alcotest.test_case "window monotone" `Quick test_window_monotone;
          Alcotest.test_case "scan cost" `Quick test_scan_cost_model;
          Alcotest.test_case "skip_to" `Quick test_skip_to_advances_clock ]);
+      ("allocation",
+       [ Alcotest.test_case "GPP path" `Quick test_gpp_allocation_free;
+         Alcotest.test_case "LPSU budget" `Quick test_lpsu_allocation_budget ]);
     ]
 
 

@@ -114,20 +114,20 @@ let test_cache_fits_working_set () =
 
 let test_port_width () =
   let p = Port.create ~width:2 "mem" in
-  Alcotest.(check bool) "grant 1" true (Port.try_grant p ~now:10);
-  Alcotest.(check bool) "grant 2" true (Port.try_grant p ~now:10);
-  Alcotest.(check bool) "deny 3" false (Port.try_grant p ~now:10);
-  Alcotest.(check bool) "next cycle ok" true (Port.try_grant p ~now:11);
+  Alcotest.(check bool) "grant 1" true (Port.try_grant p ~now:10 ~occupancy:1);
+  Alcotest.(check bool) "grant 2" true (Port.try_grant p ~now:10 ~occupancy:1);
+  Alcotest.(check bool) "deny 3" false (Port.try_grant p ~now:10 ~occupancy:1);
+  Alcotest.(check bool) "next cycle ok" true (Port.try_grant p ~now:11 ~occupancy:1);
   Alcotest.(check int) "3 grants" 3 (Port.grants p);
   Alcotest.(check int) "1 conflict" 1 (Port.conflicts p)
 
 let test_port_occupancy () =
   let p = Port.create "llfu" in
   Alcotest.(check bool) "div grant" true
-    (Port.try_grant ~occupancy:12 p ~now:0);
-  Alcotest.(check bool) "busy at 5" false (Port.try_grant p ~now:5);
-  Alcotest.(check bool) "busy at 11" false (Port.try_grant p ~now:11);
-  Alcotest.(check bool) "free at 12" true (Port.try_grant p ~now:12)
+    (Port.try_grant p ~now:0 ~occupancy:12);
+  Alcotest.(check bool) "busy at 5" false (Port.try_grant p ~now:5 ~occupancy:1);
+  Alcotest.(check bool) "busy at 11" false (Port.try_grant p ~now:11 ~occupancy:1);
+  Alcotest.(check bool) "free at 12" true (Port.try_grant p ~now:12 ~occupancy:1)
 
 (* -- qcheck properties -------------------------------------------------- *)
 
