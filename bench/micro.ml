@@ -1,15 +1,14 @@
 (* Interpreter micro-benchmark: host-side throughput (MIPS) and
-   allocation rate (bytes/instruction) of the functional executor, per
-   execution tier, on a synthetic straight-line kernel and a few
-   representative compiled kernels.
+   allocation rate (bytes/instruction) of the three functional
+   interpreters — the raw-decoding reference, the predecoded [Exec.step]
+   path and the block-compiled tier — on a synthetic straight-line
+   kernel and a few representative compiled kernels.
 
    Usage:
      dune exec bench/micro.exe                   # table + BENCH_interp.json
      dune exec bench/micro.exe -- --check        # also enforce the committed
                                                  # bytes/insn + MIPS gates
-     dune exec bench/micro.exe -- --tier threaded --check
      dune exec bench/micro.exe -- --repeat 5 --json out.json
-     dune exec bench/micro.exe -- --profile-pairs
      dune exec bench/micro.exe -- --diff-schema BENCH_interp.json out.json
 
    MIPS numbers are host- and load-dependent (the table reports the best
@@ -17,23 +16,21 @@
    why the --check regression gate is primarily on allocation.  The MIPS
    gate is deliberately loose: absolute floors far below any healthy
    host, plus relative floors (each tier must beat the one below it)
-   that are host-independent.  --profile-pairs is the static superop
-   profiler: it counts dynamic adjacent micro-op class pairs over the
-   25-kernel registry and reports what fraction of dispatches the
-   threaded tier's fusion rules cover — the data the rule set was chosen
-   against.  --profile-triples does the same for adjacent triples and
-   reports the block tier's static plan and dynamic dispatch coverage
-   (insns per dispatch, dispatch-size histogram). *)
+   that are host-independent. *)
 
 module B = Xloops.Asm.Builder
-module Program = Xloops.Asm.Program
 module Memory = Xloops.Mem.Memory
 module Exec = Xloops.Sim.Exec
-module Tier = Xloops.Sim.Tier
 module Threaded = Xloops.Sim.Threaded
 module Registry = Xloops.Kernels.Registry
 module Kernel = Xloops.Kernels.Kernel
 module Compile = Xloops.Compiler.Compile
+
+(* The measured tiers, slowest first. *)
+let tiers =
+  [ "ref", (fun prog mem -> Exec.run_serial_ref prog mem);
+    "predecode", (fun prog mem -> Exec.run_serial prog mem);
+    "block", (fun prog mem -> Threaded.run_serial_block prog mem) ]
 
 (* Pre-optimization reference, measured with the same workloads on the
    same host immediately before the zero-allocation interpreter core
@@ -49,59 +46,53 @@ let baseline = [
 ]
 
 (* Committed allocation budgets in bytes per dynamic instruction; a
-   regression past these fails --check (and CI).  The threaded tier is
-   gated at (effectively) zero: it has no event scratch and no boxed
-   values on any path, so any allocation is a design regression.  The
-   predecode tier allocates nothing per instruction either (memory values
-   cross [mem_iface] as native ints); its budgets are looser.  The ref tier
-   legitimately allocates (int32 register views); its loose budget only
-   catches catastrophic drift. *)
-let alloc_budget ~(tier : Tier.t) name =
+   regression past these fails --check (and CI).  The block tier is
+   gated at (effectively) zero on every workload: it has no event
+   scratch and no boxed values on any path, so any allocation is a
+   design regression.  The predecode tier allocates nothing per
+   instruction either (memory values cross [mem_iface] as native ints);
+   its budgets are looser.  The ref tier legitimately allocates (int32
+   register views); its loose budget only catches catastrophic drift. *)
+let alloc_budget ~tier name =
   match tier with
-  | Tier.Ref -> Some 200.0
-  | Tier.Predecode ->
+  | "ref" -> Some 200.0
+  | "predecode" ->
     List.assoc_opt name
       [ "straightline", 0.10;
         "sgemm-uc", 1.00;
         "war-uc", 2.00;
         "bfs-uc-db", 2.00;
         "adpcm-or", 0.50 ]
-  | Tier.Threaded | Tier.Block ->
-    (* one budget for both closure tiers and all workloads: nothing on
-       either tier may allocate *)
-    Some 0.05
+  | _ -> Some 0.05
 
 (* Absolute MIPS floors: far below a healthy run on any plausible host
-   (the closure tiers measure several hundred MIPS locally), so they
+   (the block tier measures several hundred MIPS locally), so they
    catch order-of-magnitude regressions — an accidental re-compile per
    run, a debug path left on — without flaking on slow CI runners.
-   Every workload now carries a floor on every tier: the bfs-uc-db
+   Every workload carries a floor on every tier: the bfs-uc-db
    episode (a sub-millisecond timing window absorbing the previous
    tier's deferred minor collection read as a predecode regression)
    showed that unfloored kernels let measurement artifacts into the
    committed file unchallenged.  The host-independent gates are the
    relative floors below. *)
-let mips_floor ~(tier : Tier.t) name =
+let mips_floor ~tier name =
   match tier, name with
-  | Tier.Threaded, "straightline" -> Some 100.0
-  | Tier.Block, "straightline" -> Some 140.0
-  | Tier.Predecode, "straightline" -> Some 40.0
-  | Tier.Ref, _ -> Some 15.0
-  | Tier.Predecode, _ -> Some 25.0
-  | (Tier.Threaded | Tier.Block), _ -> Some 40.0
+  | "block", "straightline" -> Some 140.0
+  | "predecode", "straightline" -> Some 40.0
+  | "ref", _ -> Some 15.0
+  | "predecode", _ -> Some 25.0
+  | _ -> Some 40.0
 
 (* Host-independent gates: each pair is (workload, faster tier, baseline
    tier, minimum MIPS ratio), both sides measured in the same process.
    The predecode-vs-ref rows at 1.0 pin the bfs-uc-db fix: the predecode
    tier strictly dominates the boxed reference on every kernel, so any
    recurrence of a predecode-loses row fails --check instead of landing
-   in the committed file. *)
+   in the committed file.  On the dispatch-bound straight-line kernel
+   the block tier must beat predecode by 2x (committed: 3.3x). *)
 let relative_floors =
-  [ "straightline", Tier.Threaded, Tier.Predecode, 1.2;
-    "straightline", Tier.Block, Tier.Threaded, 1.3 ]
-  @ List.map
-    (fun (name, _, _) -> (name, Tier.Predecode, Tier.Ref, 1.0))
-    baseline
+  ("straightline", "block", "predecode", 2.0)
+  :: List.map (fun (name, _, _) -> (name, "predecode", "ref", 1.0)) baseline
 
 (* 16 dependent adds + decrement + branch per iteration: pure register
    ALU work, the worst case for interpreter dispatch overhead. *)
@@ -119,7 +110,7 @@ let straightline ~iters =
 
 type sample = {
   s_name : string;
-  s_tier : Tier.t;
+  s_tier : string;
   s_insns : int;
   s_mips : float;          (* best of the repeats *)
   s_bytes_per_insn : float;
@@ -139,8 +130,7 @@ type sample = {
    collection debt. *)
 let min_window = 0.02
 
-let measure ~repeat ~tier name prog mem_of =
-  let run = Tier.run_serial_with tier in
+let measure ~repeat (tier, run) name prog mem_of =
   let insns_of = function
     | Ok r -> r.Exec.dynamic_insns
     | Error stop -> Fmt.failwith "%s: %a" name Exec.pp_stop stop
@@ -205,7 +195,7 @@ let emit_json path samples =
        pf "    {\"name\": %S, \"tier\": %S, \"insns\": %d, \
            \"mips\": %.2f, \"insns_per_sec\": %.0f, \
            \"bytes_per_insn\": %.2f"
-         s.s_name (Tier.name s.s_tier) s.s_insns s.s_mips
+         s.s_name s.s_tier s.s_insns s.s_mips
          (s.s_mips *. 1e6) s.s_bytes_per_insn;
        (match alloc_budget ~tier:s.s_tier s.s_name with
         | Some b -> pf ", \"alloc_budget\": %.2f" b
@@ -215,7 +205,7 @@ let emit_json path samples =
         | None -> ());
        (match s.s_tier,
               List.find_opt (fun (n, _, _) -> n = s.s_name) baseline with
-        | (Tier.Predecode | Tier.Threaded | Tier.Block), Some (_, bm, bb) ->
+        | ("predecode" | "block"), Some (_, bm, bb) ->
           pf ", \"baseline_mips\": %.2f, \"baseline_bytes_per_insn\": %.2f, \
               \"speedup\": %.2f, \"alloc_ratio\": %.4f"
             bm bb (s.s_mips /. bm) (s.s_bytes_per_insn /. bb)
@@ -319,8 +309,7 @@ let diff_schema committed emitted =
              err "%s: %s %s budget %.2f exceeds %s %.2f" file n fast f slow s
            | _ -> ()
          in
-         pairwise "block" "threaded";
-         pairwise "threaded" "predecode";
+         pairwise "block" "predecode";
          pairwise "predecode" "ref")
       rows
   in
@@ -355,12 +344,12 @@ let check samples =
        (match alloc_budget ~tier:s.s_tier s.s_name with
         | Some budget when s.s_bytes_per_insn > budget ->
           err "%s/%s: %.3f bytes/insn exceeds budget %.2f"
-            s.s_name (Tier.name s.s_tier) s.s_bytes_per_insn budget
+            s.s_name s.s_tier s.s_bytes_per_insn budget
         | _ -> ());
        (match mips_floor ~tier:s.s_tier s.s_name with
         | Some floor when s.s_mips < floor ->
           err "%s/%s: %.1f MIPS below floor %.1f"
-            s.s_name (Tier.name s.s_tier) s.s_mips floor
+            s.s_name s.s_tier s.s_mips floor
         | _ -> ()))
     samples;
   let mips_of name tier =
@@ -374,191 +363,10 @@ let check samples =
        match mips_of wl fast, mips_of wl slow with
        | Some f, Some s when f < ratio *. s ->
          err "%s: %s %.1f MIPS < %.1fx %s (%.1f MIPS)"
-           wl (Tier.name fast) f ratio (Tier.name slow) s
+           wl fast f ratio slow s
        | _ -> ())
     relative_floors;
   !ok
-
-(* -- Superop pair profiler ---------------------------------------------- *)
-
-(* Dynamic adjacent micro-op class pairs over the 25-kernel registry
-   (Table II), plus how much of the dispatch stream the threaded tier's
-   fusion rules actually cover.  This is the profile the fusion rule
-   set was selected against: cmp+branch back-edges, address-gen
-   followed by the memory access, and the [.xi] add+index-bump idiom
-   dominate. *)
-let profile_pairs () =
-  let pairs : (string * string, int ref) Hashtbl.t = Hashtbl.create 64 in
-  let total = ref 0 and dispatches = ref 0 and superops = ref 0 in
-  List.iter
-    (fun k ->
-       let c = Compile.compile k.Kernel.kernel in
-       let prog = c.Compile.program in
-       let pre = Program.predecode prog in
-       let uops = pre.Program.uops in
-       let marks = Threaded.fused_heads prog in
-       let mem = Memory.create () in
-       k.Kernel.init c.Compile.array_base mem;
-       let h = Exec.create_hart () in
-       let mi = Exec.direct_mem mem in
-       let ev = Exec.create_event () in
-       let prev = ref None and absorbed = ref false in
-       let fuel = ref 50_000_000 in
-       (try
-          while !fuel > 0 do
-            let pc = h.Exec.pc in
-            if pc >= 0 && pc < Array.length uops then begin
-              incr total;
-              let cls = Program.uop_class uops.(pc) in
-              (match !prev with
-               | Some p ->
-                 let key = (p, cls) in
-                 (match Hashtbl.find_opt pairs key with
-                  | Some r -> incr r
-                  | None -> Hashtbl.add pairs key (ref 1))
-               | None -> ());
-              prev := Some cls;
-              if !absorbed then absorbed := false
-              else begin
-                incr dispatches;
-                if marks.(pc) then begin incr superops; absorbed := true end
-              end
-            end;
-            Exec.step pre h mi ev;
-            decr fuel
-          done;
-          Fmt.epr "warning: %s out of profiling fuel@." k.Kernel.name
-        with Exec.Halted -> () | Exec.Trap _ -> ()))
-    Registry.table2;
-  let rows =
-    Hashtbl.fold (fun (a, b) r acc -> (a, b, !r) :: acc) pairs []
-    |> List.sort (fun (_, _, x) (_, _, y) -> compare y x)
-  in
-  Fmt.pr "dynamic adjacent micro-op pairs, %d kernels, %d insns:@."
-    (List.length Registry.table2) !total;
-  Fmt.pr "%-22s %12s %7s@." "pair" "count" "share";
-  let shown = ref 0 in
-  List.iter
-    (fun (a, b, n) ->
-       if !shown < 20 then begin
-         incr shown;
-         Fmt.pr "%-22s %12d %6.2f%%@." (a ^ "+" ^ b) n
-           (100.0 *. float_of_int n /. float_of_int !total)
-       end)
-    rows;
-  if List.length rows > 20 then
-    Fmt.pr "(%d more pairs not shown)@." (List.length rows - 20);
-  Fmt.pr "@.superop coverage: %d dispatches for %d insns \
-          (%d superops, %.1f%% of insns fused)@."
-    !dispatches !total !superops
-    (100.0 *. float_of_int (!total - !dispatches) /. float_of_int !total)
-
-(* -- Triple profiler and block coverage --------------------------------- *)
-
-(* Dynamic adjacent micro-op class triples over the registry — the data
-   the block tier's triple-fusion rules were chosen against — plus the
-   static block plan (blocks, sizes, fused triples) and the dynamic
-   block-tier dispatch coverage: how many instructions each dispatch
-   retires, and what fraction of the stream runs inside multi-uop
-   single-dispatch blocks. *)
-let profile_triples () =
-  let triples : (string * string * string, int ref) Hashtbl.t =
-    Hashtbl.create 128 in
-  let total = ref 0 in
-  let blocks = ref 0 and block_insns = ref 0 and fused3 = ref 0 in
-  let dispatches = ref 0 and dyn_insns = ref 0 and multi_insns = ref 0 in
-  let hist = Array.make 65 0 in
-  List.iter
-    (fun k ->
-       let c = Compile.compile k.Kernel.kernel in
-       let prog = c.Compile.program in
-       let pre = Program.predecode prog in
-       let uops = pre.Program.uops in
-       (* static plan *)
-       let (spans, btr) = Threaded.block_plan prog in
-       List.iter
-         (fun (_, len) -> incr blocks; block_insns := !block_insns + len)
-         spans;
-       fused3 := !fused3 + List.length btr;
-       (* dynamic triple census *)
-       let mem = Memory.create () in
-       k.Kernel.init c.Compile.array_base mem;
-       let h = Exec.create_hart () in
-       let mi = Exec.direct_mem mem in
-       let ev = Exec.create_event () in
-       let p2 = ref None and p1 = ref None in
-       let fuel = ref 50_000_000 in
-       (try
-          while !fuel > 0 do
-            let pc = h.Exec.pc in
-            if pc >= 0 && pc < Array.length uops then begin
-              incr total;
-              let cls = Program.uop_class uops.(pc) in
-              (match !p2, !p1 with
-               | Some a, Some b ->
-                 let key = (a, b, cls) in
-                 (match Hashtbl.find_opt triples key with
-                  | Some r -> incr r
-                  | None -> Hashtbl.add triples key (ref 1))
-               | _ -> ());
-              p2 := !p1;
-              p1 := Some cls
-            end;
-            Exec.step pre h mi ev;
-            decr fuel
-          done;
-          Fmt.epr "warning: %s out of profiling fuel@." k.Kernel.name
-        with Exec.Halted -> () | Exec.Trap _ -> ());
-       (* dynamic block-tier coverage *)
-       let mem = Memory.create () in
-       k.Kernel.init c.Compile.array_base mem;
-       match Threaded.run_serial_block_profiled prog mem with
-       | Error stop, _ ->
-         Fmt.failwith "%s: %a" k.Kernel.name Exec.pp_stop stop
-       | Ok _, bp ->
-         dispatches := !dispatches + bp.Threaded.bp_dispatches;
-         dyn_insns := !dyn_insns + bp.Threaded.bp_insns;
-         Array.iteri
-           (fun i n ->
-              if n > 0 then begin
-                let i = min i (Array.length hist - 1) in
-                hist.(i) <- hist.(i) + n;
-                if i >= 2 then multi_insns := !multi_insns + (i * n)
-              end)
-           bp.Threaded.bp_hist)
-    Registry.table2;
-  let rows =
-    Hashtbl.fold (fun (a, b, c) r acc -> (a, b, c, !r) :: acc) triples []
-    |> List.sort (fun (_, _, _, x) (_, _, _, y) -> compare y x)
-  in
-  Fmt.pr "dynamic adjacent micro-op triples, %d kernels, %d insns:@."
-    (List.length Registry.table2) !total;
-  Fmt.pr "%-30s %12s %7s@." "triple" "count" "share";
-  let shown = ref 0 in
-  List.iter
-    (fun (a, b, c, n) ->
-       if !shown < 20 then begin
-         incr shown;
-         Fmt.pr "%-30s %12d %6.2f%%@."
-           (a ^ "+" ^ b ^ "+" ^ c) n
-           (100.0 *. float_of_int n /. float_of_int !total)
-       end)
-    rows;
-  if List.length rows > 20 then
-    Fmt.pr "(%d more triples not shown)@." (List.length rows - 20);
-  Fmt.pr "@.static block plan: %d blocks covering %d insns \
-          (%.1f insns/block), %d fused triples@."
-    !blocks !block_insns
-    (float_of_int !block_insns /. float_of_int (max 1 !blocks)) !fused3;
-  Fmt.pr "block-tier coverage: %d dispatches for %d insns \
-          (%.2f insns/dispatch), %.1f%% of insns in multi-uop blocks@."
-    !dispatches !dyn_insns
-    (float_of_int !dyn_insns /. float_of_int (max 1 !dispatches))
-    (100.0 *. float_of_int !multi_insns /. float_of_int (max 1 !dyn_insns));
-  Fmt.pr "dispatch-size histogram (insns retired -> dispatches):@.";
-  Array.iteri
-    (fun i n -> if n > 0 then Fmt.pr "  %3d %12d@." i n)
-    hist
 
 (* -- Driver ------------------------------------------------------------- *)
 
@@ -566,33 +374,16 @@ let () =
   let repeat = ref 3 in
   let out = ref "BENCH_interp.json" in
   let do_check = ref false in
-  let do_pairs = ref false in
-  let do_triples = ref false in
-  let tier_filter = ref None in
   let diff = ref None in
-  let set_tier s =
-    match Tier.of_string s with
-    | Ok t -> tier_filter := Some t
-    | Error msg -> raise (Arg.Bad msg)
-  in
   let diff_a = ref "" in
   Arg.parse
     [ "--repeat", Arg.Set_int repeat, "N  measurement repetitions (default 3)";
       "--json", Arg.Set_string out,
       "FILE  JSON output (default BENCH_interp.json)";
       "-o", Arg.Set_string out, "FILE  alias for --json";
-      "--tier", Arg.String set_tier,
-      "T  measure only this tier (ref|predecode|threaded|block; \
-       default: all)";
       "--check", Arg.Set do_check,
       "  fail if any workload exceeds its bytes/insn budget or misses \
        its MIPS floor";
-      "--profile-pairs", Arg.Set do_pairs,
-      "  profile dynamic adjacent-uop pairs over the kernel registry \
-       and exit";
-      "--profile-triples", Arg.Set do_triples,
-      "  profile dynamic adjacent-uop triples and block-tier dispatch \
-       coverage over the kernel registry and exit";
       "--diff-schema",
       Arg.Tuple [ Arg.Set_string diff_a;
                   Arg.String (fun b -> diff := Some (!diff_a, b)) ],
@@ -604,11 +395,6 @@ let () =
   | Some (a, b) ->
     if diff_schema a b then Fmt.pr "schema diff: OK@." else exit 1
   | None ->
-  if !do_pairs then profile_pairs ()
-  else if !do_triples then profile_triples ()
-  else begin
-    let tiers =
-      match !tier_filter with Some t -> [ t ] | None -> Tier.all in
     let workloads =
       ("straightline",
        straightline ~iters:1_000_000, fun () -> Memory.create ())
@@ -622,7 +408,7 @@ let () =
       List.concat_map
         (fun (name, prog, mem_of) ->
            List.map
-             (fun tier -> measure ~repeat:!repeat ~tier name prog mem_of)
+             (fun tier -> measure ~repeat:!repeat tier name prog mem_of)
              tiers)
         workloads
     in
@@ -631,7 +417,7 @@ let () =
     List.iter
       (fun s ->
          Fmt.pr "%-14s %-10s %12d %9.2f %13.0f %9.3f@."
-           s.s_name (Tier.name s.s_tier) s.s_insns s.s_mips
+           s.s_name s.s_tier s.s_insns s.s_mips
            (s.s_mips *. 1e6) s.s_bytes_per_insn)
       samples;
     emit_json !out samples;
@@ -639,4 +425,3 @@ let () =
     if !do_check then
       if check samples then Fmt.pr "benchmark gates: OK@."
       else exit 1
-  end

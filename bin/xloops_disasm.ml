@@ -2,8 +2,7 @@
    compiler produces for it, with the xloop bodies annotated.
 
      dune exec bin/xloops_disasm.exe -- -k war-om
-     dune exec bin/xloops_disasm.exe -- -k sgemm-uc -t general
-     dune exec bin/xloops_disasm.exe -- -k war-uc --fused *)
+     dune exec bin/xloops_disasm.exe -- -k sgemm-uc -t general *)
 
 open Cmdliner
 module K = Xloops.Kernels
@@ -22,34 +21,7 @@ let source_arg =
   let doc = "Also print the Loopc source." in
   Arg.(value & flag & info [ "s"; "source" ] ~doc)
 
-let fused_arg =
-  let doc = "Annotate the listing with the threaded tier's superop plan: \
-             fused pairs keep their constituent instructions, marked as \
-             head (with the fusion rule) and tail." in
-  Arg.(value & flag & info [ "f"; "fused" ] ~doc)
-
-(* The fused view prints every constituent instruction — a superop is a
-   dispatch-level pairing, not a rewrite — with head/tail markers, so
-   the listing stays re-parseable modulo the trailing comments. *)
-let pp_fused_listing ppf (p : Program.t) =
-  let plan = Xloops.Sim.Threaded.superops p in
-  Array.iteri
-    (fun pc insn ->
-       List.iter (fun s -> Fmt.pf ppf "%s:@." s) (Program.symbol_at p pc);
-       let marker =
-         match List.assoc_opt pc plan,
-               List.exists (fun (h, _) -> h = pc - 1) plan with
-         | Some r, false -> Fmt.str "  ; fused head (%s)" r
-         | Some r, true -> Fmt.str "  ; fused tail + head (%s)" r
-         | None, true -> "  ; fused tail"
-         | None, false -> ""
-       in
-       Fmt.pf ppf "  %4d: %-32s%s@." pc
-         (Fmt.str "%a" Xloops.Isa.Insn.pp_resolved insn) marker)
-    p.insns;
-  Fmt.pf ppf "@.superop plan: %d fused pair(s)@." (List.length plan)
-
-let run kernel target source fused =
+let run kernel target source =
   Cli_common.guarded @@ fun () ->
   let k = K.Registry.find kernel in
   let c = C.Compile.compile ~target:(Cli_common.parse_target target)
@@ -60,13 +32,8 @@ let run kernel target source fused =
       C.Ast.pp_kernel k.kernel;
   Fmt.pr "── data layout ──────────────────────────────@.%a@."
     Xloops.Asm.Layout.pp c.layout;
-  if fused then
-    Fmt.pr "── assembly (%d instructions, %d spill slots, fused view) ─@.%a@."
-      (Program.length c.program) c.spill_slots pp_fused_listing c.program
-  else
-    Fmt.pr "── assembly (%d instructions, %d spill slots) ─@.%s@."
-      (Program.length c.program) c.spill_slots
-      (Program.to_string c.program);
+  Fmt.pr "── assembly (%d instructions, %d spill slots) ─@.%s@."
+    (Program.length c.program) c.spill_slots (Program.to_string c.program);
   let bodies = C.Compile.xloop_bodies c.program in
   if bodies <> [] then begin
     Fmt.pr "── xloop bodies ─────────────────────────────@.";
@@ -80,6 +47,6 @@ let run kernel target source fused =
 let cmd =
   let doc = "disassemble a compiled XLOOPS kernel" in
   Cmd.v (Cmd.info "xloops_disasm" ~doc)
-    Term.(const run $ kernel_arg $ target_arg $ source_arg $ fused_arg)
+    Term.(const run $ kernel_arg $ target_arg $ source_arg)
 
 let () = exit (Cmd.eval' cmd)

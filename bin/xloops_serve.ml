@@ -126,9 +126,7 @@ let serve listen client_op json queue_limit (eng : Cli_common.engine_args)
       Sys.set_signal Sys.sigint (Sys.Signal_handle stop_sig);
       Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_sig)
     end;
-    Fmt.epr "[serve] ready on %a (exec tier %s)@." P.pp_addr
-      (Service.Server.bound_addr t)
-      (Xloops.Sim.Tier.name eng.Cli_common.ea_exec_tier);
+    Fmt.epr "[serve] ready on %a@." P.pp_addr (Service.Server.bound_addr t);
     Service.Server.wait t;
     Service.Server.stop t;
     0
@@ -137,11 +135,7 @@ let cmd =
   let doc = "run the persistent XLOOPS simulation service" in
   Cmd.v (Cmd.info "xloops_serve" ~doc)
     Term.(const serve $ listen_arg $ client_op_arg $ json_arg
-          $ queue_limit_arg
-          (* the daemon amortizes compilation across requests, so its
-             functional runs default to the fastest tier *)
-          $ Cli_common.engine_term ~pool:true
-              ~tier_default:Xloops.Sim.Tier.Block ()
+          $ queue_limit_arg $ Cli_common.engine_term ~pool:true ()
           $ chaos_seed_arg $ chaos_events_arg $ banner_arg $ quiet_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -8,7 +8,6 @@
 open Cmdliner
 module K = Xloops.Kernels
 module Sim = Xloops.Sim
-module C = Xloops.Compiler
 module Memory = Xloops.Mem.Memory
 
 let kernel_arg =
@@ -78,29 +77,10 @@ let run kernel config mode level limit verbose eng fault_seed
       (match r.check_result with
        | Ok () -> "PASS"
        | Error m -> "FAIL: " ^ m);
-    if verbose then begin
+    if verbose then
       Fmt.pr "host:    wall_ns %d (%.1f MIPS simulated)@."
         res.stats.wall_ns
         (float_of_int res.insns /. Float.max wall 1e-9 /. 1e6);
-      (* What the threaded tier would fuse in this program.  The traced
-         (timed, observed) execution itself always runs unfused through
-         Exec.step; this reports the functional-run plan legibly. *)
-      let plan =
-        Sim.Threaded.superops r.K.Kernel.compiled.C.Compile.program in
-      let tally =
-        List.fold_left
-          (fun acc (_, rule) ->
-             match List.assoc_opt rule acc with
-             | Some n -> (rule, n + 1) :: List.remove_assoc rule acc
-             | None -> (rule, 1) :: acc)
-          [] plan
-        |> List.sort (fun (_, a) (_, b) -> compare b a)
-      in
-      Fmt.pr "superops: %d fused pair(s)%a@." (List.length plan)
-        Fmt.(list ~sep:nop
-               (fun ppf (r, n) -> pf ppf ", %s x%d" r n))
-        tally
-    end;
     Cli_common.report_robustness res.stats;
     0
 

@@ -76,10 +76,9 @@ type predecoded = {
   leaders : bool array;
 }
 
-(** Coarse micro-op class, aligned with {!Xloops_isa.Insn.class_name}
-    but distinguishing the predecode-level splits (xloop_de vs
-    xloop_cmp) — the names the superop pair profiler and the fused
-    disassembly view print. *)
+(** Coarse micro-op class, distinguishing the predecode-level splits
+    (xloop_de vs xloop_cmp) — the names the block compiler's fused-run
+    plan ([Threaded.block_plan]) is reported in. *)
 let uop_class = function
   | U_alu _ -> "alu"
   | U_alui _ -> "alui"

@@ -76,7 +76,7 @@ type predecoded = {
 
 val uop_class : uop -> string
 (** Coarse micro-op class ("alu", "xloop_cmp", ...): the names the
-    superop pair profiler and fused disassembly print. *)
+    block compiler's fused-run plan is reported in. *)
 
 val predecode : t -> predecoded
 (** Memoized (per domain, keyed by physical equality): repeated calls on

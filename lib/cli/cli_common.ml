@@ -92,7 +92,6 @@ type engine_args = {
   ea_jobs : int;
   ea_cache_dir : string option; (* None: on-disk cache disabled *)
   ea_cache_limit_mb : int option; (* None: unbounded cache *)
-  ea_exec_tier : Sim.Tier.t;    (* functional-run execution tier *)
 }
 
 let fuel_doc =
@@ -115,12 +114,6 @@ let no_cache_doc = "Disable the on-disk result cache."
 let cache_limit_mb_doc =
   "Size bound on the result cache in megabytes: least-recently-written \
    blobs past it are reaped at startup (env XLOOPS_CACHE_LIMIT_MB)."
-let exec_tier_doc =
-  "Execution tier for functional (observer-free) runs: ref, predecode, \
-   threaded or block (env XLOOPS_EXEC_TIER).  All tiers are \
-   architecturally identical; timing models are unaffected, except \
-   that LPSU lanes use compiled dispatch for plain instructions unless \
-   the ref tier is selected or an observer is attached."
 
 let env_opt_int ?min var =
   match Sys.getenv_opt var with
@@ -146,9 +139,7 @@ let default_engine_args ?(max_retries = 0) () =
     ea_cache_dir =
       Some (Option.value (Sys.getenv_opt "XLOOPS_CACHE_DIR")
               ~default:Run_cache.default_dir);
-    ea_cache_limit_mb = env_opt_int ~min:1 "XLOOPS_CACHE_LIMIT_MB";
-    (* Tier.get is initialized from XLOOPS_EXEC_TIER at module init *)
-    ea_exec_tier = Sim.Tier.get () }
+    ea_cache_limit_mb = env_opt_int ~min:1 "XLOOPS_CACHE_LIMIT_MB" }
 
 let fuel_arg =
   Arg.(value & opt (some int) None & info [ "fuel" ] ~doc:fuel_doc)
@@ -178,39 +169,14 @@ let cache_limit_mb_arg =
   Arg.(value & opt (some int) None
        & info [ "cache-limit-mb" ] ~doc:cache_limit_mb_doc)
 
-let tier_conv =
-  let parse s =
-    match Sim.Tier.of_string s with
-    | Ok t -> Ok t
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, fun ppf t -> Fmt.string ppf (Sim.Tier.name t))
-
-let exec_tier_arg =
-  Arg.(value & opt (some tier_conv) None
-       & info [ "exec-tier" ] ~doc:exec_tier_doc)
-
 (** The Cmdliner form of the record.  [pool] additionally surfaces
     [--jobs]/[--cache-dir]/[--no-cache] (the daemon); the single-run
-    tools leave them at their defaults.  [tier_default] lets a tool pick
-    its own tier when neither the flag nor the environment chose one
-    (the sweep service defaults to [Threaded]).  The resolved tier is
-    installed process-wide ({!Sim.Tier.set}) as part of parsing, so
-    every functional-run site downstream observes it. *)
-let engine_term ?(pool = false) ?max_retries ?tier_default ()
+    tools leave them at their defaults. *)
+let engine_term ?(pool = false) ?max_retries ()
   : engine_args Cmdliner.Term.t =
   let combine fuel watchdog deadline retries jobs cache_dir no_cache
-      cache_limit_mb exec_tier =
+      cache_limit_mb =
     let d = default_engine_args ?max_retries () in
-    let tier =
-      match exec_tier with
-      | Some t -> t
-      | None ->
-        (match Sys.getenv_opt Sim.Tier.env_var with
-         | Some s when s <> "" -> d.ea_exec_tier   (* env already applied *)
-         | _ -> Option.value tier_default ~default:d.ea_exec_tier)
-    in
-    Sim.Tier.set tier;
     { ea_fuel = (match fuel with Some _ -> fuel | None -> d.ea_fuel);
       ea_watchdog =
         (match watchdog with Some _ -> watchdog | None -> d.ea_watchdog);
@@ -228,17 +194,16 @@ let engine_term ?(pool = false) ?max_retries ?tier_default ()
       ea_cache_limit_mb =
         (match cache_limit_mb with
          | Some _ -> cache_limit_mb
-         | None -> d.ea_cache_limit_mb);
-      ea_exec_tier = tier }
+         | None -> d.ea_cache_limit_mb) }
   in
   if pool then
     Term.(const combine $ fuel_arg $ watchdog_arg $ deadline_arg
           $ max_retries_arg $ jobs_arg $ cache_dir_arg $ no_cache_arg
-          $ cache_limit_mb_arg $ exec_tier_arg)
+          $ cache_limit_mb_arg)
   else
     Term.(const combine $ fuel_arg $ watchdog_arg $ deadline_arg
           $ max_retries_arg $ const None $ const None $ const false
-          $ const None $ exec_tier_arg)
+          $ const None)
 
 (** Hand-rolled-parser form of the same flags for bench/main.exe (which
     parses argv itself): consume one engine flag from the head of
@@ -283,15 +248,6 @@ let consume_engine_flag (o : engine_args ref) (args : string list) :
     Some tl
   | "--no-cache" :: tl ->
     o := { !o with ea_cache_dir = None };
-    Some tl
-  | "--exec-tier" :: v :: tl ->
-    (match Sim.Tier.of_string v with
-     | Ok t ->
-       Sim.Tier.set t;
-       o := { !o with ea_exec_tier = t }
-     | Error msg ->
-       Fmt.epr "error: bad value for --exec-tier: %s@." msg;
-       exit 2);
     Some tl
   | _ -> None
 

@@ -193,12 +193,11 @@ let width_bytes : width -> int = function
 let is_xloop = function Xloop _ -> true | _ -> false
 let is_xi = function Xi_addi _ | Xi_add _ -> true | _ -> false
 
-(* Fusion metadata for the direct-threaded execution tier: a superop may
-   only start at an instruction whose effect is a pure register write
+(* Fusion metadata for the block-compiled execution tier: a fused run
+   may only contain instructions whose effect is a pure register write
    (no memory traffic, no control transfer, no trap) — those are the
-   heads the threaded compiler can replay inline in front of any
-   successor.  Anything may be a tail except the instructions whose
-   side effects the surrounding machinery must see one at a time. *)
+   heads the block compiler can replay inline in front of any
+   successor. *)
 
 let fusible_head = function
   | Alu (_, rd, _, _) | Alui (_, rd, _, _) | Lui (rd, _)
@@ -206,33 +205,6 @@ let fusible_head = function
   | Fpu _          (* long-latency; keep the slot boundaries visible *)
   | Load _ | Store _ | Amo _ | Branch _ | Jump _ | Jal _ | Jr _
   | Xloop _ | Sync | Halt | Nop -> false
-
-let fusible_tail = function
-  | Alu _ | Alui _ | Lui _ | Xi_addi _ | Xi_add _
-  | Load _ | Store _ | Branch _ | Xloop _ -> true
-  | Fpu _ | Amo _ | Jump _ | Jal _ | Jr _ | Sync | Halt | Nop -> false
-
-(** Coarse operation class, the key the superop profiler aggregates
-    dynamic adjacent-pair counts under ("alui+branch", "xi_addi+xloop",
-    ...). *)
-let class_name = function
-  | Alu _ -> "alu"
-  | Alui _ -> "alui"
-  | Fpu _ -> "fpu"
-  | Lui _ -> "lui"
-  | Load _ -> "load"
-  | Store _ -> "store"
-  | Amo _ -> "amo"
-  | Branch _ -> "branch"
-  | Jump _ -> "jump"
-  | Jal _ -> "jal"
-  | Jr _ -> "jr"
-  | Xloop _ -> "xloop"
-  | Xi_addi _ -> "xi_addi"
-  | Xi_add _ -> "xi_add"
-  | Sync -> "sync"
-  | Halt -> "halt"
-  | Nop -> "nop"
 
 let pp pp_lbl ppf (i : _ t) =
   let r = Reg.pp in

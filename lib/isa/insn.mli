@@ -98,23 +98,16 @@ val width_bytes : width -> int
 val is_xloop : _ t -> bool
 val is_xi : _ t -> bool
 
-(** {1 Superop fusion metadata} (the direct-threaded execution tier)
+(** {1 Fusion metadata} (the block-compiled execution tier)
 
-    A fused superop executes two adjacent static instructions in one
-    dispatch.  {!fusible_head} marks instructions whose entire effect is
-    a register write (no memory traffic, control transfer or trap), so
-    they can be replayed inline in front of any successor;
-    {!fusible_tail} marks the instructions allowed in the second slot.
-    Whether a particular pair actually fuses is the threaded compiler's
-    decision — these predicates are the architectural constraint. *)
+    {!fusible_head} marks instructions whose entire effect is a register
+    write (no memory traffic, control transfer or trap), so the block
+    compiler can replay them inline in front of any successor and fuse
+    runs of them into one closure.  Which runs actually fuse is the
+    block compiler's decision — this predicate is the architectural
+    constraint. *)
 
 val fusible_head : _ t -> bool
-val fusible_tail : _ t -> bool
-
-val class_name : _ t -> string
-(** Coarse operation class ("alu", "alui", "load", ...) — the key the
-    superop pair profiler aggregates dynamic adjacent-pair counts
-    under. *)
 
 val map_label : ('a -> 'b) -> 'a t -> 'b t
 

@@ -118,7 +118,7 @@ let run ?target ?cfg ?mode ?adaptive ?faults ?watchdog ?degrade ?fuel
 
 (** Dynamic instruction count of the serial functional execution —
     Table II's dynamic-instruction columns.  Observer-free, so it runs
-    through the selected execution tier ({!Xloops_sim.Tier}). *)
+    through the block-compiled tier ({!Xloops_sim.Tier.run_serial}). *)
 let dynamic_insns ?(target = Compile.xloops) (k : t) =
   let compiled = Compile.compile ~target k.kernel in
   let mem = Memory.create () in

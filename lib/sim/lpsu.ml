@@ -164,7 +164,7 @@ type t = {
      whose lane-level effects are fully recoverable without the event
      record ({!Threaded.lane_meta}, further demoted below for CIR and
      dynamic-bound bookkeeping).  [fast_ok] gates the whole array off
-     whenever an observer is attached or the reference tier is forced. *)
+     whenever an observer (trace or fault injector) is attached. *)
   mutable lane_fast : Threaded.lane_meta array;  (* by pc - body_start *)
   fast_ok : bool;
   mutable watchdog : int;        (* no-progress cycles before a hang; 0=off *)
@@ -285,7 +285,7 @@ let create ~prog ~mem ~dcache ~(cfg : Config.t) ~stats ?trace ?faults () =
       cycle = 0; stop_after = max_int;
       spec_pattern = false; has_cirs = false; trace;
       faults; lane_fast = [||];
-      fast_ok = trace = None && faults = None && Tier.get () <> Tier.Ref;
+      fast_ok = trace = None && faults = None;
       watchdog = 0; last_progress = 0; drop_broadcasts = 0 }
   in
   Array.iter

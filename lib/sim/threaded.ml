@@ -1,28 +1,24 @@
-(** Direct-threaded execution tier.
+(** Block-compiled execution tier.
 
     The predecoded tier ({!Exec.step}) still pays, per dynamic
     instruction, an 18-arm match on the micro-op, the event-scratch
     reset, and the per-step calling convention.  This tier compiles each
-    {!Program.predecoded} once into an array of closures — one per
-    static instruction, specialized at compile time to its operands — so
-    the driver loop is a single indirect call per dispatch and no event
-    record exists at all.
+    {!Program.predecoded} once into closures: one single-op closure per
+    static instruction, specialized at compile time to its operands, and
+    above them one closure per basic block that retires the whole block
+    in one dispatch and one retirement bump, with runs of fusible heads
+    ({!Xloops_isa.Insn.fusible_head}) fused inside.  Only block leaders
+    dispatch a block closure; every other pc keeps its single-op
+    closure, so a jump into the middle of a block simply dispatches the
+    per-uop code from there.
 
-    On top of the single-op closures, adjacent pairs selected by the
-    {!Xloops_isa.Insn.fusible_head}/[fusible_tail] predicates fuse into
-    *superop* closures that execute both micro-ops in one dispatch:
-    compare+branch, address-gen+load/store, and the [.xi]
-    add+index-bump idioms the static pair profiler (bench/micro
-    [--profile-pairs]) shows dominate the kernel registry.  Fusion is
-    purely local: the slot after a fused head keeps its own single-op
-    closure, so a jump into the middle of a pair needs no target
-    analysis — it simply dispatches the unfused second op.
-
-    Because no event is produced, this tier serves only observer-free
-    functional runs ({!run_serial} consumers such as
-    [Kernel.dynamic_insns] and the bench harness).  Anything that
-    watches per-instruction events — GPP timing, the LPSU lanes,
-    tracing, the watchdog, fault injection — stays on {!Exec.step}. *)
+    Because no event is produced, the driver ({!run_serial_block})
+    serves only observer-free functional runs such as
+    [Kernel.dynamic_insns].  Anything that watches per-instruction
+    events — GPP timing, tracing, the watchdog, fault injection — stays
+    on {!Exec.step}.  The LPSU lanes borrow the single-op closures of
+    observationally silent pcs ({!lane_meta}) while no observer is
+    attached. *)
 
 open Xloops_isa
 module Program = Xloops_asm.Program
@@ -41,9 +37,6 @@ type op = state -> unit
 type compiled = {
   pre : Program.predecoded;
   ops : op array;   (** single-op closures, parallel to the uops *)
-  sup : op array;   (** [ops] with fused heads replaced by superops *)
-  rules : (int * string) list;
-      (** superop head pcs (ascending) and their rule names *)
   blk : op array;
       (** block closures at leaders of multi-uop blocks; [ops] elsewhere *)
   max_block : int;  (** most uops any [blk] dispatch can retire (>= 1) *)
@@ -301,14 +294,14 @@ let fast_op (u : P.uop) pc : op =
     st.pc <- pc;
     raise Exec.Halted
 
-(* -- Superop fusion ---------------------------------------------------- *)
+(* -- Fusible heads ------------------------------------------------------ *)
 
 (* A fusible head's entire effect is one register write, captured as
-   compile-time data so each tail constructor specializes against it.
-   The hottest head shapes (plain add / add-immediate, which is also
-   what both [.xi] forms lower to) get fully inlined bodies in the fused
-   closures; the rest go through [run_head], a per-closure-constant
-   match that predicts perfectly. *)
+   compile-time data so the block compiler's fused closures specialize
+   against it.  The hottest head shapes (plain add / add-immediate,
+   which is also what both [.xi] forms lower to) get fully inlined
+   bodies in the fused closures; the rest go through [run_head], a
+   per-closure-constant match that predicts perfectly. *)
 
 type head =
   | H_add of int * int * int           (* rd, rs, rt *)
@@ -337,191 +330,6 @@ let run_head (h : head) (r : int array) =
   | H_alu (op, rd, rs, rt) -> s r rd (Exec.alu_eval_int op (g r rs) (g r rt))
   | H_alui (op, rd, rs, imm) -> s r rd (Exec.alu_eval_int op (g r rs) imm)
   | H_const (rd, v) -> s r rd v
-
-(* Build the superop closure for the pair at [pc], or [None] when the
-   pair doesn't fuse.  Every branch of a fused closure executes both
-   micro-ops and retires 2, so a fused dispatch is observationally two
-   [ops] dispatches. *)
-let fuse_pair (src : int Insn.t array) (uops : P.uop array) pc
-  : (op * string) option =
-  let n = Array.length uops in
-  if pc + 1 >= n then None
-  else
-    match head_of src.(pc) uops.(pc) with
-    | None -> None
-    | Some h ->
-      let tail = uops.(pc + 1) in
-      if not (Insn.fusible_tail src.(pc + 1) && uop_valid tail) then None
-      else begin
-        let nx2 = pc + 2 in
-        let rule tl = P.uop_class uops.(pc) ^ "+" ^ tl in
-        match tail with
-        | P.U_branch (c, brs, brt, l) ->
-          let f =
-            match h, c with
-            | H_addi (rd, rs, imm), Insn.Bne -> fun st ->
-              let r = st.regs in
-              s r rd (norm (g r rs + imm));
-              st.pc <- (if g r brs <> g r brt then l else nx2);
-              st.retired <- st.retired + 2
-            | H_addi (rd, rs, imm), Blt -> fun st ->
-              let r = st.regs in
-              s r rd (norm (g r rs + imm));
-              st.pc <- (if g r brs < g r brt then l else nx2);
-              st.retired <- st.retired + 2
-            | _, Beq -> fun st ->
-              let r = st.regs in
-              run_head h r;
-              st.pc <- (if g r brs = g r brt then l else nx2);
-              st.retired <- st.retired + 2
-            | _, Bne -> fun st ->
-              let r = st.regs in
-              run_head h r;
-              st.pc <- (if g r brs <> g r brt then l else nx2);
-              st.retired <- st.retired + 2
-            | _, Blt -> fun st ->
-              let r = st.regs in
-              run_head h r;
-              st.pc <- (if g r brs < g r brt then l else nx2);
-              st.retired <- st.retired + 2
-            | _, Bge -> fun st ->
-              let r = st.regs in
-              run_head h r;
-              st.pc <- (if g r brs >= g r brt then l else nx2);
-              st.retired <- st.retired + 2
-            | _, Bltu -> fun st ->
-              let r = st.regs in
-              run_head h r;
-              st.pc <-
-                (if g r brs land 0xFFFFFFFF < g r brt land 0xFFFFFFFF
-                 then l else nx2);
-              st.retired <- st.retired + 2
-            | _, Bgeu -> fun st ->
-              let r = st.regs in
-              run_head h r;
-              st.pc <-
-                (if g r brs land 0xFFFFFFFF >= g r brt land 0xFFFFFFFF
-                 then l else nx2);
-              st.retired <- st.retired + 2
-          in
-          Some (f, rule "branch")
-        | U_xloop_cmp (xrs, xrt, l) ->
-          let f =
-            match h with
-            | H_addi (rd, rs, imm) -> fun st ->
-              (* the canonical [.xi] index-bump + xloop back-edge pair *)
-              let r = st.regs in
-              s r rd (norm (g r rs + imm));
-              st.pc <- (if g r xrs < g r xrt then l else nx2);
-              st.retired <- st.retired + 2
-            | H_add (rd, rs, rt) -> fun st ->
-              let r = st.regs in
-              s r rd (norm (g r rs + g r rt));
-              st.pc <- (if g r xrs < g r xrt then l else nx2);
-              st.retired <- st.retired + 2
-            | _ -> fun st ->
-              let r = st.regs in
-              run_head h r;
-              st.pc <- (if g r xrs < g r xrt then l else nx2);
-              st.retired <- st.retired + 2
-          in
-          Some (f, rule "xloop_cmp")
-        | U_xloop_de (xrt, l) ->
-          let f st =
-            let r = st.regs in
-            run_head h r;
-            st.pc <- (if g r xrt = 0 then l else nx2);
-            st.retired <- st.retired + 2
-          in
-          Some (f, rule "xloop_de")
-        | U_load (w, rd, rs, imm, _) ->
-          if rd = 0 then
-            let f st =
-              let r = st.regs in
-              run_head h r;
-              ignore (Memory.load_int st.mem w (g r rs + imm));
-              st.pc <- nx2; st.retired <- st.retired + 2
-            in
-            Some (f, rule "load")
-          else begin
-            let f =
-              match h with
-              | H_add (hrd, hrs, hrt) -> fun st ->
-                (* address-gen + load *)
-                let r = st.regs in
-                s r hrd (norm (g r hrs + g r hrt));
-                s r rd (Memory.load_int st.mem w (g r rs + imm));
-                st.pc <- nx2; st.retired <- st.retired + 2
-              | H_addi (hrd, hrs, himm) -> fun st ->
-                let r = st.regs in
-                s r hrd (norm (g r hrs + himm));
-                s r rd (Memory.load_int st.mem w (g r rs + imm));
-                st.pc <- nx2; st.retired <- st.retired + 2
-              | _ -> fun st ->
-                let r = st.regs in
-                run_head h r;
-                s r rd (Memory.load_int st.mem w (g r rs + imm));
-                st.pc <- nx2; st.retired <- st.retired + 2
-            in
-            Some (f, rule "load")
-          end
-        | U_store (w, srt, srs, imm, _) ->
-          let f =
-            match h with
-            | H_add (hrd, hrs, hrt) -> fun st ->
-              (* address-gen + store *)
-              let r = st.regs in
-              s r hrd (norm (g r hrs + g r hrt));
-              Memory.store_int st.mem w (g r srs + imm) (g r srt);
-              st.pc <- nx2; st.retired <- st.retired + 2
-            | H_addi (hrd, hrs, himm) -> fun st ->
-              let r = st.regs in
-              s r hrd (norm (g r hrs + himm));
-              Memory.store_int st.mem w (g r srs + imm) (g r srt);
-              st.pc <- nx2; st.retired <- st.retired + 2
-            | _ -> fun st ->
-              let r = st.regs in
-              run_head h r;
-              Memory.store_int st.mem w (g r srs + imm) (g r srt);
-              st.pc <- nx2; st.retired <- st.retired + 2
-          in
-          Some (f, rule "store")
-        | U_alu _ | U_alui _ | U_lui _ | U_xi_addi _ | U_xi_add _ ->
-          (match head_of src.(pc + 1) tail with
-           | None -> None  (* e.g. a dropped write to r0: not worth a superop *)
-           | Some h2 ->
-             let f =
-               match h, h2 with
-               | H_add (rd1, rs1, rt1), H_add (rd2, rs2, rt2) -> fun st ->
-                 let r = st.regs in
-                 s r rd1 (norm (g r rs1 + g r rt1));
-                 s r rd2 (norm (g r rs2 + g r rt2));
-                 st.pc <- nx2; st.retired <- st.retired + 2
-               | H_add (rd1, rs1, rt1), H_addi (rd2, rs2, imm2) -> fun st ->
-                 let r = st.regs in
-                 s r rd1 (norm (g r rs1 + g r rt1));
-                 s r rd2 (norm (g r rs2 + imm2));
-                 st.pc <- nx2; st.retired <- st.retired + 2
-               | H_addi (rd1, rs1, imm1), H_add (rd2, rs2, rt2) -> fun st ->
-                 let r = st.regs in
-                 s r rd1 (norm (g r rs1 + imm1));
-                 s r rd2 (norm (g r rs2 + g r rt2));
-                 st.pc <- nx2; st.retired <- st.retired + 2
-               | H_addi (rd1, rs1, imm1), H_addi (rd2, rs2, imm2) -> fun st ->
-                 let r = st.regs in
-                 s r rd1 (norm (g r rs1 + imm1));
-                 s r rd2 (norm (g r rs2 + imm2));
-                 st.pc <- nx2; st.retired <- st.retired + 2
-               | _, _ -> fun st ->
-                 let r = st.regs in
-                 run_head h r;
-                 run_head h2 r;
-                 st.pc <- nx2; st.retired <- st.retired + 2
-             in
-             Some (f, rule (P.uop_class tail)))
-        | U_fpu _ | U_amo _ | U_jump _ | U_jal _ | U_jr _ | U_sync
-        | U_halt | U_nop -> None
-      end
 
 (* -- Basic-block compilation ------------------------------------------- *)
 
@@ -701,9 +509,9 @@ let term_op ?pre (u : P.uop) pc ~dt : op =
   | _ -> assert false
 
 (* Hot head+terminator pairs, fully inlined (the addi+bne / addi+blt
-   back edges and the [.xi] bump + xloop back edge the pair profile
-   shows dominate); the rest compose [run_head] in front of [term_op]'s
-   generic arms. *)
+   back edges and the [.xi] bump + xloop back edge that dominate the
+   kernel registry's loops); the rest compose [run_head] in front of
+   [term_op]'s generic arms. *)
 let term_op1 (h : head) (u : P.uop) pc ~dt : op =
   let nx = pc + 1 in
   match h, u with
@@ -905,7 +713,7 @@ let fuse_run (hs : head list) : op =
       v := x
     done
 
-(* Address-gen + load + bump: the other dominant profiled triple.  The
+(* Address-gen + load + bump: the other dominant block triple.  The
    load is still a sync point inside the fused closure — the delta
    published covers the head and everything before it. *)
 let fuse3_load (h1 : head) (u : P.uop) pc ~delta (h3 : head) : op =
@@ -948,10 +756,10 @@ let rec chain (fs : op list) : op =
    be a terminator) into one closure, fusing greedily left to right:
    maximal head runs become forwarded chains ({!fuse_run}), a lone
    address-gen head in front of a load with an index bump behind it
-   becomes the profiled load triple ({!fuse3_load}), a lone head in
-   front of the terminator inlines into it ({!term_op1}).  Returns the
-   closure and the fused groups fired, as (head pc,
-   "class+class+...") — the block plan the triple profiler reports. *)
+   becomes the load triple ({!fuse3_load}), a lone head in front of the
+   terminator inlines into it ({!term_op1}).  Returns the closure and
+   the fused groups fired, as (head pc, "class+class+...") — the block
+   plan {!block_plan} reports. *)
 let compile_block (src : int Insn.t array) (uops : P.uop array) l e
   : op * (int * string) list =
   let rules = ref [] in
@@ -1069,19 +877,6 @@ let compile_fresh (pre : Program.predecoded) : compiled =
         let u = uops.(pc) in
         if uop_valid u then fast_op u pc else safe_op u pc)
   in
-  let sup = Array.copy ops in
-  let rules = ref [] in
-  (* Greedy left-to-right pairing, but installed in any order: a fused
-     head at [pc] overlapping one at [pc+1] is harmless (whichever head
-     control reaches wins; both execute exact pair semantics), so no
-     overlap resolution is needed. *)
-  for pc = n - 2 downto 0 do
-    match fuse_pair src uops pc with
-    | Some (f, rule) ->
-      sup.(pc) <- f;
-      rules := (pc, rule) :: !rules
-    | None -> ()
-  done;
   (* Block closures at the leaders of multi-uop blocks; every other pc
      (jr targets, mid-block branch destinations in hand-built code)
      keeps its single-op closure, so any dynamic pc is dispatchable. *)
@@ -1110,7 +905,7 @@ let compile_fresh (pre : Program.predecoded) : compiled =
       end
     end
   done;
-  { pre; ops; sup; rules = !rules; blk; max_block = !max_block;
+  { pre; ops; blk; max_block = !max_block;
     spans = !spans; btriples = !btriples;
     lane = lane_meta_of src uops ops }
 
@@ -1137,14 +932,6 @@ let compile (pre : Program.predecoded) : compiled =
     cache := (pre, c) :: rest;
     c
 
-let superops prog = (compile (Program.predecode prog)).rules
-
-let fused_heads prog =
-  let c = compile (Program.predecode prog) in
-  let marks = Array.make (Array.length c.ops) false in
-  List.iter (fun (pc, _) -> marks.(pc) <- true) c.rules;
-  marks
-
 let block_plan prog =
   let c = compile (Program.predecode prog) in
   (c.spans, c.btriples)
@@ -1152,39 +939,6 @@ let block_plan prog =
 let lane_meta pre = (compile pre).lane
 
 (* -- Driver ------------------------------------------------------------ *)
-
-(* Fuel parity with {!Exec.run_serial}: a superop always retires its
-   pair whole, so running fused code until [fuel] could overshoot by
-   one.  The main loop therefore runs fused code only while at least two
-   units of fuel remain (a superop landing exactly on [fuel] is fine),
-   and the final unit — if still unspent — executes one *unfused* op.
-   Out-of-fuel reports are then bit-identical to the per-step tiers. *)
-let run_serial ?(entry = 0) ?(fuel = 200_000_000) prog
-    (m : Memory.t) : (Exec.run, Exec.stop) result =
-  let c = compile (Program.predecode prog) in
-  let sup = c.sup and ops = c.ops in
-  let n = Array.length sup in
-  let st = { regs = Array.make Reg.num_regs 0; mem = m;
-             pc = entry; retired = 0 } in
-  try
-    let lim = fuel - 1 in
-    while st.retired < lim do
-      let pc = st.pc in
-      if pc < 0 || pc >= n then
-        raise (Exec.Trap (Printf.sprintf "pc out of range: %d" pc));
-      (Array.unsafe_get sup pc) st
-    done;
-    if st.retired < fuel then begin
-      let pc = st.pc in
-      if pc < 0 || pc >= n then
-        raise (Exec.Trap (Printf.sprintf "pc out of range: %d" pc));
-      (Array.unsafe_get ops pc) st
-    end;
-    Error (Exec.Out_of_fuel { pc = st.pc; insns = st.retired;
-                              cycle = st.retired })
-  with Exec.Halted ->
-    Ok { Exec.dynamic_insns = st.retired;
-         final = { Exec.regs = st.regs; pc = st.pc } }
 
 (* Block-dispatch driver.  A block dispatch retires at most [max_block]
    uops in one bump, so the main loop only runs while that much fuel
@@ -1217,59 +971,3 @@ let run_serial_block ?(entry = 0) ?(fuel = 200_000_000) prog
   with Exec.Halted ->
     Ok { Exec.dynamic_insns = st.retired;
          final = { Exec.regs = st.regs; pc = st.pc } }
-
-type block_profile = {
-  bp_dispatches : int;
-  bp_insns : int;
-  bp_hist : int array;  (** [bp_hist.(k)] = dispatches that retired k *)
-}
-
-(* Instrumented [run_serial_block] for the coverage report; the
-   per-dispatch accounting allocates nothing but costs a handful of
-   loads per dispatch, so it stays out of the measured driver. *)
-let run_serial_block_profiled ?(entry = 0) ?(fuel = 200_000_000) prog
-    (m : Memory.t) : (Exec.run, Exec.stop) result * block_profile =
-  let c = compile (Program.predecode prog) in
-  let blk = c.blk and ops = c.ops in
-  let n = Array.length blk in
-  let hist = Array.make (c.max_block + 1) 0 in
-  let dispatches = ref 0 in
-  let st = { regs = Array.make Reg.num_regs 0; mem = m;
-             pc = entry; retired = 0 } in
-  let res =
-    try
-      let lim = fuel - c.max_block in
-      while st.retired <= lim do
-        let pc = st.pc in
-        if pc < 0 || pc >= n then
-          raise (Exec.Trap (Printf.sprintf "pc out of range: %d" pc));
-        let before = st.retired in
-        (try (Array.unsafe_get blk pc) st
-         with Exec.Halted ->
-           incr dispatches;
-           hist.(st.retired - before) <- hist.(st.retired - before) + 1;
-           raise Exec.Halted);
-        incr dispatches;
-        hist.(st.retired - before) <- hist.(st.retired - before) + 1
-      done;
-      while st.retired < fuel do
-        let pc = st.pc in
-        if pc < 0 || pc >= n then
-          raise (Exec.Trap (Printf.sprintf "pc out of range: %d" pc));
-        let before = st.retired in
-        (try (Array.unsafe_get ops pc) st
-         with Exec.Halted ->
-           incr dispatches;
-           hist.(st.retired - before) <- hist.(st.retired - before) + 1;
-           raise Exec.Halted);
-        incr dispatches;
-        hist.(st.retired - before) <- hist.(st.retired - before) + 1
-      done;
-      Error (Exec.Out_of_fuel { pc = st.pc; insns = st.retired;
-                                cycle = st.retired })
-    with Exec.Halted ->
-      Ok { Exec.dynamic_insns = st.retired;
-           final = { Exec.regs = st.regs; pc = st.pc } }
-  in
-  (res, { bp_dispatches = !dispatches; bp_insns = st.retired;
-          bp_hist = hist })

@@ -1,16 +1,12 @@
-(** Direct-threaded execution tier: each {!Program.predecoded} compiles
-    once into an array of closures (one indirect call per dispatch, no
-    event record), with adjacent-pair *superop* fusion — cmp+branch,
-    address-gen+load/store, [.xi] add+index-bump — on top, and a
-    *block-compiled* layer above that: basic blocks discovered at
-    predecode time compile into single closures that retire the whole
-    block in one bump, with the dominant profiled triples (add chains,
-    addi+cmp+branch back edges, address-gen+load+bump) fused inside.
-    Fusion is purely local: the slot after a fused head keeps its
-    single-op closure, so jumps into the middle of a pair or block are
-    always legal.
+(** Block-compiled execution tier: each {!Program.predecoded} compiles
+    once into one closure per static instruction and, above those, one
+    closure per basic block that retires the whole block in one bump,
+    with the dominant add chains, addi+cmp+branch back edges and
+    address-gen+load+bump triples fused inside.  Only block leaders
+    dispatch a block closure; every other pc keeps its single-op
+    closure, so jumps into the middle of a block are always legal.
 
-    These tiers produce no per-instruction events, so they serve only
+    The tier produces no per-instruction events, so it serves only
     observer-free functional runs; timing models, tracing, the watchdog
     and fault injection stay on {!Exec.step}.  The exception is the LPSU
     lane fast path ({!lane_meta}): pcs whose execution is observationally
@@ -33,45 +29,21 @@ type state = {
 
 type op = state -> unit
 
-val run_serial : ?entry:int -> ?fuel:int -> Program.t ->
+val run_serial_block : ?entry:int -> ?fuel:int -> Program.t ->
   Xloops_mem.Memory.t -> (Exec.run, Exec.stop) result
 (** Same contract as {!Exec.run_serial}, bit-identical results
     (registers, memory, dynamic instruction count, out-of-fuel report,
-    trap/halt behavior) — property-tested in [test_threaded].
-    Compilation is memoized per domain, keyed by physical equality. *)
+    trap/halt behavior) — property-tested in [test_threaded].  One
+    dispatch and one retirement bump per basic block; side exits
+    (memory traps, halt, fuel exhaustion) materialize the precise
+    mid-block pc and register state.  Compilation is memoized per
+    domain, keyed by physical equality. *)
 
-val run_serial_block : ?entry:int -> ?fuel:int -> Program.t ->
-  Xloops_mem.Memory.t -> (Exec.run, Exec.stop) result
-(** {!run_serial} on the block-compiled layer: one dispatch and one
-    retirement bump per basic block.  Side exits (memory traps, halt,
-    fuel exhaustion) materialize the precise mid-block pc and register
-    state, so results stay bit-identical to every other tier. *)
-
-(** {1 Compilation plan} (for the fused disassembly view and the
-    pair/triple profilers) *)
-
-val superops : Program.t -> (int * string) list
-(** Head pc and rule name ("alui+branch", "xi_addi+xloop_cmp", ...) of
-    every fused pair, in ascending pc order.  The pair covers the head
-    pc and the following instruction. *)
-
-val fused_heads : Program.t -> bool array
-(** Per-pc superop-head marks, parallel to the instruction array. *)
+(** {1 Compilation plan} *)
 
 val block_plan : Program.t -> (int * int) list * (int * string) list
 (** Compiled basic blocks as (leader pc, uop count) and fused triples as
     (head pc, "class+class+class"), both in ascending pc order. *)
-
-type block_profile = {
-  bp_dispatches : int;  (** dynamic block-tier dispatches *)
-  bp_insns : int;       (** instructions retired *)
-  bp_hist : int array;  (** [bp_hist.(k)] = dispatches that retired k *)
-}
-
-val run_serial_block_profiled : ?entry:int -> ?fuel:int -> Program.t ->
-  Xloops_mem.Memory.t -> (Exec.run, Exec.stop) result * block_profile
-(** {!run_serial_block} with per-dispatch retirement accounting, for the
-    bench block-coverage report. *)
 
 (** {1 LPSU lane fast path} *)
 

@@ -1,58 +1,4 @@
-(** Execution-tier selection for observer-free functional runs.
-
-    Four tiers implement identical architectural semantics at different
-    speeds: [Ref] decodes raw instructions every step, [Predecode]
-    dispatches on micro-ops ({!Exec.run_serial}), [Threaded] runs
-    closure-compiled code with superop pair fusion
-    ({!Threaded.run_serial}), and [Block] dispatches one compiled
-    closure per basic block ({!Threaded.run_serial_block}).
-    The selection is a process-wide atomic so every functional-run site
-    (kernel metadata, bench harness, CLI tools, the sweep service) picks
-    up the CLI/env choice without threading a parameter through. *)
-
-type t = Ref | Predecode | Threaded | Block
-
-let name = function
-  | Ref -> "ref"
-  | Predecode -> "predecode"
-  | Threaded -> "threaded"
-  | Block -> "block"
-
-let of_string = function
-  | "ref" -> Ok Ref
-  | "predecode" -> Ok Predecode
-  | "threaded" -> Ok Threaded
-  | "block" -> Ok Block
-  | s ->
-    Error
-      (Fmt.str "unknown execution tier %S (want ref|predecode|threaded|block)"
-         s)
-
-let all = [ Ref; Predecode; Threaded; Block ]
-
-let env_var = "XLOOPS_EXEC_TIER"
-
-let initial () =
-  match Sys.getenv_opt env_var with
-  | None | Some "" -> Predecode
-  | Some s ->
-    (match of_string s with
-     | Ok t -> t
-     | Error msg ->
-       Fmt.epr "warning: ignoring %s: %s@." env_var msg;
-       Predecode)
-
-let current = Atomic.make (initial ())
-
-let get () = Atomic.get current
-let set t = Atomic.set current t
-
-let run_serial_with (tier : t) ?entry ?fuel prog mem =
-  match tier with
-  | Ref -> Exec.run_serial_ref ?entry ?fuel prog mem
-  | Predecode -> Exec.run_serial ?entry ?fuel prog mem
-  | Threaded -> Threaded.run_serial ?entry ?fuel prog mem
-  | Block -> Threaded.run_serial_block ?entry ?fuel prog mem
+(** The functional tier for observer-free runs: the block compiler. *)
 
 let run_serial ?entry ?fuel prog mem =
-  run_serial_with (get ()) ?entry ?fuel prog mem
+  Threaded.run_serial_block ?entry ?fuel prog mem

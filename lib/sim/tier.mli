@@ -1,39 +1,14 @@
-(** Execution-tier selection for observer-free functional runs.
+(** Functional execution for observer-free runs (kernel instruction
+    counts, the bench harness, the sweep service).
 
-    All four tiers implement identical architectural semantics; they
-    differ only in dispatch cost.  Timing models and anything else that
-    consumes per-instruction events always executes through
-    {!Exec.step} and is unaffected by this selection — except the LPSU
-    lane fast path, which consults the selection and falls back to
-    [Exec.step] under [Ref] or any attached observer. *)
-
-type t =
-  | Ref        (** decode the raw instruction stream every step *)
-  | Predecode  (** micro-op dispatch ({!Exec.run_serial}) *)
-  | Threaded   (** closure-compiled with superop pair fusion
-                   ({!Threaded.run_serial}) *)
-  | Block      (** one compiled closure per basic block, triples fused
-                   ({!Threaded.run_serial_block}) *)
-
-val name : t -> string
-val of_string : string -> (t, string) result
-val all : t list
-
-val env_var : string
-(** ["XLOOPS_EXEC_TIER"]: initializes the process-wide selection; the
-    [--exec-tier] flag overrides it. *)
-
-val get : unit -> t
-val set : t -> unit
-(** Process-wide selection (atomic; default [Predecode] unless
-    {!env_var} says otherwise). *)
+    Three interpreters implement identical architectural semantics:
+    {!Exec.run_serial_ref} decodes raw instructions every step (the
+    semantic oracle), {!Exec.run_serial} dispatches on micro-ops through
+    {!Exec.step} (the observed path the timing models use), and
+    {!Threaded.run_serial_block} dispatches one compiled closure per
+    basic block.  A run nobody observes always takes the fastest, the
+    block tier. *)
 
 val run_serial : ?entry:int -> ?fuel:int -> Xloops_asm.Program.t ->
   Xloops_mem.Memory.t -> (Exec.run, Exec.stop) result
-(** Functional run through the currently selected tier. *)
-
-val run_serial_with : t -> ?entry:int -> ?fuel:int ->
-  Xloops_asm.Program.t -> Xloops_mem.Memory.t ->
-  (Exec.run, Exec.stop) result
-(** Functional run through an explicit tier (the bench harness measures
-    all tiers side by side regardless of the global selection). *)
+(** {!Threaded.run_serial_block}. *)

@@ -478,43 +478,45 @@ let test_lane_pc_escape_traps () =
 
 (* -- lane fast path: compiled dispatch must be invisible --------------- *)
 
-module Tier = Xloops_sim.Tier
-
 let test_lane_fast_path_differential () =
   (* The LPSU lane fast path runs plain instructions through the
-     block tier's compiled closures whenever no observer is attached
-     and the ref tier is not selected.  It must be completely
-     invisible: same architectural result, same cycle count, and the
-     same statistics — including violation/squash counts on the
-     speculative om/ua patterns — as the Exec.step path it replaces. *)
-  let saved = Tier.get () in
-  Fun.protect ~finally:(fun () -> Tier.set saved) @@ fun () ->
+     block tier's compiled closures whenever no observer is attached.
+     It must be completely invisible: same architectural result, same
+     cycle count, and the same statistics — including violation/squash
+     counts on the speculative om/ua patterns — as the Exec.step path
+     it replaces, which a discarding trace sink forces. *)
+  let discard () = Xloops_sim.Trace.create (fun _ -> ()) in
   List.iter
-    (fun name ->
-       let k = Registry.find name in
-       Tier.set Tier.Block;
-       let fast = Kernel.run ~cfg:Config.io_x ~mode:Machine.Specialized k in
-       Tier.set Tier.Ref;
-       let slow = Kernel.run ~cfg:Config.io_x ~mode:Machine.Specialized k in
-       (match fast.Kernel.check_result, slow.Kernel.check_result with
-        | Ok (), Ok () -> ()
-        | _ -> Alcotest.failf "%s: result check failed" name);
-       let f = fast.Kernel.result and s = slow.Kernel.result in
-       Alcotest.(check int) (name ^ ": cycles")
-         s.Machine.cycles f.Machine.cycles;
-       Alcotest.(check int) (name ^ ": violations")
-         s.Machine.stats.violations f.Machine.stats.violations;
-       Alcotest.(check int) (name ^ ": squashed insns")
-         s.Machine.stats.squashed_insns f.Machine.stats.squashed_insns;
-       Alcotest.(check int) (name ^ ": committed insns")
-         s.Machine.stats.committed_insns f.Machine.stats.committed_insns;
-       (* full structural equality, modulo wall clock *)
-       f.Machine.stats.wall_ns <- 0;
-       s.Machine.stats.wall_ns <- 0;
-       Alcotest.(check bool) (name ^ ": stats identical") true
-         (f.Machine.stats = s.Machine.stats))
-    [ "sgemm-uc"; "war-uc"; "kmeans-or"; "adpcm-or"; "dynprog-om";
-      "war-om"; "btree-ua"; "hsort-ua"; "bfs-uc-db" ]
+    (fun cfg ->
+       List.iter
+         (fun name ->
+            let k = Registry.find name in
+            let fast = Kernel.run ~cfg ~mode:Machine.Specialized k in
+            let slow =
+              Kernel.run ~cfg ~mode:Machine.Specialized ~trace:(discard ()) k
+            in
+            let name = name ^ " " ^ cfg.Config.name in
+            (match fast.Kernel.check_result, slow.Kernel.check_result with
+             | Ok (), Ok () -> ()
+             | _ -> Alcotest.failf "%s: result check failed" name);
+            let f = fast.Kernel.result and s = slow.Kernel.result in
+            Alcotest.(check int) (name ^ ": cycles")
+              s.Machine.cycles f.Machine.cycles;
+            Alcotest.(check int) (name ^ ": violations")
+              s.Machine.stats.violations f.Machine.stats.violations;
+            Alcotest.(check int) (name ^ ": squashed insns")
+              s.Machine.stats.squashed_insns f.Machine.stats.squashed_insns;
+            Alcotest.(check int) (name ^ ": committed insns")
+              s.Machine.stats.committed_insns
+              f.Machine.stats.committed_insns;
+            (* full structural equality, modulo wall clock *)
+            f.Machine.stats.wall_ns <- 0;
+            s.Machine.stats.wall_ns <- 0;
+            Alcotest.(check bool) (name ^ ": stats identical") true
+              (f.Machine.stats = s.Machine.stats))
+         [ "sgemm-uc"; "war-uc"; "kmeans-or"; "adpcm-or"; "dynprog-om";
+           "war-om"; "btree-ua"; "hsort-ua"; "bfs-uc-db" ])
+    [ Config.io_x; Config.ooo4_x ]
 
 let test_stats_merge_doubles () =
   (* Stats.merge must cover every counter: merging the same record twice

@@ -1,4 +1,4 @@
-(* Direct-threaded tier: closure-compiled execution with superop fusion
+(* Block-compiled tier: closure-compiled basic blocks with fused runs
    must be observationally identical to the per-step tiers — registers,
    memory, dynamic instruction counts, out-of-fuel payloads and
    trap/halt behavior all bit-equal.
@@ -7,17 +7,17 @@
    - operator/accessor equivalence: the unboxed FPU evaluator and the
      native-int memory accessors agree with their int32 semantic specs;
    - whole-program differential: random ISA programs (forward control
-     flow, including jumps into the middle of fusible pairs and
-     blocks) and every registry kernel run identically through ref,
-     predecode, threaded and block;
-   - fuel parity: superops retire two instructions per dispatch and
-     blocks retire many, so the drivers' fuel accounting is checked at
-     exact exhaustion boundaries;
+     flow, including jumps into the middle of blocks and fused runs)
+     and every registry kernel run identically through ref, predecode
+     and block;
+   - fuel parity: a block dispatch retires many instructions at once,
+     so the driver's fuel accounting is checked at exact exhaustion
+     boundaries;
    - side-exit parity: a trap in the middle of a compiled block must
      materialize the precise mid-block state — same exception, same
      committed memory bytes — as the per-step tiers;
-   - plan sanity: fusion actually fires where the rules say it must;
-   - allocation regression: the compiled tiers must not allocate. *)
+   - plan sanity: blocks and fused runs form where the rules say;
+   - allocation regression: the block tier must not allocate. *)
 
 open Xloops_isa
 module B = Xloops_asm.Builder
@@ -25,7 +25,6 @@ module Program = Xloops_asm.Program
 module Memory = Xloops_mem.Memory
 module Exec = Xloops_sim.Exec
 module Threaded = Xloops_sim.Threaded
-module Tier = Xloops_sim.Tier
 module Registry = Xloops_kernels.Registry
 module Kernel = Xloops_kernels.Kernel
 module Compile = Xloops_compiler.Compile
@@ -109,7 +108,7 @@ let prop_mem_int_accessors =
    flow over seeded registers with a scratch memory window — plus FPU
    ops (dispatch coverage for the closure compiler) and a bias toward
    fusible adjacency: ALU-heavy straight runs with branches landing on
-   arbitrary pcs, including the middle of fused pairs. *)
+   arbitrary pcs, including the middle of blocks and fused runs. *)
 
 let scratch_base = 512
 
@@ -223,33 +222,29 @@ let snapshot (r : Exec.run) mem =
    Array.to_list r.Exec.final.Exec.regs,
    Bytes.to_string mem.Memory.data)
 
-let run_tier tier p =
+let run_tier run p =
   let m = Memory.create ~size:4096 () in
-  (Tier.run_serial_with tier p m, m)
+  (run p m, m)
 
-let prop_threaded_differential =
-  QCheck.Test.make ~name:"block == threaded == predecode == ref"
+let prop_block_differential =
+  QCheck.Test.make ~name:"block == predecode == ref"
     ~count:400 arb_program
     (fun p ->
-       match run_tier Tier.Block p, run_tier Tier.Threaded p,
-             run_tier Tier.Predecode p, run_tier Tier.Ref p with
-       | (Ok r0, m0), (Ok r1, m1), (Ok r2, m2), (Ok r3, m3) ->
-         snapshot r0 m0 = snapshot r1 m1
-         && snapshot r1 m1 = snapshot r2 m2
-         && snapshot r2 m2 = snapshot r3 m3
-       | (Error s0, m0), (Error s1, m1), (Error s2, m2), (Error s3, m3) ->
-         s0 = s1 && s1 = s2 && s2 = s3
+       match run_tier Threaded.run_serial_block p,
+             run_tier Exec.run_serial p, run_tier Exec.run_serial_ref p with
+       | (Ok r0, m0), (Ok r1, m1), (Ok r2, m2) ->
+         snapshot r0 m0 = snapshot r1 m1 && snapshot r1 m1 = snapshot r2 m2
+       | (Error s0, m0), (Error s1, m1), (Error s2, m2) ->
+         s0 = s1 && s1 = s2
          && Bytes.equal m0.Memory.data m1.Memory.data
          && Bytes.equal m1.Memory.data m2.Memory.data
-         && Bytes.equal m2.Memory.data m3.Memory.data
        | _ -> false)
 
-(* Fuel parity at exact exhaustion boundaries: a fused dispatch may
-   land exactly on the fuel limit, and a block dispatch retires many
-   instructions at once, but neither may overshoot it, and the
+(* Fuel parity at exact exhaustion boundaries: a block dispatch retires
+   many instructions at once, but may not overshoot the limit, and the
    Out_of_fuel payload (pc, counts) must be identical to the per-step
-   tiers.  Random fuels cut runs at arbitrary points, including inside
-   fused pairs and mid-block. *)
+   tiers.  Random fuels cut runs at arbitrary points, including
+   mid-block. *)
 let prop_fuel_parity =
   QCheck.Test.make ~name:"out-of-fuel payloads identical across tiers"
     ~count:400
@@ -259,20 +254,15 @@ let prop_fuel_parity =
     (fun (p, fuel) ->
        let m1 = Memory.create ~size:4096 () in
        let m2 = Memory.create ~size:4096 () in
-       let m3 = Memory.create ~size:4096 () in
-       match Threaded.run_serial ~fuel p m1,
-             Threaded.run_serial_block ~fuel p m2,
-             Exec.run_serial ~fuel p m3 with
-       | Ok r1, Ok r2, Ok r3 ->
-         snapshot r1 m1 = snapshot r2 m2 && snapshot r2 m2 = snapshot r3 m3
-       | Error s1, Error s2, Error s3 ->
-         s1 = s2 && s2 = s3
-         && Bytes.equal m1.Memory.data m2.Memory.data
-         && Bytes.equal m2.Memory.data m3.Memory.data
+       match Threaded.run_serial_block ~fuel p m1,
+             Exec.run_serial ~fuel p m2 with
+       | Ok r1, Ok r2 -> snapshot r1 m1 = snapshot r2 m2
+       | Error s1, Error s2 ->
+         s1 = s2 && Bytes.equal m1.Memory.data m2.Memory.data
        | _ -> false)
 
 let test_fuel_edges () =
-  (* 3 li + per-iteration (16 add + addi + bne): plenty of fused pairs *)
+  (* 3 li + per-iteration (16 add + addi + bne): one fused run per block *)
   let b = B.create () in
   B.li b 8 1;
   B.li b 9 50;
@@ -284,24 +274,19 @@ let test_fuel_edges () =
   B.halt b;
   let p = B.assemble b in
   List.iter
-    (fun (tname, run) ->
-       List.iter
-         (fun fuel ->
-            let m1 = Memory.create () and m2 = Memory.create () in
-            match run ~fuel p m1, Exec.run_serial ~fuel p m2 with
-            | Error s1, Error s2 ->
-              if s1 <> s2 then
-                Alcotest.failf "%s fuel %d: %a vs %a" tname fuel
-                  Exec.pp_stop s1 Exec.pp_stop s2
-            | Ok r1, Ok r2 ->
-              Alcotest.(check int) (Fmt.str "%s fuel %d insns" tname fuel)
-                r2.Exec.dynamic_insns r1.Exec.dynamic_insns
-            | _ ->
-              Alcotest.failf "%s fuel %d: tiers disagree on termination"
-                tname fuel)
-         [ 0; 1; 2; 3; 4; 5; 17; 18; 19; 20; 21; 37; 38; 39; 1000 ])
-    [ ("threaded", fun ~fuel p m -> Threaded.run_serial ~fuel p m);
-      ("block", fun ~fuel p m -> Threaded.run_serial_block ~fuel p m) ]
+    (fun fuel ->
+       let m1 = Memory.create () and m2 = Memory.create () in
+       match Threaded.run_serial_block ~fuel p m1,
+             Exec.run_serial ~fuel p m2 with
+       | Error s1, Error s2 ->
+         if s1 <> s2 then
+           Alcotest.failf "fuel %d: %a vs %a" fuel
+             Exec.pp_stop s1 Exec.pp_stop s2
+       | Ok r1, Ok r2 ->
+         Alcotest.(check int) (Fmt.str "fuel %d insns" fuel)
+           r2.Exec.dynamic_insns r1.Exec.dynamic_insns
+       | _ -> Alcotest.failf "fuel %d: tiers disagree on termination" fuel)
+    [ 0; 1; 2; 3; 4; 5; 17; 18; 19; 20; 21; 37; 38; 39; 1000 ]
 
 let test_trap_parity () =
   (* no halt: running off the end must trap identically in both tiers *)
@@ -310,9 +295,6 @@ let test_trap_parity () =
     let m = Memory.create () in
     try ignore (run p m); "no-trap" with Exec.Trap m -> m
   in
-  Alcotest.(check string) "trap message"
-    (msg (fun p m -> Exec.run_serial p m))
-    (msg (fun p m -> Threaded.run_serial p m));
   Alcotest.(check string) "trap message (block)"
     (msg (fun p m -> Exec.run_serial p m))
     (msg (fun p m -> Threaded.run_serial_block p m))
@@ -346,11 +328,8 @@ let test_midblock_trap_parity () =
     (r, Bytes.to_string m.Memory.data)
   in
   let (e1, d1) = outcome (fun p m -> Exec.run_serial p m) in
-  let (e2, d2) = outcome (fun p m -> Threaded.run_serial p m) in
   let (e3, d3) = outcome (fun p m -> Threaded.run_serial_block p m) in
-  Alcotest.(check string) "threaded exception" e1 e2;
   Alcotest.(check string) "block exception" e1 e3;
-  Alcotest.(check bool) "threaded memory" true (String.equal d1 d2);
   Alcotest.(check bool) "block memory" true (String.equal d1 d3);
   (* and the state really is mid-block: first store landed, last didn't *)
   let m = Memory.create () in
@@ -373,45 +352,15 @@ let test_registry_differential () =
          | Error stop ->
            Alcotest.failf "%s: %a" k.Kernel.name Exec.pp_stop stop
        in
-       let m1 = Memory.create () and m2 = Memory.create () in
-       let m3 = Memory.create () in
-       let r1 = run (fun p m -> Threaded.run_serial p m) m1 in
+       let m2 = Memory.create () and m3 = Memory.create () in
        let r2 = run (fun p m -> Exec.run_serial p m) m2 in
        let r3 = run (fun p m -> Threaded.run_serial_block p m) m3 in
-       if snapshot r1 m1 <> snapshot r2 m2 then
-         Alcotest.failf "%s: threaded and predecode runs differ"
-           k.Kernel.name;
        if snapshot r3 m3 <> snapshot r2 m2 then
          Alcotest.failf "%s: block and predecode runs differ"
            k.Kernel.name)
     Registry.all
 
 (* -- fusion plan sanity ------------------------------------------------ *)
-
-let test_superop_plan () =
-  let b = B.create () in
-  B.li b 8 1;
-  B.li b 9 10;
-  B.li b 10 0;
-  B.label b "top";
-  B.add b 10 10 8;
-  B.add b 10 10 8;
-  B.addi b 9 9 (-1);
-  B.bne b 9 0 "top";
-  B.halt b;
-  let p = B.assemble b in
-  let plan = Threaded.superops p in
-  Alcotest.(check bool) "fusion fired" true (plan <> []);
-  (* the add+add pair at the loop head and the addi+bne back-edge *)
-  Alcotest.(check bool) "alu+alu fused" true
-    (List.exists (fun (_, r) -> r = "alu+alu") plan);
-  Alcotest.(check bool) "alui+branch fused" true
-    (List.exists (fun (_, r) -> r = "alui+branch") plan);
-  let marks = Threaded.fused_heads p in
-  List.iter
-    (fun (pc, _) ->
-       Alcotest.(check bool) (Fmt.str "mark at %d" pc) true marks.(pc))
-    plan
 
 let test_block_plan () =
   (* Straight-line add chain into a back edge: one block for the
@@ -468,11 +417,6 @@ let alloc_per_insn run =
   in
   (Gc.allocated_bytes () -. a0) /. float_of_int insns
 
-let test_threaded_allocation () =
-  let per = alloc_per_insn (fun p m -> Threaded.run_serial p m) in
-  Alcotest.(check bool)
-    (Fmt.str "%.5f bytes/insn within budget" per) true (per <= 0.05)
-
 let test_block_allocation () =
   let per = alloc_per_insn (fun p m -> Threaded.run_serial_block p m) in
   Alcotest.(check bool)
@@ -484,7 +428,7 @@ let () =
        [ QCheck_alcotest.to_alcotest prop_fpu_int_matches;
          QCheck_alcotest.to_alcotest prop_mem_int_accessors ]);
       ("differential",
-       [ QCheck_alcotest.to_alcotest prop_threaded_differential;
+       [ QCheck_alcotest.to_alcotest prop_block_differential;
          QCheck_alcotest.to_alcotest prop_fuel_parity;
          Alcotest.test_case "fuel edges" `Quick test_fuel_edges;
          Alcotest.test_case "trap parity" `Quick test_trap_parity;
@@ -493,11 +437,8 @@ let () =
          Alcotest.test_case "registry kernels" `Quick
            test_registry_differential ]);
       ("plan",
-       [ Alcotest.test_case "superop plan" `Quick test_superop_plan;
-         Alcotest.test_case "block plan" `Quick test_block_plan ]);
+       [ Alcotest.test_case "block plan" `Quick test_block_plan ]);
       ("allocation",
-       [ Alcotest.test_case "straight-line run" `Quick
-           test_threaded_allocation;
-         Alcotest.test_case "block straight-line run" `Quick
+       [ Alcotest.test_case "block straight-line run" `Quick
            test_block_allocation ]);
     ]
