@@ -19,14 +19,15 @@ let kernels () =
     "dyn-insns" "X/G";
   List.iter
     (fun (k : K.Kernel.t) ->
-       let c = C.Compile.compile k.kernel in
+       let compiled target =
+         (Xloops.Program_cache.find ~target k).compiled in
        let bodies =
-         C.Compile.xloop_bodies c.program
+         C.Compile.xloop_bodies (compiled C.Compile.xloops).program
          |> List.map (fun (_, _, l) -> string_of_int l)
          |> String.concat ","
        in
        let dyn target =
-         match K.Kernel.dynamic_insns ~target k with
+         match K.Kernel.dynamic_insns k (compiled target) with
          | Ok n -> n
          | Error msg -> failwith msg
        in

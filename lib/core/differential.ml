@@ -48,7 +48,7 @@ let pp_outcome ppf o =
     compare final memories byte for byte. *)
 let run_kernel ?(cfg = Config.io_x) ?(mode = Machine.Specialized)
     ?(watchdog = 20_000) ~faults (k : Kernel.t) : outcome =
-  let compiled = Compile.compile ~target:Compile.xloops k.kernel in
+  let compiled = (Program_cache.find ~target:Compile.xloops k).compiled in
   let mem_ref = Memory.create () in
   k.init compiled.array_base mem_ref;
   (match Machine.simulate ~cfg ~mode:Machine.Traditional

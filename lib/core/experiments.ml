@@ -54,9 +54,11 @@ type eval = {
   per_host : (string * host_eval) list;   (** keyed by GPP name *)
 }
 
+(* Registry kernels come compiled from the shared program cache. *)
+let compiled ~target k = (Program_cache.find ~target k).compiled
+
 let body_stats (k : Kernel.t) =
-  let c = Compile.compile ~target:Compile.xloops k.kernel in
-  match Compile.xloop_bodies c.program with
+  match Compile.xloop_bodies (compiled ~target:Compile.xloops k).program with
   | [] -> (0, 0)
   | bodies ->
     let lens = List.map (fun (_, _, l) -> l) bodies in
@@ -87,7 +89,7 @@ type engine = {
 
 let compute_meta (k : Kernel.t) : kernel_meta =
   let dyn target =
-    match Kernel.dynamic_insns ~target k with
+    match Kernel.dynamic_insns k (compiled ~target k) with
     | Ok n -> n
     | Error msg -> failwith ("Experiments.evaluate: " ^ msg)
   in

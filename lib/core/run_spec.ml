@@ -2,13 +2,15 @@
     simulation — which kernel, which machine, which mode, which compile
     target, plus the robustness knobs (fuel, fault plan, watchdog,
     degradation).  A spec owns its whole machine state: executing one
-    compiles the kernel afresh, builds a fresh memory and machine, and
-    returns plain data, so any number of specs can execute concurrently
-    (no shared mutable [Machine.t] ever escapes).
+    builds a fresh memory and machine and returns plain data, so any
+    number of specs can execute concurrently (no shared mutable
+    [Machine.t] ever escapes).  The program is the one thing specs
+    share: a registry kernel is compiled once per (kernel, target) per
+    process by {!Program_cache} and only ever read.
 
     Specs have a canonical binary encoding and an MD5 digest; the digest
-    of [encoding ++ program bytes] is the content address the on-disk
-    result cache ({!Run_cache}) files results under. *)
+    of [encoding ++ program listing digest] is the content address the
+    on-disk result cache ({!Run_cache}) files results under. *)
 
 module Kernel = Xloops_kernels.Kernel
 module Registry = Xloops_kernels.Registry
@@ -258,37 +260,35 @@ let decode s : (t, string) result =
 
 (* -- Content addressing -------------------------------------------------- *)
 
-let resolve ?kernel (t : t) : Kernel.t =
-  match kernel with Some k -> k | None -> Registry.find t.kernel
-
-(* The disassembly listing, not [Program.encode]: the simulator executes
-   [Insn.t] values directly, so programs may carry immediates the binary
-   encoder would reject, and the digest must be total over anything the
-   simulator can run. *)
-let bytes_of_program prog = Xloops_asm.Program.to_string prog
-
-let program_digest ?kernel (t : t) =
-  let k = resolve ?kernel t in
-  let c = Compile.compile ~target:t.target k.Kernel.kernel in
-  Digest.string (bytes_of_program c.Compile.program)
+(* A [?kernel] override compiles its own kernel and never touches the
+   program cache: it may be a synthetic kernel under a registry name. *)
+let resolve ?kernel (t : t) : Kernel.t * Program_cache.entry =
+  match kernel with
+  | Some k -> (k, Program_cache.compile ~target:t.target k)
+  | None ->
+    let k = Registry.find t.kernel in
+    (k, Program_cache.find ~target:t.target k)
 
 (** The content address of a spec's result: digest over the canonical
-    spec encoding {e and} the compiled program bytes, so a compiler or
-    kernel change invalidates cached results by construction. *)
+    spec encoding {e and} the MD5 of the compiled program's listing.
+    The listing digest comes from {!Program_cache}, so a registry
+    kernel is compiled once per process, not once per key; the key
+    still tracks the compiler and the kernel source, because the digest
+    is taken over the listing the current build produces. *)
 let cache_key ?kernel (t : t) =
-  Digest_hex.of_digest (Digest.string (encode t ^ program_digest ?kernel t))
+  let _, e = resolve ?kernel t in
+  Digest_hex.of_digest (Digest.string (encode t ^ e.listing_digest))
 
 (** Content address of a kernel's target-independent metadata (dynamic
-    instruction counts, body statistics): digest over its name and its
-    compiled general and XLOOPS programs. *)
+    instruction counts, body statistics): digest over its name and the
+    listings of its general and XLOOPS programs, both taken from
+    {!Program_cache}. *)
 let kernel_digest (k : Kernel.t) =
-  let prog target =
-    (Compile.compile ~target k.Kernel.kernel).Compile.program in
+  let listing target = (Program_cache.find ~target k).listing in
   Digest_hex.of_digest
     (Digest.string
-       (k.Kernel.name ^ "\x00"
-        ^ bytes_of_program (prog Compile.general) ^ "\x00"
-        ^ bytes_of_program (prog Compile.xloops)))
+       (k.Kernel.name ^ "\x00" ^ listing Compile.general ^ "\x00"
+        ^ listing Compile.xloops))
 
 (* -- Execution ----------------------------------------------------------- *)
 
@@ -308,16 +308,17 @@ exception Check_failed = Failure.Check_failed
 (** Low-level execution: the full {!Kernel.run} (memory, compiled
     program, check result) without raising on a failed self-check — the
     form the CLIs want.  [kernel] overrides the registry lookup, for
-    synthetic kernels that are not registered. *)
+    synthetic kernels that are not registered; an override is compiled
+    afresh, outside the program cache. *)
 let run_result ?kernel ?trace (t : t)
   : (Kernel.run, Machine.failure) result =
-  let k = resolve ?kernel t in
+  let k, e = resolve ?kernel t in
   let faults =
     Option.map (fun (seed, events) -> Fault.plan ~seed ~events ())
       t.fault_seed
   in
-  Kernel.run_result ~target:t.target ~cfg:t.cfg ~mode:t.mode ?faults
-    ~watchdog:t.watchdog ~degrade:t.degrade ?fuel:t.fuel ?trace k
+  Kernel.run_compiled ~cfg:t.cfg ~mode:t.mode ?faults ~watchdog:t.watchdog
+    ~degrade:t.degrade ?fuel:t.fuel ?trace k e.compiled
 
 (** Checked execution distilled to plain {!run_data}, with every
     failure mode folded into the orchestration layer's taxonomy: a

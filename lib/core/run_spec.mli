@@ -1,9 +1,11 @@
 (** First-class run plans: one serializable value per self-contained
-    simulation.  Executing a spec compiles the kernel afresh and builds
-    a fresh machine and memory, so specs are independent by construction
-    and can execute concurrently ({!Pool}).  The canonical encoding and
-    digest make specs the keys of the on-disk result cache
-    ({!Run_cache}). *)
+    simulation.  Executing a spec builds a fresh machine and memory, so
+    specs are independent by construction and can execute concurrently
+    ({!Pool}).  The compiled program is shared: a registry kernel is
+    compiled once per (kernel, target) per process ({!Program_cache}),
+    the key, the run and the kernel metadata all read that one value.
+    The canonical encoding and digest make specs the keys of the on-disk
+    result cache ({!Run_cache}). *)
 
 module Kernel = Xloops_kernels.Kernel
 module Machine = Xloops_sim.Machine
@@ -56,12 +58,19 @@ val digest : t -> Digest_hex.t
 
 val cache_key : ?kernel:Kernel.t -> t -> Digest_hex.t
 (** Content address of the spec's result: digest over the canonical
-    encoding {e and} the compiled program bytes, so compiler or kernel
-    changes invalidate cached results by construction. *)
+    encoding {e and} the MD5 of the compiled program's listing.  The
+    program is compiled once per process ({!Program_cache}) and the
+    listing digest is taken at that first use, so compiler or kernel
+    changes still invalidate cached results by construction: a new
+    build produces a new listing.  A [kernel] override is compiled
+    afresh and never enters the program cache, so a synthetic kernel
+    under a registry name keys on its own program. *)
 
 val kernel_digest : Kernel.t -> Digest_hex.t
 (** Content address of a kernel's target-independent metadata: digest
-    over its name and its compiled general and XLOOPS programs. *)
+    over its name and the listings of its general and XLOOPS programs.
+    A registry kernel's programs come from {!Program_cache} (compiled
+    once per process); any other kernel is compiled afresh. *)
 
 (** {1 Execution} *)
 
@@ -81,8 +90,10 @@ val run_result :
   ?kernel:Kernel.t -> ?trace:Xloops_sim.Trace.t -> t ->
   (Kernel.run, Machine.failure) result
 (** Low-level execution returning the full {!Kernel.run} without raising
-    on a failed self-check — the form the CLIs use.  [kernel] overrides
-    the registry lookup (synthetic kernels). *)
+    on a failed self-check — the form the CLIs use.  Without [kernel]
+    the program is the registry kernel's shared {!Program_cache} entry;
+    [kernel] overrides the registry lookup (synthetic kernels) and is
+    compiled afresh. *)
 
 val execute_result : ?kernel:Kernel.t -> t -> (run_data, Failure.t) result
 (** Checked execution distilled to {!run_data}, with every failure mode

@@ -16,6 +16,8 @@
     - {!Run_spec} / {!Pool} / {!Run_cache}: the parallel evaluation
       engine — pure run plans, the Domain-based worker pool and the
       content-addressed on-disk result cache;
+    - {!Program_cache}: each registry kernel compiled once per target
+      per process, shared by cache keys, runs and kernel metadata;
     - {!Failure} / {!Journal} / {!Chaos}: the fault-tolerant
       orchestration layer — the unified failure taxonomy with seeded
       retry/backoff, the crash-safe sweep journal behind [--resume],
@@ -43,6 +45,7 @@ module Energy = Xloops_energy
 module Vlsi = Xloops_vlsi
 module Kernels = Xloops_kernels
 module Digest_hex = Digest_hex
+module Program_cache = Program_cache
 module Run_spec = Run_spec
 module Pool = Pool
 module Run_cache = Run_cache

@@ -89,13 +89,13 @@ type run = {
   check_result : (unit, string) result;
 }
 
-(** Compile [k] for [target], initialize a fresh memory, simulate on
-    [cfg]/[mode], and self-check the output.  A simulation failure (fuel,
-    un-degraded hang) comes back as [Error]. *)
-let run_result ?(target = Compile.xloops) ?(cfg = Config.io)
-    ?(mode = Machine.Traditional) ?adaptive ?faults ?watchdog ?degrade
-    ?fuel ?trace (k : t) : (run, Machine.failure) result =
-  let compiled = Compile.compile ~target k.kernel in
+(** Initialize a fresh memory for [k], simulate its already-compiled
+    program on [cfg]/[mode], and self-check the output.  [compiled] is
+    only read, so one compiled value may back any number of runs.  A
+    simulation failure (fuel, un-degraded hang) comes back as [Error]. *)
+let run_compiled ?(cfg = Config.io) ?(mode = Machine.Traditional)
+    ?adaptive ?faults ?watchdog ?degrade ?fuel ?trace (k : t)
+    (compiled : Compile.compiled) : (run, Machine.failure) result =
   let mem = Memory.create () in
   k.init compiled.array_base mem;
   match Machine.simulate ?adaptive ?faults ?watchdog ?degrade ?fuel ?trace
@@ -104,6 +104,12 @@ let run_result ?(target = Compile.xloops) ?(cfg = Config.io)
   | Ok result ->
     let check_result = k.check compiled.array_base mem in
     Ok { result; compiled; mem; check_result }
+
+(** Compile [k] for [target], then {!run_compiled}. *)
+let run_result ?(target = Compile.xloops) ?cfg ?mode ?adaptive ?faults
+    ?watchdog ?degrade ?fuel ?trace (k : t) : (run, Machine.failure) result =
+  run_compiled ?cfg ?mode ?adaptive ?faults ?watchdog ?degrade ?fuel ?trace
+    k (Compile.compile ~target k.kernel)
 
 (** Like {!run_result}, raising [Failure] on a simulation failure — the
     convenience form for tests and experiments where kernels are expected
@@ -117,10 +123,10 @@ let run ?target ?cfg ?mode ?adaptive ?faults ?watchdog ?degrade ?fuel
                            Machine.pp_failure f)
 
 (** Dynamic instruction count of the serial functional execution —
-    Table II's dynamic-instruction columns.  Observer-free, so it runs
+    Table II's dynamic-instruction columns — of [compiled], [k]
+    compiled for the ISA being counted.  Observer-free, so it runs
     through the block-compiled tier ({!Xloops_sim.Tier.run_serial}). *)
-let dynamic_insns ?(target = Compile.xloops) (k : t) =
-  let compiled = Compile.compile ~target k.kernel in
+let dynamic_insns (k : t) (compiled : Compile.compiled) =
   let mem = Memory.create () in
   k.init compiled.array_base mem;
   match Xloops_sim.Tier.run_serial compiled.program mem with

@@ -49,15 +49,24 @@ type run = {
   check_result : (unit, string) result;
 }
 
+val run_compiled :
+  ?cfg:Config.t -> ?mode:Machine.mode ->
+  ?adaptive:Config.adaptive -> ?faults:Xloops_sim.Fault.t ->
+  ?watchdog:int -> ?degrade:bool -> ?fuel:int ->
+  ?trace:Xloops_sim.Trace.t ->
+  t -> Compile.compiled -> (run, Machine.failure) result
+(** Initialize a fresh memory, simulate the already-compiled program and
+    self-check.  The compiled value is only read, so one compile can back
+    any number of runs (concurrent ones included).  A simulation failure
+    (fuel exhaustion, un-degraded LPSU hang) is [Error]. *)
+
 val run_result :
   ?target:Compile.target -> ?cfg:Config.t -> ?mode:Machine.mode ->
   ?adaptive:Config.adaptive -> ?faults:Xloops_sim.Fault.t ->
   ?watchdog:int -> ?degrade:bool -> ?fuel:int ->
   ?trace:Xloops_sim.Trace.t ->
   t -> (run, Machine.failure) result
-(** Compile, initialize a fresh memory, simulate and self-check.  A
-    simulation failure (fuel exhaustion, un-degraded LPSU hang) is
-    [Error]. *)
+(** Compile for [target] (default XLOOPS), then {!run_compiled}. *)
 
 val run :
   ?target:Compile.target -> ?cfg:Config.t -> ?mode:Machine.mode ->
@@ -66,7 +75,7 @@ val run :
   ?trace:Xloops_sim.Trace.t -> t -> run
 (** {!run_result}, raising [Failure] on a simulation failure. *)
 
-val dynamic_insns : ?target:Compile.target -> t -> (int, string) result
-(** Dynamic instruction count of the serial functional execution —
-    Table II's GPI/XLI columns.  [Error] if the kernel exhausts the
-    functional model's fuel. *)
+val dynamic_insns : t -> Compile.compiled -> (int, string) result
+(** Dynamic instruction count of the serial functional execution of the
+    kernel compiled for one ISA — Table II's GPI/XLI columns.  [Error] if
+    the kernel exhausts the functional model's fuel. *)
