@@ -1,8 +1,8 @@
 (* Interpreter micro-benchmark: host-side throughput (MIPS) and
-   allocation rate (bytes/instruction) of the three functional
-   interpreters — the raw-decoding reference, the predecoded [Exec.step]
-   path and the block-compiled tier — on a synthetic straight-line
-   kernel and a few representative compiled kernels.
+   allocation rate (bytes/instruction) of the two functional
+   interpreters — the raw-decoding reference and the predecoded
+   [Exec.step] path — on a synthetic straight-line kernel and a few
+   representative compiled kernels.
 
    Usage:
      dune exec bench/micro.exe                   # table + BENCH_interp.json
@@ -21,7 +21,6 @@
 module B = Xloops.Asm.Builder
 module Memory = Xloops.Mem.Memory
 module Exec = Xloops.Sim.Exec
-module Threaded = Xloops.Sim.Threaded
 module Registry = Xloops.Kernels.Registry
 module Kernel = Xloops.Kernels.Kernel
 module Compile = Xloops.Compiler.Compile
@@ -29,8 +28,7 @@ module Compile = Xloops.Compiler.Compile
 (* The measured tiers, slowest first. *)
 let tiers =
   [ "ref", (fun prog mem -> Exec.run_serial_ref prog mem);
-    "predecode", (fun prog mem -> Exec.run_serial prog mem);
-    "block", (fun prog mem -> Threaded.run_serial_block prog mem) ]
+    "predecode", (fun prog mem -> Exec.run_serial prog mem) ]
 
 (* Pre-optimization reference, measured with the same workloads on the
    same host immediately before the zero-allocation interpreter core
@@ -46,27 +44,24 @@ let baseline = [
 ]
 
 (* Committed allocation budgets in bytes per dynamic instruction; a
-   regression past these fails --check (and CI).  The block tier is
-   gated at (effectively) zero on every workload: it has no event
-   scratch and no boxed values on any path, so any allocation is a
-   design regression.  The predecode tier allocates nothing per
-   instruction either (memory values cross [mem_iface] as native ints);
-   its budgets are looser.  The ref tier legitimately allocates (int32
-   register views); its loose budget only catches catastrophic drift. *)
+   regression past these fails --check (and CI).  The predecode tier
+   allocates nothing per instruction (memory values cross [mem_iface]
+   as native ints); its budgets leave headroom for per-run set-up.  The
+   ref tier legitimately allocates (int32 register views); its loose
+   budget only catches catastrophic drift. *)
 let alloc_budget ~tier name =
   match tier with
   | "ref" -> Some 200.0
-  | "predecode" ->
+  | _ ->
     List.assoc_opt name
       [ "straightline", 0.10;
         "sgemm-uc", 1.00;
         "war-uc", 2.00;
         "bfs-uc-db", 2.00;
         "adpcm-or", 0.50 ]
-  | _ -> Some 0.05
 
 (* Absolute MIPS floors: far below a healthy run on any plausible host
-   (the block tier measures several hundred MIPS locally), so they
+   (the predecode tier measures 80-100 MIPS locally), so they
    catch order-of-magnitude regressions — an accidental re-compile per
    run, a debug path left on — without flaking on slow CI runners.
    Every workload carries a floor on every tier: the bfs-uc-db
@@ -77,22 +72,18 @@ let alloc_budget ~tier name =
    relative floors below. *)
 let mips_floor ~tier name =
   match tier, name with
-  | "block", "straightline" -> Some 140.0
-  | "predecode", "straightline" -> Some 40.0
   | "ref", _ -> Some 15.0
-  | "predecode", _ -> Some 25.0
-  | _ -> Some 40.0
+  | _, "straightline" -> Some 40.0
+  | _ -> Some 25.0
 
 (* Host-independent gates: each pair is (workload, faster tier, baseline
    tier, minimum MIPS ratio), both sides measured in the same process.
    The predecode-vs-ref rows at 1.0 pin the bfs-uc-db fix: the predecode
    tier strictly dominates the boxed reference on every kernel, so any
    recurrence of a predecode-loses row fails --check instead of landing
-   in the committed file.  On the dispatch-bound straight-line kernel
-   the block tier must beat predecode by 2x (committed: 3.3x). *)
+   in the committed file. *)
 let relative_floors =
-  ("straightline", "block", "predecode", 2.0)
-  :: List.map (fun (name, _, _) -> (name, "predecode", "ref", 1.0)) baseline
+  List.map (fun (name, _, _) -> (name, "predecode", "ref", 1.0)) baseline
 
 (* 16 dependent adds + decrement + branch per iteration: pure register
    ALU work, the worst case for interpreter dispatch overhead. *)
@@ -205,7 +196,7 @@ let emit_json path samples =
         | None -> ());
        (match s.s_tier,
               List.find_opt (fun (n, _, _) -> n = s.s_name) baseline with
-        | ("predecode" | "block"), Some (_, bm, bb) ->
+        | "predecode", Some (_, bm, bb) ->
           pf ", \"baseline_mips\": %.2f, \"baseline_bytes_per_insn\": %.2f, \
               \"speedup\": %.2f, \"alloc_ratio\": %.4f"
             bm bb (s.s_mips /. bm) (s.s_bytes_per_insn /. bb)
@@ -295,7 +286,8 @@ let diff_schema committed emitted =
                 if (fname = "mips" || fname = "insns") && f <= 0.0 then
                   err "%s: row %s/%s has non-positive %s" file n t fname)
            fields;
-         (* budgets must go down (or hold) as the tier gets faster *)
+         (* budgets must go down (or hold) as the tier gets faster:
+            each tier against the next slower one in [tiers] *)
          let budget tier =
            List.find_map
              (fun (n', t', fs) ->
@@ -309,8 +301,12 @@ let diff_schema committed emitted =
              err "%s: %s %s budget %.2f exceeds %s %.2f" file n fast f slow s
            | _ -> ()
          in
-         pairwise "block" "predecode";
-         pairwise "predecode" "ref")
+         let rec pairs = function
+           | (slow, _) :: ((fast, _) :: _ as rest) ->
+             pairwise fast slow; pairs rest
+           | _ -> ()
+         in
+         pairs tiers)
       rows
   in
   check_rows committed crows;

@@ -73,31 +73,7 @@ type uop =
 type predecoded = {
   source : t;
   uops : uop array;
-  leaders : bool array;
 }
-
-(** Coarse micro-op class, distinguishing the predecode-level splits
-    (xloop_de vs xloop_cmp) — the names the block compiler's fused-run
-    plan ([Threaded.block_plan]) is reported in. *)
-let uop_class = function
-  | U_alu _ -> "alu"
-  | U_alui _ -> "alui"
-  | U_fpu _ -> "fpu"
-  | U_lui _ -> "lui"
-  | U_load _ -> "load"
-  | U_store _ -> "store"
-  | U_amo _ -> "amo"
-  | U_branch _ -> "branch"
-  | U_jump _ -> "jump"
-  | U_jal _ -> "jal"
-  | U_jr _ -> "jr"
-  | U_xloop_de _ -> "xloop_de"
-  | U_xloop_cmp _ -> "xloop_cmp"
-  | U_xi_addi _ -> "xi_addi"
-  | U_xi_add _ -> "xi_add"
-  | U_sync -> "sync"
-  | U_halt -> "halt"
-  | U_nop -> "nop"
 
 let predecode_insn (i : int I.t) : uop =
   match i with
@@ -120,29 +96,6 @@ let predecode_insn (i : int I.t) : uop =
   | Halt -> U_halt
   | Nop -> U_nop
 
-(* Basic-block leaders: the entry point, every static control-transfer
-   target, and the fall-through successor of every control transfer
-   (branch not-taken, jal return, the slot after a jump/halt reached by
-   some other edge).  [jr] targets are link values — already leaders via
-   the jal fall-through rule — so every pc control can *reach* by a
-   transfer is marked; a block never spans a leader, which is what lets
-   the block tier retire a whole block in one bump. *)
-let leaders_of (uops : uop array) : bool array =
-  let n = Array.length uops in
-  let l = Array.make n false in
-  if n > 0 then l.(0) <- true;
-  let mark t = if t >= 0 && t < n then l.(t) <- true in
-  Array.iteri
-    (fun pc u ->
-       match u with
-       | U_branch (_, _, _, t) | U_xloop_de (_, t) | U_xloop_cmp (_, _, t)
-       | U_jump t | U_jal (_, t) -> mark t; mark (pc + 1)
-       | U_jr _ | U_halt -> mark (pc + 1)
-       | U_alu _ | U_alui _ | U_fpu _ | U_lui _ | U_load _ | U_store _
-       | U_amo _ | U_xi_addi _ | U_xi_add _ | U_sync | U_nop -> ())
-    uops;
-  l
-
 let predecode_fresh (p : t) : predecoded =
   let uops =
     Array.mapi
@@ -152,7 +105,7 @@ let predecode_fresh (p : t) : predecoded =
          | u -> u)
       p.insns
   in
-  { source = p; uops; leaders = leaders_of uops }
+  { source = p; uops }
 
 (* Memoized per domain (the bench driver runs simulations on a pool of
    domains): a tiny most-recently-used list keyed by physical equality,

@@ -66,17 +66,7 @@ type uop =
 type predecoded = {
   source : t;                (** the program the micro-ops mirror *)
   uops : uop array;          (** parallel to [source.insns] *)
-  leaders : bool array;
-      (** basic-block leaders, parallel to [uops]: the entry point,
-          every static control-transfer target, and every control
-          transfer's fall-through successor.  A basic block never spans
-          a leader — the block-compiled tier dispatches one closure per
-          block and retires it with a single bump. *)
 }
-
-val uop_class : uop -> string
-(** Coarse micro-op class ("alu", "xloop_cmp", ...): the names the
-    block compiler's fused-run plan is reported in. *)
 
 val predecode : t -> predecoded
 (** Memoized (per domain, keyed by physical equality): repeated calls on

@@ -193,19 +193,6 @@ let width_bytes : width -> int = function
 let is_xloop = function Xloop _ -> true | _ -> false
 let is_xi = function Xi_addi _ | Xi_add _ -> true | _ -> false
 
-(* Fusion metadata for the block-compiled execution tier: a fused run
-   may only contain instructions whose effect is a pure register write
-   (no memory traffic, no control transfer, no trap) — those are the
-   heads the block compiler can replay inline in front of any
-   successor. *)
-
-let fusible_head = function
-  | Alu (_, rd, _, _) | Alui (_, rd, _, _) | Lui (rd, _)
-  | Xi_addi (rd, _, _) | Xi_add (rd, _, _) -> rd <> Reg.zero
-  | Fpu _          (* long-latency; keep the slot boundaries visible *)
-  | Load _ | Store _ | Amo _ | Branch _ | Jump _ | Jal _ | Jr _
-  | Xloop _ | Sync | Halt | Nop -> false
-
 let pp pp_lbl ppf (i : _ t) =
   let r = Reg.pp in
   match i with

@@ -98,17 +98,6 @@ val width_bytes : width -> int
 val is_xloop : _ t -> bool
 val is_xi : _ t -> bool
 
-(** {1 Fusion metadata} (the block-compiled execution tier)
-
-    {!fusible_head} marks instructions whose entire effect is a register
-    write (no memory traffic, control transfer or trap), so the block
-    compiler can replay them inline in front of any successor and fuse
-    runs of them into one closure.  Which runs actually fuse is the
-    block compiler's decision — this predicate is the architectural
-    constraint. *)
-
-val fusible_head : _ t -> bool
-
 val map_label : ('a -> 'b) -> 'a t -> 'b t
 
 (** {1 Printing and equality} *)

@@ -124,11 +124,11 @@ let run ?target ?cfg ?mode ?adaptive ?faults ?watchdog ?degrade ?fuel
 
 (** Dynamic instruction count of the serial functional execution —
     Table II's dynamic-instruction columns — of [compiled], [k]
-    compiled for the ISA being counted.  Observer-free, so it runs
-    through the block-compiled tier ({!Xloops_sim.Tier.run_serial}). *)
+    compiled for the ISA being counted, through
+    {!Xloops_sim.Exec.run_serial}. *)
 let dynamic_insns (k : t) (compiled : Compile.compiled) =
   let mem = Memory.create () in
   k.init compiled.array_base mem;
-  match Xloops_sim.Tier.run_serial compiled.program mem with
+  match Xloops_sim.Exec.run_serial compiled.program mem with
   | Ok r -> Ok r.dynamic_insns
   | Error stop -> Error (Fmt.str "%s: %a" k.name Xloops_sim.Exec.pp_stop stop)

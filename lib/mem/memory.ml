@@ -189,7 +189,7 @@ let store t (w : Insn.width) addr (v : int32) =
 
 (* Native-int variants of the architectural accessors, for executors
    whose register file is already sign-extended native ints (the
-   predecoded and block-compiled tiers): same checks, counters and
+   predecoded executor): same checks, counters and
    journal behavior, but the value crosses the call boundary as an
    unboxed [int] instead of a boxed [int32]. *)
 

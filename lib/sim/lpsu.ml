@@ -85,9 +85,6 @@ type ctx = {
   mutable fwd_raw : int;              (** forwarded raw store bytes *)
   mutable fwd_addr : int;
   mutable fwd_bytes : int;
-  tstate : Threaded.state;            (** compiled-closure view of this
-                                          hart ([regs] aliased) for the
-                                          lane fast path *)
 }
 
 (* A CIR chain's history: (consumer iteration, value, ready cycle)
@@ -160,12 +157,12 @@ type t = {
   trace : Trace.t option;
   (* Robustness machinery *)
   faults : Fault.t option;
-  (* Lane fast path: per-pc compiled-closure dispatch for instructions
-     whose lane-level effects are fully recoverable without the event
-     record ({!Threaded.lane_meta}, further demoted below for CIR and
+  (* Lane fast path: per-pc closure dispatch for instructions whose
+     lane-level effects are fully recoverable without the event record
+     ({!Lane_ops.lane_meta}, further demoted below for CIR and
      dynamic-bound bookkeeping).  [fast_ok] gates the whole array off
      whenever an observer (trace or fault injector) is attached. *)
-  mutable lane_fast : Threaded.lane_meta array;  (* by pc - body_start *)
+  mutable lane_fast : Lane_ops.lane_meta array;  (* by pc - body_start *)
   fast_ok : bool;
   mutable watchdog : int;        (* no-progress cycles before a hang; 0=off *)
   mutable last_progress : int;   (* cycle of the last dispatch or commit *)
@@ -254,9 +251,7 @@ let create ~prog ~mem ~dcache ~(cfg : Config.t) ~stats ?trace ?faults () =
           exit_flag = 0; frozen_until = 0;
           (* real interfaces are installed after [t] exists *)
           spec_if = direct_if; fwd_if = direct_if;
-          fwd_src = -1; fwd_raw = 0; fwd_addr = -1; fwd_bytes = 0;
-          tstate = { Threaded.regs = hart.Exec.regs; mem;
-                     pc = 0; retired = 0 } })
+          fwd_src = -1; fwd_raw = 0; fwd_addr = -1; fwd_bytes = 0 })
   in
   let t =
     { prog; pre = Program.predecode prog; meta = Insn_meta.of_program prog;
@@ -313,7 +308,6 @@ let start t ~(info : Scan.t) ~(regs : int array) ~start_cycle ~stop_after
        c.cir_wait_gen <- -1; c.insns_iter <- 0; c.next_issue <- 0;
        c.exit_flag <- 0; c.frozen_until <- 0;
        c.fwd_src <- -1; c.fwd_raw <- 0; c.fwd_addr <- -1; c.fwd_bytes <- 0;
-       c.tstate.pc <- 0; c.tstate.retired <- 0;
        Lsq.clear c.lsq)
     t.all_ctxs;
   let n_cibs = List.length info.cirs in
@@ -348,22 +342,22 @@ let start t ~(info : Scan.t) ~(regs : int array) ~start_cycle ~stop_after
        t.miv_inc.(t.n_mivs) <- Int32.to_int m.m_inc;
        t.n_mivs <- t.n_mivs + 1)
     info.mivs;
-  (* Start from the compiled tier's metadata for the body's pcs, then
+  (* Start from the lane-ops metadata for the body's pcs, then
      demote the pcs whose execution the LPSU must see one at a time:
      anything reading a CIR (first-read stall and got_cir bookkeeping),
      anything writing one (got_cir), the last-CIR-write pc (CIB
      forwarding), and dynamic-bound writes (LMU bound raising). *)
   let lane_fast =
-    Array.sub (Threaded.lane_meta t.pre) info.body_start info.body_len in
+    Array.sub (Lane_ops.lane_meta t.pre) info.body_start info.body_len in
   let demote pc =
     let i = pc - info.body_start in
     if i >= 0 && i < Array.length lane_fast then
-      lane_fast.(i) <- Threaded.L_slow
+      lane_fast.(i) <- Lane_ops.L_slow
   in
   Array.iteri
     (fun i m ->
        match m with
-       | Threaded.L_plain { l_rd; l_s1; l_s2; _ } ->
+       | Lane_ops.L_plain { l_rd; l_s1; l_s2; _ } ->
          let cir r =
            r >= 0
            && List.exists (fun (c : Scan.cir) -> c.c_reg = r) info.cirs
@@ -371,7 +365,7 @@ let start t ~(info : Scan.t) ~(regs : int array) ~start_cycle ~stop_after
          let pc = info.body_start + i in
          if cir l_rd || cir l_s1 || cir l_s2 then demote pc;
          if pat.cp = Insn.Dyn && l_rd = info.r_bound then demote pc
-       | Threaded.L_slow -> ())
+       | Lane_ops.L_slow -> ())
     lane_fast;
   List.iter (fun (c : Scan.cir) -> demote c.c_last_write_pc) info.cirs;
   t.lane_fast <- lane_fast;
@@ -875,34 +869,33 @@ let attempt_issue t (c : ctx) : (unit, stall) Result.t =
                   pc t.info.body_start t.info.xloop_pc));
     match
       (if t.fast_ok then t.lane_fast.(pc - t.info.body_start)
-       else Threaded.L_slow)
+       else Lane_ops.L_slow)
     with
-    | Threaded.L_plain { l_op; l_rd; l_s1; l_s2; l_ctrl } ->
+    | Lane_ops.L_plain { l_op; l_rd; l_s1; l_s2; l_ctrl } ->
       (* Fast path: a plain single-cycle instruction with no observer
          attached.  It touches no memory, so speculation does not
-         change it.  The compiled closure replays exactly [Exec.step]'s
-         architectural effects (the register file is aliased), and
-         every lane-level effect — issue accounting, RAW scoreboard,
-         taken-branch bubble — is recovered from the metadata and the
-         outgoing pc. *)
+         change it.  The closure applies exactly [Exec.step]'s register
+         effect to the hart's register file and returns the outgoing
+         pc; every lane-level effect — issue accounting, RAW
+         scoreboard, taken-branch bubble — is recovered from the
+         metadata and that pc. *)
       let ready =
         imax (if l_s1 >= 0 then c.reg_ready.(l_s1) else 0)
           (if l_s2 >= 0 then c.reg_ready.(l_s2) else 0)
       in
       if ready > now then Error `Raw
       else begin
-        let st = c.tstate in
-        l_op st;
-        c.hart.pc <- st.Threaded.pc;
+        let next = l_op c.hart.regs in
+        c.hart.pc <- next;
         c.insns_iter <- c.insns_iter + 1;
         t.stats.ib_fetches <- t.stats.ib_fetches + 1;
         Gpp_timing.count_events t.stats t.meta.(pc);
         if l_rd >= 0 then c.reg_ready.(l_rd) <- now + 1;
-        if l_ctrl = 2 || (l_ctrl = 1 && st.Threaded.pc <> pc + 1) then
+        if l_ctrl = 2 || (l_ctrl = 1 && next <> pc + 1) then
           c.next_issue <- now + 2;
         Ok ()
       end
-    | Threaded.L_slow ->
+    | Lane_ops.L_slow ->
       let m = t.meta.(pc) in
       (* CIR consumption: the first read of each CIR waits on the CIB. *)
       let wake = ref (-1) in

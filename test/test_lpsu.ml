@@ -480,7 +480,7 @@ let test_lane_pc_escape_traps () =
 
 let test_lane_fast_path_differential () =
   (* The LPSU lane fast path runs plain instructions through the
-     block tier's compiled closures whenever no observer is attached.
+     per-pc closures of Lane_ops whenever no observer is attached.
      It must be completely invisible: same architectural result, same
      cycle count, and the same statistics — including violation/squash
      counts on the speculative om/ua patterns — as the Exec.step path

@@ -4,12 +4,13 @@
    and must not allocate on straight-line code.
 
    Three layers:
-   - operator equivalence: the unboxed ALU/branch evaluators agree with
-     the int32 semantic spec on corner-heavy random operands;
+   - operator/accessor equivalence: the unboxed ALU/branch/FPU
+     evaluators and the native-int memory accessors agree with their
+     int32 semantic specs on corner-heavy random operands;
    - whole-program differential: random ISA programs (forward control
      flow only, so termination is structural) and every registry kernel
      run to identical registers, memory and instruction counts through
-     both executors;
+     both executors, with identical out-of-fuel reports and traps;
    - allocation regression: a multi-million-instruction straight-line
      run must stay under a small constant of bytes per instruction. *)
 
@@ -60,6 +61,78 @@ let prop_branch_int_matches =
        Exec.branch_eval_int c (Int32.to_int a) (Int32.to_int b)
        = Exec.branch_eval c a b)
 
+(* [gen_int32] plus float bit patterns and the IEEE specials. *)
+let gen_fp_int32 =
+  let open QCheck.Gen in
+  frequency
+    [ 4, map Int32.of_int (int_range (-1000) 1000);
+      2, map Int32.of_int (int_bound 0x7FFFFFFF);
+      2, map Int32.bits_of_float
+           (map (fun f -> f *. 1000.0) (float_range (-1.0) 1.0));
+      1, oneofl [ Int32.min_int; Int32.max_int; -1l; 0l; 1l;
+                  0x7F800000l (* +inf *); 0xFF800000l (* -inf *);
+                  0x7FC00000l (* nan *) ] ]
+
+let all_fpu_ops =
+  [ Insn.Fadd; Fsub; Fmul; Fdiv; Fmin; Fmax; Feq; Flt; Fle;
+    Fcvt_sw; Fcvt_ws ]
+
+let prop_fpu_int_matches =
+  QCheck.Test.make ~name:"fpu_eval_int matches fpu_eval" ~count:4000
+    (QCheck.make
+       ~print:(fun (op, a, b) ->
+           Fmt.str "%s %ld %ld" (Insn.show_fpu_op op) a b)
+       QCheck.Gen.(triple (oneofl all_fpu_ops) gen_fp_int32 gen_fp_int32))
+    (fun (op, a, b) ->
+       Int32.of_int
+         (Exec.fpu_eval_int op (Int32.to_int a) (Int32.to_int b))
+       = Exec.fpu_eval op a b)
+
+let all_widths = [ Insn.B; Bu; H; Hu; W ]
+let all_amo_ops =
+  [ Insn.Amo_add; Amo_and; Amo_or; Amo_xchg; Amo_min; Amo_max ]
+
+(* The native-int accessors must behave exactly like the int32 ones:
+   same result (as a sign-extended int), same memory bytes, same event
+   counters — including on the journal path. *)
+let prop_mem_int_accessors =
+  let gen =
+    let open QCheck.Gen in
+    let* w = oneofl all_widths in
+    let* addr = map (fun a -> a * 4) (int_bound 60) in
+    let* v = gen_fp_int32 in
+    let* op = oneofl all_amo_ops in
+    let* journal = bool in
+    return (w, addr, v, op, journal)
+  in
+  QCheck.Test.make ~name:"load_int/store_int/amo_int match int32 forms"
+    ~count:2000 (QCheck.make gen)
+    (fun (w, addr, v, op, journal) ->
+       let m1 = Memory.create ~size:512 () in
+       let m2 = Memory.create ~size:512 () in
+       for i = 0 to 511 do
+         Memory.set_u8 m1 i ((i * 37 + 11) land 0xFF);
+         Memory.set_u8 m2 i ((i * 37 + 11) land 0xFF)
+       done;
+       if journal then begin
+         Memory.journal_begin m1; Memory.journal_begin m2
+       end;
+       Memory.store m1 w addr v;
+       Memory.store_int m2 w addr (Int32.to_int v);
+       let l1 = Memory.load m1 w addr in
+       let l2 = Memory.load_int m2 w addr in
+       let a1 = Memory.amo m1 op 256 v in
+       let a2 = Memory.amo_int m2 op 256 (Int32.to_int v) in
+       if journal then begin
+         Memory.journal_abort m1; Memory.journal_abort m2
+       end;
+       Int32.to_int l1 = l2
+       && Int32.to_int a1 = a2
+       && Bytes.equal m1.Memory.data m2.Memory.data
+       && m1.Memory.loads = m2.Memory.loads
+       && m1.Memory.stores = m2.Memory.stores
+       && m1.Memory.amos = m2.Memory.amos)
+
 (* -- whole-program differential --------------------------------------- *)
 
 (* Random programs with forward-only control flow: every branch or jump
@@ -89,18 +162,17 @@ let gen_insn ~pc ~len =
           return (Insn.Lui (rd, imm)));
       2, (let* rd = reg in
           let* off = int_range 0 15 in
-          let* w = oneofl [ Insn.B; Bu; H; Hu; W ] in
+          let* w = oneofl all_widths in
           let off = match w with
             | B | Bu -> off | H | Hu -> 2 * off | W -> 4 * off in
           return (Insn.Load (w, rd, 20, off)));
       2, (let* rt = reg in
           let* off = int_range 0 15 in
-          let* w = oneofl [ Insn.B; Bu; H; Hu; W ] in
+          let* w = oneofl all_widths in
           let off = match w with
             | B | Bu -> off | H | Hu -> 2 * off | W -> 4 * off in
           return (Insn.Store (w, rt, 20, off)));
-      1, (let* op = oneofl [ Insn.Amo_add; Amo_and; Amo_or; Amo_xchg;
-                             Amo_min; Amo_max ] in
+      1, (let* op = oneofl all_amo_ops in
           let* rd = reg in
           let* rt = reg in
           return (Insn.Amo (op, rd, 21, rt)));
@@ -187,6 +259,34 @@ let prop_predecode_differential =
        | Ok r1, Ok r2 -> snapshot r1 m1 = snapshot r2 m2
        | Error _, Error _ -> true
        | _ -> false)
+
+(* Random fuels cut runs at arbitrary points: the Out_of_fuel payload
+   (pc, counts) and the memory left behind must be identical. *)
+let prop_fuel_parity =
+  QCheck.Test.make ~name:"out-of-fuel payloads identical across tiers"
+    ~count:400
+    (QCheck.make
+       QCheck.Gen.(pair gen_program (int_bound 40))
+       ~print:(fun (p, fuel) -> Fmt.str "fuel %d@.%a" fuel Program.pp p))
+    (fun (p, fuel) ->
+       let m1 = Memory.create ~size:4096 () in
+       let m2 = Memory.create ~size:4096 () in
+       match Exec.run_serial ~fuel p m1, Exec.run_serial_ref ~fuel p m2 with
+       | Ok r1, Ok r2 -> snapshot r1 m1 = snapshot r2 m2
+       | Error s1, Error s2 ->
+         s1 = s2 && Bytes.equal m1.Memory.data m2.Memory.data
+       | _ -> false)
+
+let test_trap_parity () =
+  (* no halt: running off the end must trap identically in both *)
+  let p = { Program.insns = [| Insn.Alu (Add, 1, 1, 1) |]; symbols = [] } in
+  let msg run =
+    let m = Memory.create () in
+    try ignore (run p m); "no-trap" with Exec.Trap m -> m
+  in
+  Alcotest.(check string) "trap message"
+    (msg (fun p m -> Exec.run_serial_ref p m))
+    (msg (fun p m -> Exec.run_serial p m))
 
 (* Compiled kernels: richer register pressure and real loop structure
    than the random programs, and deterministic. *)
@@ -297,9 +397,13 @@ let () =
   Alcotest.run "predecode"
     [ ("operators",
        [ QCheck_alcotest.to_alcotest prop_alu_int_matches;
-         QCheck_alcotest.to_alcotest prop_branch_int_matches ]);
+         QCheck_alcotest.to_alcotest prop_branch_int_matches;
+         QCheck_alcotest.to_alcotest prop_fpu_int_matches;
+         QCheck_alcotest.to_alcotest prop_mem_int_accessors ]);
       ("differential",
        [ QCheck_alcotest.to_alcotest prop_predecode_differential;
+         QCheck_alcotest.to_alcotest prop_fuel_parity;
+         Alcotest.test_case "trap parity" `Quick test_trap_parity;
          Alcotest.test_case "registry kernels" `Quick
            test_registry_differential ]);
       ("concurrency",
