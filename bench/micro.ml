@@ -168,7 +168,7 @@ let kernel_workload name =
   let c = Compile.compile k.Kernel.kernel in
   (c.Compile.program,
    fun () ->
-     let mem = Memory.create () in
+     let mem = Memory.create ~size:c.Compile.mem_bytes () in
      k.Kernel.init c.Compile.array_base mem;
      mem)
 

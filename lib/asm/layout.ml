@@ -12,7 +12,8 @@ type t = {
 
 (** [create ()] starts the data segment at byte address 0x1000 (addresses
     below are reserved so that null-pointer-style bugs in kernels trap) and
-    bounds it by [limit] (default 1 MiB). *)
+    bounds it by [limit] (default 1 MiB); runs size their memory to the
+    regions actually allocated, not to [limit]. *)
 let create ?(base = 0x1000) ?(limit = 1 lsl 20) () =
   { next = base; regions = []; limit }
 

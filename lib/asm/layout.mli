@@ -8,7 +8,9 @@ type t
 
 val create : ?base:int -> ?limit:int -> unit -> t
 (** Data starts at [base] (default 0x1000 — lower addresses trap) and is
-    bounded by [limit] (default 1 MiB). *)
+    bounded by [limit] (default 1 MiB).  The limit only bounds
+    allocation: a compiled kernel's runs use a memory sized to the
+    regions actually allocated ([Compile.compiled.mem_bytes]). *)
 
 val alloc : ?align:int -> t -> name:string -> bytes:int -> int
 (** Allocate [bytes] bytes aligned to [align] (default 4); returns the

@@ -23,9 +23,22 @@ type compiled = {
   layout : Xloops_asm.Layout.t;
   array_base : string -> int;       (** data address of an array *)
   spill_slots : int;
+  mem_bytes : int;                  (** simulated memory size of a run *)
   target : target;
   kernel : kernel;
 }
+
+(* The smallest power of two, at least 4 KiB, that covers every region
+   of [layout], the spill area included: the data footprint rounded up.
+   A run's access past it raises [Memory.Bad_access]. *)
+let mem_bytes_of_layout layout =
+  let top =
+    List.fold_left
+      (fun acc (r : Xloops_asm.Layout.region) -> max acc (r.base + r.bytes))
+      0 (Xloops_asm.Layout.regions layout)
+  in
+  let rec up n = if n >= top then n else up (2 * n) in
+  up 4096
 
 (** Reject spill stores inside xloop bodies: spill slots live in shared
     memory, so a store from inside a specialized loop would race across
@@ -92,6 +105,7 @@ let compile ?(target = xloops) ?layout (k : kernel) : compiled =
          | Some i -> i.Lower.ai_base
          | None -> invalid_arg ("array_base: " ^ name));
     spill_slots = slots;
+    mem_bytes = mem_bytes_of_layout layout;
     target; kernel = k }
 
 (** Static instruction count of each xloop body in the program: (body

@@ -23,6 +23,11 @@ type compiled = {
   layout : Xloops_asm.Layout.t;
   array_base : string -> int;       (** data address of an array *)
   spill_slots : int;
+  mem_bytes : int;
+      (** Simulated memory size for every run of this program: the
+          smallest power of two, at least 4 KiB, that covers the end of
+          every region of [layout], the [$spill] area included.
+          Registry kernels size to 8 or 16 KiB. *)
   target : target;
   kernel : Ast.kernel;
 }

@@ -49,7 +49,7 @@ let pp_outcome ppf o =
 let run_kernel ?(cfg = Config.io_x) ?(mode = Machine.Specialized)
     ?(watchdog = 20_000) ~faults (k : Kernel.t) : outcome =
   let compiled = (Program_cache.find ~target:Compile.xloops k).compiled in
-  let mem_ref = Memory.create () in
+  let mem_ref = Memory.create ~size:compiled.mem_bytes () in
   k.init compiled.array_base mem_ref;
   (match Machine.simulate ~cfg ~mode:Machine.Traditional
            compiled.program mem_ref with
@@ -57,7 +57,7 @@ let run_kernel ?(cfg = Config.io_x) ?(mode = Machine.Specialized)
    | Error f ->
      failwith (Fmt.str "Differential.run_kernel %s: reference run: %a"
                  k.name Machine.pp_failure f));
-  let mem = Memory.create () in
+  let mem = Memory.create ~size:compiled.mem_bytes () in
   k.init compiled.array_base mem;
   let m = Machine.create ~cfg ~mode ~prog:compiled.program ~mem
       ~faults ~watchdog () in

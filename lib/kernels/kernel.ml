@@ -87,6 +87,8 @@ type run = {
   compiled : Compile.compiled;
   mem : Memory.t;
   check_result : (unit, string) result;
+  hangs : Xloops_sim.Fault.hang list;
+      (** LPSU watchdog diagnostics, oldest first; degraded ones included *)
 }
 
 (** Initialize a fresh memory for [k], simulate its already-compiled
@@ -96,14 +98,15 @@ type run = {
 let run_compiled ?(cfg = Config.io) ?(mode = Machine.Traditional)
     ?adaptive ?faults ?watchdog ?degrade ?fuel ?trace (k : t)
     (compiled : Compile.compiled) : (run, Machine.failure) result =
-  let mem = Memory.create () in
+  let mem = Memory.create ~size:compiled.mem_bytes () in
   k.init compiled.array_base mem;
-  match Machine.simulate ?adaptive ?faults ?watchdog ?degrade ?fuel ?trace
-          ~cfg ~mode compiled.program mem with
+  let m = Machine.create ?adaptive ?faults ?watchdog ?degrade ?trace ~cfg
+      ~mode ~prog:compiled.program ~mem () in
+  match Machine.run ?fuel m with
   | Error f -> Error f
   | Ok result ->
     let check_result = k.check compiled.array_base mem in
-    Ok { result; compiled; mem; check_result }
+    Ok { result; compiled; mem; check_result; hangs = Machine.hangs m }
 
 (** Compile [k] for [target], then {!run_compiled}. *)
 let run_result ?(target = Compile.xloops) ?cfg ?mode ?adaptive ?faults
@@ -127,7 +130,7 @@ let run ?target ?cfg ?mode ?adaptive ?faults ?watchdog ?degrade ?fuel
     compiled for the ISA being counted, through
     {!Xloops_sim.Exec.run_serial}. *)
 let dynamic_insns (k : t) (compiled : Compile.compiled) =
-  let mem = Memory.create () in
+  let mem = Memory.create ~size:compiled.mem_bytes () in
   k.init compiled.array_base mem;
   match Xloops_sim.Exec.run_serial compiled.program mem with
   | Ok r -> Ok r.dynamic_insns

@@ -47,6 +47,9 @@ type run = {
   compiled : Compile.compiled;
   mem : Memory.t;
   check_result : (unit, string) result;
+  hangs : Xloops_sim.Fault.hang list;
+      (** LPSU watchdog diagnostics, oldest first: every hang of the run,
+          degraded ones included *)
 }
 
 val run_compiled :

@@ -18,7 +18,10 @@ type t = {
 }
 
 val create : ?size:int -> unit -> t
-(** Default size 1 MiB, zero-filled. *)
+(** Zero-filled; default size 1 MiB, for hand-built programs.  Runs of
+    compiled kernels pass [compiled.mem_bytes] instead: the kernel's
+    layout rounded up to a power of two (8 or 16 KiB for the registry),
+    so an access past the data footprint raises {!Bad_access}. *)
 
 val size : t -> int
 

@@ -66,6 +66,39 @@ let test_dominant_pattern (k : Kernel.t) () =
     Alcotest.failf "%s: dominant %s not among emitted patterns [%s]"
       k.name k.dominant (String.concat "; " pats)
 
+(* Memory sizing: every registry kernel, on every target, runs in the
+   smallest power-of-two memory of at least 4 KiB covering its layout,
+   and the bounds check still traps just past it. *)
+let test_mem_bytes () =
+  List.iter
+    (fun (k : Kernel.t) ->
+       List.iter
+         (fun (tname, target) ->
+            let c = Compile.compile ~target k.kernel in
+            let n = c.mem_bytes in
+            let what fmt = Printf.sprintf ("%s/%s: " ^^ fmt) k.name tname in
+            let top =
+              List.fold_left
+                (fun acc (r : Xloops_asm.Layout.region) ->
+                   max acc (r.base + r.bytes))
+                0 (Xloops_asm.Layout.regions c.layout)
+            in
+            Alcotest.(check bool) (what "%d is a power of two" n) true
+              (n land (n - 1) = 0);
+            Alcotest.(check bool) (what "%d covers the layout (%d)" n top)
+              true (n >= top);
+            Alcotest.(check bool) (what "%d at most 64 KiB" n) true
+              (n <= 1 lsl 16);
+            let mem = Kernel.Memory.create ~size:n () in
+            ignore (Kernel.Memory.load mem Xloops_isa.Insn.W (n - 4));
+            Alcotest.(check bool) (what "load at %d traps" n) true
+              (match Kernel.Memory.load mem Xloops_isa.Insn.W n with
+               | _ -> false
+               | exception Kernel.Memory.Bad_access _ -> true))
+         [ ("xloops", Compile.xloops); ("general", Compile.general);
+           ("xloops_no_xi", Compile.xloops_no_xi) ])
+    Registry.all
+
 (* Registry invariants: unique names, lookup works, expected counts. *)
 let test_registry () =
   let names = Registry.names in
@@ -96,7 +129,9 @@ let () =
       Registry.all
   in
   Alcotest.run "kernels"
-    [ ("registry", [ Alcotest.test_case "invariants" `Quick test_registry ]);
+    [ ("registry",
+       [ Alcotest.test_case "invariants" `Quick test_registry;
+         Alcotest.test_case "memory size" `Quick test_mem_bytes ]);
       ("correctness", correctness);
       ("deep", deep);
       ("patterns", patterns) ]
