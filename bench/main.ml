@@ -1,12 +1,10 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Sections IV and V) from the simulator, and runs Bechamel
-   micro-benchmarks of the infrastructure itself.
+   evaluation (Sections IV and V) from the simulator.
 
    Usage:
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- --table2     # a single experiment
      dune exec bench/main.exe -- --quick      # Table II on 6 kernels
-     dune exec bench/main.exe -- --micro      # Bechamel micro-benches only
      dune exec bench/main.exe -- --quick --jobs 4   # parallel sweep
      dune exec bench/main.exe -- --no-cache   # ignore _xloops_cache/
 
@@ -332,49 +330,6 @@ let extensions () =
     E.extension_runs;
   Fmt.pr "@.(iterations past the exit run control-speculatively on the lanes@.and are discarded — the squashed-instruction column)@."
 
-(* -- Bechamel micro-benchmarks ---------------------------------------- *)
-
-let micro () =
-  section "Bechamel micro-benchmarks (simulator infrastructure)";
-  let open Bechamel in
-  let kernel name = Registry.find name in
-  let bench_run name cfg mode k =
-    Test.make ~name (Staged.stage (fun () ->
-        ignore (Kernel.run ~cfg ~mode (kernel k))))
-  in
-  let tests =
-    [ (* one per table/figure family: the work that regenerates it *)
-      bench_run "table2:uc-specialized" Xloops.Sim.Config.io_x
-        Xloops.Sim.Machine.Specialized "war-uc";
-      bench_run "table2:or-specialized" Xloops.Sim.Config.io_x
-        Xloops.Sim.Machine.Specialized "kmeans-or";
-      bench_run "table2:om-speculation" Xloops.Sim.Config.io_x
-        Xloops.Sim.Machine.Specialized "ksack-sm-om";
-      bench_run "fig7:adaptive" Xloops.Sim.Config.ooo4_x
-        Xloops.Sim.Machine.Adaptive "adpcm-or";
-      bench_run "fig5:ooo-baseline" Xloops.Sim.Config.ooo4
-        Xloops.Sim.Machine.Traditional "sgemm-uc";
-      Test.make ~name:"compiler:sgemm"
-        (Staged.stage (fun () ->
-             ignore (Xloops.Compiler.Compile.compile
-                       (kernel "sgemm-uc").Kernel.kernel)));
-      Test.make ~name:"table5:vlsi-model"
-        (Staged.stage (fun () -> ignore (Xloops.Vlsi.Area.table_v ()))) ]
-  in
-  let test = Test.make_grouped ~name:"xloops" tests in
-  let clock = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ clock ] test in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0
-      ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols clock raw in
-  Hashtbl.iter
-    (fun name stats ->
-       match Analyze.OLS.estimates stats with
-       | Some (est :: _) -> Fmt.pr "%-36s %12.1f ns/run@." name est
-       | _ -> Fmt.pr "%-36s (no estimate)@." name)
-    results
-
 (* -- Driver ------------------------------------------------------------ *)
 
 (* Engine and orchestration flags are stripped here; everything else
@@ -601,7 +556,6 @@ let () =
   if has "--ablation" then ablation ();
   if has "--csv" then csv ~quick ();
   if all || has "--extensions" then extensions ();
-  if has "--micro" then micro ();
   Option.iter
     (fun c -> Fmt.epr "[cache] %a@." Run_cache.pp_counters c) cache;
   Option.iter

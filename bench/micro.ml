@@ -121,15 +121,16 @@ type sample = {
    collection debt. *)
 let min_window = 0.02
 
-let measure ~repeat (tier, run) name prog mem_of =
-  let insns_of = function
-    | Ok r -> r.Exec.dynamic_insns
-    | Error stop -> Fmt.failwith "%s: %a" name Exec.pp_stop stop
-  in
-  (* Warm-up run: predecode/compile memos, branch-predictable GC state;
-     also sizes the batch for the minimum window. *)
+let insns_of name = function
+  | Ok r -> r.Exec.dynamic_insns
+  | Error stop -> Fmt.failwith "%s: %a" name Exec.pp_stop stop
+
+(* Per-tier set-up for one workload: a warm-up run, which also sizes the
+   batch for the minimum window, then the allocation probe. *)
+let prepare (tier, run) name prog mem_of =
+  (* Warm-up run: caches, branch predictors and GC state. *)
   let t0 = Unix.gettimeofday () in
-  let insns = insns_of (run prog (mem_of ())) in
+  let insns = insns_of name (run prog (mem_of ())) in
   let t1 = Unix.gettimeofday () -. t0 in
   let batch =
     max 1 (min 256 (int_of_float (ceil (min_window /. Float.max t1 1e-6))))
@@ -144,24 +145,40 @@ let measure ~repeat (tier, run) name prog mem_of =
   let alloc_mem = mem_of () in
   Gc.minor ();
   let a0 = Gc.allocated_bytes () in
-  let ai = insns_of (run prog alloc_mem) in
+  let ai = insns_of name (run prog alloc_mem) in
   let bytes = (Gc.allocated_bytes () -. a0) /. float_of_int ai in
-  let best_mips = ref 0.0 in
-  for _ = 1 to repeat do
-    (* fresh memories outside the window: runs mutate their memory *)
-    let mems = Array.init batch (fun _ -> mem_of ()) in
-    Gc.minor ();
-    let total = ref 0 in
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to batch - 1 do
-      total := !total + insns_of (run prog mems.(i))
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    best_mips :=
-      Float.max !best_mips (float_of_int !total /. dt /. 1e6)
+  (run, batch,
+   { s_name = name; s_tier = tier; s_insns = insns; s_mips = 0.0;
+     s_bytes_per_insn = bytes })
+
+(* MIPS of one timing window: [batch] back-to-back runs. *)
+let window run name prog mem_of batch =
+  (* fresh memories outside the window: runs mutate their memory *)
+  let mems = Array.init batch (fun _ -> mem_of ()) in
+  Gc.minor ();
+  let total = ref 0 in
+  let t0 = Unix.gettimeofday () in
+  for i = 0 to batch - 1 do
+    total := !total + insns_of name (run prog mems.(i))
   done;
-  { s_name = name; s_tier = tier; s_insns = insns; s_mips = !best_mips;
-    s_bytes_per_insn = bytes }
+  let dt = Unix.gettimeofday () -. t0 in
+  float_of_int !total /. dt /. 1e6
+
+(* Every tier of one workload, best of [repeat] windows each.  Each
+   repeat times one window per tier, back to back, so the tiers the
+   relative floors compare see the same stretch of host time; timing
+   all of one tier's windows before the next would let host speed drift
+   read as a tier regression. *)
+let measure ~repeat name prog mem_of =
+  let preps = List.map (fun tier -> prepare tier name prog mem_of) tiers in
+  let best = Array.make (List.length preps) 0.0 in
+  for _ = 1 to repeat do
+    List.iteri
+      (fun i (run, batch, _) ->
+         best.(i) <- Float.max best.(i) (window run name prog mem_of batch))
+      preps
+  done;
+  List.mapi (fun i (_, _, s) -> { s with s_mips = best.(i) }) preps
 
 let kernel_workload name =
   let k = Registry.find name in
@@ -402,10 +419,7 @@ let () =
     in
     let samples =
       List.concat_map
-        (fun (name, prog, mem_of) ->
-           List.map
-             (fun tier -> measure ~repeat:!repeat tier name prog mem_of)
-             tiers)
+        (fun (name, prog, mem_of) -> measure ~repeat:!repeat name prog mem_of)
         workloads
     in
     Fmt.pr "%-14s %-10s %12s %9s %13s %9s@." "workload" "tier" "insns"

@@ -96,7 +96,7 @@ let predecode_insn (i : int I.t) : uop =
   | Halt -> U_halt
   | Nop -> U_nop
 
-let predecode_fresh (p : t) : predecoded =
+let predecode (p : t) : predecoded =
   let uops =
     Array.mapi
       (fun pc i ->
@@ -106,27 +106,3 @@ let predecode_fresh (p : t) : predecoded =
       p.insns
   in
   { source = p; uops }
-
-(* Memoized per domain (the bench driver runs simulations on a pool of
-   domains): a tiny most-recently-used list keyed by physical equality,
-   so repeated runs of the same program — the common case inside a sweep
-   — predecode once. *)
-
-let memo : (t * predecoded) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let memo_cap = 8
-
-let predecode (p : t) : predecoded =
-  let cache = Domain.DLS.get memo in
-  match List.find_opt (fun (src, _) -> src == p) !cache with
-  | Some (_, pre) -> pre
-  | None ->
-    let pre = predecode_fresh p in
-    let rest =
-      if List.length !cache >= memo_cap
-      then List.filteri (fun i _ -> i < memo_cap - 1) !cache
-      else !cache
-    in
-    cache := (p, pre) :: rest;
-    pre

@@ -69,9 +69,6 @@ type predecoded = {
 }
 
 val predecode : t -> predecoded
-(** Memoized (per domain, keyed by physical equality): repeated calls on
-    the same program return the same predecoded value. *)
-
-val predecode_fresh : t -> predecoded
-(** Unmemoized {!predecode} — what each domain's cache miss computes.
-    Exposed for the cross-domain memoization property tests. *)
+(** A fresh predecode of every instruction.  Each machine predecodes
+    its program once, when it is created, and shares the result with
+    its LPSU. *)

@@ -1,0 +1,33 @@
+(** The field codec behind {!Run_spec}'s canonical encoding and the
+    service wire protocol: decimal integers with a [';'] terminator,
+    length-prefixed strings and one-byte tags.  Encoding is
+    deterministic, so encoded bytes can key an on-disk cache.  Decoding
+    is strict: any malformation raises {!Bad}, which each message
+    decoder turns into an [Error] at its boundary. *)
+
+val enc_int : Buffer.t -> int -> unit
+val enc_str : Buffer.t -> string -> unit
+val enc_bool : Buffer.t -> bool -> unit
+
+val enc_int_opt : Buffer.t -> int option -> unit
+(** ['n'], or ['s'] followed by the integer. *)
+
+exception Bad of string
+(** A malformed input; the message names the fault and its byte
+    offset. *)
+
+type cursor = { s : string; mutable pos : int }
+(** Decoding position in an input string. *)
+
+val fail_at : cursor -> string -> 'a
+(** Raise {!Bad} with the message and the cursor's offset. *)
+
+val dec_char : cursor -> char
+val dec_int : cursor -> int
+val dec_str : cursor -> string
+val dec_bool : cursor -> bool
+val dec_int_opt : cursor -> int option
+
+val finish : cursor -> 'a -> 'a
+(** [finish c v] is [v] if the whole input was consumed; otherwise it
+    raises {!Bad}. *)

@@ -55,9 +55,7 @@ let pp ppf t =
    [Marshal] output this is stable by construction, so it can key an
    on-disk cache. *)
 
-let enc_int b n = Buffer.add_string b (string_of_int n); Buffer.add_char b ';'
-let enc_str b s = enc_int b (String.length s); Buffer.add_string b s
-let enc_bool b v = Buffer.add_char b (if v then 't' else 'f')
+open Field_codec
 
 let dpattern_tag : Insn.dpattern -> int = function
   | Uc -> 0 | Or -> 1 | Om -> 2 | Orm -> 3 | Ua -> 4
@@ -98,9 +96,7 @@ let encode (t : t) =
      | Machine.Traditional -> 'T' | Specialized -> 'S' | Adaptive -> 'A');
   enc_bool b t.target.Compile.xloops;
   enc_bool b t.target.Compile.use_xi;
-  (match t.fuel with
-   | None -> Buffer.add_char b 'n'
-   | Some f -> Buffer.add_char b 's'; enc_int b f);
+  enc_int_opt b t.fuel;
   (match t.fault_seed with
    | None -> Buffer.add_char b 'n'
    | Some (seed, events) ->
@@ -117,47 +113,6 @@ let digest t = Digest_hex.of_digest (Digest.string (encode t))
    (the service wire protocol).  Strict: every field must parse and the
    input must be fully consumed, so a truncated or tampered frame is an
    [Error], never a half-filled spec. *)
-
-exception Bad of string
-
-type cursor = { s : string; mutable pos : int }
-
-let fail_at c msg = raise (Bad (Fmt.str "%s at byte %d" msg c.pos))
-
-let dec_char c =
-  if c.pos >= String.length c.s then fail_at c "unexpected end of input";
-  let ch = c.s.[c.pos] in
-  c.pos <- c.pos + 1;
-  ch
-
-let dec_int c =
-  let start = c.pos in
-  let neg = c.pos < String.length c.s && c.s.[c.pos] = '-' in
-  if neg then c.pos <- c.pos + 1;
-  let digits0 = c.pos in
-  while c.pos < String.length c.s
-        && (match c.s.[c.pos] with '0' .. '9' -> true | _ -> false) do
-    c.pos <- c.pos + 1
-  done;
-  if c.pos = digits0 then fail_at c "expected an integer";
-  if dec_char c <> ';' then fail_at c "expected ';' after integer";
-  match int_of_string (String.sub c.s start (c.pos - 1 - start)) with
-  | n -> n
-  | exception Stdlib.Failure _ -> fail_at c "integer out of range"
-
-let dec_str c =
-  let n = dec_int c in
-  if n < 0 || c.pos + n > String.length c.s then
-    fail_at c "string length overruns input";
-  let s = String.sub c.s c.pos n in
-  c.pos <- c.pos + n;
-  s
-
-let dec_bool c =
-  match dec_char c with
-  | 't' -> true
-  | 'f' -> false
-  | _ -> fail_at c "expected a bool tag"
 
 let dpattern_of_tag c : int -> Insn.dpattern = function
   | 0 -> Uc | 1 -> Or | 2 -> Om | 3 -> Orm | 4 -> Ua
@@ -238,12 +193,7 @@ let decode s : (t, string) result =
     let xloops = dec_bool c in
     let use_xi = dec_bool c in
     let target = { Compile.xloops; use_xi } in
-    let fuel =
-      match dec_char c with
-      | 'n' -> None
-      | 's' -> Some (dec_int c)
-      | _ -> fail_at c "unknown fuel tag"
-    in
+    let fuel = dec_int_opt c in
     let fault_seed =
       match dec_char c with
       | 'n' -> None
@@ -252,8 +202,8 @@ let decode s : (t, string) result =
     in
     let watchdog = dec_int c in
     let degrade = dec_bool c in
-    if c.pos <> String.length s then fail_at c "trailing bytes";
-    { kernel; cfg; mode; target; fuel; fault_seed; watchdog; degrade }
+    finish c
+      { kernel; cfg; mode; target; fuel; fault_seed; watchdog; degrade }
   with
   | spec -> Ok spec
   | exception Bad msg -> Error ("Run_spec.decode: " ^ msg)

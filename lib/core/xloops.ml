@@ -18,6 +18,8 @@
     - {!Run_spec} / {!Pool} / {!Run_cache}: the parallel evaluation
       engine — pure run plans, the Domain-based worker pool and the
       content-addressed on-disk result cache;
+    - {!Field_codec}: the binary field codec behind run-spec encoding
+      and the service wire protocol;
     - {!Program_cache}: each registry kernel compiled once per target
       per process, shared by cache keys, runs and kernel metadata;
     - {!Failure} / {!Journal} / {!Chaos}: the fault-tolerant
@@ -48,6 +50,7 @@ module Energy = Xloops_energy
 module Vlsi = Xloops_vlsi
 module Kernels = Xloops_kernels
 module Digest_hex = Digest_hex
+module Field_codec = Field_codec
 module Program_cache = Program_cache
 module Run_spec = Run_spec
 module Pool = Pool

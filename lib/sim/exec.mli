@@ -110,8 +110,8 @@ val run_serial : ?entry:int -> ?fuel:int -> Program.t ->
   Xloops_mem.Memory.t -> (run, stop) result
 (** Reference serial execution until [Halt]; the paper's
     dynamic-instruction-count columns come from here.  Fuel exhaustion
-    is reported as [Error], not raised.  Predecodes (memoized)
-    internally. *)
+    is reported as [Error], not raised.  Predecodes the program
+    itself. *)
 
 val run_serial_ref : ?entry:int -> ?fuel:int -> Program.t ->
   Xloops_mem.Memory.t -> (run, stop) result

@@ -62,8 +62,8 @@ let[@inline] count_events (s : Stats.t) (m : Insn_meta.t) =
    | Fu_amo -> s.amo_ops <- s.amo_ops + 1);
   if m.branch then s.branches <- s.branches + 1
 
-(* The metadata of the program an event indexes, looked up again only
-   when the stepped program changes. *)
+(* The metadata of the program an event indexes, decoded again only
+   when the stepped program changes: once per machine. *)
 type meta_cache = {
   mutable m_prog : Program.t;
   mutable m_meta : Insn_meta.t array;

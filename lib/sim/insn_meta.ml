@@ -54,26 +54,4 @@ let of_insn (i : int Insn.t) =
     predicted = (match i with Branch _ | Xloop _ -> true | _ -> false);
     sync = (match i with Sync -> true | _ -> false) }
 
-let of_program_fresh (p : Program.t) = Array.map of_insn p.Program.insns
-
-(* Per-domain memo keyed by physical equality, the shape of the
-   predecode and compiled-tier memos: a sweep runs the same few programs
-   many times. *)
-let memo : (Program.t * t array) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let memo_cap = 8
-
-let of_program (p : Program.t) =
-  let cache = Domain.DLS.get memo in
-  match List.find_opt (fun (src, _) -> src == p) !cache with
-  | Some (_, m) -> m
-  | None ->
-    let m = of_program_fresh p in
-    let rest =
-      if List.length !cache >= memo_cap
-      then List.filteri (fun i _ -> i < memo_cap - 1) !cache
-      else !cache
-    in
-    cache := (p, m) :: rest;
-    m
+let of_program (p : Program.t) = Array.map of_insn p.Program.insns

@@ -26,5 +26,5 @@ type t = private {
 }
 
 val of_program : Xloops_asm.Program.t -> t array
-(** Metadata for every pc, parallel to [insns].  Memoized per domain,
-    keyed by physical equality; callers must not mutate the array. *)
+(** Metadata for every pc, parallel to [insns].  The GPP timing model
+    and the LPSU each compute it once per machine. *)

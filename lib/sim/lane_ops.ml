@@ -18,9 +18,6 @@ type lane_meta =
   | L_slow
   | L_plain of {
       l_op : int array -> int;
-      l_rd : int;
-      l_s1 : int;
-      l_s2 : int;
       l_ctrl : int;
     }
 
@@ -91,19 +88,15 @@ let branch_op (c : Insn.branch_cond) rs rt l nx : int array -> int =
 (* Plainness and the closure are decided in one match, so no closure
    exists for a slow pc.  A conditional branch targeting its own
    fall-through is indistinguishable taken or not, so it stays slow. *)
-let lane_meta_of (src : int Insn.t array) (uops : P.uop array)
-  : lane_meta array =
+let lane_meta (pre : Program.predecoded) : lane_meta array =
   Array.mapi
     (fun pc u ->
-       let insn = src.(pc) in
+       let insn = pre.P.source.P.insns.(pc) in
        if not (uop_valid u) || Insn.is_mem insn || Insn.is_llfu insn then
          L_slow
        else
          let nx = pc + 1 in
-         let plain l_ctrl l_op =
-           L_plain { l_op; l_rd = Insn.dest_reg insn;
-                     l_s1 = Insn.src1 insn; l_s2 = Insn.src2 insn; l_ctrl }
-         in
+         let plain l_ctrl l_op = L_plain { l_op; l_ctrl } in
          match u with
          | P.U_alu (op, rd, rs, rt) -> plain 0 (alu_op op rd rs rt nx)
          | U_alui (op, rd, rs, imm) -> plain 0 (alui_op op rd rs imm nx)
@@ -119,27 +112,4 @@ let lane_meta_of (src : int Insn.t array) (uops : P.uop array)
          | U_jr rs -> plain 2 (fun r -> g r rs)
          | U_fpu _ | U_load _ | U_store _ | U_amo _ | U_xloop_de _
          | U_xloop_cmp _ | U_halt -> L_slow)
-    uops
-
-(* Per-domain memo keyed by physical equality, same shape as the
-   predecode memo: sweeps re-run the same few programs thousands of
-   times, so the array is built once per program per domain. *)
-
-let memo : (Program.predecoded * lane_meta array) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let memo_cap = 8
-
-let lane_meta (pre : Program.predecoded) : lane_meta array =
-  let cache = Domain.DLS.get memo in
-  match List.find_opt (fun (p, _) -> p == pre) !cache with
-  | Some (_, lane) -> lane
-  | None ->
-    let lane = lane_meta_of pre.P.source.P.insns pre.P.uops in
-    let rest =
-      if List.length !cache >= memo_cap
-      then List.filteri (fun i _ -> i < memo_cap - 1) !cache
-      else !cache
-    in
-    cache := (pre, lane) :: rest;
-    lane
+    pre.P.uops

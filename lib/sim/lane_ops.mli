@@ -9,8 +9,9 @@ module Program = Xloops_asm.Program
     execution is observationally silent: single-cycle, portless,
     trapless, no memory traffic, no long-latency unit, no loop
     bookkeeping, and any control transfer recoverable from the outgoing
-    pc.  The LPSU demotes further pcs it observes (CIR registers,
-    last-CIR-write pcs, dynamic-bound writes). *)
+    pc.  The registers it reads and writes are its {!Insn_meta.t}'s
+    [s1]/[s2] and [rd].  The LPSU demotes further pcs it observes (CIR
+    registers, last-CIR-write pcs, dynamic-bound writes). *)
 type lane_meta =
   | L_slow
   | L_plain of {
@@ -18,9 +19,6 @@ type lane_meta =
           (** applies the instruction to a hart's register file — the
               same register effect as {!Exec.step} — and returns the
               outgoing pc *)
-      l_rd : int;   (** dest register, -1 when none *)
-      l_s1 : int;   (** source registers, -1 when absent *)
-      l_s2 : int;
       l_ctrl : int;
           (** 0 = never redirects (outgoing pc is pc+1); 1 = conditional,
               taken iff the outgoing pc differs from pc+1; 2 = always
@@ -28,6 +26,5 @@ type lane_meta =
     }
 
 val lane_meta : Program.predecoded -> lane_meta array
-(** Parallel to the program's uops.  Memoized per domain (the last 8
-    programs, physical equality); callers must not mutate the array —
-    copy before demoting. *)
+(** Parallel to the program's uops.  The LPSU builds it once, when it is
+    created, and copies a loop body's slice before demoting pcs. *)

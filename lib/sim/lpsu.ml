@@ -116,9 +116,9 @@ type result = {
    and [start] resets them for every loop after it.  The fields from
    [info] on describe the loop being run. *)
 type t = {
-  prog : Program.t;
-  pre : Program.predecoded;      (* prog, predecoded once *)
-  meta : Insn_meta.t array;      (* per-pc timing metadata of prog *)
+  pre : Program.predecoded;      (* the machine's program, decoded once *)
+  meta : Insn_meta.t array;      (* per-pc timing metadata of the program *)
+  lane_ops : Lane_ops.lane_meta array;  (* per-pc lane fast path *)
   mem : Memory.t;
   direct_if : Exec.mem_iface;    (* architectural memory, built once *)
   ev : Exec.event;               (* shared reusable step scratch *)
@@ -159,7 +159,7 @@ type t = {
   faults : Fault.t option;
   (* Lane fast path: per-pc closure dispatch for instructions whose
      lane-level effects are fully recoverable without the event record
-     ({!Lane_ops.lane_meta}, further demoted below for CIR and
+     (the body's slice of [lane_ops], further demoted below for CIR and
      dynamic-bound bookkeeping).  [fast_ok] gates the whole array off
      whenever an observer (trace or fault injector) is attached. *)
   mutable lane_fast : Lane_ops.lane_meta array;  (* by pc - body_start *)
@@ -229,7 +229,7 @@ let fwd_iface t (c : ctx) : Exec.mem_iface = {
   amo = (fun _ _ _ -> assert false);
 }
 
-let create ~prog ~mem ~dcache ~(cfg : Config.t) ~stats ?trace ?faults () =
+let create ~pre ~mem ~dcache ~(cfg : Config.t) ~stats ?trace ?faults () =
   let lpsu = match cfg.lpsu with
     | Some l -> l
     | None -> invalid_arg "Lpsu.create: config has no LPSU"
@@ -254,7 +254,8 @@ let create ~prog ~mem ~dcache ~(cfg : Config.t) ~stats ?trace ?faults () =
           fwd_src = -1; fwd_raw = 0; fwd_addr = -1; fwd_bytes = 0 })
   in
   let t =
-    { prog; pre = Program.predecode prog; meta = Insn_meta.of_program prog;
+    { pre; meta = Insn_meta.of_program pre.Program.source;
+      lane_ops = Lane_ops.lane_meta pre;
       mem; direct_if;
       ev = Exec.create_event ();
       dcache; lat = Gpp_timing.latencies_of cfg.gpp;
@@ -347,24 +348,24 @@ let start t ~(info : Scan.t) ~(regs : int array) ~start_cycle ~stop_after
      anything reading a CIR (first-read stall and got_cir bookkeeping),
      anything writing one (got_cir), the last-CIR-write pc (CIB
      forwarding), and dynamic-bound writes (LMU bound raising). *)
-  let lane_fast =
-    Array.sub (Lane_ops.lane_meta t.pre) info.body_start info.body_len in
+  let lane_fast = Array.sub t.lane_ops info.body_start info.body_len in
   let demote pc =
     let i = pc - info.body_start in
     if i >= 0 && i < Array.length lane_fast then
       lane_fast.(i) <- Lane_ops.L_slow
   in
   Array.iteri
-    (fun i m ->
-       match m with
-       | Lane_ops.L_plain { l_rd; l_s1; l_s2; _ } ->
+    (fun i l ->
+       match l with
+       | Lane_ops.L_plain _ ->
          let cir r =
            r >= 0
            && List.exists (fun (c : Scan.cir) -> c.c_reg = r) info.cirs
          in
          let pc = info.body_start + i in
-         if cir l_rd || cir l_s1 || cir l_s2 then demote pc;
-         if pat.cp = Insn.Dyn && l_rd = info.r_bound then demote pc
+         let m = t.meta.(pc) in
+         if cir m.rd || cir m.s1 || cir m.s2 then demote pc;
+         if pat.cp = Insn.Dyn && m.rd = info.r_bound then demote pc
        | Lane_ops.L_slow -> ())
     lane_fast;
   List.iter (fun (c : Scan.cir) -> demote c.c_last_write_pc) info.cirs;
@@ -808,7 +809,7 @@ let execute t (c : ctx) ~now iface latency : (unit, stall) Result.t =
    [execute] with the interface that serves it. *)
 let issue_mem t (c : ctx) ~now : (unit, stall) Result.t =
   let speculative = t.spec_pattern && c.iter > t.commit_iter in
-  match t.prog.Program.insns.(c.hart.pc) with
+  match t.pre.Program.source.Program.insns.(c.hart.pc) with
   | Load (w, _, rs, imm) ->
     let addr = get_reg c.hart rs + imm in
     let bytes = Memory.width_bytes w in
@@ -871,7 +872,7 @@ let attempt_issue t (c : ctx) : (unit, stall) Result.t =
       (if t.fast_ok then t.lane_fast.(pc - t.info.body_start)
        else Lane_ops.L_slow)
     with
-    | Lane_ops.L_plain { l_op; l_rd; l_s1; l_s2; l_ctrl } ->
+    | Lane_ops.L_plain { l_op; l_ctrl } ->
       (* Fast path: a plain single-cycle instruction with no observer
          attached.  It touches no memory, so speculation does not
          change it.  The closure applies exactly [Exec.step]'s register
@@ -879,9 +880,10 @@ let attempt_issue t (c : ctx) : (unit, stall) Result.t =
          pc; every lane-level effect — issue accounting, RAW
          scoreboard, taken-branch bubble — is recovered from the
          metadata and that pc. *)
+      let m = t.meta.(pc) in
       let ready =
-        imax (if l_s1 >= 0 then c.reg_ready.(l_s1) else 0)
-          (if l_s2 >= 0 then c.reg_ready.(l_s2) else 0)
+        imax (if m.s1 >= 0 then c.reg_ready.(m.s1) else 0)
+          (if m.s2 >= 0 then c.reg_ready.(m.s2) else 0)
       in
       if ready > now then Error `Raw
       else begin
@@ -889,8 +891,8 @@ let attempt_issue t (c : ctx) : (unit, stall) Result.t =
         c.hart.pc <- next;
         c.insns_iter <- c.insns_iter + 1;
         t.stats.ib_fetches <- t.stats.ib_fetches + 1;
-        Gpp_timing.count_events t.stats t.meta.(pc);
-        if l_rd >= 0 then c.reg_ready.(l_rd) <- now + 1;
+        Gpp_timing.count_events t.stats m;
+        if m.rd >= 0 then c.reg_ready.(m.rd) <- now + 1;
         if l_ctrl = 2 || (l_ctrl = 1 && next <> pc + 1) then
           c.next_issue <- now + 2;
         Ok ()

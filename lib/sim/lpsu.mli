@@ -27,7 +27,7 @@ type t
     ports, built once and reset for every specialized loop. *)
 
 val create :
-  prog:Xloops_asm.Program.t ->
+  pre:Xloops_asm.Program.predecoded ->
   mem:Xloops_mem.Memory.t ->
   dcache:Xloops_mem.Cache.t ->
   cfg:Config.t ->
@@ -35,9 +35,10 @@ val create :
   ?trace:Trace.t ->
   ?faults:Fault.t ->
   unit -> t
-(** The LPSU of [cfg] for a machine running [prog] on [mem].  [dcache]
-    is the GPP's L1D (the LPSU shares its port); counters accumulate
-    into [stats].  [faults] injects the plan's due events each cycle.
+(** The LPSU of [cfg] for a machine running the predecoded program
+    [pre] on [mem]; its per-pc metadata and lane fast path are built
+    here, once.  [dcache] is the GPP's L1D (the LPSU shares its port);
+    counters accumulate into [stats].  [faults] injects the plan's due events each cycle.
     Raises [Invalid_argument] if [cfg] has no LPSU. *)
 
 val run :

@@ -166,7 +166,7 @@ let run_lpsu ?stop_after t (info : Scan.t) =
     match t.lpsu with
     | Some l -> l
     | None ->
-      let l = Lpsu.create ~prog:t.prog ~mem:t.mem
+      let l = Lpsu.create ~pre:t.pre ~mem:t.mem
           ~dcache:(Gpp_timing.l1d t.timing) ~cfg:t.cfg ~stats:t.stats
           ?trace:t.trace ?faults:t.faults () in
       t.lpsu <- Some l;

@@ -571,8 +571,9 @@ let test_lpsu_miss_penalty_configured () =
     in
     let stats = Xloops_sim.Stats.create () in
     let lpsu =
-      Xloops_sim.Lpsu.create ~prog ~mem:(setup_vectors n)
-        ~dcache:(Xloops_mem.Cache.create ()) ~cfg ~stats ()
+      Xloops_sim.Lpsu.create ~pre:(Xloops_asm.Program.predecode prog)
+        ~mem:(setup_vectors n) ~dcache:(Xloops_mem.Cache.create ()) ~cfg
+        ~stats ()
     in
     match Xloops_sim.Lpsu.run lpsu ~info ~regs ~start_cycle:0 () with
     | Ok r -> r.cycles, stats.dcache_misses

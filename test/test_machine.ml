@@ -404,9 +404,9 @@ let test_encoded_binary_runs_identically () =
 
 (* Bytes [Machine.simulate] allocates per committed instruction on one
    kernel.  The minor heap is emptied before and after the run: OCaml 5.1
-   under-counts [Gc.allocated_bytes] for words still in it.  A first run
-   warms the per-program memos (predecode, compiled tier, timing
-   metadata), which every later run of the program shares. *)
+   under-counts [Gc.allocated_bytes] for words still in it.  Each run
+   decodes the program afresh (predecode, timing metadata, lane ops);
+   a first, discarded run warms the host's GC state. *)
 let bytes_per_insn ~cfg ~mode name =
   let k = Registry.find name in
   let c = Xloops_compiler.Compile.compile k.kernel in
@@ -430,7 +430,8 @@ let check_budget ~cfg ~mode name budget =
     true (b <= budget)
 
 (* The GPP path allocates nothing per instruction; what remains is the
-   machine's set-up (caches, predictor, register scoreboards). *)
+   machine's set-up (caches, predictor, register scoreboards, the
+   program's decode). *)
 let test_gpp_allocation_free () =
   List.iter
     (fun name ->
@@ -439,8 +440,9 @@ let test_gpp_allocation_free () =
     [ "adpcm-or"; "war-uc" ]
 
 (* The LPSU allocates per specialized loop instance (the scan result,
-   the GPP register checkpoint, the loop's lane fast-path table), not
-   per lane cycle; its contexts are built once per machine.  Budgets are
+   the GPP register checkpoint, the loop's slice of the lane fast-path
+   table), not per lane cycle; its contexts, metadata and lane ops are
+   built once per machine.  Budgets are
    about twice the values measured when they were set (1.82 and 6.60
    B/insn). *)
 let test_lpsu_allocation_budget () =

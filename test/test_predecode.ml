@@ -309,57 +309,6 @@ let test_registry_differential () =
            k.Kernel.name)
     Registry.table2
 
-(* -- concurrent predecode (Domains) ------------------------------------ *)
-
-(* Predecode is called from the sweep worker pool: several domains hit
-   the same physically-shared [Program.t] values concurrently.  Each
-   domain's memo is DLS-private, but the programs themselves are shared,
-   so every domain must observe complete, identical uop arrays — no
-   partially-built entries — and repeated calls within a domain must hit
-   its memo. *)
-
-let prop_concurrent_predecode =
-  QCheck.Test.make ~name:"concurrent predecode agrees across domains"
-    ~count:50 arb_program
-    (fun p ->
-       let want = (Program.predecode_fresh p).Program.uops in
-       let domains =
-         List.init 4 (fun _ ->
-             Domain.spawn (fun () ->
-                 let pre1 = Program.predecode p in
-                 let pre2 = Program.predecode p in
-                 (pre1 == pre2, pre1.Program.uops)))
-       in
-       List.for_all
-         (fun d ->
-            let memo_hit, uops = Domain.join d in
-            memo_hit && uops = want)
-         domains)
-
-let test_concurrent_predecode_registry () =
-  let progs =
-    List.map
-      (fun (k : Kernel.t) ->
-         (Compile.compile k.Kernel.kernel).Compile.program)
-      Registry.table2
-  in
-  let expect =
-    List.map (fun p -> (Program.predecode_fresh p).Program.uops) progs in
-  let results =
-    List.init 4 (fun _ ->
-        Domain.spawn (fun () ->
-            List.map (fun p -> (Program.predecode p).Program.uops) progs))
-    |> List.map Domain.join
-  in
-  List.iter
-    (fun got ->
-       List.iter2
-         (fun g w ->
-            if g <> w then
-              Alcotest.fail "a domain observed different uop arrays")
-         got expect)
-    results
-
 (* -- allocation regression -------------------------------------------- *)
 
 let straightline ~iters =
@@ -406,10 +355,6 @@ let () =
          Alcotest.test_case "trap parity" `Quick test_trap_parity;
          Alcotest.test_case "registry kernels" `Quick
            test_registry_differential ]);
-      ("concurrency",
-       [ QCheck_alcotest.to_alcotest prop_concurrent_predecode;
-         Alcotest.test_case "registry programs, 4 domains" `Quick
-           test_concurrent_predecode_registry ]);
       ("allocation",
        [ Alcotest.test_case "straight-line steps" `Quick
            test_step_allocation ]);
