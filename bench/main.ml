@@ -2,11 +2,15 @@
    evaluation (Sections IV and V) from the simulator.
 
    Usage:
-     dune exec bench/main.exe                 # everything
+     dune exec bench/main.exe                 # the default sections
      dune exec bench/main.exe -- --table2     # a single experiment
      dune exec bench/main.exe -- --quick      # Table II on 6 kernels
      dune exec bench/main.exe -- --quick --jobs 4   # parallel sweep
      dune exec bench/main.exe -- --no-cache   # ignore _xloops_cache/
+     dune exec bench/main.exe -- --help       # flags and exit codes
+
+   With no section flag, every section but --ablation and --csv prints.
+   A usage error (unknown flag, bad value) exits 124 before anything runs.
 
    The sweep is planned as a list of pure run specs, executed by a
    Domain worker pool (--jobs N, or $XLOOPS_JOBS), and every result is
@@ -32,10 +36,8 @@
    its own workers and cache, and results stream back.  Stdout stays
    byte-identical to the in-process sweep; a daemon kill/restart
    mid-plan costs only reconnection and the re-simulation its cache
-   doesn't absorb.  The engine flags (--fuel, --watchdog-cycles,
-   --deadline-ms, --max-retries, --jobs, --cache-dir/--no-cache, and
-   their XLOOPS_* fallbacks) are the unified Cli_common set shared with
-   the xloops_* tools.
+   doesn't absorb.  The engine, chaos and address flags are the Cmdliner
+   terms Cli_common defines once for every xloops_* tool.
 
    Shapes to look for (paper vs this reproduction is recorded in
    EXPERIMENTS.md):
@@ -69,17 +71,14 @@ let evaluate (k : Kernel.t) = E.evaluate ~engine:!engine k
 let section title =
   Fmt.pr "@.=== %s ===@.@." title
 
-let kernels_for ~quick =
-  if quick then List.map Registry.find E.quick_kernels else Registry.table2
-
-let table2 ~quick () =
+let table2 ks =
   section "Table II: application kernels and cycle-level results";
   Fmt.pr "%a" E.pp_table2_header ();
   List.iter
     (fun k -> Fmt.pr "%a" E.pp_table2_row (E.table2_row (evaluate k)))
-    (kernels_for ~quick)
+    ks
 
-let fig5 ~quick () =
+let fig5 ks =
   section "Figure 5: speedup summary (normalized to serial on io)";
   Fmt.pr "%-14s %8s %8s %8s %8s@." "kernel" "io" "ooo2" "ooo4" "ooo2+x:S";
   List.iter
@@ -92,14 +91,14 @@ let fig5 ~quick () =
          (rel (E.host ev "ooo/2").base)
          (rel (E.host ev "ooo/4").base)
          (rel (E.host ev "ooo/2").spec))
-    (kernels_for ~quick)
+    ks
 
-let fig6 ~quick () =
+let fig6 ks =
   section "Figure 6: LPSU lane-cycle breakdown (specialized on io+x)";
   Fmt.pr "%a" E.pp_fig6
-    (List.map (fun k -> E.fig6_row (evaluate k)) (kernels_for ~quick))
+    (List.map (fun k -> E.fig6_row (evaluate k)) ks)
 
-let fig7 ~quick () =
+let fig7 ks =
   section "Figure 7: specialized vs adaptive on ooo/4+x";
   Fmt.pr "%-14s %8s %8s@." "kernel" "S" "A";
   List.iter
@@ -108,27 +107,27 @@ let fig7 ~quick () =
        let h = E.host ev "ooo/4" in
        Fmt.pr "%-14s %8.2f %8.2f@." k.Kernel.name
          (E.speedup h h.spec) (E.speedup h h.adapt))
-    (kernels_for ~quick)
+    ks
 
-let fig8 ~quick () =
+let fig8 ks =
   section "Figure 8: energy efficiency vs performance (S and A per host)";
   Fmt.pr "%a" E.pp_fig8
     (List.concat_map (fun k -> E.fig8_points (evaluate k))
-       (kernels_for ~quick))
+       ks)
 
-let fig9 () =
+let fig9 _ =
   section "Figure 9: LPSU design-space exploration (vs serial on ooo/4)";
   Fmt.pr "%a" E.pp_fig9 (E.fig9 ~engine:!engine ())
 
-let table4 () =
+let table4 _ =
   section "Table IV: case studies (hand-scheduled or / transformed uc)";
   Fmt.pr "%a" E.pp_table4 (E.table4 ~engine:!engine ())
 
-let table5 () =
+let table5 _ =
   section "Table V: VLSI area and cycle time";
   Fmt.pr "%a" Xloops.Vlsi.Area.pp_table_v (Xloops.Vlsi.Area.table_v ())
 
-let fig10 () =
+let fig10 _ =
   section "Figure 10: VLSI-mode energy efficiency vs performance \
            (uc kernels, no .xi, uc-only LPSU on io)";
   Fmt.pr "%a" E.pp_fig10 (E.fig10 ~engine:!engine ())
@@ -144,7 +143,7 @@ let spec_run name cfg =
   !engine.E.run
     (Run_spec.make ~cfg ~mode:Xloops.Sim.Machine.Specialized name)
 
-let ablation () =
+let ablation _ =
   section "Ablation: inter-lane store-to-load forwarding";
   Fmt.pr "%-14s %22s %26s@." "kernel" "baseline (cyc/viol)"
     "forwarding (cyc/viol/fwd)";
@@ -272,7 +271,7 @@ let ablation () =
 (* Machine-readable results for plotting: --csv writes results/*.csv with
    the Table II matrix and the Figure 8 scatter. *)
 
-let csv ~quick () =
+let csv ks =
   let dir = "results" in
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let write name header rows =
@@ -283,7 +282,7 @@ let csv ~quick () =
     close_out oc;
     Fmt.pr "wrote %s (%d rows)@." path (List.length rows)
   in
-  let evals = List.map (fun k -> evaluate k) (kernels_for ~quick) in
+  let evals = List.map (fun k -> evaluate k) ks in
   write "table2.csv"
     "kernel,suite,type,body_min,body_max,gpi_dyn,xg,host,T,S,A"
     (List.concat_map
@@ -319,7 +318,7 @@ let csv ~quick () =
 
 (* -- Extensions ---------------------------------------------------------- *)
 
-let extensions () =
+let extensions _ =
   section "Extension: data-dependent exit (xloop.uc.de, paper future work)";
   Fmt.pr "%-28s %10s %12s@." "run" "cycles" "squashed";
   List.iter
@@ -330,98 +329,90 @@ let extensions () =
     E.extension_runs;
   Fmt.pr "@.(iterations past the exit run control-speculatively on the lanes@.and are discarded — the squashed-instruction column)@."
 
-(* -- Driver ------------------------------------------------------------ *)
+(* -- Sections ------------------------------------------------------------ *)
 
-(* Engine and orchestration flags are stripped here; everything else
-   selects sections as before.  The orchestration knobs (--resume,
-   --max-retries, --deadline-ms, the --chaos flags) only affect how the
-   sweep executes and what goes to stderr — stdout stays byte-identical
-   whatever the combination, which is what CI diffs. *)
-type bench_opts = {
-  journal_path : string option;     (* explicit --journal *)
-  resume : bool;
-  chaos_seed : int option;
-  chaos_events : int;
-  chaos_abort : bool;               (* include mid-sweep aborts *)
-  server : string option;           (* --server ADDR: warm via daemon *)
+(* What a section needs simulated before it prints: the per-kernel
+   evaluations, specs of its own, or nothing (it simulates as it
+   prints). *)
+type needs = Evals | Specs of (unit -> Run_spec.t list) | On_demand
+
+type section = {
+  flag : string;
+  default : bool;                  (* printed when no section is named *)
+  needs : needs;
+  doc : string;
+  print : Kernel.t list -> unit;   (* given the Table II kernel set *)
 }
 
-(* The unified engine flags (--fuel, --watchdog-cycles, --deadline-ms,
-   --max-retries, --jobs, --cache-dir, --no-cache, XLOOPS_* fallbacks)
-   are parsed by the shared Cli_common code path; only the
-   bench-specific orchestration knobs live here. *)
-let parse_engine_args args =
-  let eng = ref (Cli_common.default_engine_args ~max_retries:2 ()) in
-  let o =
-    ref { journal_path = None; resume = false; chaos_seed = None;
-          chaos_events = 12; chaos_abort = false; server = None }
-  in
-  let int_arg flag n k =
-    match int_of_string_opt n with
-    | Some v when v >= 0 -> k v
-    | _ -> Fmt.epr "bench: bad %s %s (want a non-negative int)@." flag n;
-      exit 2
-  in
-  let rec go acc args =
-    match Cli_common.consume_engine_flag eng args with
-    | Some tl -> go acc tl
-    | None ->
-      (match args with
-       | [] -> List.rev acc
-       | "--journal" :: p :: tl ->
-         o := { !o with journal_path = Some p }; go acc tl
-       | "--resume" :: tl -> o := { !o with resume = true }; go acc tl
-       | "--chaos-seed" :: n :: tl ->
-         int_arg "--chaos-seed" n
-           (fun v -> o := { !o with chaos_seed = Some v });
-         go acc tl
-       | "--chaos-events" :: n :: tl ->
-         int_arg "--chaos-events" n
-           (fun v -> o := { !o with chaos_events = v });
-         go acc tl
-       | "--chaos-abort" :: tl ->
-         o := { !o with chaos_abort = true }; go acc tl
-       | "--server" :: a :: tl -> o := { !o with server = Some a }; go acc tl
-       | a :: tl -> go (a :: acc) tl)
-  in
-  let rest = go [] args in
-  (!eng, !o, rest)
+(* Every section, in print order.  The warm-phase plan is derived from
+   the selected entries, so what is simulated and what prints cannot
+   drift apart. *)
+let sections =
+  let s ?(default = true) flag needs doc print =
+    { flag; default; needs; doc; print } in
+  [ s "table2" Evals "Table II: application kernels and cycle-level \
+                      results." table2;
+    s "fig5" Evals "Figure 5: speedup summary." fig5;
+    s "fig6" Evals "Figure 6: LPSU lane-cycle breakdown." fig6;
+    s "fig7" Evals "Figure 7: specialized vs adaptive on ooo/4+x." fig7;
+    s "fig8" Evals "Figure 8: energy efficiency vs performance." fig8;
+    s "fig9" (Specs E.fig9_specs)
+      "Figure 9: LPSU design-space exploration." fig9;
+    s "table4" (Specs E.table4_specs) "Table IV: case studies." table4;
+    s "table5" On_demand "Table V: VLSI area and cycle time." table5;
+    s "fig10" (Specs E.fig10_specs)
+      "Figure 10: VLSI-mode energy efficiency vs performance." fig10;
+    s ~default:false "ablation" On_demand
+      "Ablations of internal design decisions (not in the default set)."
+      ablation;
+    s ~default:false "csv" Evals
+      "Write results/*.csv for plotting (not in the default set)." csv;
+    s "extensions" (Specs (fun () -> List.map snd E.extension_runs))
+      "Implemented future work: data-dependent exits." extensions ]
 
-let () =
-  let eng, opts, args =
-    parse_engine_args (Array.to_list Sys.argv |> List.tl) in
-  let jobs = eng.Cli_common.ea_jobs in
-  let cache_dir = eng.Cli_common.ea_cache_dir in
-  let deadline_ms = eng.Cli_common.ea_deadline_ms in
-  let max_retries = eng.Cli_common.ea_max_retries in
-  let server_addr =
-    Option.map
-      (fun a ->
-         match Xloops_service.Protocol.parse_addr a with
-         | Ok addr -> addr
-         | Error msg -> Fmt.epr "bench: %s@." msg; exit 2)
-      opts.server
+(* The per-kernel evaluations first (every section that reads them
+   shares them), then each selected section's own specs in order;
+   deduped by digest. *)
+let plan_of ks selected =
+  let evals = List.exists (fun s -> s.needs = Evals) selected in
+  (if evals then List.concat_map E.specs_for ks else [])
+  @ List.concat_map
+    (fun s -> match s.needs with Specs f -> f () | _ -> []) selected
+  |> E.dedupe_specs
+
+(* -- Driver ------------------------------------------------------------ *)
+
+(* The orchestration knobs (--journal, --resume, the --chaos flags,
+   --server) and the engine flags only affect how the sweep executes
+   and what goes to stderr — stdout stays byte-identical whatever the
+   combination, which is what CI diffs. *)
+let bench quick named (eng : Cli_common.engine_args) journal_path resume
+    chaos_seed chaos_events chaos_abort server =
+  Cli_common.guarded @@ fun () ->
+  let selected =
+    List.filter
+      (fun s -> if named = [] then s.default else List.memq s named)
+      sections
   in
+  let ks =
+    if quick then List.map Registry.find E.quick_kernels
+    else Registry.table2
+  in
+  let jobs = eng.ea_jobs in
   let chaos =
-    Option.map
-      (fun seed ->
-         Chaos.plan
-           ~kinds:(if opts.chaos_abort then Chaos.all_kinds
-                   else Chaos.recoverable_kinds)
-           ~seed ~events:opts.chaos_events ())
-      opts.chaos_seed
+    Cli_common.chaos_of ~abort:chaos_abort ~seed:chaos_seed
+      ~events:chaos_events ()
   in
   (* Startup hygiene (tmp reap, over-limit reap) lives in the one cache
      constructor the CLIs share. *)
   let cache = Cli_common.cache_of_engine ?chaos ~tag:"cache" eng in
   let journal =
-    match opts.journal_path, cache_dir with
-    | Some p, _ -> Some (Journal.start ~resume:opts.resume p)
+    match journal_path, eng.ea_cache_dir with
+    | Some p, _ -> Some (Journal.start ~resume p)
     | None, Some dir ->
-      Some (Journal.start ~resume:opts.resume
-              (Filename.concat dir Journal.default_name))
+      Some (Journal.start ~resume (Filename.concat dir Journal.default_name))
     | None, None ->
-      if opts.resume then
+      if resume then
         Fmt.epr "bench: --resume without a cache or --journal has \
                  nothing to resume from; ignoring@.";
       None
@@ -430,45 +421,34 @@ let () =
      daemon and computes kernel metadata locally; otherwise the usual
      in-process memoizing/caching engine. *)
   let remote_warm =
-    match server_addr with
+    match server with
     | None -> engine := E.caching_engine ?cache (); None
     | Some addr ->
       let eng', warm =
-        Xloops_service.Client.engine ?cache ?deadline_ms ~max_retries addr
+        Xloops_service.Client.engine ?cache
+          ?deadline_ms:eng.ea_deadline_ms ~max_retries:eng.ea_max_retries
+          addr
       in
       engine := eng';
       Some warm
   in
-  let has f = List.mem f args in
-  let quick = has "--quick" in
-  let all = args = [] || (args = [ "--quick" ]) in
   let t0 = Unix.gettimeofday () in
   (* Plan the sweep: one pure run spec per needed simulation, deduped by
      digest, then executed by the worker pool so the assembly passes
      below only ever hit the warmed engine. *)
-  let needs_evals =
-    all
-    || List.exists has
-      [ "--table2"; "--fig5"; "--fig6"; "--fig7"; "--fig8"; "--csv" ]
-  in
-  let plan =
-    List.concat
-      [ (if needs_evals then
-           List.concat_map E.specs_for (kernels_for ~quick)
-         else []);
-        (if all || has "--fig9" then E.fig9_specs () else []);
-        (if all || has "--table4" then E.table4_specs () else []);
-        (if all || has "--fig10" then E.fig10_specs () else []);
-        (if all || has "--extensions" then List.map snd E.extension_runs
-         else []) ]
-    |> E.dedupe_specs
+  let plan = plan_of ks selected in
+  let failed n =
+    Fmt.epr "bench: %d of %d spec(s) failed; tables not assembled@." n
+      (List.length plan);
+    1
   in
   (* Warm phase: execute the plan under the fault-tolerance stack.  A
-     failing or timed-out spec is a per-item failure (reported below),
+     failing or timed-out spec is a per-item failure (reported here),
      not a crashed sweep; journaled specs from an interrupted run are
      skipped and served from the cache during assembly. *)
-  if plan <> [] then begin
+  let status =
     match remote_warm with
+    | _ when plan = [] -> 0
     | Some warm ->
       (* Server mode: the daemon schedules the plan across its own
          workers and cache.  Journaled specs are not resubmitted; table
@@ -486,8 +466,8 @@ let () =
       if skipped > 0 then
         Fmt.epr "[sweep] resumed: %d of %d spec(s) already journaled@."
           skipped (List.length plan);
-      Fmt.epr "[serve] warming %d spec(s) via %s@." (List.length todo)
-        (Option.get opts.server);
+      Fmt.epr "[serve] warming %d spec(s) via %a@." (List.length todo)
+        Cli_common.pp_addr (Option.get server);
       let failures = warm todo in
       Option.iter
         (fun j ->
@@ -499,25 +479,21 @@ let () =
                 if not (List.mem d failed) then Journal.record j d)
              todo)
         journal;
-      if failures <> [] then begin
-        List.iter
-          (fun (s, e) ->
-             Fmt.epr "[sweep] FAILED %s: %a@." (Run_spec.what s)
-               Xloops_service.Protocol.pp_error e)
-          failures;
-        Fmt.epr "bench: %d of %d spec(s) failed; tables not assembled@."
-          (List.length failures) (List.length plan);
-        exit 1
-      end
+      List.iter
+        (fun (s, e) ->
+           Fmt.epr "[sweep] FAILED %s: %a@." (Run_spec.what s)
+             Xloops_service.Protocol.pp_error e)
+        failures;
+      if failures = [] then 0 else failed (List.length failures)
     | None ->
       if jobs > 1 then
         Fmt.epr "[pool] %d-run plan on %d domains (%d cores available)@."
           (List.length plan) jobs (Pool.available_cores ());
       let policy =
         { Pool.default_policy with
-          deadline_ms;
-          max_retries;
-          backoff_seed = Option.value opts.chaos_seed ~default:0 }
+          deadline_ms = eng.ea_deadline_ms;
+          max_retries = eng.ea_max_retries;
+          backoff_seed = Option.value chaos_seed ~default:0 }
       in
       match E.sweep ~jobs ~policy ?journal ?chaos !engine plan with
       | exception Failure.Abort msg ->
@@ -526,7 +502,7 @@ let () =
         Option.iter
           (fun j -> Fmt.epr "[journal] %a@." Journal.pp_counters j) journal;
         Fmt.epr "bench: sweep aborted: %s (rerun with --resume)@." msg;
-        exit 3
+        3
       | report ->
         if report.E.sr_skipped > 0 then
           Fmt.epr "[sweep] resumed: %d of %d spec(s) already journaled@."
@@ -535,31 +511,56 @@ let () =
           (fun c -> Fmt.epr "[chaos] %d event(s) injected@."
               (Chaos.injected_count c))
           chaos;
-        if report.E.sr_failures <> [] then begin
-          List.iter
-            (fun f -> Fmt.epr "[sweep] FAILED %a@." E.pp_sweep_failure f)
-            report.E.sr_failures;
-          Fmt.epr "bench: %d of %d spec(s) failed; tables not assembled@."
-            (List.length report.E.sr_failures) (List.length plan);
-          exit 1
-        end
-  end;
-  if all || has "--table2" then table2 ~quick ();
-  if all || has "--fig5" then fig5 ~quick ();
-  if all || has "--fig6" then fig6 ~quick ();
-  if all || has "--fig7" then fig7 ~quick ();
-  if all || has "--fig8" then fig8 ~quick ();
-  if all || has "--fig9" then fig9 ();
-  if all || has "--table4" then table4 ();
-  if all || has "--table5" then table5 ();
-  if all || has "--fig10" then fig10 ();
-  if has "--ablation" then ablation ();
-  if has "--csv" then csv ~quick ();
-  if all || has "--extensions" then extensions ();
-  Option.iter
-    (fun c -> Fmt.epr "[cache] %a@." Run_cache.pp_counters c) cache;
-  Option.iter
-    (fun j -> Fmt.epr "[journal] %a@." Journal.pp_counters j; Journal.close j)
-    journal;
-  Fmt.epr "[bench completed in %.1f s, jobs=%d]@."
-    (Unix.gettimeofday () -. t0) jobs
+        List.iter
+          (fun f -> Fmt.epr "[sweep] FAILED %a@." E.pp_sweep_failure f)
+          report.E.sr_failures;
+        if report.E.sr_failures = [] then 0
+        else failed (List.length report.E.sr_failures)
+  in
+  if status <> 0 then status
+  else begin
+    List.iter (fun s -> s.print ks) selected;
+    Option.iter
+      (fun c -> Fmt.epr "[cache] %a@." Run_cache.pp_counters c) cache;
+    Option.iter
+      (fun j -> Fmt.epr "[journal] %a@." Journal.pp_counters j;
+        Journal.close j)
+      journal;
+    Fmt.epr "[bench completed in %.1f s, jobs=%d]@."
+      (Unix.gettimeofday () -. t0) jobs;
+    0
+  end
+
+open Cmdliner
+
+let cmd =
+  let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
+  let opt c name docv doc =
+    Arg.(value & opt (some c) None & info [ name ] ~docv ~doc) in
+  let exits =
+    Cmd.Exit.info 1 ~doc:"when a spec of the plan failed."
+    :: Cmd.Exit.info 3 ~doc:"when the sweep aborted (rerun with --resume)."
+    :: Cmd.Exit.defaults
+  in
+  Cmd.v
+    (Cmd.info "bench" ~doc:"regenerate the paper's tables and figures" ~exits)
+    Term.(const bench
+          $ flag "quick" "Run the Table II sections (Table II, Figures \
+                          5-8, --csv) on the six quick kernels only."
+          $ Arg.(value & vflag_all []
+                 & List.map (fun s -> (s, info [ s.flag ] ~doc:s.doc))
+                   sections)
+          $ Cli_common.engine_term ~pool:true ~max_retries:2 ()
+          $ opt Arg.string "journal" "PATH"
+            "Sweep journal path (default: sweep.journal in the cache \
+             directory)."
+          $ flag "resume"
+            "Skip the specs a previous, interrupted sweep journaled."
+          $ Cli_common.chaos_seed_arg $ Cli_common.chaos_events_arg
+          $ flag "chaos-abort"
+            "Add mid-sweep aborts to the --chaos-seed plan (exit 3)."
+          $ opt Cli_common.addr_conv "server" "ADDR"
+            "Warm the plan through the xloops_serve daemon at $(docv) \
+             instead of the in-process pool.")
+
+let () = exit (Cmd.eval' cmd)

@@ -9,14 +9,6 @@ module K = Xloops.Kernels
 module C = Xloops.Compiler
 module Program = Xloops.Asm.Program
 
-let kernel_arg =
-  let doc = "Kernel name (see xloops_info for the list)." in
-  Arg.(required & opt (some string) None & info [ "k"; "kernel" ] ~doc)
-
-let target_arg =
-  let doc = "Compilation target: general, xloops, xloops-no-xi." in
-  Arg.(value & opt string "xloops" & info [ "t"; "target" ] ~doc)
-
 let source_arg =
   let doc = "Also print the Loopc source." in
   Arg.(value & flag & info [ "s"; "source" ] ~doc)
@@ -47,6 +39,7 @@ let run kernel target source =
 let cmd =
   let doc = "disassemble a compiled XLOOPS kernel" in
   Cmd.v (Cmd.info "xloops_disasm" ~doc)
-    Term.(const run $ kernel_arg $ target_arg $ source_arg)
+    Term.(const run $ Cli_common.kernel_arg $ Cli_common.target_arg
+          $ source_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -8,99 +8,56 @@
 open Cmdliner
 module K = Xloops.Kernels
 module Sim = Xloops.Sim
-module C = Xloops.Compiler
 module Energy = Xloops.Energy.Model
-
-let kernel_arg =
-  let doc = "Kernel name (see xloops_info for the list)." in
-  Arg.(required & opt (some string) None & info [ "k"; "kernel" ] ~doc)
-
-let config_arg =
-  let doc = "Machine configuration: io, ooo/2, ooo/4, io+x, ooo/2+x, \
-             ooo/4+x, or a Figure 9 design point." in
-  Arg.(value & opt string "io+x" & info [ "c"; "config" ] ~doc)
-
-let mode_arg =
-  let doc = "Execution mode: T (traditional), S (specialized), \
-             A (adaptive)." in
-  Arg.(value & opt string "S" & info [ "m"; "mode" ] ~doc)
-
-let target_arg =
-  let doc = "Compilation target: general, xloops, xloops-no-xi." in
-  Arg.(value & opt string "xloops" & info [ "t"; "target" ] ~doc)
 
 let verbose_arg =
   let doc = "Print the full event-counter dump." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
-let run kernel config mode target verbose eng fault_seed fault_events
-    no_degrade =
+let run verbose single_run =
   Cli_common.guarded @@ fun () ->
-  let k = K.Registry.find kernel in
-  let spec =
-    Cli_common.spec_of ~eng ~config ~mode ~target ~fault_seed
-      ~fault_events ~no_degrade kernel
-  in
-  let cfg = spec.Xloops.Run_spec.cfg and mode = spec.Xloops.Run_spec.mode in
-  let t0 = Unix.gettimeofday () in
-  let outcome =
-    Cli_common.with_policy ~eng
-      ~salt:(Xloops.Digest_hex.to_hex (Xloops.Run_spec.digest spec))
-      (fun () -> Xloops.Run_spec.run_result ~kernel:k spec)
-  in
-  match outcome.result with
-  | Error f ->
-    Fmt.epr "error: %s: %a@." k.name Xloops.Failure.pp_tagged f;
-    2
-  | Ok (Error f) ->
-    Fmt.epr "error: %s: %a@." k.name Xloops.Failure.pp_tagged
-      (Xloops.Failure.Sim f);
-    2
-  | Ok (Ok r) ->
-    let wall = Unix.gettimeofday () -. t0 in
-    let res = r.K.Kernel.result in
-    res.stats.wall_ns <- int_of_float (1e9 *. wall);
-    Fmt.pr "kernel:  %s (%s, dominant %s)@." k.name k.suite k.dominant;
-    Fmt.pr "machine: %s, mode %s@." cfg.Sim.Config.name
-      (Sim.Machine.mode_name mode);
-    Fmt.pr "check:   %s@."
-      (match r.check_result with
-       | Ok () -> "PASS"
-       | Error m -> "FAIL: " ^ m);
-    Fmt.pr "cycles:  %d@." res.cycles;
-    Fmt.pr "insns:   %d (IPC %.2f)@." res.insns
-      (float_of_int res.insns /. float_of_int (max 1 res.cycles));
-    Fmt.pr "xloops:  %d specialized, %d iterations, %d violations@."
-      res.stats.xloops_specialized res.stats.iterations
-      res.stats.violations;
-    Cli_common.report_robustness res.stats;
-    let e = Energy.of_stats cfg res.stats in
-    Fmt.pr "energy:  %a@." Energy.pp_breakdown e;
-    Fmt.pr "power:   %.1f mW at %.0f MHz@."
-      (Energy.power ~cycles:res.cycles e *. 1e3)
-      (Energy.frequency_hz /. 1e6);
-    if verbose then begin
-      Fmt.pr "@.host:    wall_ns %d (%.1f MIPS simulated)@."
-        res.stats.wall_ns
-        (float_of_int res.insns /. Float.max wall 1e-9 /. 1e6);
-      Fmt.pr "spec:    %a (digest of the canonical run plan)@."
-        Xloops.Digest_hex.pp (Xloops.Run_spec.digest spec);
-      Fmt.pr "%a@." Sim.Stats.pp res.stats;
-      (match Sim.Stats.lane_breakdown res.stats with
-       | breakdown when res.stats.ib_fetches > 0 ->
-         Fmt.pr "@.lane cycles:";
-         List.iter (fun (c, f) -> Fmt.pr " %s=%.2f" c f) breakdown;
-         Fmt.pr "@."
-       | _ -> ())
-    end;
-    (match r.check_result with Ok () -> 0 | Error _ -> 1)
+  single_run ~trace:None @@ fun k (spec : Xloops.Run_spec.t) r wall ->
+  let cfg = spec.cfg and mode = spec.mode in
+  let res = r.K.Kernel.result in
+  Fmt.pr "kernel:  %s (%s, dominant %s)@." k.K.Kernel.name k.suite k.dominant;
+  Fmt.pr "machine: %s, mode %s@." cfg.Sim.Config.name
+    (Sim.Machine.mode_name mode);
+  Fmt.pr "check:   %s@."
+    (match r.check_result with
+     | Ok () -> "PASS"
+     | Error m -> "FAIL: " ^ m);
+  Fmt.pr "cycles:  %d@." res.cycles;
+  Fmt.pr "insns:   %d (IPC %.2f)@." res.insns
+    (float_of_int res.insns /. float_of_int (max 1 res.cycles));
+  Fmt.pr "xloops:  %d specialized, %d iterations, %d violations@."
+    res.stats.xloops_specialized res.stats.iterations
+    res.stats.violations;
+  Cli_common.report_robustness res.stats;
+  let e = Energy.of_stats cfg res.stats in
+  Fmt.pr "energy:  %a@." Energy.pp_breakdown e;
+  Fmt.pr "power:   %.1f mW at %.0f MHz@."
+    (Energy.power ~cycles:res.cycles e *. 1e3)
+    (Energy.frequency_hz /. 1e6);
+  if verbose then begin
+    Fmt.pr "@.host:    wall_ns %d (%.1f MIPS simulated)@."
+      res.stats.wall_ns
+      (float_of_int res.insns /. Float.max wall 1e-9 /. 1e6);
+    Fmt.pr "spec:    %a (digest of the canonical run plan)@."
+      Xloops.Digest_hex.pp (Xloops.Run_spec.digest spec);
+    Fmt.pr "%a@." Sim.Stats.pp res.stats;
+    (match Sim.Stats.lane_breakdown res.stats with
+     | breakdown when res.stats.ib_fetches > 0 ->
+       Fmt.pr "@.lane cycles:";
+       List.iter (fun (c, f) -> Fmt.pr " %s=%.2f" c f) breakdown;
+       Fmt.pr "@."
+     | _ -> ())
+  end;
+  (match r.check_result with Ok () -> 0 | Error _ -> 1)
 
 let cmd =
   let doc = "simulate an XLOOPS application kernel" in
   Cmd.v (Cmd.info "xloops_run" ~doc)
-    Term.(const run $ kernel_arg $ config_arg $ mode_arg $ target_arg
-          $ verbose_arg $ Cli_common.engine_term ()
-          $ Cli_common.fault_seed_arg $ Cli_common.fault_events_arg
-          $ Cli_common.no_degrade_arg)
+    Term.(const run $ verbose_arg
+          $ Cli_common.run_term ~target:Cli_common.target_arg)
 
 let () = exit (Cmd.eval' cmd)

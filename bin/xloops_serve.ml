@@ -16,22 +16,13 @@ let listen_arg =
   let doc = "Address to listen on: unix:PATH, tcp:HOST:PORT, or \
              HOST:PORT (port 0 lets the kernel pick; the bound address \
              is printed on stderr)." in
-  Arg.(value & opt string "unix:xloops.sock" & info [ "listen" ] ~doc)
+  Arg.(value & opt Cli_common.addr_conv (Cli_common.Unix_path "xloops.sock")
+       & info [ "listen" ] ~docv:"ADDR" ~doc)
 
 let queue_limit_arg =
   let doc = "Admission bound: a batch that would push the queue past \
              this many jobs is rejected whole (OVERLOADED)." in
   Arg.(value & opt int 256 & info [ "queue-limit" ] ~doc)
-
-let chaos_seed_arg =
-  let doc = "Inject a seeded chaos plan server-side: worker stalls and \
-             transient crashes, cache read errors, blob corruption.  \
-             The retry policy must absorb all of it." in
-  Arg.(value & opt (some int) None & info [ "chaos-seed" ] ~doc)
-
-let chaos_events_arg =
-  let doc = "Number of chaos events in the plan (with --chaos-seed)." in
-  Arg.(value & opt int 12 & info [ "chaos-events" ] ~doc)
 
 let banner_arg =
   let doc = "Free-text banner echoed to clients in the WELCOME frame." in
@@ -91,22 +82,14 @@ let client addr op ~json =
      | Error (Service.Client.Submit_conn m) ->
        Fmt.epr "xloops_serve: %s@." m; 1)
 
-let serve listen client_op json queue_limit (eng : Cli_common.engine_args)
+let serve addr client_op json queue_limit (eng : Cli_common.engine_args)
     chaos_seed chaos_events banner quiet =
   Cli_common.guarded @@ fun () ->
-  match P.parse_addr listen with
-  | Error msg -> Fmt.epr "xloops_serve: %s@." msg; 2
-  | Ok addr ->
   match client_op with
   | Some op -> client addr op ~json
   | None ->
     let chaos =
-      Option.map
-        (fun seed ->
-           Xloops.Chaos.plan ~kinds:Xloops.Chaos.recoverable_kinds ~seed
-             ~events:chaos_events ())
-        chaos_seed
-    in
+      Cli_common.chaos_of ~seed:chaos_seed ~events:chaos_events () in
     let cache = Cli_common.cache_of_engine ?chaos ~tag:"serve" eng in
     let cfg =
       Service.Server.config ~addr ~workers:eng.Cli_common.ea_jobs
@@ -136,6 +119,7 @@ let cmd =
   Cmd.v (Cmd.info "xloops_serve" ~doc)
     Term.(const serve $ listen_arg $ client_op_arg $ json_arg
           $ queue_limit_arg $ Cli_common.engine_term ~pool:true ()
-          $ chaos_seed_arg $ chaos_events_arg $ banner_arg $ quiet_arg)
+          $ Cli_common.chaos_seed_arg $ Cli_common.chaos_events_arg
+          $ banner_arg $ quiet_arg)
 
 let () = exit (Cmd.eval' cmd)

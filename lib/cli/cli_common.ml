@@ -1,8 +1,11 @@
-(* Shared plumbing for the CLI tools: common argument parsers, the
-   robustness flags (--fuel, --watchdog-cycles, --fault-seed, ...), and a
-   top-level guard that turns expected failures — unknown kernel or
-   config, malformed arguments, fuel exhaustion — into a one-line
-   diagnostic on stderr and a nonzero exit instead of a backtrace. *)
+(* Shared plumbing for the CLI tools: the one definition of every flag
+   more than one tool takes (the engine flags, --fault-seed, the chaos
+   flags, the --listen/--server address), the single-run path of
+   xloops_run and xloops_trace, and a top-level guard that turns
+   expected failures — unknown kernel or config, fuel exhaustion — into
+   a one-line diagnostic on stderr and a nonzero exit instead of a
+   backtrace.  Malformed or out-of-range flag values never reach a tool:
+   Cmdliner rejects them as usage errors (exit 124). *)
 
 open Cmdliner
 module Sim = Xloops.Sim
@@ -49,6 +52,10 @@ let pp_addr ppf = function
   | Unix_path p -> Fmt.pf ppf "unix:%s" p
   | Tcp (h, p) -> Fmt.pf ppf "tcp:%s:%d" h p
 
+(** The Cmdliner converter for [--listen] and [--server]: a malformed
+    address is a usage error. *)
+let addr_conv = Arg.conv' (parse_addr, pp_addr)
+
 let sockaddr_of = function
   | Unix_path p -> Unix.ADDR_UNIX p
   | Tcp (host, port) ->
@@ -94,107 +101,93 @@ type engine_args = {
   ea_cache_limit_mb : int option; (* None: unbounded cache *)
 }
 
-let fuel_doc =
-  "GPP instruction budget; exhausting it is an error (env XLOOPS_FUEL)."
-let watchdog_doc =
-  "LPSU no-progress watchdog threshold in cycles, 0 = off \
-   (env XLOOPS_WATCHDOG_CYCLES)."
-let deadline_doc =
-  "Per-run wall-clock deadline in milliseconds, 0 = none: a run that \
-   finishes slower than this fails as a timeout (env XLOOPS_DEADLINE_MS)."
-let max_retries_doc =
-  "Extra attempts for transient failures (blown deadlines, I/O errors, \
-   environmental crashes), with deterministic exponential backoff \
-   between attempts (env XLOOPS_MAX_RETRIES)."
-let jobs_doc = "Worker domains for parallel execution (env XLOOPS_JOBS)."
-let cache_dir_doc =
-  "Content-addressed on-disk result cache directory \
-   (env XLOOPS_CACHE_DIR)."
-let no_cache_doc = "Disable the on-disk result cache."
-let cache_limit_mb_doc =
-  "Size bound on the result cache in megabytes: least-recently-written \
-   blobs past it are reaped at startup (env XLOOPS_CACHE_LIMIT_MB)."
-
+(* [$var] as a flag value: [None] when unset, or when malformed or
+   below [min] ([Pool.env_int] warns about those once). *)
 let env_opt_int ?min var =
-  match Sys.getenv_opt var with
-  | None -> None
-  | Some _ ->
-    (match Pool.env_int ?min ~default:(-1) var with
-     | -1 -> None
-     | n -> Some n)
+  match Pool.env_int ?min ~default:(-1) var with -1 -> None | n -> Some n
 
-(** The pre-flag engine arguments: XLOOPS_* where set, built-in
-    defaults otherwise.  [max_retries] lets a tool keep its own retry
-    default (bench ships with 2, the single-run tools with 0). *)
-let default_engine_args ?(max_retries = 0) () =
-  { ea_fuel = env_opt_int ~min:1 "XLOOPS_FUEL";
-    ea_watchdog = env_opt_int "XLOOPS_WATCHDOG_CYCLES";
-    ea_deadline_ms =
-      (match env_opt_int "XLOOPS_DEADLINE_MS" with
-       | Some 0 | None -> None
-       | Some n -> Some n);
-    ea_max_retries =
-      Pool.env_int ~default:max_retries "XLOOPS_MAX_RETRIES";
-    ea_jobs = Pool.default_jobs ();   (* XLOOPS_JOBS, the shared path *)
-    ea_cache_dir =
-      Some (Option.value (Sys.getenv_opt "XLOOPS_CACHE_DIR")
-              ~default:Run_cache.default_dir);
-    ea_cache_limit_mb = env_opt_int ~min:1 "XLOOPS_CACHE_LIMIT_MB" }
+(** An integer argument with a floor: a value below [min] is a usage
+    error.  Each engine flag has the floor of its XLOOPS_* variable. *)
+let int_at_least min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | _ -> Error (Fmt.str "invalid value '%s', expected an integer >= %d" s min)
+  in
+  Arg.conv' (parse, Fmt.int)
+
+let opt_int ~min name doc =
+  Arg.(value & opt (some (int_at_least min)) None
+       & info [ name ] ~docv:"N" ~doc)
 
 let fuel_arg =
-  Arg.(value & opt (some int) None & info [ "fuel" ] ~doc:fuel_doc)
+  opt_int ~min:1 "fuel"
+    "GPP instruction budget; exhausting it is an error (env XLOOPS_FUEL)."
 
 let watchdog_arg =
-  Arg.(value & opt (some int) None
-       & info [ "watchdog-cycles" ] ~doc:watchdog_doc)
+  opt_int ~min:0 "watchdog-cycles"
+    "LPSU no-progress watchdog threshold in cycles, 0 = off \
+     (env XLOOPS_WATCHDOG_CYCLES)."
 
 let deadline_arg =
-  Arg.(value & opt (some int) None
-       & info [ "deadline-ms" ] ~doc:deadline_doc)
+  opt_int ~min:0 "deadline-ms"
+    "Per-run wall-clock deadline in milliseconds, 0 = none: a run that \
+     finishes slower than this fails as a timeout (env XLOOPS_DEADLINE_MS)."
 
 let max_retries_arg =
-  Arg.(value & opt (some int) None
-       & info [ "max-retries" ] ~doc:max_retries_doc)
+  opt_int ~min:0 "max-retries"
+    "Extra attempts for transient failures (blown deadlines, I/O errors, \
+     environmental crashes), with deterministic exponential backoff \
+     between attempts (env XLOOPS_MAX_RETRIES)."
 
 let jobs_arg =
-  Arg.(value & opt (some int) None & info [ "jobs" ] ~doc:jobs_doc)
+  opt_int ~min:1 "jobs"
+    "Worker domains for parallel execution (env XLOOPS_JOBS)."
 
 let cache_dir_arg =
-  Arg.(value & opt (some string) None
-       & info [ "cache-dir" ] ~doc:cache_dir_doc)
+  let doc =
+    "Content-addressed on-disk result cache directory \
+     (env XLOOPS_CACHE_DIR)." in
+  Arg.(value & opt (some string) None & info [ "cache-dir" ] ~docv:"DIR" ~doc)
 
-let no_cache_arg = Arg.(value & flag & info [ "no-cache" ] ~doc:no_cache_doc)
+let no_cache_arg =
+  let doc = "Disable the on-disk result cache; wins over --cache-dir." in
+  Arg.(value & flag & info [ "no-cache" ] ~doc)
 
 let cache_limit_mb_arg =
-  Arg.(value & opt (some int) None
-       & info [ "cache-limit-mb" ] ~doc:cache_limit_mb_doc)
+  opt_int ~min:1 "cache-limit-mb"
+    "Size bound on the result cache in megabytes: least-recently-written \
+     blobs past it are reaped at startup (env XLOOPS_CACHE_LIMIT_MB)."
 
 (** The Cmdliner form of the record.  [pool] additionally surfaces
-    [--jobs]/[--cache-dir]/[--no-cache] (the daemon); the single-run
-    tools leave them at their defaults. *)
-let engine_term ?(pool = false) ?max_retries ()
+    [--jobs]/[--cache-dir]/[--no-cache]/[--cache-limit-mb] (bench and
+    the daemon); the single-run tools leave them at their defaults.
+    [max_retries] is the tool's retry default (bench ships with 2, the
+    others with 0). *)
+let engine_term ?(pool = false) ?(max_retries = 0) ()
   : engine_args Cmdliner.Term.t =
   let combine fuel watchdog deadline retries jobs cache_dir no_cache
       cache_limit_mb =
-    let d = default_engine_args ?max_retries () in
-    { ea_fuel = (match fuel with Some _ -> fuel | None -> d.ea_fuel);
-      ea_watchdog =
-        (match watchdog with Some _ -> watchdog | None -> d.ea_watchdog);
+    let ( ||| ) flag env = match flag with Some _ -> flag | None -> env in
+    { ea_fuel = fuel ||| env_opt_int ~min:1 "XLOOPS_FUEL";
+      ea_watchdog = watchdog ||| env_opt_int "XLOOPS_WATCHDOG_CYCLES";
       ea_deadline_ms =
-        (match deadline with
+        (match deadline ||| env_opt_int "XLOOPS_DEADLINE_MS" with
          | Some 0 -> None
-         | Some _ -> deadline
-         | None -> d.ea_deadline_ms);
-      ea_max_retries = Option.value retries ~default:d.ea_max_retries;
-      ea_jobs = Option.value jobs ~default:d.ea_jobs;
+         | d -> d);
+      ea_max_retries =
+        Option.value retries
+          ~default:(Pool.env_int ~default:max_retries "XLOOPS_MAX_RETRIES");
+      (* XLOOPS_JOBS goes through the pool's own default *)
+      ea_jobs = Option.value jobs ~default:(Pool.default_jobs ());
       ea_cache_dir =
         (if no_cache then None
-         else match cache_dir with Some _ -> cache_dir
-                                 | None -> d.ea_cache_dir);
+         else
+           cache_dir
+           ||| Some (Option.value (Sys.getenv_opt "XLOOPS_CACHE_DIR")
+                       ~default:Run_cache.default_dir));
       ea_cache_limit_mb =
-        (match cache_limit_mb with
-         | Some _ -> cache_limit_mb
-         | None -> d.ea_cache_limit_mb) }
+        cache_limit_mb ||| env_opt_int ~min:1 "XLOOPS_CACHE_LIMIT_MB" }
   in
   if pool then
     Term.(const combine $ fuel_arg $ watchdog_arg $ deadline_arg
@@ -204,52 +197,6 @@ let engine_term ?(pool = false) ?max_retries ()
     Term.(const combine $ fuel_arg $ watchdog_arg $ deadline_arg
           $ max_retries_arg $ const None $ const None $ const false
           $ const None)
-
-(** Hand-rolled-parser form of the same flags for bench/main.exe (which
-    parses argv itself): consume one engine flag from the head of
-    [args] into [o], or return [None] if the head is not an engine
-    flag.  Malformed values exit 2 with one diagnostic wording. *)
-let consume_engine_flag (o : engine_args ref) (args : string list) :
-  string list option =
-  let int_arg ?(min = 0) flag v k =
-    match int_of_string_opt v with
-    | Some n when n >= min -> k n
-    | _ ->
-      Fmt.epr "error: bad value %S for %s (want an integer >= %d)@."
-        v flag min;
-      exit 2
-  in
-  match args with
-  | "--fuel" :: v :: tl ->
-    int_arg ~min:1 "--fuel" v (fun n -> o := { !o with ea_fuel = Some n });
-    Some tl
-  | "--watchdog-cycles" :: v :: tl ->
-    int_arg "--watchdog-cycles" v
-      (fun n -> o := { !o with ea_watchdog = Some n });
-    Some tl
-  | "--deadline-ms" :: v :: tl ->
-    int_arg "--deadline-ms" v
-      (fun n ->
-         o := { !o with ea_deadline_ms = (if n = 0 then None else Some n) });
-    Some tl
-  | "--max-retries" :: v :: tl ->
-    int_arg "--max-retries" v
-      (fun n -> o := { !o with ea_max_retries = n });
-    Some tl
-  | "--jobs" :: v :: tl ->
-    int_arg ~min:1 "--jobs" v (fun n -> o := { !o with ea_jobs = n });
-    Some tl
-  | "--cache-dir" :: d :: tl ->
-    o := { !o with ea_cache_dir = Some d };
-    Some tl
-  | "--cache-limit-mb" :: v :: tl ->
-    int_arg ~min:1 "--cache-limit-mb" v
-      (fun n -> o := { !o with ea_cache_limit_mb = Some n });
-    Some tl
-  | "--no-cache" :: tl ->
-    o := { !o with ea_cache_dir = None };
-    Some tl
-  | _ -> None
 
 (** Build the result cache the engine arguments describe.  Startup
     hygiene runs here — orphaned temp files are reaped, and a
@@ -272,6 +219,50 @@ let cache_of_engine ?chaos ?(tag = "cache") (eng : engine_args) =
         evicted (Option.value eng.ea_cache_limit_mb ~default:0);
     Some c
 
+(* -- Chaos plans: the sweep machinery's own fault injection ------------- *)
+
+let chaos_seed_arg =
+  let doc = "Inject a seeded chaos plan: cache read errors, blob \
+             corruption, worker stalls and transient crashes.  The \
+             retry policy must absorb all of it." in
+  Arg.(value & opt (some (int_at_least 0)) None
+       & info [ "chaos-seed" ] ~docv:"N" ~doc)
+
+let chaos_events_arg =
+  let doc = "Number of chaos events in the plan (with --chaos-seed)." in
+  Arg.(value & opt (int_at_least 0) 12 & info [ "chaos-events" ] ~docv:"N" ~doc)
+
+(** The plan [--chaos-seed]/[--chaos-events] describe; [abort] adds
+    mid-sweep aborts to the recoverable kinds. *)
+let chaos_of ?(abort = false) ~seed ~events () =
+  Option.map
+    (fun seed ->
+       Xloops.Chaos.plan ~seed ~events
+         ~kinds:(if abort then Xloops.Chaos.all_kinds
+                 else Xloops.Chaos.recoverable_kinds) ())
+    seed
+
+(* -- The single-run tools: xloops_run, xloops_trace (and xloops_disasm's
+   kernel and target) ------------------------------------------------- *)
+
+let kernel_arg =
+  let doc = "Kernel name (see xloops_info for the list)." in
+  Arg.(required & opt (some string) None & info [ "k"; "kernel" ] ~doc)
+
+let config_arg =
+  let doc = "Machine configuration: io, ooo/2, ooo/4, io+x, ooo/2+x, \
+             ooo/4+x, or a Figure 9 design point." in
+  Arg.(value & opt string "io+x" & info [ "c"; "config" ] ~doc)
+
+let mode_arg =
+  let doc = "Execution mode: T (traditional), S (specialized), \
+             A (adaptive)." in
+  Arg.(value & opt string "S" & info [ "m"; "mode" ] ~doc)
+
+let target_arg =
+  let doc = "Compilation target: general, xloops, xloops-no-xi." in
+  Arg.(value & opt string "xloops" & info [ "t"; "target" ] ~doc)
+
 let fault_seed_arg =
   let doc = "Inject a deterministic transient-fault plan with this seed \
              into every specialized run." in
@@ -287,23 +278,6 @@ let no_degrade_arg =
              rolling back." in
   Arg.(value & flag & info [ "no-degrade" ] ~doc)
 
-let faults_of ~seed ~events =
-  Option.map (fun s -> Sim.Fault.plan ~seed:s ~events ()) seed
-
-(** Run one simulation thunk under the CLI retry policy
-    ({!Xloops.Failure.with_retries}), with the deadline and retry
-    budget of the unified engine arguments.  [salt] keys the
-    deterministic backoff schedule — pass the spec digest. *)
-let with_policy ~(eng : engine_args) ~salt f =
-  let o =
-    Xloops.Failure.with_retries ?deadline_ms:eng.ea_deadline_ms
-      ~max_retries:eng.ea_max_retries ~salt f
-  in
-  if o.Xloops.Failure.attempts > 1 then
-    Fmt.epr "[retry] %s: %d attempt(s), %d ms total@." salt
-      o.Xloops.Failure.attempts o.Xloops.Failure.elapsed_ms;
-  o
-
 (** Assemble the parsed CLI arguments into one first-class run plan —
     the record the evaluation engine executes and caches. *)
 let spec_of ~(eng : engine_args) ~config ~mode ~target ~fault_seed
@@ -317,6 +291,48 @@ let spec_of ~(eng : engine_args) ~config ~mode ~target ~fault_seed
     ~cfg:(Sim.Config.by_name config)
     ~mode:(parse_mode mode)
     kernel
+
+(** The single-run path, as a term over the flags xloops_run and
+    xloops_trace share ([target] is the tool's own).  It evaluates to
+    [fun ~trace report -> code], which builds the spec, runs it under
+    the retry policy ({!Xloops.Failure.with_retries}, keyed by the spec
+    digest) and reports: a policy or simulation failure prints one
+    [error:] line and yields exit 2; a completed run has its [wall_ns]
+    stamped and goes to [report] with the wall-clock seconds.  With a
+    [trace], a reached line limit is noted before either. *)
+let run_term ~target =
+  let run kernel config mode target eng fault_seed fault_events no_degrade
+      ~trace report =
+    let k = Xloops.Kernels.Registry.find kernel in
+    let spec =
+      spec_of ~eng ~config ~mode ~target ~fault_seed ~fault_events
+        ~no_degrade kernel
+    in
+    let salt = Xloops.Digest_hex.to_hex (Xloops.Run_spec.digest spec) in
+    let t0 = Unix.gettimeofday () in
+    let outcome =
+      Xloops.Failure.with_retries ?deadline_ms:eng.ea_deadline_ms
+        ~max_retries:eng.ea_max_retries ~salt
+        (fun () -> Xloops.Run_spec.run_result ~kernel:k ?trace spec)
+    in
+    let wall = Unix.gettimeofday () -. t0 in
+    if outcome.attempts > 1 then
+      Fmt.epr "[retry] %s: %d attempt(s), %d ms total@." salt
+        outcome.attempts outcome.elapsed_ms;
+    if Sim.Trace.exhausted trace then Fmt.pr "... (trace limit reached)@.";
+    let fail f =
+      Fmt.epr "error: %s: %a@." k.name Xloops.Failure.pp_tagged f; 2
+    in
+    match outcome.result with
+    | Error f -> fail f
+    | Ok (Error f) -> fail (Xloops.Failure.Sim f)
+    | Ok (Ok r) ->
+      r.result.stats.wall_ns <- int_of_float (1e9 *. wall);
+      report k spec r wall
+  in
+  Term.(const run $ kernel_arg $ config_arg $ mode_arg $ target
+        $ engine_term () $ fault_seed_arg $ fault_events_arg
+        $ no_degrade_arg)
 
 (** Print one summary line when fault injection / degradation was live. *)
 let report_robustness (s : Sim.Stats.t) =

@@ -1,4 +1,5 @@
 (* Service-tier tests: the address parsers (protocol and CLI), the
+   shared CLI engine flags (range checks, a flag beating its variable), the
    wire protocol codec (round-trip and mutation fuzz), the
    Failure-taxonomy → error-code mapping, and the daemon end-to-end
    over a loopback socket — handshake version rejection (any version
@@ -77,6 +78,66 @@ let test_cli_parse_addr () =
          Alcotest.failf "%S accepted as %s" s (Fmt.str "%a" Cli_common.pp_addr a))
     [ ""; "noport"; "unix:"; "tcp:"; "tcp:host"; "tcp:host:notaport";
       "tcp::7501"; "host:-1"; "host:65536"; "host:"; ":7501" ]
+
+(* The shared engine flags, parsed the way every tool parses them:
+   values below the floors the XLOOPS_* variables already have are
+   usage errors, and a flag beats its variable. *)
+let eval_engine args =
+  let open Cmdliner in
+  let null = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  let cmd = Cmd.v (Cmd.info "t") (Cli_common.engine_term ~pool:true ()) in
+  match
+    Cmd.eval_value ~help:null ~err:null
+      ~argv:(Array.of_list ("t" :: args)) cmd
+  with
+  | Ok (`Ok e) -> Some e
+  | Ok (`Help | `Version) | Error _ -> None
+
+let test_cli_engine_ranges () =
+  List.iter
+    (fun a ->
+       if eval_engine [ a ] = None then Alcotest.failf "%s rejected" a)
+    [ "--fuel=1"; "--fuel=500000000"; "--jobs=1"; "--jobs=8";
+      "--cache-limit-mb=1"; "--watchdog-cycles=0"; "--watchdog-cycles=500";
+      "--deadline-ms=0"; "--deadline-ms=60000"; "--max-retries=0";
+      "--max-retries=4" ];
+  List.iter
+    (fun a ->
+       if eval_engine [ a ] <> None then Alcotest.failf "%s accepted" a)
+    [ "--fuel=0"; "--fuel=-1"; "--jobs=0"; "--jobs=-2";
+      "--cache-limit-mb=0"; "--watchdog-cycles=-1"; "--deadline-ms=-5";
+      "--max-retries=-3"; "--fuel=x"; "--jobs=1.5" ];
+  let get args =
+    match eval_engine args with
+    | Some e -> e
+    | None -> Alcotest.failf "%s rejected" (String.concat " " args)
+  in
+  let e = get [ "--fuel=7"; "--deadline-ms=0"; "--jobs=3" ] in
+  Alcotest.(check (option int)) "fuel" (Some 7) e.Cli_common.ea_fuel;
+  Alcotest.(check (option int)) "deadline 0 = none" None e.ea_deadline_ms;
+  Alcotest.(check int) "jobs" 3 e.ea_jobs;
+  List.iter
+    (fun args ->
+       Alcotest.(check (option string)) "--no-cache wins" None
+         (get args).ea_cache_dir)
+    [ [ "--no-cache"; "--cache-dir=d" ]; [ "--cache-dir=d"; "--no-cache" ] ]
+
+let test_cli_flag_beats_env () =
+  let vars = [ ("XLOOPS_FUEL", "77"); ("XLOOPS_MAX_RETRIES", "5") ] in
+  let saved = List.map (fun (v, _) -> (v, Sys.getenv_opt v)) vars in
+  List.iter (fun (v, x) -> Unix.putenv v x) vars;
+  Fun.protect
+    ~finally:(fun () ->
+        List.iter (fun (v, x) -> Unix.putenv v (Option.value x ~default:""))
+          saved)
+    (fun () ->
+       let get args = Option.get (eval_engine args) in
+       let env = get [] and flags = get [ "--fuel=3"; "--max-retries=0" ] in
+       Alcotest.(check (option int)) "env fuel" (Some 77)
+         env.Cli_common.ea_fuel;
+       Alcotest.(check int) "env retries" 5 env.ea_max_retries;
+       Alcotest.(check (option int)) "flag fuel" (Some 3) flags.ea_fuel;
+       Alcotest.(check int) "flag retries" 0 flags.ea_max_retries)
 
 (* -- Message encoding: round-trip and fuzz ----------------------------- *)
 
@@ -432,4 +493,8 @@ let () =
            test_shutdown_request ]);
       ("cli",
        [ Alcotest.test_case "parse_addr grammar" `Quick
-           test_cli_parse_addr ]) ]
+           test_cli_parse_addr;
+         Alcotest.test_case "engine flag ranges" `Quick
+           test_cli_engine_ranges;
+         Alcotest.test_case "engine flag beats env" `Quick
+           test_cli_flag_beats_env ]) ]
