@@ -10,14 +10,10 @@ type t = {
   mutable cycle : int;               (* cycle the grant counter refers to *)
   mutable granted : int;             (* grants so far in [cycle] *)
   mutable busy_until : int;          (* for unpipelined occupancy *)
-  mutable grants : int;              (* total grants (stats) *)
-  mutable conflicts : int;           (* requests that had to retry (stats) *)
-  mutable injected_stalls : int;     (* fault-injected busy windows *)
 }
 
 let create ?(width = 1) name =
-  { name; width; cycle = -1; granted = 0; busy_until = 0;
-    grants = 0; conflicts = 0; injected_stalls = 0 }
+  { name; width; cycle = -1; granted = 0; busy_until = 0 }
 
 let sync_cycle t now =
   if now <> t.cycle then begin
@@ -30,12 +26,9 @@ let sync_cycle t now =
     busy (all slots) until [now + occupancy]. *)
 let try_grant t ~now ~occupancy =
   sync_cycle t now;
-  if now < t.busy_until || t.granted >= t.width then begin
-    t.conflicts <- t.conflicts + 1;
-    false
-  end else begin
+  if now < t.busy_until || t.granted >= t.width then false
+  else begin
     t.granted <- t.granted + 1;
-    t.grants <- t.grants + 1;
     if occupancy > 1 then t.busy_until <- now + occupancy;
     true
   end
@@ -47,14 +40,9 @@ let hold t ~until = if until > t.busy_until then t.busy_until <- until
 (** Fault-injection hook: jam the port for [cycles] starting at [now],
     as if an external agent held the resource (a transient timeout).
     Requesters see ordinary conflicts; only the stall's origin differs. *)
-let inject_stall t ~now ~cycles =
-  hold t ~until:(now + cycles);
-  t.injected_stalls <- t.injected_stalls + 1
+let inject_stall t ~now ~cycles = hold t ~until:(now + cycles)
 
-let grants t = t.grants
-let conflicts t = t.conflicts
-let injected_stalls t = t.injected_stalls
+let busy_until t = t.busy_until
 
 let reset t =
-  t.cycle <- -1; t.granted <- 0; t.busy_until <- 0;
-  t.grants <- 0; t.conflicts <- 0; t.injected_stalls <- 0
+  t.cycle <- -1; t.granted <- 0; t.busy_until <- 0

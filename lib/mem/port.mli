@@ -20,11 +20,9 @@ val inject_stall : t -> now:int -> cycles:int -> unit
     modelling a transient resource timeout.  Requesters see ordinary
     conflicts. *)
 
-val grants : t -> int
-val conflicts : t -> int
-(** Requests that were denied and had to retry. *)
-
-val injected_stalls : t -> int
-(** Number of {!inject_stall} events applied. *)
+val busy_until : t -> int
+(** The cycle from which the port is free again: every request before
+    it is denied, whatever its width.  A cycle at or before the current
+    one means the port is only limited by its per-cycle width. *)
 
 val reset : t -> unit

@@ -45,7 +45,15 @@ exception Lane_trap of string
    bytes) are sign-extended native ints, as in the register file.  The
    dev build profile compiles every module [-opaque], so no call into
    another module is ever inlined: the register-file accessors below
-   are local copies of {!Exec}'s. *)
+   are local copies of {!Exec}'s.
+
+   A lane that stalls sleeps: it records the stall's reason and the
+   earliest cycle at which its next attempt could come out differently
+   (an operand's ready cycle, the end of a held port's busy window), and
+   until then each cycle reports that reason without re-running the
+   issue path.  Events that can unblock another lane (a dispatch, a
+   commit, a squash, a CIB change, a drain or promotion, an applied
+   fault) bump [epoch] and so wake every sleeper; see {!sleep}. *)
 
 let[@inline] imax (a : int) b = if a >= b then a else b
 
@@ -70,9 +78,9 @@ type ctx = {
   lsq : Lsq.t;
   mutable drain_next : int;      (** next LSQ store to drain; -1 = none *)
   got_cir : bool array;          (** per CIB slot: chain value consumed *)
-  mutable cir_wait_gen : int;    (** [cib_gen] of the last CIR stall; -1 *)
-  mutable cir_wake : int;        (** that stall lasts until this cycle,
-                                     unless a CIB changes first *)
+  mutable sleep_reason : int;    (** stall code reported while asleep *)
+  mutable sleep_until : int;     (** asleep while [cycle < sleep_until] *)
+  mutable sleep_epoch : int;     (** ... and the LPSU's epoch is this one *)
   mutable insns_iter : int;
   mutable next_issue : int;
   mutable exit_flag : int;       (** .de: exit-register value at loop end *)
@@ -99,7 +107,17 @@ type cib = {
   mutable len : int;
 }
 
-type stall = [ `Raw | `Mem | `Llfu | `Cir | `Lsq | `Idle | `Frozen ]
+(* Lane outcomes.  One issue attempt returns [issued] or a stall code;
+   the codes rank stall reasons from least to most informative, so a
+   lane cycle reports the [imax] of its contexts' codes. *)
+let issued = -1
+let stall_idle = 0                 (* also a lane that issued *)
+let stall_raw = 1
+let stall_mem = 2
+let stall_llfu = 3
+let stall_lsq = 4
+let stall_cir = 5
+let stall_frozen = 6
 
 type result = {
   cycles : int;             (** specialized-execution cycles *)
@@ -131,9 +149,12 @@ type t = {
   lane0_ctxs : ctx array;        (* each lane's first context *)
   mem_port : Port.t;
   llfu_port : Port.t;
-  lane_reason : stall array;     (* last cycle's stall reason per lane *)
+  lane_reason : int array;       (* last cycle's stall code per lane *)
   violated : bool array;         (* broadcast scratch, per context *)
-  mutable cib_pool : cib array;
+  commit_slot : ctx array;       (* iteration [k]'s context at [k land
+                                    mask]; a power of two >= contexts *)
+  mutable epoch : int;           (* bumped by every event that can wake
+                                    a sleeping lane *)
   mutable info : Scan.t;
   base_regs : int array;         (* GPP register snapshot at scan *)
   mutable idx0 : int;
@@ -143,8 +164,9 @@ type t = {
   miv_inc : int array;
   mutable n_mivs : int;
   mutable ctxs : ctx array;      (* this loop's: [all_ctxs] under MT *)
-  mutable cibs : cib array;
-  mutable cib_gen : int;         (* bumped on every change to a CIB *)
+  mutable cibs : cib array;      (* this loop's chains are the first
+                                    [n_cibs]; the rest are spare *)
+  mutable n_cibs : int;
   mutable bound : int;
   mutable next_k : int;          (* next iteration to dispense *)
   mutable commit_iter : int;     (* lowest uncommitted iteration *)
@@ -159,10 +181,11 @@ type t = {
   faults : Fault.t option;
   (* Lane fast path: per-pc closure dispatch for instructions whose
      lane-level effects are fully recoverable without the event record
-     (the body's slice of [lane_ops], further demoted below for CIR and
-     dynamic-bound bookkeeping).  [fast_ok] gates the whole array off
+     (the body's slice of [lane_ops], further demoted in [start] for CIR
+     and dynamic-bound bookkeeping).  [fast_ok] gates the whole array off
      whenever an observer (trace or fault injector) is attached. *)
-  mutable lane_fast : Lane_ops.lane_meta array;  (* by pc - body_start *)
+  mutable lane_fast : Lane_ops.lane_meta array;  (* by pc - body_start;
+                                                    grown, never shrunk *)
   fast_ok : bool;
   mutable watchdog : int;        (* no-progress cycles before a hang; 0=off *)
   mutable last_progress : int;   (* cycle of the last dispatch or commit *)
@@ -246,7 +269,7 @@ let create ~pre ~mem ~dcache ~(cfg : Config.t) ~stats ?trace ?faults () =
           lsq = Lsq.create ~max_loads:lpsu.lsq_loads
               ~max_stores:lpsu.lsq_stores;
           drain_next = -1; got_cir = Array.make Reg.num_regs false;
-          cir_wait_gen = -1; cir_wake = 0;
+          sleep_reason = stall_idle; sleep_until = 0; sleep_epoch = 0;
           insns_iter = 0; next_issue = 0;
           exit_flag = 0; frozen_until = 0;
           (* real interfaces are installed after [t] exists *)
@@ -264,9 +287,13 @@ let create ~pre ~mem ~dcache ~(cfg : Config.t) ~stats ?trace ?faults () =
       lane0_ctxs = Array.init lpsu.lanes (fun l -> all_ctxs.(l * threads));
       mem_port = Port.create ~width:lpsu.mem_ports "dmem";
       llfu_port = Port.create ~width:lpsu.llfu_ports "llfu";
-      lane_reason = Array.make lpsu.lanes (`Idle : stall);
+      lane_reason = Array.make lpsu.lanes stall_idle;
       violated = Array.make (Array.length all_ctxs) false;
-      cib_pool = [||];
+      commit_slot =
+        (let n = ref 1 in
+         while !n < Array.length all_ctxs do n := 2 * !n done;
+         Array.make !n all_ctxs.(0));
+      epoch = 0;
       info = { xloop_pc = -1; body_start = 0; body_len = 0;
                pat = { dp = Uc; cp = Fixed }; r_idx = 0; r_bound = 0;
                idx_step = 0l; mivs = []; cirs = [] };
@@ -276,7 +303,7 @@ let create ~pre ~mem ~dcache ~(cfg : Config.t) ~stats ?trace ?faults () =
       miv_base = Array.make Reg.num_regs 0;
       miv_inc = Array.make Reg.num_regs 0;
       n_mivs = 0;
-      ctxs = [||]; cibs = [||]; cib_gen = 0;
+      ctxs = [||]; cibs = [||]; n_cibs = 0;
       bound = 0; next_k = 0; commit_iter = 0; committed = 0; exit_at = -1;
       cycle = 0; stop_after = max_int;
       spec_pattern = false; has_cirs = false; trace;
@@ -291,8 +318,38 @@ let create ~pre ~mem ~dcache ~(cfg : Config.t) ~stats ?trace ?faults () =
     all_ctxs;
   t
 
+(* Does [r] name one of this loop's CIRs? *)
+let is_cir t r =
+  r >= 0
+  && begin
+    let i = ref 0 in
+    while !i < t.n_cibs && t.cibs.(!i).cir.c_reg <> r do incr i done;
+    !i < t.n_cibs
+  end
+
+let rec seed_cibs t ~regs ~start_cycle slot = function
+  | [] -> ()
+  | (c : Scan.cir) :: rest ->
+    let cb = t.cibs.(slot) in
+    cb.cir <- c;
+    cb.h_iter.(0) <- 0;
+    cb.h_val.(0) <- regs.(c.c_reg);
+    cb.h_ready.(0) <- start_cycle;
+    cb.len <- 1;
+    seed_cibs t ~regs ~start_cycle (slot + 1) rest
+
+let rec seed_mivs t ~regs = function
+  | [] -> ()
+  | (m : Scan.miv) :: rest ->
+    t.miv_regs.(t.n_mivs) <- m.m_reg;
+    t.miv_base.(t.n_mivs) <- regs.(m.m_reg);
+    t.miv_inc.(t.n_mivs) <- Int32.to_int m.m_inc;
+    t.n_mivs <- t.n_mivs + 1;
+    seed_mivs t ~regs rest
+
 (** Reset every context, chain and port for the loop [info], entered
-    with GPP registers [regs] at [start_cycle]. *)
+    with GPP registers [regs] at [start_cycle].  Only a loop with more
+    CIRs or a longer body than any before it allocates. *)
 let start t ~(info : Scan.t) ~(regs : int array) ~start_cycle ~stop_after
     ~watchdog =
   let pat = info.pat in
@@ -306,73 +363,54 @@ let start t ~(info : Scan.t) ~(regs : int array) ~start_cycle ~stop_after
   Array.iter
     (fun c ->
        c.st <- Idle; c.iter <- -1; c.drain_next <- -1;
-       c.cir_wait_gen <- -1; c.insns_iter <- 0; c.next_issue <- 0;
+       c.sleep_until <- 0; c.insns_iter <- 0; c.next_issue <- 0;
        c.exit_flag <- 0; c.frozen_until <- 0;
        c.fwd_src <- -1; c.fwd_raw <- 0; c.fwd_addr <- -1; c.fwd_bytes <- 0;
        Lsq.clear c.lsq)
     t.all_ctxs;
   let n_cibs = List.length info.cirs in
-  if Array.length t.cib_pool < n_cibs then begin
+  if Array.length t.cibs < n_cibs then begin
     let cap = 4 * (Array.length t.all_ctxs + 4) in
-    t.cib_pool <-
+    let old = t.cibs in
+    t.cibs <-
       Array.init n_cibs (fun slot ->
-          if slot < Array.length t.cib_pool then t.cib_pool.(slot)
+          if slot < Array.length old then old.(slot)
           else { cir = { c_reg = 0; c_last_write_pc = -1 }; slot;
                  h_iter = Array.make cap 0; h_val = Array.make cap 0;
                  h_ready = Array.make cap 0; len = 0 })
   end;
-  t.cibs <- Array.sub t.cib_pool 0 n_cibs;
-  List.iteri
-    (fun slot (c : Scan.cir) ->
-       let cb = t.cibs.(slot) in
-       cb.cir <- c;
-       cb.h_iter.(0) <- 0;
-       cb.h_val.(0) <- regs.(c.c_reg);
-       cb.h_ready.(0) <- start_cycle;
-       cb.len <- 1)
-    info.cirs;
-  t.cib_gen <- 0;
+  t.n_cibs <- n_cibs;
+  seed_cibs t ~regs ~start_cycle 0 info.cirs;
   Array.blit regs 0 t.base_regs 0 Reg.num_regs;
   t.idx0 <- regs.(info.r_idx);
   t.idx_step <- Int32.to_int info.idx_step;
   t.n_mivs <- 0;
-  List.iter
-    (fun (m : Scan.miv) ->
-       t.miv_regs.(t.n_mivs) <- m.m_reg;
-       t.miv_base.(t.n_mivs) <- regs.(m.m_reg);
-       t.miv_inc.(t.n_mivs) <- Int32.to_int m.m_inc;
-       t.n_mivs <- t.n_mivs + 1)
-    info.mivs;
+  seed_mivs t ~regs info.mivs;
   (* Start from the lane-ops metadata for the body's pcs, then
      demote the pcs whose execution the LPSU must see one at a time:
      anything reading a CIR (first-read stall and got_cir bookkeeping),
      anything writing one (got_cir), the last-CIR-write pc (CIB
      forwarding), and dynamic-bound writes (LMU bound raising). *)
-  let lane_fast = Array.sub t.lane_ops info.body_start info.body_len in
-  let demote pc =
-    let i = pc - info.body_start in
-    if i >= 0 && i < Array.length lane_fast then
-      lane_fast.(i) <- Lane_ops.L_slow
-  in
-  Array.iteri
-    (fun i l ->
-       match l with
-       | Lane_ops.L_plain _ ->
-         let cir r =
-           r >= 0
-           && List.exists (fun (c : Scan.cir) -> c.c_reg = r) info.cirs
-         in
-         let pc = info.body_start + i in
-         let m = t.meta.(pc) in
-         if cir m.rd || cir m.s1 || cir m.s2 then demote pc;
-         if pat.cp = Insn.Dyn && m.rd = info.r_bound then demote pc
-       | Lane_ops.L_slow -> ())
-    lane_fast;
-  List.iter (fun (c : Scan.cir) -> demote c.c_last_write_pc) info.cirs;
-  t.lane_fast <- lane_fast;
+  let n = info.body_len in
+  if Array.length t.lane_fast < n then
+    t.lane_fast <- Array.make n Lane_ops.L_slow;
+  Array.blit t.lane_ops info.body_start t.lane_fast 0 n;
+  for i = 0 to n - 1 do
+    match t.lane_fast.(i) with
+    | Lane_ops.L_plain _ ->
+      let m = t.meta.(info.body_start + i) in
+      if is_cir t m.rd || is_cir t m.s1 || is_cir t m.s2
+         || (pat.cp = Insn.Dyn && m.rd = info.r_bound)
+      then t.lane_fast.(i) <- Lane_ops.L_slow
+    | Lane_ops.L_slow -> ()
+  done;
+  for slot = 0 to n_cibs - 1 do
+    let i = t.cibs.(slot).cir.c_last_write_pc - info.body_start in
+    if i >= 0 && i < n then t.lane_fast.(i) <- Lane_ops.L_slow
+  done;
   Port.reset t.mem_port;
   Port.reset t.llfu_port;
-  Array.fill t.lane_reason 0 (Array.length t.lane_reason) `Idle;
+  Array.fill t.lane_reason 0 (Array.length t.lane_reason) stall_idle;
   t.bound <- regs.(info.r_bound);
   t.next_k <- 0; t.commit_iter <- 0; t.committed <- 0; t.exit_at <- -1;
   t.cycle <- start_cycle;
@@ -400,16 +438,40 @@ let seed_ctx t (c : ctx) k =
   done;
   Array.fill c.reg_ready 0 Reg.num_regs t.cycle;
   c.hart.pc <- t.info.body_start;
-  Array.fill c.got_cir 0 (Array.length t.cibs) false;
-  c.cir_wait_gen <- -1;
+  Array.fill c.got_cir 0 t.n_cibs false;
   c.insns_iter <- 0
 
 let[@inline] frozen (t : t) (c : ctx) = t.cycle < c.frozen_until
+
+(* -- Sleeping lanes ---------------------------------------------------- *)
+
+(* Wake every sleeping lane: called by each event that can change the
+   outcome of another lane's next attempt before its sleep ends. *)
+let[@inline] bump t = t.epoch <- t.epoch + 1
+
+(** Put [c] to sleep on stall [reason]: until cycle [until], unless the
+    epoch moves first, {!attempt} reports [reason] without looking
+    further.  The caller guarantees that nothing but an epoch event can
+    change the attempt's outcome before [until]. *)
+let[@inline] sleep t (c : ctx) reason until =
+  c.sleep_reason <- reason;
+  c.sleep_until <- until;
+  c.sleep_epoch <- t.epoch;
+  reason
+
+(* A request denied by [port]: sleep through the port's busy window if
+   it is held (a miss fill, an unpipelined divide, an injected stall);
+   a port that is only out of slots this cycle is retried next cycle. *)
+let[@inline] port_stall t (c : ctx) port reason =
+  let until = Port.busy_until port in
+  if until > t.cycle then sleep t c reason until else reason
 
 let dispatch t (c : ctx) =
   let k = t.next_k in
   t.next_k <- k + 1;
   c.iter <- k;
+  t.commit_slot.(k land (Array.length t.commit_slot - 1)) <- c;
+  bump t;
   c.st <- Run;
   t.last_progress <- t.cycle;
   seed_ctx t c k;
@@ -475,7 +537,7 @@ let cib_keep_from t =
   end
 
 let cib_write t (cb : cib) ~producer_iter ~value =
-  t.cib_gen <- t.cib_gen + 1;
+  bump t;
   cib_push cb ~iter:(producer_iter + 1) ~value ~ready:(t.cycle + 1);
   t.stats.cib_writes <- t.stats.cib_writes + 1;
   (* Prune entries no consumer can ever need again. *)
@@ -483,8 +545,8 @@ let cib_write t (cb : cib) ~producer_iter ~value =
     cib_keep cb ~lo:(cib_keep_from t) ~hi:max_int
 
 let cib_rollback t k_min =
-  t.cib_gen <- t.cib_gen + 1;
-  Array.iter (fun cb -> cib_keep cb ~lo:min_int ~hi:k_min) t.cibs
+  bump t;
+  for i = 0 to t.n_cibs - 1 do cib_keep t.cibs.(i) ~lo:min_int ~hi:k_min done
 
 (* -- Squash ---------------------------------------------------------- *)
 
@@ -493,6 +555,7 @@ let squash_ctx t (c : ctx) =
     Trace.event t.trace Lanes
       "[%7d] lane%d.%d SQUASH iter=%d (%d insns thrown away)"
       t.cycle c.lane c.tid c.iter c.insns_iter;
+  bump t;
   t.stats.violations <- t.stats.violations + 1;
   t.stats.squashed_insns <- t.stats.squashed_insns + c.insns_iter;
   (* Transfer this iteration's execute cycles to the squash bucket. *)
@@ -630,6 +693,7 @@ let take_exit t (c : ctx) =
     Trace.event t.trace Decisions
       "[%7d] data-dependent exit taken at iter=%d; discarding younger work"
       t.cycle c.iter;
+  bump t;
   t.exit_at <- c.iter;
   t.bound <- c.exit_flag;
   Array.iter
@@ -649,6 +713,7 @@ let commit_iteration t (c : ctx) =
   if tracing t Lanes then
     Trace.event t.trace Lanes "[%7d] lane%d.%d commit iter=%d (%d insns)"
       t.cycle c.lane c.tid c.iter c.insns_iter;
+  bump t;
   t.committed <- t.committed + 1;
   t.last_progress <- t.cycle;
   t.stats.iterations <- t.stats.iterations + 1;
@@ -663,30 +728,32 @@ let commit_iteration t (c : ctx) =
     finished non-speculative iterations with empty store buffers commit
     immediately; finished iterations with buffered stores move to the
     draining state; a still-running promoted context gets its drain queue
-    filled so the issue loop empties it before the lane proceeds. *)
+    filled so the issue loop empties it before the lane proceeds.
+
+    Speculative patterns commit in order, so the iterations in flight
+    are [commit_iter, next_k), at most one per context, and no two of
+    them share a slot: the commit point's context is the one [dispatch]
+    recorded in its slot. *)
 let rec try_commits t =
   if t.spec_pattern then begin
-    let oldest = ref (-1) in
-    for i = 0 to Array.length t.ctxs - 1 do
-      let c = t.ctxs.(i) in
-      if c.iter = t.commit_iter && c.st <> Idle then oldest := i
-    done;
-    if !oldest >= 0 then begin
-      let c = t.ctxs.(!oldest) in
+    let c =
+      t.commit_slot.(t.commit_iter land (Array.length t.commit_slot - 1)) in
+    if c.iter = t.commit_iter && c.st <> Idle then
       match c.st with
       | Wait_commit ->
         if Lsq.n_stores c.lsq = 0 then begin
           commit_iteration t c;
           try_commits t
         end else if c.drain_next < 0 then begin
+          bump t;
           c.drain_next <- 0;
           c.st <- Drain_commit
         end
       | Run when Lsq.n_stores c.lsq > 0 && c.drain_next < 0 ->
         (* Promoted while still running: drain before continuing. *)
+        bump t;
         c.drain_next <- 0
       | _ -> ()
-    end
   end
 
 (* -- Issue ----------------------------------------------------------- *)
@@ -701,7 +768,7 @@ let rec try_commits t =
     while a value is missing) unless a CIB changes. *)
 let cir_finish_wait t (c : ctx) =
   let wake = ref (-1) and i = ref 0 in
-  while !wake < 0 && !i < Array.length t.cibs do
+  while !wake < 0 && !i < t.n_cibs do
     let cb = t.cibs.(!i) in
     (* Neither forwarded by the last-write insn nor consumed by this
        lane: the copy needs the incoming value. *)
@@ -714,12 +781,6 @@ let cir_finish_wait t (c : ctx) =
   done;
   !wake
 
-(* Record a CIR stall: it lasts until [wake] unless a CIB changes first. *)
-let cir_stall t (c : ctx) ~wake : (unit, stall) Result.t =
-  c.cir_wait_gen <- t.cib_gen;
-  c.cir_wake <- wake;
-  Error `Cir
-
 let end_of_iteration t (c : ctx) =
   (* The implicit xloop at the end of the iteration. *)
   c.insns_iter <- c.insns_iter + 1;
@@ -729,7 +790,7 @@ let end_of_iteration t (c : ctx) =
   if t.has_cirs then
     (* End-of-iteration CIR copy for chains whose last-write instruction
        was skipped by control flow. *)
-    for i = 0 to Array.length t.cibs - 1 do
+    for i = 0 to t.n_cibs - 1 do
       let cb = t.cibs.(i) in
       if cib_lookup cb (c.iter + 1) < 0 then begin
         let value =
@@ -755,7 +816,7 @@ let end_of_iteration t (c : ctx) =
     resources granted and its result [latency] known.  Accounts the issue
     and performs every lane-level side effect: scoreboard, branch bubble,
     store broadcast, dynamic-bound raise and CIB forwarding. *)
-let execute t (c : ctx) ~now iface latency : (unit, stall) Result.t =
+let execute t (c : ctx) ~now iface latency =
   Exec.step t.pre c.hart iface t.ev;
   let ev = t.ev in
   let m = t.meta.(ev.pc) in
@@ -796,25 +857,29 @@ let execute t (c : ctx) ~now iface latency : (unit, stall) Result.t =
      incoming chain value (a write-before-read iteration must not have
      its value clobbered by a later consumption). *)
   if t.has_cirs then
-    for i = 0 to Array.length t.cibs - 1 do
+    for i = 0 to t.n_cibs - 1 do
       let cb = t.cibs.(i) in
       if rd = cb.cir.c_reg then c.got_cir.(cb.slot) <- true;
       if cb.cir.c_last_write_pc = ev.pc then
         cib_write t cb ~producer_iter:c.iter
           ~value:(get_reg c.hart cb.cir.c_reg)
     done;
-  Ok ()
+  issued
 
 (* Resource checks and latency selection for a memory instruction, then
-   [execute] with the interface that serves it. *)
-let issue_mem t (c : ctx) ~now : (unit, stall) Result.t =
+   [execute] with the interface that serves it.  A stall sleeps only on
+   a held port or a full LSQ: the context's own LSQ and speculation
+   change only through epoch events.  With inter-lane forwarding a
+   speculative load's source can appear in any cycle, so its port stall
+   is retried every cycle. *)
+let issue_mem t (c : ctx) ~now =
   let speculative = t.spec_pattern && c.iter > t.commit_iter in
   match t.pre.Program.source.Program.insns.(c.hart.pc) with
   | Load (w, _, rs, imm) ->
     let addr = get_reg c.hart rs + imm in
     let bytes = Memory.width_bytes w in
     if speculative then begin
-      if Lsq.loads_full c.lsq then Error `Lsq
+      if Lsq.loads_full c.lsq then sleep t c stall_lsq max_int
       else if Lsq.store_overlaps c.lsq ~addr ~bytes then begin
         (* Own-lane store-to-load forwarding: no port needed. *)
         t.stats.lsq_searches <- t.stats.lsq_searches + 1;
@@ -825,43 +890,47 @@ let issue_mem t (c : ctx) ~now : (unit, stall) Result.t =
         t.stats.lsq_searches <- t.stats.lsq_searches + 1;
         let l = dcache_latency t c ~addr ~base_latency:t.lat.load_use in
         execute t c ~now c.spec_if l
-      end else Error `Mem
+      end
+      else if t.lpsu.inter_lane_fwd then stall_mem
+      else port_stall t c t.mem_port stall_mem
     end else if Port.try_grant t.mem_port ~now ~occupancy:1 then begin
       let l = dcache_latency t c ~addr ~base_latency:t.lat.load_use in
       execute t c ~now t.direct_if l
-    end else Error `Mem
+    end else port_stall t c t.mem_port stall_mem
   | Store (_, _, rs, imm) ->
     if speculative then begin
-      if Lsq.stores_full c.lsq then Error `Lsq
+      if Lsq.stores_full c.lsq then sleep t c stall_lsq max_int
       else execute t c ~now c.spec_if 1
     end else if Port.try_grant t.mem_port ~now ~occupancy:1 then begin
       let l =
         dcache_latency t c ~addr:(get_reg c.hart rs + imm)
           ~base_latency:1 in
       execute t c ~now t.direct_if l
-    end else Error `Mem
+    end else port_stall t c t.mem_port stall_mem
   | Amo (_, _, rs, _) ->
     let addr = get_reg c.hart rs in
     if speculative then begin
-      if Lsq.loads_full c.lsq || Lsq.stores_full c.lsq then Error `Lsq
+      if Lsq.loads_full c.lsq || Lsq.stores_full c.lsq then
+        sleep t c stall_lsq max_int
       else execute t c ~now c.spec_if t.lat.amo
     end else if Port.try_grant t.mem_port ~now ~occupancy:2 then begin
       let l = dcache_latency t c ~addr ~base_latency:t.lat.amo in
       execute t c ~now t.direct_if l
-    end else Error `Mem
+    end else port_stall t c t.mem_port stall_mem
   | _ -> assert false
 
 (** Attempt to issue one instruction from [c] at the current cycle, past
-    its issue time and any known CIR stall ({!attempt}).  Returns [Ok ()]
-    if the lane did useful work, [Error reason] on a stall. *)
-let attempt_issue t (c : ctx) : (unit, stall) Result.t =
+    its issue time ({!attempt}).  Returns [issued] if the lane did
+    useful work, else the stall code, asleep until its outcome can
+    change. *)
+let attempt_issue t (c : ctx) =
   let now = t.cycle in
   let pc = c.hart.pc in
   if pc = t.info.xloop_pc then begin
     let wake = if t.has_cirs then cir_finish_wait t c else -1 in
-    if wake >= 0 then cir_stall t c ~wake
+    if wake >= 0 then sleep t c stall_cir wake
     else begin
-      end_of_iteration t c; Ok ()
+      end_of_iteration t c; issued
     end
   end else begin
     if pc < t.info.body_start || pc > t.info.xloop_pc then
@@ -885,7 +954,7 @@ let attempt_issue t (c : ctx) : (unit, stall) Result.t =
         imax (if m.s1 >= 0 then c.reg_ready.(m.s1) else 0)
           (if m.s2 >= 0 then c.reg_ready.(m.s2) else 0)
       in
-      if ready > now then Error `Raw
+      if ready > now then sleep t c stall_raw ready
       else begin
         let next = l_op c.hart.regs in
         c.hart.pc <- next;
@@ -895,14 +964,14 @@ let attempt_issue t (c : ctx) : (unit, stall) Result.t =
         if m.rd >= 0 then c.reg_ready.(m.rd) <- now + 1;
         if l_ctrl = 2 || (l_ctrl = 1 && next <> pc + 1) then
           c.next_issue <- now + 2;
-        Ok ()
+        issued
       end
     | Lane_ops.L_slow ->
       let m = t.meta.(pc) in
       (* CIR consumption: the first read of each CIR waits on the CIB. *)
       let wake = ref (-1) in
       if t.has_cirs then
-        for i = 0 to Array.length t.cibs - 1 do
+        for i = 0 to t.n_cibs - 1 do
           let cb = t.cibs.(i) in
           let r = cb.cir.c_reg in
           if !wake < 0 && (not c.got_cir.(cb.slot))
@@ -918,18 +987,18 @@ let attempt_issue t (c : ctx) : (unit, stall) Result.t =
             end
           end
         done;
-      if !wake >= 0 then cir_stall t c ~wake:!wake
+      if !wake >= 0 then sleep t c stall_cir !wake
       else begin
         let ready =
           imax (if m.s1 >= 0 then c.reg_ready.(m.s1) else 0)
             (if m.s2 >= 0 then c.reg_ready.(m.s2) else 0) in
-        if ready > now then Error `Raw
+        if ready > now then sleep t c stall_raw ready
         else if m.llfu then begin
           let occupancy = if m.unpipelined then t.lat.div else 1 in
           if Port.try_grant t.llfu_port ~now ~occupancy then
             execute t c ~now t.direct_if
               (Gpp_timing.class_latency t.lat m.lat)
-          else Error `Llfu
+          else port_stall t c t.llfu_port stall_llfu
         end
         else if m.mem then issue_mem t c ~now
         (* Non-memory: the interface is never used. *)
@@ -938,7 +1007,7 @@ let attempt_issue t (c : ctx) : (unit, stall) Result.t =
   end
 
 (** Drain the next buffered store to memory through the shared port. *)
-let attempt_drain t (c : ctx) : (unit, stall) Result.t =
+let attempt_drain t (c : ctx) =
   if Port.try_grant t.mem_port ~now:t.cycle ~occupancy:1 then begin
     let i = c.drain_next in
     let addr = Lsq.store_addr c.lsq i in
@@ -953,8 +1022,8 @@ let attempt_drain t (c : ctx) : (unit, stall) Result.t =
       if c.st = Drain_commit then commit_iteration t c
       (* A running promoted context just continues non-speculatively. *)
     end;
-    Ok ()
-  end else Error `Mem
+    issued
+  end else port_stall t c t.mem_port stall_mem
 
 (* -- Fault injection --------------------------------------------------- *)
 
@@ -972,22 +1041,21 @@ let pick_ctx t lane pred =
   go 0
 
 (** Apply one fault event.  Returns [true] if a target existed; an event
-    with no applicable target is deferred and retried later. *)
+    with no applicable target is deferred and retried later.  The caller
+    bumps the epoch after an applied event. *)
 let apply_fault t (e : Fault.event) =
   match e.ev_kind with
   | Cib_drop ->
-    Array.length t.cibs > 0
-    && (let cb = t.cibs.(e.ev_lane mod Array.length t.cibs) in
-        cb.len >= 2
-        && (cb.len <- cb.len - 1; t.cib_gen <- t.cib_gen + 1; true))
+    t.n_cibs > 0
+    && (let cb = t.cibs.(e.ev_lane mod t.n_cibs) in
+        cb.len >= 2 && (cb.len <- cb.len - 1; true))
   | Cib_dup ->
-    Array.length t.cibs > 0
-    && (let cb = t.cibs.(e.ev_lane mod Array.length t.cibs) in
+    t.n_cibs > 0
+    && (let cb = t.cibs.(e.ev_lane mod t.n_cibs) in
         let j = cb.len - 1 in
         j >= 0 && cib_lookup cb (cb.h_iter.(j) + 1) < 0
         && (cib_push cb ~iter:(cb.h_iter.(j) + 1) ~value:cb.h_val.(j)
               ~ready:cb.h_ready.(j);
-            t.cib_gen <- t.cib_gen + 1;
             true))
   | Lsq_drop_load ->
     (match pick_ctx t e.ev_lane (fun c -> active c && not (Lsq.is_empty c.lsq))
@@ -1024,34 +1092,26 @@ let apply_fault t (e : Fault.event) =
 
 (* -- Main loop -------------------------------------------------------- *)
 
-let[@inline] account_lane_cycle t issued (reason : stall) =
+let[@inline] account_lane_cycle t reason =
   let s = t.stats in
-  if issued then s.cyc_exec <- s.cyc_exec + 1
-  else match reason with
-    | `Raw -> s.cyc_stall_raw <- s.cyc_stall_raw + 1
-    | `Mem -> s.cyc_stall_mem <- s.cyc_stall_mem + 1
-    | `Llfu -> s.cyc_stall_llfu <- s.cyc_stall_llfu + 1
-    | `Cir -> s.cyc_stall_cir <- s.cyc_stall_cir + 1
-    | `Lsq -> s.cyc_stall_lsq <- s.cyc_stall_lsq + 1
-    | `Idle | `Frozen -> s.cyc_idle <- s.cyc_idle + 1
+  if reason = issued then s.cyc_exec <- s.cyc_exec + 1
+  else if reason = stall_raw then s.cyc_stall_raw <- s.cyc_stall_raw + 1
+  else if reason = stall_mem then s.cyc_stall_mem <- s.cyc_stall_mem + 1
+  else if reason = stall_llfu then s.cyc_stall_llfu <- s.cyc_stall_llfu + 1
+  else if reason = stall_lsq then s.cyc_stall_lsq <- s.cyc_stall_lsq + 1
+  else if reason = stall_cir then s.cyc_stall_cir <- s.cyc_stall_cir + 1
+  else s.cyc_idle <- s.cyc_idle + 1  (* idle or frozen *)
 
 let[@inline] all_idle t =
   let i = ref 0 in
   while !i < Array.length t.ctxs && t.ctxs.(!i).st = Idle do incr i done;
   !i = Array.length t.ctxs
 
-(** Merge stall priorities: report the most informative reason seen. *)
-let[@inline] rank : stall -> int = function
-  | `Idle -> 0 | `Raw -> 1 | `Mem -> 2 | `Llfu -> 3 | `Lsq -> 4
-  | `Cir -> 5 | `Frozen -> 6
-
-let[@inline] worse (a : stall) (b : stall) = if rank b > rank a then b else a
-
 (** Name the resource the LPSU is blocked on, from the per-lane stall
     reasons of the last simulated cycle — the watchdog's diagnosis. *)
 let classify_hang t : Fault.hang =
-  let count p = Array.fold_left (fun n r -> if p r then n + 1 else n) 0
-      t.lane_reason in
+  let count code = Array.fold_left (fun n r -> if r = code then n + 1 else n)
+      0 t.lane_reason in
   let frozen_lanes =
     Array.fold_left (fun n c -> if frozen t c then n + 1 else n) 0 t.ctxs in
   let resource, detail =
@@ -1059,18 +1119,18 @@ let classify_hang t : Fault.hang =
       Fault.Lane_frozen,
       Printf.sprintf "%d lane(s) frozen; commit point pinned at iter %d"
         frozen_lanes t.commit_iter
-    else if count (fun r -> r = `Cir) > 0 then
+    else if count stall_cir > 0 then
       Fault.Cib_chain,
       Printf.sprintf "%d lane(s) waiting on a CIB value for iter >= %d"
-        (count (fun r -> r = `Cir)) t.commit_iter
-    else if count (fun r -> r = `Lsq) > 0 then
+        (count stall_cir) t.commit_iter
+    else if count stall_lsq > 0 then
       Fault.Lsq_full,
       Printf.sprintf "%d lane(s) LSQ-bound; oldest uncommitted iter %d"
-        (count (fun r -> r = `Lsq)) t.commit_iter
-    else if count (fun r -> r = `Mem) > 0 then
+        (count stall_lsq) t.commit_iter
+    else if count stall_mem > 0 then
       Fault.Port_starved,
       Printf.sprintf "%d lane(s) denied the shared memory port"
-        (count (fun r -> r = `Mem))
+        (count stall_mem)
     else
       Fault.No_progress,
       Printf.sprintf "no commit or dispatch for %d cycles"
@@ -1083,6 +1143,7 @@ let inject_faults t plan ~start =
   List.iter
     (fun (e : Fault.event) ->
        if apply_fault t e then begin
+         bump t;
          Fault.record plan e.ev_kind ~cycle:t.cycle;
          t.stats.faults_injected <- t.stats.faults_injected + 1;
          if tracing t Lanes then
@@ -1092,12 +1153,14 @@ let inject_faults t plan ~start =
        end else Fault.defer plan e)
     (Fault.due plan ~rel:(t.cycle - start))
 
-(* One context's issue slot for this cycle. *)
-let[@inline] attempt t (c : ctx) : (unit, stall) Result.t =
-  if frozen t c && c.st <> Idle then Error `Frozen
+(* One context's issue slot for this cycle: [issued] or a stall code.  A
+   sleeping context answers at once. *)
+let[@inline] attempt t (c : ctx) =
+  if t.cycle < c.sleep_until && c.sleep_epoch = t.epoch then c.sleep_reason
+  else if frozen t c && c.st <> Idle then stall_frozen
   else match c.st with
-    | Idle -> Error `Idle
-    | Wait_commit -> Error `Lsq
+    | Idle -> stall_idle
+    | Wait_commit -> stall_lsq
     | Drain_commit -> attempt_drain t c
     | Run ->
       if c.drain_next >= 0 then attempt_drain t c
@@ -1109,14 +1172,14 @@ let[@inline] attempt t (c : ctx) : (unit, stall) Result.t =
         c.drain_next <- 0;
         attempt_drain t c
       end
-      else if t.cycle < c.next_issue then Error `Raw
-      else if c.cir_wait_gen = t.cib_gen && t.cycle < c.cir_wake then
-        Error `Cir
+      else if t.cycle < c.next_issue then
+        sleep t c stall_raw c.next_issue
       else attempt_issue t c
 
 let run_to_completion t ~fuel : (unit, Fault.hang) Stdlib.result =
   let lanes = t.lpsu.lanes in
   let threads = Array.length t.ctxs / lanes in
+  let width = t.lpsu.lane_issue_width in
   let start = t.cycle in
   let rotate = ref 0 in
   let hang = ref None and running = ref true in
@@ -1146,31 +1209,26 @@ let run_to_completion t ~fuel : (unit, Fault.hang) Stdlib.result =
       try_commits t;
       (* Each lane owns [lane_issue_width] issue slots per cycle (1 in the
          paper's simple lanes; 2 models the "superscalar lane" future
-         work).  Vertical multithreading lets the second context use a
-         slot when the first stalls; a context that stalls is not retried
+         work).  Vertical multithreading lets the next context use a
+         slot when one stalls; a context that stalls is not retried
          within the cycle. *)
       for li = 0 to lanes - 1 do
         let lane =
           if li + !rotate >= lanes then li + !rotate - lanes else li + !rotate
         in
-        let budget = ref t.lpsu.lane_issue_width in
-        let issued = ref false in
-        let reason = ref (`Idle : stall) in
-        for ti = 0 to threads - 1 do
-          let c = t.ctxs.(lane * threads + ti) in
-          let stalled = ref false in
-          while !budget > 0 && not !stalled do
-            match attempt t c with
-            | Ok () ->
-              issued := true;
-              decr budget
-            | Error e ->
-              stalled := true;
-              reason := worse !reason e
-          done
+        let base = lane * threads in
+        let slots = ref width and ti = ref 0 and reason = ref stall_idle in
+        while !slots > 0 && !ti < threads do
+          let r = attempt t t.ctxs.(base + !ti) in
+          if r = issued then decr slots
+          else begin
+            reason := imax !reason r;
+            incr ti
+          end
         done;
-        t.lane_reason.(lane) <- (if !issued then `Idle else !reason);
-        account_lane_cycle t !issued !reason
+        let reason = if !slots < width then issued else !reason in
+        t.lane_reason.(lane) <- imax reason stall_idle;
+        account_lane_cycle t reason
       done;
       try_commits t;
       rotate := (if !rotate + 1 = lanes then 0 else !rotate + 1);
@@ -1182,8 +1240,8 @@ let run_to_completion t ~fuel : (unit, Fault.hang) Stdlib.result =
 let finals t =
   let k = t.committed in
   let cir_finals =
-    Array.to_list t.cibs
-    |> List.map (fun cb ->
+    List.init t.n_cibs (fun i ->
+        let cb = t.cibs.(i) in
         let r = cb.cir.c_reg in
         let j = cib_lookup cb k in
         (* [j < 0] only for a loop with zero LPSU iterations. *)

@@ -114,17 +114,20 @@ let test_cache_fits_working_set () =
 
 let test_port_width () =
   let p = Port.create ~width:2 "mem" in
-  Alcotest.(check bool) "grant 1" true (Port.try_grant p ~now:10 ~occupancy:1);
-  Alcotest.(check bool) "grant 2" true (Port.try_grant p ~now:10 ~occupancy:1);
-  Alcotest.(check bool) "deny 3" false (Port.try_grant p ~now:10 ~occupancy:1);
-  Alcotest.(check bool) "next cycle ok" true (Port.try_grant p ~now:11 ~occupancy:1);
-  Alcotest.(check int) "3 grants" 3 (Port.grants p);
-  Alcotest.(check int) "1 conflict" 1 (Port.conflicts p)
+  let grants =
+    List.map (fun now -> Port.try_grant p ~now ~occupancy:1) [ 10; 10; 10; 11 ]
+  in
+  (* Two grants fill cycle 10's width, the third request is denied, and
+     the next cycle grants again: 3 grants, 1 conflict. *)
+  Alcotest.(check (list bool)) "grant, grant, deny, grant"
+    [ true; true; false; true ] grants;
+  Alcotest.(check int) "width alone holds nothing" 0 (Port.busy_until p)
 
 let test_port_occupancy () =
   let p = Port.create "llfu" in
   Alcotest.(check bool) "div grant" true
     (Port.try_grant p ~now:0 ~occupancy:12);
+  Alcotest.(check int) "held until 12" 12 (Port.busy_until p);
   Alcotest.(check bool) "busy at 5" false (Port.try_grant p ~now:5 ~occupancy:1);
   Alcotest.(check bool) "busy at 11" false (Port.try_grant p ~now:11 ~occupancy:1);
   Alcotest.(check bool) "free at 12" true (Port.try_grant p ~now:12 ~occupancy:1)
