@@ -116,8 +116,11 @@ let unmarshal_next b pos =
   pos := !pos + size;
   v
 
-(* Unsafe generic blob IO; the monomorphic wrappers below pin the payload
-   type to the suffix that wrote it. *)
+(* The verified [MD5 ++ Marshal body] of the blob at [key], or why
+   there is none.  The body is not decoded here: callers that want the
+   value run [Marshal.from_string s 16], and the service forwards the
+   bytes as they are (this is the layout of a [Result] frame's
+   payload). *)
 let read_blob cache ~key ~suffix =
   let p = path cache ~key ~suffix in
   let injected_error =
@@ -148,13 +151,30 @@ let read_blob cache ~key ~suffix =
             let sum : Digest.t = unmarshal_next b pos in
             let payload : string = unmarshal_next b pos in
             if Digest.string payload <> sum then `Corrupt
-            else `Hit (Marshal.from_string payload 0)
+            else `Hit (sum ^ payload)
           end
         with End_of_file | Stdlib.Failure _ | Unix.Unix_error _ -> `Corrupt
       in
       (match verdict with `Corrupt -> quarantine cache p | _ -> ());
       verdict
 
+(* [s] to [fd] whole, retrying short writes and EINTR. *)
+let write_all fd s =
+  let n = String.length s in
+  let rec go o =
+    if o < n then
+      match Unix.write_substring fd s o (n - o) with
+      | k -> go (o + k)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go o
+  in
+  go 0
+
+(* Not through an [out_channel], for the reason [read_fd] gives: each
+   channel mallocs a 64 KiB buffer.  The bytes are those
+   [Marshal.to_channel] wrote for the header, checksum and body, so
+   caches written either way read alike.  A failed open or write is a
+   [Sys_error], as it was through a channel, so the retry policy still
+   classifies it as transient I/O. *)
 let write_blob cache ~key ~suffix payload =
   let p = path cache ~key ~suffix in
   mkdir_p (Filename.dirname p);
@@ -162,14 +182,26 @@ let write_blob cache ~key ~suffix payload =
     Printf.sprintf "%s.tmp.%d.%d" p (Unix.getpid ())
       (Domain.self () :> int)
   in
-  let oc = open_out_bin tmp in
-  (try
-     let body = Marshal.to_string payload [] in
-     Marshal.to_channel oc (magic, cache.version, Sys.ocaml_version) [];
-     Marshal.to_channel oc (Digest.string body) [];
-     Marshal.to_channel oc body [];
-     close_out oc
-   with e -> close_out_noerr oc; (try Sys.remove tmp with _ -> ()); raise e);
+  let body = Marshal.to_string payload [] in
+  let blob =
+    String.concat ""
+      [ Marshal.to_string (magic, cache.version, Sys.ocaml_version) [];
+        Marshal.to_string (Digest.string body) [];
+        Marshal.to_string body [] ]
+  in
+  let io_error e =
+    Sys_error (Printf.sprintf "%s: %s" tmp (Unix.error_message e)) in
+  let fd =
+    try
+      Unix.openfile tmp
+        [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o666
+    with Unix.Unix_error (e, _, _) -> raise (io_error e)
+  in
+  (try write_all fd blob; Unix.close fd
+   with e ->
+     (try Unix.close fd with Unix.Unix_error _ -> ());
+     (try Sys.remove tmp with _ -> ());
+     raise (match e with Unix.Unix_error (e, _, _) -> io_error e | e -> e));
   Sys.rename tmp p;
   (* Chaos: rot the blob at rest, after the rename — the next reader
      must detect it, quarantine it, and re-simulate. *)
@@ -177,17 +209,26 @@ let write_blob cache ~key ~suffix payload =
   | Some c -> Chaos.after_store c p
   | None -> ()
 
-let find cache ~key ~suffix =
+let find_bytes cache ~key ~suffix =
   let verdict = read_blob cache ~key ~suffix in
   counted cache (fun () ->
       match verdict with
       | `Hit _ -> cache.hits <- cache.hits + 1
       | `Absent | `Stale -> cache.misses <- cache.misses + 1
       | `Corrupt -> cache.corrupt <- cache.corrupt + 1);
-  match verdict with `Hit v -> Some v | `Absent | `Stale | `Corrupt -> None
+  match verdict with `Hit s -> Some s | `Absent | `Stale | `Corrupt -> None
+
+(* Unsafe generic unmarshal; the monomorphic wrappers below pin the
+   payload type to the suffix that wrote it.  The body's MD5 was
+   checked before this runs. *)
+let find cache ~key ~suffix =
+  Option.map (fun s -> Marshal.from_string s 16)
+    (find_bytes cache ~key ~suffix)
 
 let find_run cache ~key : Run_spec.run_data option =
   find cache ~key ~suffix:".run"
+
+let find_run_bytes cache ~key = find_bytes cache ~key ~suffix:".run"
 
 let store_run cache ~key (rd : Run_spec.run_data) =
   write_blob cache ~key ~suffix:".run" rd;

@@ -32,6 +32,15 @@ val create :
     enforced by {!reap_over_limit} at startup. *)
 
 val find_run : t -> key:Digest_hex.t -> Run_spec.run_data option
+(** {!find_run_bytes}, unmarshalled. *)
+
+val find_run_bytes : t -> key:Digest_hex.t -> string option
+(** The stored result as its 16-byte MD5 followed by the [Marshal]led
+    {!Run_spec.run_data} it sums, checked before it is returned: the
+    layout of a service [Result] frame's payload, so a daemon forwards
+    it without decoding it.  Counts and verdicts as {!find_run}: a
+    corrupt blob is quarantined and reads as [None]. *)
+
 val store_run : t -> key:Digest_hex.t -> Run_spec.run_data -> unit
 
 val find_meta : t -> key:Digest_hex.t -> int array option

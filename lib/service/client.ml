@@ -51,7 +51,8 @@ let connect ?(version = P.version) ?(ocaml = Sys.ocaml_version) addr =
       Error (Conn msg)
     in
     (match
-       P.write_frame oc (P.encode_request (P.Hello { version; ocaml }))
+       P.write_frame oc (P.encode_request (P.Hello { version; ocaml }));
+       flush oc
      with
      | exception (Sys_error m | Stdlib.Failure m) -> fail m
      | () ->
@@ -73,7 +74,7 @@ type submit_error =
   | Submit_conn of string
 
 let send_request s req =
-  match P.write_frame s.oc (P.encode_request req) with
+  match P.write_frame s.oc (P.encode_request req); flush s.oc with
   | () -> Ok ()
   | exception (Sys_error m | Stdlib.Failure m) -> Error (Submit_conn m)
 
@@ -93,9 +94,13 @@ let submit s ?deadline_ms ?(max_retries = 0) ~on_result specs =
     let rec loop () =
       match read_response s with
       | Error _ as e -> e
-      | Ok (P.Result { index; digest; outcome }) ->
-        on_result ~index ~digest outcome;
+      | Ok (P.Result { index; digest; outcome = Error e }) ->
+        on_result ~index ~digest (Error e);
         loop ()
+      | Ok (P.Result { index; digest; outcome = Ok run }) ->
+        (match P.data_of_run run with
+         | Ok rd -> on_result ~index ~digest (Ok rd); loop ()
+         | Error m -> Error (Submit_conn ("bad frame: " ^ m)))
       | Ok (P.Batch_done { delivered }) -> Ok delivered
       | Ok (P.Rejected e) -> Error (Submit_rejected e)
       | Ok _ -> Error (Submit_conn "unexpected response mid-batch")

@@ -54,7 +54,9 @@ val submit :
   Run_spec.t list -> (int, submit_error) result
 (** One batch: send [Submit], invoke [on_result] for each streamed
     [Result] (completion order, [index] is the spec's position in this
-    batch), return the server's [Batch_done] count. *)
+    batch), return the server's [Batch_done] count.  A success's
+    [stats.cache_hits] / [stats.cache_misses] are set from the frame's
+    {!Protocol.origin}. *)
 
 val stats : session -> (Protocol.stats, submit_error) result
 val ping : session -> (unit, submit_error) result

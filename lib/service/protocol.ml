@@ -5,7 +5,7 @@ module Run_spec = Xloops.Run_spec
 module Failure = Xloops.Failure
 module Digest_hex = Xloops.Digest_hex
 
-let version = 1
+let version = 2
 
 let max_frame_bytes = 64 * 1024 * 1024
 
@@ -224,26 +224,46 @@ let dec_stats c : stats =
 
 (* -- run_data transport --------------------------------------------------- *)
 
-(* Results are checksummed [Marshal] blobs, exactly like the on-disk
-   result cache (PR 6): the handshake pins both the protocol version and
-   the OCaml version, which is what makes [Marshal] safe here, and the
-   MD5 prefix catches in-flight truncation or corruption. *)
+(* Results are checksummed [Marshal] blobs laid out exactly like the
+   on-disk result cache's ([Run_cache.find_run_bytes]), so a daemon
+   forwards a cache hit's bytes untouched.  The handshake pins both the
+   protocol version and the OCaml version, which is what makes
+   [Marshal] safe here, and the MD5 prefix catches in-flight truncation
+   or corruption. *)
 
-let bytes_of_run_data (rd : Run_spec.run_data) =
+type origin = Hit | Miss | Uncached
+
+type run = { origin : origin; blob : string }
+
+let run_of_data origin (rd : Run_spec.run_data) =
   let body = Marshal.to_string rd [] in
-  (Digest.string body : Digest.t :> string) ^ body
+  { origin; blob = Digest.string body ^ body }
 
-let run_data_of_bytes s : (Run_spec.run_data, string) result =
-  if String.length s < 16 then Error "run_data blob shorter than checksum"
-  else
-    let sum = String.sub s 0 16 in
-    let body = String.sub s 16 (String.length s - 16) in
-    if not (String.equal (Digest.string body) sum) then
-      Error "run_data checksum mismatch"
-    else
-      match (Marshal.from_string body 0 : Run_spec.run_data) with
-      | rd -> Ok rd
-      | exception Stdlib.Failure m -> Error ("run_data unmarshal: " ^ m)
+(* The MD5 in [blob]'s first 16 bytes sums the rest, compared in place. *)
+let checksum_ok blob =
+  let n = String.length blob in
+  n >= 16
+  && (let sum = Digest.substring blob 16 (n - 16) in
+      let rec eq i = i = 16 || (sum.[i] = blob.[i] && eq (i + 1)) in
+      eq 0)
+
+let data_of_run { origin; blob } : (Run_spec.run_data, string) result =
+  match (Marshal.from_string blob 16 : Run_spec.run_data) with
+  | rd ->
+    (match origin with
+     | Hit -> rd.stats.cache_hits <- 1
+     | Miss -> rd.stats.cache_misses <- 1
+     | Uncached -> ());
+    Ok rd
+  | exception Stdlib.Failure m -> Error ("run_data unmarshal: " ^ m)
+
+let origin_tag = function Hit -> 'h' | Miss -> 'm' | Uncached -> 'u'
+
+let origin_of_tag c = function
+  | 'h' -> Hit
+  | 'm' -> Miss
+  | 'u' -> Uncached
+  | _ -> fail_at c "unknown result-origin tag"
 
 (* -- Messages ------------------------------------------------------------- *)
 
@@ -263,7 +283,7 @@ type response =
   | Result of {
       index : int;
       digest : Digest_hex.t;
-      outcome : (Run_spec.run_data, error) result;
+      outcome : (run, error) result;
     }
   | Batch_done of { delivered : int }
   | Stats_reply of stats
@@ -327,7 +347,10 @@ let encode_response (r : response) =
      enc_int b index;
      enc_str b (Digest_hex.to_hex digest);
      (match outcome with
-      | Ok rd -> Buffer.add_char b 'k'; enc_str b (bytes_of_run_data rd)
+      | Ok run ->
+        Buffer.add_char b 'k';
+        Buffer.add_char b (origin_tag run.origin);
+        enc_str b run.blob
       | Error e -> Buffer.add_char b 'e'; enc_error b e)
    | Batch_done { delivered } -> Buffer.add_char b 'D'; enc_int b delivered
    | Stats_reply st -> Buffer.add_char b 'A'; enc_stats b st
@@ -355,9 +378,10 @@ let decode_response s : (response, string) result =
       let outcome =
         match dec_char c with
         | 'k' ->
-          (match run_data_of_bytes (dec_str c) with
-           | Ok rd -> Ok rd
-           | Error msg -> fail_at c msg)
+          let origin = origin_of_tag c (dec_char c) in
+          let blob = dec_str c in
+          if not (checksum_ok blob) then fail_at c "run_data checksum mismatch";
+          Ok { origin; blob }
         | 'e' -> Error (dec_error c)
         | _ -> fail_at c "unknown outcome tag"
       in
@@ -378,14 +402,11 @@ let write_frame oc payload =
   let n = String.length payload in
   if n > max_frame_bytes then
     invalid_arg (Fmt.str "Protocol.write_frame: %d-byte frame" n);
-  let hdr = Bytes.create 4 in
-  Bytes.set_uint8 hdr 0 ((n lsr 24) land 0xff);
-  Bytes.set_uint8 hdr 1 ((n lsr 16) land 0xff);
-  Bytes.set_uint8 hdr 2 ((n lsr 8) land 0xff);
-  Bytes.set_uint8 hdr 3 (n land 0xff);
-  output_bytes oc hdr;
-  output_string oc payload;
-  flush oc
+  output_byte oc (n lsr 24);
+  output_byte oc (n lsr 16);
+  output_byte oc (n lsr 8);
+  output_byte oc n;
+  output_string oc payload
 
 let read_frame ic =
   match really_input_string ic 4 with

@@ -23,7 +23,13 @@
 
     Results stream back as one {!Result} frame per spec, in completion
     order, each tagged with the spec's index in the submitted batch;
-    {!Batch_done} terminates the stream.  Errors carry a structured
+    {!Batch_done} terminates the stream.  A success carries its
+    {!origin} (cache hit, miss or no cache) and the checksummed
+    [Marshal] bytes of the result, which for a hit are the cache
+    blob's bytes unchanged; {!decode_response} verifies the checksum,
+    and a result that fails it decodes to [Error].  A daemon writes
+    the frames of a batch unflushed and flushes before it can block
+    (see {!Server}), so a batch of cache hits leaves in one write.  Errors carry a structured
     {!error_code} mapped from the orchestration failure taxonomy
     ({!Xloops.Failure.t}) plus its transient/permanent classification,
     so a client can apply the same retry policy it would in-process. *)
@@ -33,7 +39,7 @@ module Failure = Xloops.Failure
 module Digest_hex = Xloops.Digest_hex
 
 val version : int
-(** The protocol version this build speaks (1); a handshake must offer
+(** The protocol version this build speaks (2); a handshake must offer
     exactly this. *)
 
 val max_frame_bytes : int
@@ -120,6 +126,32 @@ val stats_to_json : stats -> string
 (** One-line JSON object (all-integer fields plus a [per_worker]
     array), for [xloops_serve --stats --json] and CI gates. *)
 
+(** {1 Results} *)
+
+(** Where a daemon got a result.  The client sets
+    [stats.cache_hits] / [stats.cache_misses] from it, the way
+    {!Xloops.Experiments.caching_engine} sets them in process. *)
+type origin =
+  | Hit        (** read from the daemon's result cache *)
+  | Miss       (** simulated after a cache miss, then stored *)
+  | Uncached   (** simulated by a daemon that has no cache *)
+
+type run = {
+  origin : origin;
+  blob : string;
+      (** the 16-byte MD5 of a [Marshal]led {!Xloops.Run_spec.run_data}
+          followed by those bytes: the layout of
+          {!Xloops.Run_cache.find_run_bytes}, so a hit is forwarded as
+          the cache returned it.  The flags above are never set in it. *)
+}
+
+val run_of_data : origin -> Run_spec.run_data -> run
+(** Marshal and checksum a freshly simulated result. *)
+
+val data_of_run : run -> (Run_spec.run_data, string) result
+(** Unmarshal [blob] (whose checksum {!decode_response} has verified)
+    and set the cache flag its [origin] names. *)
+
 (** {1 Messages} *)
 
 type request =
@@ -138,7 +170,8 @@ type response =
   | Result of {
       index : int;               (** position in the submitted batch *)
       digest : Digest_hex.t;     (** {!Xloops.Run_spec.digest} *)
-      outcome : (Run_spec.run_data, error) result;
+      outcome : (run, error) result;
+          (** a success's checksum is verified by {!decode_response} *)
     }
   | Batch_done of { delivered : int }
   | Stats_reply of stats
@@ -155,8 +188,9 @@ val decode_response : string -> (response, string) result
 (** {1 Framing} *)
 
 val write_frame : out_channel -> string -> unit
-(** Length prefix + payload + flush.  Raises [Sys_error] on a broken
-    connection. *)
+(** Length prefix + payload, into the channel's buffer: the caller
+    flushes, so a run of frames can leave in one write.  Raises
+    [Sys_error] on a broken connection. *)
 
 val read_frame : in_channel -> [ `Frame of string | `Eof | `Error of string ]
 (** One frame off the channel: [`Eof] on a cleanly closed connection

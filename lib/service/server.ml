@@ -2,16 +2,21 @@
 
    Locking discipline: [t.mu] guards the queue, the in-flight table, the
    connection list and every counter; each connection's [c_wmu] guards
-   its output channel.  [t.mu] is never held across a frame write, and
-   [c_wmu] is never acquired while holding [t.mu] — so a slow or dead
-   client can never stall admission or the workers. *)
+   its output channel.  [t.mu] is never held across a frame write or a
+   flush, and [c_wmu] is never acquired while holding [t.mu] — so a
+   slow or dead client can never stall admission or the workers.
+
+   Flush rule: a worker writes [Result] frames unflushed and flushes
+   every connection it wrote to before it does anything that can
+   block — waiting on an empty queue, a chaos hook, a simulation — so
+   a batch of cache hits leaves in one socket write and a batch that
+   simulates still streams.  Every other frame is flushed at once. *)
 
 module Run_spec = Xloops.Run_spec
 module Run_cache = Xloops.Run_cache
 module Failure = Xloops.Failure
 module Chaos = Xloops.Chaos
 module Digest_hex = Xloops.Digest_hex
-module Stats = Xloops.Sim.Stats
 module P = Protocol
 
 type config = {
@@ -86,21 +91,27 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-let logf t fmt =
-  if t.cfg.verbose then Fmt.epr ("[serve] " ^^ fmt ^^ "@.")
-  else Format.ifprintf Format.err_formatter ("[serve] " ^^ fmt ^^ "@.")
+(* Diagnostics on stderr.  Every call site tests [t.cfg.verbose] first,
+   so a quiet daemon pays one compare per site: neither the format nor
+   its arguments are built. *)
+let logf fmt = Fmt.epr ("[serve] " ^^ fmt ^^ "@.")
 
 let bound_addr t = t.bound
 
 (* Frame delivery: best effort under the connection's write lock.  A
    broken pipe marks the connection dead; its remaining results are
    simply dropped (the work still lands in the cache, so a reconnecting
-   client resubmits and hits). *)
-let send conn resp =
+   client resubmits and hits).  [~flush:false] leaves the frame in the
+   channel's buffer for the worker's next {!flush_conn}. *)
+let send ?(flush = true) conn resp =
+  let frame = P.encode_response resp in
   Mutex.lock conn.c_wmu;
   let ok =
     conn.c_alive
-    && (match P.write_frame conn.c_oc (P.encode_response resp) with
+    && (match
+          P.write_frame conn.c_oc frame;
+          if flush then Stdlib.flush conn.c_oc
+        with
         | () -> true
         | exception (Sys_error _ | Unix.Unix_error _) ->
           conn.c_alive <- false;
@@ -108,6 +119,13 @@ let send conn resp =
   in
   Mutex.unlock conn.c_wmu;
   ok
+
+let flush_conn conn =
+  Mutex.lock conn.c_wmu;
+  (if conn.c_alive then
+     try flush conn.c_oc
+     with Sys_error _ | Unix.Unix_error _ -> conn.c_alive <- false);
+  Mutex.unlock conn.c_wmu
 
 let stats t : P.stats =
   locked t (fun () ->
@@ -136,21 +154,23 @@ let stats t : P.stats =
 
 (* -- Workers -------------------------------------------------------------- *)
 
-(* Cache-or-simulate, marking results exactly like
-   [Experiments.caching_engine] so a client-side engine built on the
-   service is indistinguishable from the in-process one. *)
-let simulate t spec =
+(* Cache-or-simulate.  A hit is the cache's verified bytes, forwarded
+   as they are: the daemon never decodes or marks a result, and the
+   client sets the cache flags from the origin, as
+   [Experiments.caching_engine] does in process.  [before_block] runs
+   before a simulation starts. *)
+let simulate t ~before_block spec : P.run =
   match t.cfg.cache with
-  | None -> Run_spec.execute spec
+  | None -> before_block (); P.run_of_data P.Uncached (Run_spec.execute spec)
   | Some cache ->
     let key = Run_spec.cache_key spec in
-    (match Run_cache.find_run cache ~key with
-     | Some rd -> rd.Run_spec.stats.Stats.cache_hits <- 1; rd
+    (match Run_cache.find_run_bytes cache ~key with
+     | Some blob -> { P.origin = P.Hit; blob }
      | None ->
+       before_block ();
        let rd = Run_spec.execute spec in
        Run_cache.store_run cache ~key rd;
-       rd.Run_spec.stats.Stats.cache_misses <- 1;
-       rd)
+       P.run_of_data P.Miss rd)
 
 (* One owed result has been delivered (or dropped) for [conn]'s current
    batch; when the count reaches zero the stream is closed. *)
@@ -163,12 +183,26 @@ let finish_one t conn =
   if batch_done then ignore (send conn (P.Batch_done { delivered }))
 
 let worker t wi =
+  (* Connections this worker has written unflushed frames to. *)
+  let unflushed = ref [] in
+  let flush_all () =
+    List.iter flush_conn !unflushed;
+    unflushed := []
+  in
   let rec loop () =
     Mutex.lock t.mu;
     while Queue.is_empty t.queue && not t.stopping do
-      Condition.wait t.work t.mu
+      match !unflushed with
+      | [] -> Condition.wait t.work t.mu
+      | _ :: _ ->
+        Mutex.unlock t.mu;
+        flush_all ();
+        Mutex.lock t.mu
     done;
-    if Queue.is_empty t.queue then Mutex.unlock t.mu (* stopping, drained *)
+    if Queue.is_empty t.queue then begin (* stopping, drained *)
+      Mutex.unlock t.mu;
+      flush_all ()
+    end
     else begin
       let job = Queue.pop t.queue in
       t.executing <- t.executing + 1;
@@ -186,9 +220,9 @@ let worker t wi =
             ~salt:(Digest_hex.to_hex job.j_digest)
             (fun () ->
                (match t.cfg.chaos with
-                | Some c -> Chaos.before_item c
+                | Some c -> flush_all (); Chaos.before_item c
                 | None -> ());
-               simulate t job.j_spec)
+               simulate t ~before_block:flush_all job.j_spec)
         with
         | outcome -> outcome.Failure.result
         | exception Failure.Abort msg ->
@@ -212,22 +246,20 @@ let worker t wi =
             ws)
       in
       (match result with
-       | Ok _ -> ()
-       | Error f ->
-         logf t "job %s failed: %a" (Digest_hex.short job.j_digest)
-           Failure.pp_tagged f);
-      let outcome =
-        match result with
-        | Ok rd -> Ok rd
-        | Error f -> Error (P.error_of_failure f)
-      in
+       | Error f when t.cfg.verbose ->
+         logf "job %s failed: %a" (Digest_hex.short job.j_digest)
+           Failure.pp_tagged f
+       | Ok _ | Error _ -> ());
+      let outcome = Result.map_error P.error_of_failure result in
       List.iter
         (fun w ->
+           let c = w.w_conn in
            ignore
-             (send w.w_conn
+             (send ~flush:false c
                 (P.Result { index = w.w_index; digest = job.j_digest;
                             outcome }));
-           finish_one t w.w_conn)
+           if not (List.memq c !unflushed) then unflushed := c :: !unflushed;
+           finish_one t c)
         waiters;
       loop ()
     end
@@ -302,12 +334,14 @@ let admit t conn ~deadline_ms ~max_retries specs =
   in
   match verdict with
   | Error e ->
-    logf t "conn %d: batch of %d rejected (%s)" conn.c_id n
-      (P.error_code_name e.P.code);
+    if t.cfg.verbose then
+      logf "conn %d: batch of %d rejected (%s)" conn.c_id n
+        (P.error_code_name e.P.code);
     ignore (send conn (P.Rejected e))
   | Ok nfresh ->
-    logf t "conn %d: admitted batch of %d (%d fresh, %d coalesced)"
-      conn.c_id n nfresh (n - nfresh);
+    if t.cfg.verbose then
+      logf "conn %d: admitted batch of %d (%d fresh, %d coalesced)"
+        conn.c_id n nfresh (n - nfresh);
     if n = 0 then ignore (send conn (P.Batch_done { delivered = 0 }))
 
 (* -- Connections ---------------------------------------------------------- *)
@@ -349,13 +383,13 @@ let handshake t conn ic =
 let serve_conn t conn =
   let ic = Unix.in_channel_of_descr conn.c_fd in
   if handshake t conn ic then begin
-    logf t "conn %d: session open" conn.c_id;
+    if t.cfg.verbose then logf "conn %d: session open" conn.c_id;
     let closing = ref false in
     while not !closing do
       match P.read_frame ic with
       | `Eof -> closing := true
       | `Error msg ->
-        logf t "conn %d: read error: %s" conn.c_id msg;
+        if t.cfg.verbose then logf "conn %d: read error: %s" conn.c_id msg;
         closing := true
       | `Frame payload ->
         (match P.decode_request payload with
@@ -376,16 +410,24 @@ let serve_conn t conn =
            locked t (fun () ->
                t.shutdown_req <- true;
                Condition.broadcast t.stopc);
-           logf t "conn %d: shutdown requested" conn.c_id;
+           if t.cfg.verbose then logf "conn %d: shutdown requested" conn.c_id;
            closing := true)
     done
   end;
+  locked t (fun () -> t.conns <- List.filter (fun c -> c != conn) t.conns);
+  (* Closing the channel closes the socket and drops any frames still
+     buffered: an out channel left open with pending bytes is never
+     freed, and the runtime would flush it at exit into whatever file
+     then holds its descriptor number.  The shutdown first makes that
+     last flush fail at once rather than wait on a peer that has
+     stopped reading. *)
   Mutex.lock conn.c_wmu;
   conn.c_alive <- false;
+  (try Unix.shutdown conn.c_fd Unix.SHUTDOWN_ALL
+   with Unix.Unix_error _ -> ());
+  close_out_noerr conn.c_oc;
   Mutex.unlock conn.c_wmu;
-  locked t (fun () -> t.conns <- List.filter (fun c -> c != conn) t.conns);
-  (try Unix.close conn.c_fd with Unix.Unix_error _ -> ());
-  logf t "conn %d: closed" conn.c_id
+  if t.cfg.verbose then logf "conn %d: closed" conn.c_id
 
 let acceptor t =
   let continue = ref true in
@@ -462,10 +504,11 @@ let start (cfg : config) =
     List.init cfg.workers (fun wi -> Domain.spawn (fun () -> worker t wi));
   let acc = Thread.create (fun () -> acceptor t) () in
   t.threads <- [ acc ];
-  logf t "listening on %a: %d worker(s), queue limit %d, cache %s, chaos %s"
-    P.pp_addr bound cfg.workers cfg.max_queue
-    (if Option.is_some cfg.cache then "on" else "off")
-    (if Option.is_some cfg.chaos then "on" else "off");
+  if cfg.verbose then
+    logf "listening on %a: %d worker(s), queue limit %d, cache %s, chaos %s"
+      P.pp_addr bound cfg.workers cfg.max_queue
+      (if Option.is_some cfg.cache then "on" else "off")
+      (if Option.is_some cfg.chaos then "on" else "off");
   t
 
 let stop t =
@@ -478,8 +521,9 @@ let stop t =
         a)
   in
   if not already then begin
-    logf t "stopping: draining %d queued job(s)"
-      (locked t (fun () -> Queue.length t.queue));
+    if t.cfg.verbose then
+      logf "stopping: draining %d queued job(s)"
+        (locked t (fun () -> Queue.length t.queue));
     (* Join the acceptor and every reader; readers unblock when their
        connection is shut down.  The acceptor may still register a last
        thread before it notices [stopping], so pop until empty. *)
@@ -508,7 +552,7 @@ let stop t =
      | P.Unix_path path ->
        (try Unix.unlink path with Unix.Unix_error _ -> ())
      | P.Tcp _ -> ());
-    logf t "stopped: %a" P.pp_stats (stats t)
+    if t.cfg.verbose then logf "stopped: %a" P.pp_stats (stats t)
   end
 
 let wait t =

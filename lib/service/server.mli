@@ -23,6 +23,16 @@
     back in completion order, tagged with their batch index, and
     [Batch_done] closes the stream.
 
+    A cache hit is sent as the bytes {!Xloops.Run_cache.find_run_bytes}
+    returns, checksum verified and otherwise untouched; the daemon never
+    decodes or mutates a result.  Each [Result] frame carries its
+    {!Protocol.origin}, from which the client sets the cache flags.
+    [Result] frames are written unflushed: a worker flushes every
+    connection it wrote to before it can block (waiting on an empty
+    queue, a chaos hook, a simulation), so the hits of a batch leave in
+    one write and simulated results still stream.  [Batch_done] and
+    every reply outside a batch are flushed at once.
+
     A session opens only on an exact {!Protocol.version} and OCaml
     version match; there is no negotiation.
 
@@ -51,7 +61,8 @@ val config :
   ?cache:Run_cache.t -> ?chaos:Chaos.t -> ?deadline_ms:int ->
   ?max_retries:int -> ?banner:string -> ?verbose:bool -> unit -> config
 (** Defaults: 1 worker, queue bound 256, no cache, no chaos, no
-    deadline, 0 retries, quiet.
+    deadline, 0 retries, quiet.  A quiet daemon builds no diagnostic:
+    each log site costs one test of [verbose].
     Raises [Invalid_argument] on a non-positive worker count or queue
     bound. *)
 

@@ -5,8 +5,9 @@
    over a loopback socket — handshake version rejection (any version
    but the one this build speaks), in-flight dedupe, whole-batch
    admission control (OVERLOADED), failure streaming, warm-cache hits,
-   and result equality between a remote plan and in-process
-   execution. *)
+   the cache flags each result origin sets, results streaming under
+   the flush rule, and result equality between a remote plan and
+   in-process execution. *)
 
 module P = Xloops_service.Protocol
 module Client = Xloops_service.Client
@@ -180,6 +181,24 @@ let gen_request =
    its encoding is a checksummed [Marshal], not field-by-field. *)
 let sample_rd = lazy (Run_spec.execute (List.hd spec_pool))
 
+(* A hit as a daemon sends it: the bytes a cache returns for the
+   stored sample. *)
+let sample_hit =
+  lazy
+    (let cache = Run_cache.create ~dir:(tmp_dir ()) () in
+     let key = Run_spec.cache_key (List.hd spec_pool) in
+     Run_cache.store_run cache ~key (Lazy.force sample_rd);
+     match Run_cache.find_run_bytes cache ~key with
+     | Some blob -> { P.origin = P.Hit; blob }
+     | None -> Alcotest.fail "stored sample reads back as a miss")
+
+let gen_run =
+  QCheck.Gen.(
+    oneof
+      [ map (fun () -> Lazy.force sample_hit) unit;
+        map (fun origin -> P.run_of_data origin (Lazy.force sample_rd))
+          (oneofl [ P.Hit; P.Miss; P.Uncached ]) ])
+
 let gen_response =
   QCheck.Gen.(
     oneof
@@ -193,7 +212,7 @@ let gen_response =
           (int_bound 500) (oneofl spec_pool)
           (oneof
              [ map (fun e -> Error e) gen_error;
-               return (Ok (Lazy.force sample_rd)) ]);
+               map (fun run -> Ok run) gen_run ]);
         map (fun delivered -> P.Batch_done { delivered }) (int_bound 500);
         map
           (fun l ->
@@ -218,17 +237,18 @@ let prop_response_roundtrip =
   QCheck.Test.make ~name:"response codec round-trips" ~count:200
     (QCheck.make gen_response) roundtrip_response
 
+let hit_frame index =
+  P.encode_response
+    (P.Result { index; digest = Run_spec.digest (List.hd spec_pool);
+                outcome = Ok (Lazy.force sample_hit) })
+
 (* A [Result] frame as a compressing peer would have sent it: the
    blob re-tagged ['z'] and wrapped in a literal-only LZSS stream (a
    4-byte big-endian length, then groups of one all-literal flag byte
    and up to eight bytes).  The only outcome tags are ['k'] and ['e'],
    so it must decode to [Error]. *)
 let z_tagged_result index =
-  let s =
-    P.encode_response
-      (P.Result { index; digest = Run_spec.digest (List.hd spec_pool);
-                  outcome = Ok (Lazy.force sample_rd) })
-  in
+  let s = hit_frame index in
   let k = String.index s 'k' in
   let rest = String.sub s (k + 1) (String.length s - k - 1) in
   let semi = String.index rest ';' in
@@ -257,6 +277,20 @@ let prop_decode_total =
        (match P.decode_request s with Ok _ | Error _ -> ());
        (match P.decode_response s with Ok _ | Error _ -> ());
        Result.is_error (P.decode_response (z_tagged_result pos)))
+
+(* The blob ends the frame; flipping any bit of its body (past the
+   16-byte checksum) must fail the checksum. *)
+let prop_flipped_hit_rejected =
+  QCheck.Test.make ~name:"a hit frame with a flipped body bit is an Error"
+    ~count:200 QCheck.(pair small_nat small_nat)
+    (fun (pos, bit) ->
+       let s = Bytes.of_string (hit_frame 3) in
+       let body = Bytes.length s - String.length (Lazy.force sample_hit).blob
+                  + 16 in
+       let i = body + (pos mod (Bytes.length s - body)) in
+       Bytes.set s i
+         (Char.chr (Char.code (Bytes.get s i) lxor (1 lsl (bit mod 8))));
+       Result.is_error (P.decode_response (Bytes.to_string s)))
 
 let test_framing () =
   let path = tmp_dir () ^ ".frames" in
@@ -433,6 +467,91 @@ let test_warm_cache_hits () =
   Alcotest.(check bool) "cache round-trip preserves results" true
     (rd cold.(0) = rd warm.(0) && rd cold.(1) = rd warm.(1))
 
+(* The cache flags a client sees are set from the frame's origin tag:
+   a cold daemon's results are misses, a warm one's hits, a cacheless
+   one's neither.  Beyond the wall clock, each result equals the
+   in-process engine's, and a warm hit equals the cache's own record. *)
+let test_cache_flags () =
+  let dir = tmp_dir () in
+  let batch = [ List.nth spec_pool 0; List.nth spec_pool 2 ] in
+  let no_wall (rd : Run_spec.run_data) =
+    { rd with Run_spec.stats = { rd.Run_spec.stats with Stats.wall_ns = 0 } }
+  in
+  let served ?cache () =
+    with_server ?cache @@ fun _t addr ->
+    let s = connect addr in
+    let _, results = submit_all s batch in
+    Client.close s;
+    Array.to_list
+      (Array.mapi
+         (fun i -> function
+            | Some (Ok rd) -> rd
+            | Some (Error e) -> Alcotest.failf "spec %d: %a" i P.pp_error e
+            | None -> Alcotest.failf "spec %d never answered" i)
+         results)
+  in
+  let check name ~hits ~misses ~engine results =
+    List.iteri
+      (fun i (sp, (rd : Run_spec.run_data)) ->
+         let what = Printf.sprintf "%s spec %d" name i in
+         Alcotest.(check int) (what ^ " cache_hits") hits
+           rd.stats.Stats.cache_hits;
+         Alcotest.(check int) (what ^ " cache_misses") misses
+           rd.stats.Stats.cache_misses;
+         Alcotest.(check bool) (what ^ " equals in-process") true
+           (no_wall rd = no_wall (engine.Xloops.Experiments.run sp)))
+      (List.combine batch results)
+  in
+  let cold = served ~cache:(Run_cache.create ~dir ()) () in
+  check "cold" ~hits:0 ~misses:1 cold
+    ~engine:(Xloops.Experiments.caching_engine
+               ~cache:(Run_cache.create ~dir:(tmp_dir ()) ()) ());
+  let warm = served ~cache:(Run_cache.create ~dir ()) () in
+  check "warm" ~hits:1 ~misses:0 warm
+    ~engine:(Xloops.Experiments.caching_engine
+               ~cache:(Run_cache.create ~dir ()) ());
+  let local = Run_cache.create ~dir () in
+  List.iteri
+    (fun i (sp, rd) ->
+       match Run_cache.find_run local ~key:(Run_spec.cache_key sp) with
+       | Some (stored : Run_spec.run_data) ->
+         stored.stats.Stats.cache_hits <- 1;
+         Alcotest.(check bool)
+           (Printf.sprintf "warm spec %d is the cached record" i) true
+           (rd = stored)
+       | None -> Alcotest.failf "warm spec %d not in the cache" i)
+    (List.combine batch warm);
+  (* In process, [caching_engine] marks a miss even without a cache;
+     a cacheless daemon's results carry no flag, like a direct run. *)
+  check "cacheless" ~hits:0 ~misses:0 (served ())
+    ~engine:Xloops.Experiments.direct_engine
+
+(* Result frames are buffered, but a worker flushes before it blocks:
+   the first spec's result reaches the client while the worker sleeps
+   in the chaos hook before the second. *)
+let test_results_stream () =
+  let chaos =
+    Xloops.Chaos.explicit ~stall_ms:1000 [ (2, Xloops.Chaos.Worker_stall) ]
+  in
+  with_server ~chaos @@ fun _t addr ->
+  let s = connect addr in
+  let t0 = Unix.gettimeofday () in
+  let first = ref None in
+  (match
+     Client.submit s [ spec "war-uc"; spec ~cfg:Config.io "war-uc" ]
+       ~on_result:(fun ~index:_ ~digest:_ _ ->
+           if !first = None then first := Some (Unix.gettimeofday () -. t0))
+   with
+   | Ok n -> Alcotest.(check int) "both answered" 2 n
+   | Error _ -> Alcotest.fail "batch failed");
+  Client.close s;
+  Alcotest.(check int) "the stall fired" 1
+    (Xloops.Chaos.injected_count chaos);
+  match !first with
+  | Some dt when dt < 0.5 -> ()
+  | Some dt -> Alcotest.failf "first result arrived after %.3f s" dt
+  | None -> Alcotest.fail "no result"
+
 let test_run_plan_matches_local () =
   with_server ~workers:2 @@ fun _t addr ->
   let plan = spec_pool @ [ spec ~fuel:1 "war-uc" ] in
@@ -479,7 +598,8 @@ let () =
          Alcotest.test_case "taxonomy mapping" `Quick test_error_of_failure;
          QCheck_alcotest.to_alcotest prop_request_roundtrip;
          QCheck_alcotest.to_alcotest prop_response_roundtrip;
-         QCheck_alcotest.to_alcotest prop_decode_total ]);
+         QCheck_alcotest.to_alcotest prop_decode_total;
+         QCheck_alcotest.to_alcotest prop_flipped_hit_rejected ]);
       ("daemon",
        [ Alcotest.test_case "version mismatch" `Quick test_version_mismatch;
          Alcotest.test_case "in-flight dedupe" `Quick test_dedupe_and_equality;
@@ -487,6 +607,9 @@ let () =
          Alcotest.test_case "failure streaming" `Quick
            test_failure_streams_back;
          Alcotest.test_case "warm cache hits" `Quick test_warm_cache_hits;
+         Alcotest.test_case "cache flags by origin" `Quick test_cache_flags;
+         Alcotest.test_case "results stream before a stall" `Quick
+           test_results_stream;
          Alcotest.test_case "run_plan vs local" `Quick
            test_run_plan_matches_local;
          Alcotest.test_case "shutdown request" `Quick
