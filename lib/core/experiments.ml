@@ -102,9 +102,10 @@ let direct_engine =
 
 (** An engine that memoizes every result in memory (thread-safe, so it
     can be warmed by a {!Pool}) and, when [cache] is given, reads and
-    writes the on-disk result cache.  Runs served from disk get
-    [stats.cache_hits = 1]; freshly simulated ones get
-    [stats.cache_misses = 1]. *)
+    writes the on-disk result cache.  With a cache, runs served from
+    disk get [stats.cache_hits = 1] and freshly simulated ones
+    [stats.cache_misses = 1]; without one, neither flag is set, as in a
+    cacheless daemon's results. *)
 let caching_engine ?cache () : engine =
   let memo_runs : (Digest_hex.t, run_data) Hashtbl.t = Hashtbl.create 256 in
   let memo_meta : (Digest_hex.t, kernel_meta) Hashtbl.t =
@@ -128,13 +129,16 @@ let caching_engine ?cache () : engine =
     | Some rd -> rd
     | None ->
       let rd =
-        match Option.bind cache (fun c -> Run_cache.find_run c ~key) with
-        | Some rd -> rd.stats.Stats.cache_hits <- 1; rd
-        | None ->
-          let rd = Run_spec.execute spec in
-          Option.iter (fun c -> Run_cache.store_run c ~key rd) cache;
-          rd.stats.Stats.cache_misses <- 1;
-          rd
+        match cache with
+        | None -> Run_spec.execute spec
+        | Some c ->
+          match Run_cache.find_run c ~key with
+          | Some rd -> rd.stats.Stats.cache_hits <- 1; rd
+          | None ->
+            let rd = Run_spec.execute spec in
+            Run_cache.store_run c ~key rd;
+            rd.stats.Stats.cache_misses <- 1;
+            rd
       in
       publish memo_runs key rd
   in

@@ -74,8 +74,9 @@ val direct_engine : engine
 
 val caching_engine : ?cache:Run_cache.t -> unit -> engine
 (** Thread-safe in-memory memoization on top of the optional on-disk
-    cache.  Disk hits get [stats.cache_hits = 1]; fresh simulations get
-    [stats.cache_misses = 1]. *)
+    cache.  With a cache, disk hits get [stats.cache_hits = 1] and fresh
+    simulations [stats.cache_misses = 1]; without one, neither flag is
+    set. *)
 
 (** {1 Fault-tolerant sweeps}
 

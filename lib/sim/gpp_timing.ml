@@ -49,36 +49,36 @@ let[@inline] class_latency lat (cls : Insn_meta.latency) =
   | Lat_div -> lat.div
   | Lat_fpu -> lat.fpu
 
-let[@inline] count_events (s : Stats.t) (m : Insn_meta.t) =
-  s.decodes <- s.decodes + 1;
-  s.rf_reads <- s.rf_reads + m.rf_reads;
-  if m.rd >= 0 then s.rf_writes <- s.rf_writes + 1;
-  (match m.fu with
-   | Fu_alu -> s.alu_ops <- s.alu_ops + 1
-   | Fu_mul -> s.mul_ops <- s.mul_ops + 1
-   | Fu_div -> s.div_ops <- s.div_ops + 1
-   | Fu_fpu -> s.fpu_ops <- s.fpu_ops + 1
-   | Fu_xi -> s.xi_ops <- s.xi_ops + 1
-   | Fu_amo -> s.amo_ops <- s.amo_ops + 1);
-  if m.branch then s.branches <- s.branches + 1
-
 (* The metadata of the program an event indexes, decoded again only
-   when the stepped program changes: once per machine. *)
+   when the stepped program changes: once per machine.  Committed
+   instructions are counted per pc in [m_count]; {!fold_events} turns
+   the counts into {!Stats} events (as does a change of program). *)
 type meta_cache = {
+  stats : Stats.t;
   mutable m_prog : Program.t;
   mutable m_meta : Insn_meta.t array;
+  mutable m_count : int array;
 }
 
-let meta_cache () =
+let meta_cache stats =
   let p = { Program.insns = [||]; symbols = [] } in
-  { m_prog = p; m_meta = [||] }
+  { stats; m_prog = p; m_meta = [||]; m_count = [||] }
 
+let fold mc =
+  Insn_meta.fold_counts mc.m_meta mc.m_count ~lo:0
+    ~hi:(Array.length mc.m_count) mc.stats
+
+(* [ev]'s metadata, its issue counted. *)
 let[@inline] meta_of mc (ev : Exec.event) =
   if ev.prog != mc.m_prog then begin
+    fold mc;
     mc.m_prog <- ev.prog;
-    mc.m_meta <- Insn_meta.of_program ev.prog
+    mc.m_meta <- Insn_meta.of_program ev.prog;
+    mc.m_count <- Array.make (Array.length mc.m_meta) 0
   end;
-  Array.unsafe_get mc.m_meta ev.pc
+  let pc = ev.pc in
+  Array.unsafe_set mc.m_count pc (Array.unsafe_get mc.m_count pc + 1);
+  Array.unsafe_get mc.m_meta pc
 
 (* Instruction fetch through the L1I.  The pcs of the line the latest
    fetch touched are kept as a range: a fetch from that line is a hit
@@ -129,7 +129,7 @@ module Inorder = struct
     l1d = Cache.create ~size_bytes:cfg.l1_size ~ways:cfg.l1_ways
         ~line_bytes:cfg.l1_line ();
     reg_ready = Array.make Reg.num_regs 0;
-    mc = meta_cache ();
+    mc = meta_cache stats;
     last_issue = 0; last_complete = 0; div_busy_until = 0;
   }
 
@@ -138,7 +138,6 @@ module Inorder = struct
     let m = meta_of t.mc ev in
     s.committed_insns <- s.committed_insns + 1;
     s.icache_fetches <- s.icache_fetches + 1;
-    count_events s m;
     (* Fetch. *)
     let fetch_extra =
       if fetch_hits t.fetch ev.pc then 0
@@ -334,7 +333,7 @@ module Ooo = struct
       bp = Branch_pred.create ();
       reg_ready = Array.make Reg.num_regs 0;
       ring = Array.make window 0;
-      mc = meta_cache ();
+      mc = meta_cache stats;
       slot = 0; dispatch_cycle = 0; dispatched_in_cycle = 0;
       redirect = 0; mem_serial = 0;
       store_ready = Store_table.create 64;
@@ -348,7 +347,6 @@ module Ooo = struct
     s.renames <- s.renames + 1;
     s.rob_ops <- s.rob_ops + 1;
     s.iq_ops <- s.iq_ops + 1;
-    count_events s m;
     (* Fetch-side cache (fetch groups share lines; charge misses only). *)
     if not (fetch_hits t.fetch ev.pc) then begin
       s.icache_misses <- s.icache_misses + 1;
@@ -471,6 +469,10 @@ let skip_to t cycle =
   match t with
   | In_order m -> Inorder.skip_to m cycle
   | Out_of_order m -> Ooo.skip_to m cycle
+
+let fold_events = function
+  | In_order m -> fold m.Inorder.mc
+  | Out_of_order m -> fold m.Ooo.mc
 
 (** The GPP's L1 data cache — shared with the LPSU, which arbitrates for
     the same data-memory port (Figure 4). *)

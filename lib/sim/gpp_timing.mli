@@ -19,10 +19,6 @@ val latencies_of : Config.gpp -> latencies
 
 val class_latency : latencies -> Insn_meta.latency -> int
 
-val count_events : Stats.t -> Insn_meta.t -> unit
-(** Account one executed instruction's decode, register-file, functional
-    unit and branch events; shared with the LPSU lanes. *)
-
 module Inorder : sig
   type t
   val create : Config.gpp -> Stats.t -> t
@@ -47,7 +43,15 @@ type t = In_order of Inorder.t | Out_of_order of Ooo.t
 val create : Config.gpp -> Stats.t -> t
 
 val consume : t -> Exec.event -> unit
-(** Account one committed instruction. *)
+(** Account one committed instruction.  Its decode, register-file,
+    functional-unit and branch events are counted per pc and reach the
+    {!Stats} record only at {!fold_events}. *)
+
+val fold_events : t -> unit
+(** Add the per-pc issue counts since the last fold to the {!Stats}
+    record as decode, register-file, functional-unit and branch events
+    ({!Insn_meta.fold_counts}).  Call it once a run is over, before
+    reading those counters. *)
 
 val now : t -> int
 (** Current cycle estimate (retire time of the newest instruction). *)

@@ -55,3 +55,27 @@ let of_insn (i : int Insn.t) =
     sync = (match i with Sync -> true | _ -> false) }
 
 let of_program (p : Program.t) = Array.map of_insn p.Program.insns
+
+(* Issues are counted per pc on the hot paths (an array increment) and
+   turned into {!Stats} events here, once per run. *)
+let add_events (s : Stats.t) m n =
+  s.decodes <- s.decodes + n;
+  s.rf_reads <- s.rf_reads + n * m.rf_reads;
+  if m.rd >= 0 then s.rf_writes <- s.rf_writes + n;
+  (match m.fu with
+   | Fu_alu -> s.alu_ops <- s.alu_ops + n
+   | Fu_mul -> s.mul_ops <- s.mul_ops + n
+   | Fu_div -> s.div_ops <- s.div_ops + n
+   | Fu_fpu -> s.fpu_ops <- s.fpu_ops + n
+   | Fu_xi -> s.xi_ops <- s.xi_ops + n
+   | Fu_amo -> s.amo_ops <- s.amo_ops + n);
+  if m.branch then s.branches <- s.branches + n
+
+let fold_counts meta counts ~lo ~hi stats =
+  for pc = lo to hi - 1 do
+    let n = counts.(pc) in
+    if n > 0 then begin
+      add_events stats meta.(pc) n;
+      counts.(pc) <- 0
+    end
+  done

@@ -28,3 +28,10 @@ type t = private {
 val of_program : Xloops_asm.Program.t -> t array
 (** Metadata for every pc, parallel to [insns].  The GPP timing model
     and the LPSU each compute it once per machine. *)
+
+val fold_counts : t array -> int array -> lo:int -> hi:int -> Stats.t -> unit
+(** [fold_counts meta counts ~lo ~hi stats] adds, for each pc in
+    [\[lo, hi)], [counts.(pc)] executions of [meta.(pc)] to [stats]'s
+    decode, register-file, functional-unit and branch counters, and
+    zeroes those counts.  The GPP timing models and the LPSU lanes count
+    issues per pc and fold them once per run. *)

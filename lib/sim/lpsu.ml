@@ -53,9 +53,14 @@ exception Lane_trap of string
    until then each cycle reports that reason without re-running the
    issue path.  Events that can unblock another lane (a dispatch, a
    commit, a squash, a CIB change, a drain or promotion, an applied
-   fault) bump [epoch] and so wake every sleeper; see {!sleep}. *)
+   fault) bump [epoch] and so wake every sleeper; see {!sleep}.  The
+   cycle loop answers a sleeping lane itself, and a cycle in which
+   every context sleeps jumps to the first wake ({!quiet_until}).
+   Lane cycles and issues are counted in arrays (by outcome, by pc)
+   and reach {!Stats} once per run ({!fold_accounts}). *)
 
 let[@inline] imax (a : int) b = if a >= b then a else b
+let[@inline] imin (a : int) b = if a <= b then a else b
 
 let sext_shift = Sys.int_size - 32
 let[@inline] norm v = (v lsl sext_shift) asr sext_shift
@@ -150,6 +155,9 @@ type t = {
   mem_port : Port.t;
   llfu_port : Port.t;
   lane_reason : int array;       (* last cycle's stall code per lane *)
+  lane_cyc : int array;          (* this run's lane cycles by outcome,
+                                    indexed by code + 1 *)
+  pc_issues : int array;         (* this run's lane issues per pc *)
   violated : bool array;         (* broadcast scratch, per context *)
   commit_slot : ctx array;       (* iteration [k]'s context at [k land
                                     mask]; a power of two >= contexts *)
@@ -164,6 +172,7 @@ type t = {
   miv_inc : int array;
   mutable n_mivs : int;
   mutable ctxs : ctx array;      (* this loop's: [all_ctxs] under MT *)
+  mutable n_idle : int;          (* contexts of [ctxs] that are [Idle] *)
   mutable cibs : cib array;      (* this loop's chains are the first
                                     [n_cibs]; the rest are spare *)
   mutable n_cibs : int;
@@ -288,6 +297,8 @@ let create ~pre ~mem ~dcache ~(cfg : Config.t) ~stats ?trace ?faults () =
       mem_port = Port.create ~width:lpsu.mem_ports "dmem";
       llfu_port = Port.create ~width:lpsu.llfu_ports "llfu";
       lane_reason = Array.make lpsu.lanes stall_idle;
+      lane_cyc = Array.make (stall_frozen + 2) 0;
+      pc_issues = Array.make (Array.length pre.Program.source.insns) 0;
       violated = Array.make (Array.length all_ctxs) false;
       commit_slot =
         (let n = ref 1 in
@@ -303,7 +314,7 @@ let create ~pre ~mem ~dcache ~(cfg : Config.t) ~stats ?trace ?faults () =
       miv_base = Array.make Reg.num_regs 0;
       miv_inc = Array.make Reg.num_regs 0;
       n_mivs = 0;
-      ctxs = [||]; cibs = [||]; n_cibs = 0;
+      ctxs = [||]; n_idle = 0; cibs = [||]; n_cibs = 0;
       bound = 0; next_k = 0; commit_iter = 0; committed = 0; exit_at = -1;
       cycle = 0; stop_after = max_int;
       spec_pattern = false; has_cirs = false; trace;
@@ -368,6 +379,7 @@ let start t ~(info : Scan.t) ~(regs : int array) ~start_cycle ~stop_after
        c.fwd_src <- -1; c.fwd_raw <- 0; c.fwd_addr <- -1; c.fwd_bytes <- 0;
        Lsq.clear c.lsq)
     t.all_ctxs;
+  t.n_idle <- Array.length t.ctxs;
   let n_cibs = List.length info.cirs in
   if Array.length t.cibs < n_cibs then begin
     let cap = 4 * (Array.length t.all_ctxs + 4) in
@@ -473,6 +485,7 @@ let dispatch t (c : ctx) =
   t.commit_slot.(k land (Array.length t.commit_slot - 1)) <- c;
   bump t;
   c.st <- Run;
+  t.n_idle <- t.n_idle - 1;
   t.last_progress <- t.cycle;
   seed_ctx t c k;
   Lsq.clear c.lsq;
@@ -705,6 +718,7 @@ let take_exit t (c : ctx) =
          Lsq.clear o.lsq;
          o.drain_next <- -1;
          o.st <- Idle;
+         t.n_idle <- t.n_idle + 1;
          o.iter <- -1
        end)
     t.ctxs
@@ -722,6 +736,7 @@ let commit_iteration t (c : ctx) =
   if t.info.pat.cp = Insn.De && c.exit_flag <> 0 && t.exit_at < 0
   then take_exit t c;
   c.st <- Idle;
+  t.n_idle <- t.n_idle + 1;
   c.iter <- -1
 
 (** Promote / commit whatever can make forward progress for free:
@@ -730,31 +745,29 @@ let commit_iteration t (c : ctx) =
     draining state; a still-running promoted context gets its drain queue
     filled so the issue loop empties it before the lane proceeds.
 
-    Speculative patterns commit in order, so the iterations in flight
-    are [commit_iter, next_k), at most one per context, and no two of
-    them share a slot: the commit point's context is the one [dispatch]
-    recorded in its slot. *)
+    Only speculative patterns call it.  They commit in order, so the
+    iterations in flight are [commit_iter, next_k), at most one per
+    context, and no two of them share a slot: the commit point's context
+    is the one [dispatch] recorded in its slot. *)
 let rec try_commits t =
-  if t.spec_pattern then begin
-    let c =
-      t.commit_slot.(t.commit_iter land (Array.length t.commit_slot - 1)) in
-    if c.iter = t.commit_iter && c.st <> Idle then
-      match c.st with
-      | Wait_commit ->
-        if Lsq.n_stores c.lsq = 0 then begin
-          commit_iteration t c;
-          try_commits t
-        end else if c.drain_next < 0 then begin
-          bump t;
-          c.drain_next <- 0;
-          c.st <- Drain_commit
-        end
-      | Run when Lsq.n_stores c.lsq > 0 && c.drain_next < 0 ->
-        (* Promoted while still running: drain before continuing. *)
+  let c =
+    t.commit_slot.(t.commit_iter land (Array.length t.commit_slot - 1)) in
+  if c.iter = t.commit_iter && c.st <> Idle then
+    match c.st with
+    | Wait_commit ->
+      if Lsq.n_stores c.lsq = 0 then begin
+        commit_iteration t c;
+        try_commits t
+      end else if c.drain_next < 0 then begin
         bump t;
-        c.drain_next <- 0
-      | _ -> ()
-  end
+        c.drain_next <- 0;
+        c.st <- Drain_commit
+      end
+    | Run when Lsq.n_stores c.lsq > 0 && c.drain_next < 0 ->
+      (* Promoted while still running: drain before continuing. *)
+      bump t;
+      c.drain_next <- 0
+    | _ -> ()
 
 (* -- Issue ----------------------------------------------------------- *)
 
@@ -826,14 +839,15 @@ let execute t (c : ctx) ~now iface latency =
       (Exec.event_insn ev);
   c.insns_iter <- c.insns_iter + 1;
   t.stats.ib_fetches <- t.stats.ib_fetches + 1;
-  Gpp_timing.count_events t.stats m;
+  t.pc_issues.(ev.pc) <- t.pc_issues.(ev.pc) + 1;
   let rd = m.rd in
   if rd >= 0 then c.reg_ready.(rd) <- now + latency;
   (* Taken branches inside the body cost one fetch bubble. *)
   if ev.taken then c.next_issue <- now + 2;
-  (* Non-speculative stores are broadcast for violation checks; the
-     just-written memory bytes stand in for the store data. *)
-  if ev.mem_is_store && not (t.spec_pattern && c.iter > t.commit_iter)
+  (* Under a speculative pattern, non-speculative stores are broadcast
+     for violation checks; the just-written memory bytes stand in for
+     the store data.  Other patterns have no one to tell. *)
+  if ev.mem_is_store && t.spec_pattern && c.iter <= t.commit_iter
   then begin
     let raw = ref 0 in
     for i = ev.mem_bytes - 1 downto 0 do
@@ -960,7 +974,7 @@ let attempt_issue t (c : ctx) =
         c.hart.pc <- next;
         c.insns_iter <- c.insns_iter + 1;
         t.stats.ib_fetches <- t.stats.ib_fetches + 1;
-        Gpp_timing.count_events t.stats m;
+        t.pc_issues.(pc) <- t.pc_issues.(pc) + 1;
         if m.rd >= 0 then c.reg_ready.(m.rd) <- now + 1;
         if l_ctrl = 2 || (l_ctrl = 1 && next <> pc + 1) then
           c.next_issue <- now + 2;
@@ -1092,20 +1106,21 @@ let apply_fault t (e : Fault.event) =
 
 (* -- Main loop -------------------------------------------------------- *)
 
-let[@inline] account_lane_cycle t reason =
-  let s = t.stats in
-  if reason = issued then s.cyc_exec <- s.cyc_exec + 1
-  else if reason = stall_raw then s.cyc_stall_raw <- s.cyc_stall_raw + 1
-  else if reason = stall_mem then s.cyc_stall_mem <- s.cyc_stall_mem + 1
-  else if reason = stall_llfu then s.cyc_stall_llfu <- s.cyc_stall_llfu + 1
-  else if reason = stall_lsq then s.cyc_stall_lsq <- s.cyc_stall_lsq + 1
-  else if reason = stall_cir then s.cyc_stall_cir <- s.cyc_stall_cir + 1
-  else s.cyc_idle <- s.cyc_idle + 1  (* idle or frozen *)
-
-let[@inline] all_idle t =
-  let i = ref 0 in
-  while !i < Array.length t.ctxs && t.ctxs.(!i).st = Idle do incr i done;
-  !i = Array.length t.ctxs
+(* Add this run's lane cycles by outcome to the Figure 6 counters and
+   its per-pc issues to the event counters; called once per {!run}, on
+   every exit. *)
+let fold_accounts t =
+  let s = t.stats and a = t.lane_cyc in
+  s.cyc_exec <- s.cyc_exec + a.(issued + 1);
+  s.cyc_stall_raw <- s.cyc_stall_raw + a.(stall_raw + 1);
+  s.cyc_stall_mem <- s.cyc_stall_mem + a.(stall_mem + 1);
+  s.cyc_stall_llfu <- s.cyc_stall_llfu + a.(stall_llfu + 1);
+  s.cyc_stall_lsq <- s.cyc_stall_lsq + a.(stall_lsq + 1);
+  s.cyc_stall_cir <- s.cyc_stall_cir + a.(stall_cir + 1);
+  s.cyc_idle <- s.cyc_idle + a.(stall_idle + 1) + a.(stall_frozen + 1);
+  Array.fill a 0 (Array.length a) 0;
+  Insn_meta.fold_counts t.meta t.pc_issues ~lo:t.info.body_start
+    ~hi:t.info.xloop_pc s
 
 (** Name the resource the LPSU is blocked on, from the per-lane stall
     reasons of the last simulated cycle — the watchdog's diagnosis. *)
@@ -1153,14 +1168,18 @@ let inject_faults t plan ~start =
        end else Fault.defer plan e)
     (Fault.due plan ~rel:(t.cycle - start))
 
+let[@inline] asleep t (c : ctx) =
+  t.cycle < c.sleep_until && c.sleep_epoch = t.epoch
+
 (* One context's issue slot for this cycle: [issued] or a stall code.  A
-   sleeping context answers at once. *)
+   sleeping context answers at once.  Only epoch events change an idle
+   or a waiting context, so each sleeps for good. *)
 let[@inline] attempt t (c : ctx) =
-  if t.cycle < c.sleep_until && c.sleep_epoch = t.epoch then c.sleep_reason
+  if asleep t c then c.sleep_reason
   else if frozen t c && c.st <> Idle then stall_frozen
   else match c.st with
-    | Idle -> stall_idle
-    | Wait_commit -> stall_lsq
+    | Idle -> sleep t c stall_idle max_int
+    | Wait_commit -> sleep t c stall_lsq max_int
     | Drain_commit -> attempt_drain t c
     | Run ->
       if c.drain_next >= 0 then attempt_drain t c
@@ -1176,14 +1195,58 @@ let[@inline] attempt t (c : ctx) =
         sleep t c stall_raw c.next_issue
       else attempt_issue t c
 
+(* The lane cycle of a lane that may act: each lane owns
+   [lane_issue_width] issue slots per cycle (1 in the paper's simple
+   lanes; 2 models the "superscalar lane" future work).  Vertical
+   multithreading lets the next context use a slot when one stalls; a
+   context that stalls is not retried within the cycle.  Returns
+   [issued] if any slot issued, else the highest stall code. *)
+let lane_slots t ~base ~threads ~width =
+  let slots = ref width and ti = ref 0 and reason = ref stall_idle in
+  while !slots > 0 && !ti < threads do
+    let r = attempt t t.ctxs.(base + !ti) in
+    if r = issued then decr slots
+    else begin
+      reason := imax !reason r;
+      incr ti
+    end
+  done;
+  if !slots < width then issued else !reason
+
+let[@inline] sat_add a b = if a > max_int - b then max_int else a + b
+
+(* After a cycle that issued nothing and moved no epoch, every cycle
+   repeats it exactly until the first one at which something can
+   differ: a context's sleep ends, the watchdog trips or the fuel runs
+   out.  Returns that cycle, or at most [t.cycle] when some context is
+   not asleep (its next attempt may differ). *)
+let quiet_until t ~fuel_trip =
+  let until =
+    ref (if t.watchdog > 0 then
+           imin fuel_trip (sat_add t.last_progress (t.watchdog + 1))
+         else fuel_trip)
+  in
+  let i = ref 0 and n = Array.length t.ctxs in
+  while !i < n do
+    let c = t.ctxs.(!i) in
+    if c.sleep_epoch <> t.epoch then begin until := t.cycle; i := n end
+    else begin
+      until := imin !until c.sleep_until;
+      incr i
+    end
+  done;
+  !until
+
 let run_to_completion t ~fuel : (unit, Fault.hang) Stdlib.result =
   let lanes = t.lpsu.lanes in
   let threads = Array.length t.ctxs / lanes in
   let width = t.lpsu.lane_issue_width in
   let start = t.cycle in
+  let fuel_trip = sat_add start (sat_add fuel 1) in
   let rotate = ref 0 in
   let hang = ref None and running = ref true in
-  while !running && not (all_idle t && not (can_dispense t)) do
+  while !running
+        && not (t.n_idle = Array.length t.ctxs && not (can_dispense t)) do
     if t.cycle - start > fuel then begin
       hang := Some { Fault.h_resource = Fault.Fuel; h_cycle = t.cycle;
                      h_committed = t.committed;
@@ -1196,43 +1259,57 @@ let run_to_completion t ~fuel : (unit, Fault.hang) Stdlib.result =
       hang := Some (classify_hang t);
       running := false
     end else begin
+      let epoch = t.epoch in
       (match t.faults with
        | None -> ()
        | Some plan -> inject_faults t plan ~start);
       (* LMU: dispense iteration indices to idle contexts, in lane order.
          Frozen contexts take no new work. *)
-      for i = 0 to Array.length t.ctxs - 1 do
-        let c = t.ctxs.(i) in
-        if c.st = Idle && not (frozen t c) && can_dispense t then
-          dispatch t c
-      done;
-      try_commits t;
-      (* Each lane owns [lane_issue_width] issue slots per cycle (1 in the
-         paper's simple lanes; 2 models the "superscalar lane" future
-         work).  Vertical multithreading lets the next context use a
-         slot when one stalls; a context that stalls is not retried
-         within the cycle. *)
+      if t.n_idle > 0 then
+        for i = 0 to Array.length t.ctxs - 1 do
+          let c = t.ctxs.(i) in
+          if c.st = Idle && not (frozen t c) && can_dispense t then
+            dispatch t c
+        done;
+      if t.spec_pattern then try_commits t;
+      (* A single-context lane that sleeps is answered here; only a lane
+         that may act runs its issue slots. *)
+      let quiet = ref true in
       for li = 0 to lanes - 1 do
         let lane =
           if li + !rotate >= lanes then li + !rotate - lanes else li + !rotate
         in
         let base = lane * threads in
-        let slots = ref width and ti = ref 0 and reason = ref stall_idle in
-        while !slots > 0 && !ti < threads do
-          let r = attempt t t.ctxs.(base + !ti) in
-          if r = issued then decr slots
-          else begin
-            reason := imax !reason r;
-            incr ti
-          end
-        done;
-        let reason = if !slots < width then issued else !reason in
-        t.lane_reason.(lane) <- imax reason stall_idle;
-        account_lane_cycle t reason
+        let c = t.ctxs.(base) in
+        let r =
+          if threads = 1 && asleep t c then c.sleep_reason
+          else lane_slots t ~base ~threads ~width
+        in
+        if r = issued then quiet := false;
+        t.lane_reason.(lane) <- imax r stall_idle;
+        t.lane_cyc.(r + 1) <- t.lane_cyc.(r + 1) + 1
       done;
-      try_commits t;
-      rotate := (if !rotate + 1 = lanes then 0 else !rotate + 1);
-      t.cycle <- t.cycle + 1
+      if t.spec_pattern then try_commits t;
+      (* A quiet cycle repeats until [quiet_until]: jump there, adding
+         the skipped cycles to each lane's outcome.  An observer could
+         act in a skipped cycle (a fault falls due, a trace line), so
+         the jump is off whenever one is attached. *)
+      let skip =
+        if !quiet && t.fast_ok && t.epoch = epoch then
+          quiet_until t ~fuel_trip - (t.cycle + 1)
+        else 0
+      in
+      if skip > 0 then begin
+        for lane = 0 to lanes - 1 do
+          let r = t.lane_reason.(lane) in
+          t.lane_cyc.(r + 1) <- t.lane_cyc.(r + 1) + skip
+        done;
+        rotate := (!rotate + 1 + skip) mod lanes;
+        t.cycle <- t.cycle + 1 + skip
+      end else begin
+        rotate := (if !rotate + 1 = lanes then 0 else !rotate + 1);
+        t.cycle <- t.cycle + 1
+      end
     end
   done;
   match !hang with None -> Ok () | Some h -> Error h
@@ -1274,19 +1351,24 @@ let run t ~(info : Scan.t) ~regs ~start_cycle ?stop_after ?(watchdog = 0)
       start_cycle Insn.pp_xpat_suffix info.pat info.body_len t.idx0
       t.bound (List.length info.mivs) (List.length info.cirs);
   let outcome =
-    if t.faults = None then run_to_completion t ~fuel
-    else
-      (* A corrupted index or MIV can push a lane off the address map or
-         the program; report it as a hang of kind [Trapped]. *)
-      match run_to_completion t ~fuel with
-      | r -> r
-      | exception (Exec.Trap msg | Lane_trap msg) ->
-        Error { Fault.h_resource = Fault.Trapped; h_cycle = t.cycle;
-                h_committed = t.committed; h_detail = msg }
-      | exception Xloops_mem.Memory.Bad_access { addr; what } ->
-        Error { Fault.h_resource = Fault.Trapped; h_cycle = t.cycle;
-                h_committed = t.committed;
-                h_detail = Printf.sprintf "%s at 0x%x" what addr }
+    match run_to_completion t ~fuel with
+    | r -> fold_accounts t; r
+    | exception e ->
+      fold_accounts t;
+      (* Under a fault plan, a corrupted index or MIV can push a lane off
+         the address map or the program; report it as a hang of kind
+         [Trapped]. *)
+      let trapped h_detail =
+        if t.faults = None then raise e
+        else
+          Error { Fault.h_resource = Fault.Trapped; h_cycle = t.cycle;
+                  h_committed = t.committed; h_detail }
+      in
+      match e with
+      | Exec.Trap msg | Lane_trap msg -> trapped msg
+      | Xloops_mem.Memory.Bad_access { addr; what } ->
+        trapped (Printf.sprintf "%s at 0x%x" what addr)
+      | _ -> raise e
   in
   match outcome with
   | Error h ->

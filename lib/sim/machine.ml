@@ -73,6 +73,7 @@ type t = {
   mutable lpsu : Lpsu.t option;  (* built on the first specialized loop *)
   apt : (int, apt_entry) Hashtbl.t;
   scan_fail : (int, Scan.fallback_reason) Hashtbl.t;
+  scans : (int, Scan.shape) Hashtbl.t;   (* each xloop pc scanned once *)
   faults : Fault.t option;
   watchdog : int;
   degrade : bool;
@@ -103,6 +104,7 @@ let create ?(adaptive = Config.default_adaptive)
     lpsu = None;
     apt = Hashtbl.create 8;
     scan_fail = Hashtbl.create 8;
+    scans = Hashtbl.create 8;
     faults; watchdog; degrade;
     degraded = Hashtbl.create 4;
     hangs = [];
@@ -125,14 +127,25 @@ let writeback t (info : Scan.t) (r : Lpsu.result) =
   List.iter (fun (reg, v) -> Exec.set t.hart reg v) r.cir_finals;
   List.iter (fun (reg, v) -> Exec.set t.hart reg v) r.miv_finals
 
-(** Analyze the xloop at [pc] for specialization, caching the (static)
-    failure reasons so fallback loops do not re-scan on every back-edge. *)
+(** Analyze the xloop at [pc] for specialization.  Each pc is scanned
+    once ({!Scan.shape}) and resolved against the live registers per
+    instance; failure reasons are cached so fallback loops do not
+    re-scan on every back-edge. *)
 let analyze t ~pc =
   match Hashtbl.find_opt t.scan_fail pc with
   | Some reason -> Error reason
   | None ->
-    (match Scan.analyze t.prog ~xloop_pc:pc ~regs:t.hart.regs
-             ~lpsu:(lpsu_cfg t) with
+    let scanned =
+      match Hashtbl.find_opt t.scans pc with
+      | Some sh -> Scan.resolve sh ~regs:t.hart.regs
+      | None ->
+        match Scan.shape t.prog ~xloop_pc:pc ~lpsu:(lpsu_cfg t) with
+        | Ok sh ->
+          Hashtbl.replace t.scans pc sh;
+          Scan.resolve sh ~regs:t.hart.regs
+        | Error _ as e -> e
+    in
+    (match scanned with
     | Ok info -> Ok info
     | Error reason ->
       Hashtbl.replace t.scan_fail pc reason;
@@ -402,10 +415,11 @@ let run ?(fuel = 500_000_000) t : (result, failure) Stdlib.result =
        done
      with Exec.Halted -> ());
     Gpp_timing.barrier t.timing;
+    Gpp_timing.fold_events t.timing;
     Ok { cycles = Gpp_timing.now t.timing;
          insns = t.stats.committed_insns;
          stats = t.stats }
-  with Stuck f -> Error f
+  with Stuck f -> Gpp_timing.fold_events t.timing; Error f
 
 let ok_exn = function
   | Ok r -> r

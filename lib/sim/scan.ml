@@ -65,12 +65,105 @@ let is_speculative_pattern (pat : Insn.xpat) =
   pat.cp = De
   || (match pat.dp with Om | Orm | Ua -> true | Uc | Or -> false)
 
-(** [analyze prog ~xloop_pc ~regs ~lpsu] inspects the xloop at [xloop_pc].
-    [regs] is the GPP register file at scan time, needed to resolve the
-    loop-invariant increment of [addu.xi].  Returns [Error] with the
-    fallback reason when the LPSU cannot run this loop specialized. *)
-let analyze (prog : Program.t) ~xloop_pc ~(regs : int array)
-    ~(lpsu : Config.lpsu) : (t, fallback_reason) result =
+(* The register-independent part of a scan: the body's bit-vectors and
+   write positions, and the [.xi] increments split into their immediate
+   sum and the [addu.xi] increment registers.  A machine keeps one per
+   xloop pc; only the register increments are read again per loop
+   instance, and a body without them resolves to one fixed result. *)
+type shape = {
+  prog : Program.t;
+  s_xloop_pc : int;
+  s_body_start : int;
+  s_pat : Insn.xpat;
+  s_r_idx : Reg.t;
+  s_r_bound : Reg.t;
+  read_first : bool array;
+  written : bool array;
+  last_write : int array;
+  imm_inc : int32 array;      (* per register: [addiu.xi] immediates *)
+  miv_clean : bool array;     (* written only by [.xi] with rd = rs *)
+  reg_incs : (Reg.t * Reg.t) list;  (* [addu.xi rd, rd, rt]: (rd, rt) *)
+  fixed : (t, fallback_reason) result option;  (* when [reg_incs = []] *)
+}
+
+(* The scan result given each register's resolved MIV increment. *)
+let build sh (miv_inc : int32 array) : (t, fallback_reason) result =
+  let insns = sh.prog.Program.insns in
+  let body_start = sh.s_body_start and xloop_pc = sh.s_xloop_pc in
+  let r_idx = sh.s_r_idx and r_bound = sh.s_r_bound and pat = sh.s_pat in
+  let written = sh.written and miv_clean = sh.miv_clean in
+  (* Index step: the index register's MIVT entry, or a plain
+     self-increment [addi r_idx, r_idx, imm]. *)
+  let idx_step =
+    if written.(r_idx) && miv_clean.(r_idx)
+    && miv_inc.(r_idx) <> 0l then miv_inc.(r_idx)
+    else begin
+      let step = ref 0l in
+      for pc = body_start to xloop_pc - 1 do
+        match insns.(pc) with
+        | Alui (Add, rd, rs, imm) when rd = r_idx && rs = r_idx ->
+          step := Int32.add !step (Int32.of_int imm)
+        | Xi_addi (rd, rs, imm) when rd = r_idx && rs = r_idx ->
+          step := Int32.add !step (Int32.of_int imm)
+        | _ -> ()
+      done;
+      !step
+    end
+  in
+  if Int32.compare idx_step 0l <= 0 then Error Bad_index_step
+  else begin
+    let mivs = ref [] in
+    for r = Reg.num_regs - 1 downto 0 do
+      if r <> r_idx && r <> Reg.zero && written.(r)
+      && miv_clean.(r) && miv_inc.(r) <> 0l then
+        mivs := { m_reg = r; m_inc = miv_inc.(r) } :: !mivs
+    done;
+    let cirs =
+      if not (has_cirs pat) then []
+      else begin
+        (* A last-CIR-write instruction inside an inner loop of the
+           body can execute more than once per iteration; forwarding
+           on each execution would expose non-final values to the
+           next iteration, so such CIRs forward only via the
+           end-of-iteration copy (last-write bit unset). *)
+        let in_backward_range pc =
+          let hit = ref false in
+          for bpc = body_start to xloop_pc - 1 do
+            match insns.(bpc) with
+            | Insn.Branch (_, _, _, target)
+            | Insn.Jump target
+            | Insn.Xloop (_, _, _, target)
+              when target <= bpc && target > body_start ->
+              if pc >= target && pc <= bpc then hit := true
+            | _ -> ()
+          done;
+          !hit
+        in
+        let acc = ref [] in
+        for r = Reg.num_regs - 1 downto 1 do
+          let is_miv =
+            List.exists (fun m -> m.m_reg = r) !mivs in
+          if r <> r_idx && r <> r_bound && not is_miv
+          && sh.read_first.(r) && written.(r) then begin
+            let lw =
+              if in_backward_range sh.last_write.(r) then -1
+              else sh.last_write.(r)
+            in
+            acc := { c_reg = r; c_last_write_pc = lw } :: !acc
+          end
+        done;
+        !acc
+      end
+    in
+    Ok { xloop_pc; body_start; body_len = xloop_pc - body_start; pat; r_idx;
+         r_bound; idx_step; mivs = !mivs; cirs }
+  end
+
+(** [shape prog ~xloop_pc ~lpsu] inspects the xloop at [xloop_pc] as far
+    as no register value is needed.  Returns [Error] with the fallback
+    reason when the LPSU cannot run this loop whatever the registers. *)
+let shape (prog : Program.t) ~xloop_pc ~(lpsu : Config.lpsu)
+  : (shape, fallback_reason) result =
   let insns = prog.Program.insns in
   match insns.(xloop_pc) with
   | Xloop (pat, r_idx, r_bound, body_start) ->
@@ -86,10 +179,9 @@ let analyze (prog : Program.t) ~xloop_pc ~(regs : int array)
         let read_first = Array.make Reg.num_regs false in
         let written = Array.make Reg.num_regs false in
         let last_write = Array.make Reg.num_regs (-1) in
-        let miv_inc = Array.make Reg.num_regs 0l in
+        let imm_inc = Array.make Reg.num_regs 0l in
         let miv_clean = Array.make Reg.num_regs true in
-        (* [miv_clean.(r)]: r is written only by .xi instructions of the
-           form rd = rs = r. *)
+        let reg_incs = ref [] in
         let has_call = ref false in
         for pc = body_start to xloop_pc - 1 do
           let i = insns.(pc) in
@@ -101,9 +193,9 @@ let analyze (prog : Program.t) ~xloop_pc ~(regs : int array)
             (Insn.sources i);
           (match i with
            | Xi_addi (rd, rs, imm) when rd = rs ->
-             miv_inc.(rd) <- Int32.add miv_inc.(rd) (Int32.of_int imm)
+             imm_inc.(rd) <- Int32.add imm_inc.(rd) (Int32.of_int imm)
            | Xi_add (rd, rs, rt) when rd = rs ->
-             miv_inc.(rd) <- Int32.add miv_inc.(rd) (Int32.of_int regs.(rt))
+             reg_incs := (rd, rt) :: !reg_incs
            | _ ->
              (match Insn.dest i with
               | Some rd -> miv_clean.(rd) <- false
@@ -116,73 +208,33 @@ let analyze (prog : Program.t) ~xloop_pc ~(regs : int array)
         done;
         if !has_call then Error Has_call
         else begin
-          (* Index step: the index register's MIVT entry, or a plain
-             self-increment [addi r_idx, r_idx, imm]. *)
-          let idx_step =
-            if written.(r_idx) && miv_clean.(r_idx)
-            && miv_inc.(r_idx) <> 0l then miv_inc.(r_idx)
-            else begin
-              let step = ref 0l in
-              for pc = body_start to xloop_pc - 1 do
-                match insns.(pc) with
-                | Alui (Add, rd, rs, imm) when rd = r_idx && rs = r_idx ->
-                  step := Int32.add !step (Int32.of_int imm)
-                | Xi_addi (rd, rs, imm) when rd = r_idx && rs = r_idx ->
-                  step := Int32.add !step (Int32.of_int imm)
-                | _ -> ()
-              done;
-              !step
-            end
+          let sh =
+            { prog; s_xloop_pc = xloop_pc; s_body_start = body_start;
+              s_pat = pat; s_r_idx = r_idx; s_r_bound = r_bound;
+              read_first; written; last_write; imm_inc; miv_clean;
+              reg_incs = !reg_incs; fixed = None }
           in
-          if Int32.compare idx_step 0l <= 0 then Error Bad_index_step
-          else begin
-            let mivs = ref [] in
-            for r = Reg.num_regs - 1 downto 0 do
-              if r <> r_idx && r <> Reg.zero && written.(r)
-              && miv_clean.(r) && miv_inc.(r) <> 0l then
-                mivs := { m_reg = r; m_inc = miv_inc.(r) } :: !mivs
-            done;
-            let cirs =
-              if not (has_cirs pat) then []
-              else begin
-                (* A last-CIR-write instruction inside an inner loop of the
-                   body can execute more than once per iteration; forwarding
-                   on each execution would expose non-final values to the
-                   next iteration, so such CIRs forward only via the
-                   end-of-iteration copy (last-write bit unset). *)
-                let in_backward_range pc =
-                  let hit = ref false in
-                  for bpc = body_start to xloop_pc - 1 do
-                    match insns.(bpc) with
-                    | Insn.Branch (_, _, _, target)
-                    | Insn.Jump target
-                    | Insn.Xloop (_, _, _, target)
-                      when target <= bpc && target > body_start ->
-                      if pc >= target && pc <= bpc then hit := true
-                    | _ -> ()
-                  done;
-                  !hit
-                in
-                let acc = ref [] in
-                for r = Reg.num_regs - 1 downto 1 do
-                  let is_miv =
-                    List.exists (fun m -> m.m_reg = r) !mivs in
-                  if r <> r_idx && r <> r_bound && not is_miv
-                  && read_first.(r) && written.(r) then begin
-                    let lw =
-                      if in_backward_range last_write.(r) then -1
-                      else last_write.(r)
-                    in
-                    acc := { c_reg = r; c_last_write_pc = lw } :: !acc
-                  end
-                done;
-                !acc
-              end
-            in
-            Ok { xloop_pc; body_start; body_len; pat; r_idx; r_bound;
-                 idx_step; mivs = !mivs; cirs }
-          end
+          Ok (match sh.reg_incs with
+              | [] -> { sh with fixed = Some (build sh imm_inc) }
+              | _ :: _ -> sh)
         end
       end
     end
   | _ -> invalid_arg "Scan.analyze: not an xloop"
+
+(** The scan result of [sh] under GPP registers [regs], which resolve
+    the loop-invariant increments of [addu.xi]. *)
+let resolve sh ~(regs : int array) =
+  match sh.fixed with
+  | Some r -> r
+  | None ->
+    let inc = Array.copy sh.imm_inc in
+    List.iter
+      (fun (rd, rt) -> inc.(rd) <- Int32.add inc.(rd) (Int32.of_int regs.(rt)))
+      sh.reg_incs;
+    build sh inc
+
+let analyze prog ~xloop_pc ~regs ~lpsu =
+  match shape prog ~xloop_pc ~lpsu with
+  | Ok sh -> resolve sh ~regs
+  | Error _ as e -> e

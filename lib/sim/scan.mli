@@ -48,4 +48,22 @@ val analyze : Xloops_asm.Program.t -> xloop_pc:int -> regs:int array ->
   lpsu:Config.lpsu -> (t, fallback_reason) result
 (** [regs] is the GPP register file at scan time (resolves the
     loop-invariant increments of [addu.xi]).  Raises [Invalid_argument]
-    if [xloop_pc] does not hold an [xloop]. *)
+    if [xloop_pc] does not hold an [xloop].  Equal to {!shape} followed
+    by {!resolve}. *)
+
+type shape
+(** Everything {!analyze} finds without reading a register: a machine
+    scans each xloop pc once and resolves the result per loop
+    instance. *)
+
+val shape : Xloops_asm.Program.t -> xloop_pc:int -> lpsu:Config.lpsu ->
+  (shape, fallback_reason) result
+(** The register-independent checks and the static pass over the body.
+    [Error] is a fallback whatever the registers; [Bad_index_step] can
+    still come from {!resolve}.  Raises [Invalid_argument] if
+    [xloop_pc] does not hold an [xloop]. *)
+
+val resolve : shape -> regs:int array -> (t, fallback_reason) result
+(** The scan result under GPP registers [regs].  A body without
+    [addu.xi] reads no register and returns the same result every
+    time, allocating nothing. *)

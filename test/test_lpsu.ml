@@ -476,47 +476,73 @@ let test_lane_pc_escape_traps () =
        false
      with Xloops_sim.Lpsu.Lane_trap _ -> true)
 
-(* -- lane fast path: compiled dispatch must be invisible --------------- *)
+(* -- unobserved lanes: fast path and quiet-cycle jump are invisible ---- *)
 
-let test_lane_fast_path_differential () =
-  (* The LPSU lane fast path runs plain instructions through the
-     per-pc closures of Lane_ops whenever no observer is attached.
-     It must be completely invisible: same architectural result, same
-     cycle count, and the same statistics — including violation/squash
-     counts on the speculative om/ua patterns — as the Exec.step path
-     it replaces, which a discarding trace sink forces. *)
+(* With no observer attached, lanes run plain instructions through the
+   per-pc closures of Lane_ops, and a cycle in which every context
+   sleeps jumps to the next wake.  Both must be invisible: the same
+   architectural result, cycle count, hang list and full statistics —
+   violations, squashes, lane-cycle breakdown — as the Exec.step path
+   that steps every cycle, which a discarding trace sink forces. *)
+let differential ?watchdog ~cfg name =
   let discard () = Xloops_sim.Trace.create (fun _ -> ()) in
+  let k = Registry.find name in
+  let run trace =
+    Kernel.run ~cfg ~mode:Machine.Specialized ?watchdog ?trace k in
+  let fast = run None and slow = run (Some (discard ())) in
+  let what = Printf.sprintf "%s %s%s" name cfg.Config.name
+      (match watchdog with
+       | Some w -> Printf.sprintf " watchdog %d" w
+       | None -> "") in
+  (match fast.Kernel.check_result, slow.Kernel.check_result with
+   | Ok (), Ok () -> ()
+   | _ -> Alcotest.failf "%s: result check failed" what);
+  let f = fast.Kernel.result and s = slow.Kernel.result in
+  f.Machine.stats.wall_ns <- 0;
+  s.Machine.stats.wall_ns <- 0;
+  (what, s.Machine.cycles, f.Machine.cycles, s.Machine.stats, f.Machine.stats,
+   slow.Kernel.hangs = fast.Kernel.hangs)
+
+let check_differential runs =
   List.iter
-    (fun cfg ->
-       List.iter
-         (fun name ->
-            let k = Registry.find name in
-            let fast = Kernel.run ~cfg ~mode:Machine.Specialized k in
-            let slow =
-              Kernel.run ~cfg ~mode:Machine.Specialized ~trace:(discard ()) k
-            in
-            let name = name ^ " " ^ cfg.Config.name in
-            (match fast.Kernel.check_result, slow.Kernel.check_result with
-             | Ok (), Ok () -> ()
-             | _ -> Alcotest.failf "%s: result check failed" name);
-            let f = fast.Kernel.result and s = slow.Kernel.result in
-            Alcotest.(check int) (name ^ ": cycles")
-              s.Machine.cycles f.Machine.cycles;
-            Alcotest.(check int) (name ^ ": violations")
-              s.Machine.stats.violations f.Machine.stats.violations;
-            Alcotest.(check int) (name ^ ": squashed insns")
-              s.Machine.stats.squashed_insns f.Machine.stats.squashed_insns;
-            Alcotest.(check int) (name ^ ": committed insns")
-              s.Machine.stats.committed_insns
-              f.Machine.stats.committed_insns;
-            (* full structural equality, modulo wall clock *)
-            f.Machine.stats.wall_ns <- 0;
-            s.Machine.stats.wall_ns <- 0;
-            Alcotest.(check bool) (name ^ ": stats identical") true
-              (f.Machine.stats = s.Machine.stats))
-         [ "sgemm-uc"; "war-uc"; "kmeans-or"; "adpcm-or"; "dynprog-om";
-           "war-om"; "btree-ua"; "hsort-ua"; "bfs-uc-db" ])
-    [ Config.io_x; Config.ooo4_x ]
+    (fun (what, sc, fc, (ss : Xloops_sim.Stats.t), (fs : Xloops_sim.Stats.t),
+          same_hangs) ->
+       Alcotest.(check int) (what ^ ": cycles") sc fc;
+       Alcotest.(check int) (what ^ ": violations") ss.violations
+         fs.violations;
+       Alcotest.(check int) (what ^ ": watchdog hangs") ss.watchdog_hangs
+         fs.watchdog_hangs;
+       Alcotest.(check int) (what ^ ": degradations") ss.degradations
+         fs.degradations;
+       Alcotest.(check bool) (what ^ ": hang list identical") true same_hangs;
+       Alcotest.(check bool) (what ^ ": stats identical") true (fs = ss))
+    runs
+
+let test_unobserved_differential () =
+  let cfgs =
+    Config.[ io_x; ooo4_x4_t; ooo4_x8_r_m; io_x_ss2; io_x_fwd ] in
+  let cases =
+    List.concat_map
+      (fun cfg -> List.map (fun name -> (cfg, name)) Registry.names)
+      cfgs
+  in
+  check_differential
+    (Xloops.Pool.map ~jobs:(Xloops.Pool.available_cores ())
+       (fun (cfg, name) -> differential ~cfg name) cases)
+
+(* A tiny watchdog trips inside stalls the jump would cross: the jump
+   is capped at the trip cycle, so each hang is caught on the same
+   cycle, diagnosed the same way and degraded the same way. *)
+let test_watchdog_capped_differential () =
+  let runs =
+    Xloops.Pool.map ~jobs:(Xloops.Pool.available_cores ())
+      (fun name -> differential ~watchdog:8 ~cfg:Config.io_x name)
+      Registry.names
+  in
+  check_differential runs;
+  Alcotest.(check bool) "the watchdog trips" true
+    (List.exists (fun (_, _, _, _, (fs : Xloops_sim.Stats.t), _) ->
+         fs.watchdog_hangs > 0) runs)
 
 let test_stats_merge_doubles () =
   (* Stats.merge must cover every counter: merging the same record twice
@@ -632,7 +658,9 @@ let () =
            test_stats_merge_doubles ]);
       ("fast-path",
        [ Alcotest.test_case "compiled lanes invisible" `Quick
-           test_lane_fast_path_differential ]);
+           test_unobserved_differential;
+         Alcotest.test_case "watchdog-capped jump invisible" `Quick
+           test_watchdog_capped_differential ]);
       ("memory",
        [ Alcotest.test_case "configured miss penalty" `Quick
            test_lpsu_miss_penalty_configured ]);

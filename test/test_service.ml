@@ -521,10 +521,12 @@ let test_cache_flags () =
            (rd = stored)
        | None -> Alcotest.failf "warm spec %d not in the cache" i)
     (List.combine batch warm);
-  (* In process, [caching_engine] marks a miss even without a cache;
-     a cacheless daemon's results carry no flag, like a direct run. *)
-  check "cacheless" ~hits:0 ~misses:0 (served ())
-    ~engine:Xloops.Experiments.direct_engine
+  (* Without a cache no flag is set, by the daemon or in process. *)
+  let cacheless = served () in
+  check "cacheless" ~hits:0 ~misses:0 cacheless
+    ~engine:Xloops.Experiments.direct_engine;
+  check "cacheless engine" ~hits:0 ~misses:0 cacheless
+    ~engine:(Xloops.Experiments.caching_engine ())
 
 (* Result frames are buffered, but a worker flushes before it blocks:
    the first spec's result reaches the client while the worker sleeps

@@ -113,6 +113,28 @@ let test_tracing_does_not_change_timing () =
   let traced = run (Some (Trace.to_buffer ~level:Trace.Insns buf)) in
   Alcotest.(check int) "identical cycles" plain traced
 
+(* [xloops_trace]'s whole stdout for two fixed runs, produced by a dune
+   rule beside this test: every lane event of a speculative loop with
+   squashes, and the fault, hang and degradation decisions of a
+   fault-injected run.  Pins the trace text itself, which the checks
+   above only sample. *)
+let test_golden_stdout () =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let lines s = String.split_on_char '\n' s in
+  let want = lines (read "golden/trace_stdout.txt")
+  and got = lines (read "trace_stdout.out") in
+  let rec first_diff n = function
+    | w :: ws, g :: gs -> if w = g then first_diff (n + 1) (ws, gs)
+      else Some (n, w, g)
+    | [], [] -> None
+    | w :: _, [] -> Some (n, w, "<end of output>")
+    | [], g :: _ -> Some (n, "<end of golden>", g)
+  in
+  match first_diff 1 (want, got) with
+  | None -> ()
+  | Some (n, w, g) ->
+    Alcotest.failf "trace_stdout line %d:\n  golden: %s\n  actual: %s" n w g
+
 let () =
   Alcotest.run "trace"
     [ ("levels",
@@ -129,4 +151,7 @@ let () =
        [ Alcotest.test_case "line limit" `Quick test_limit_respected;
          Alcotest.test_case "no timing interference" `Quick
            test_tracing_does_not_change_timing ]);
+      ("golden",
+       [ Alcotest.test_case "xloops_trace stdout" `Quick
+           test_golden_stdout ]);
     ]
