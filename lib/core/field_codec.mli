@@ -3,9 +3,15 @@
     length-prefixed strings and one-byte tags.  Encoding is
     deterministic, so encoded bytes can key an on-disk cache.  Decoding
     is strict: any malformation raises {!Bad}, which each message
-    decoder turns into an [Error] at its boundary. *)
+    decoder turns into an [Error] at its boundary.
+
+    No part of it formats through [Printf]: integers are written and
+    parsed digit by digit, because spec keys encode some thirty of them
+    and sit on the service's warm path. *)
 
 val enc_int : Buffer.t -> int -> unit
+(** Exactly the bytes of [string_of_int n ^ ";"], for every [int]. *)
+
 val enc_str : Buffer.t -> string -> unit
 val enc_bool : Buffer.t -> bool -> unit
 
@@ -16,14 +22,24 @@ exception Bad of string
 (** A malformed input; the message names the fault and its byte
     offset. *)
 
-type cursor = { s : string; mutable pos : int }
-(** Decoding position in an input string. *)
+type cursor = { s : string; mutable pos : int; mutable canonical : bool }
+(** Decoding position in an input string.  [canonical] turns [false]
+    once an integer spelled otherwise than {!enc_int} writes it (a
+    leading zero, ["-0"]) has been decoded: the value is accepted, but
+    the input bytes are then not the encoding of what they decode to. *)
+
+val cursor : string -> cursor
+(** A cursor at the start of the input. *)
 
 val fail_at : cursor -> string -> 'a
 (** Raise {!Bad} with the message and the cursor's offset. *)
 
 val dec_char : cursor -> char
 val dec_int : cursor -> int
+(** An optional ['-'], one or more decimal digits and [';'], in range of
+    [int]; the accepted inputs, values and error messages are those of
+    [int_of_string] on the digits. *)
+
 val dec_str : cursor -> string
 val dec_bool : cursor -> bool
 val dec_int_opt : cursor -> int option

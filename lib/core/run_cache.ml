@@ -26,6 +26,7 @@
 type t = {
   dir : string;
   version : int;
+  vdir : string;                  (* [dir/v<version>], formatted once *)
   chaos : Chaos.t option;
   limit_bytes : int option;       (* size bound (reap_over_limit) *)
   mu : Mutex.t;
@@ -60,19 +61,18 @@ let rec mkdir_p d =
 
 let create ?(version = current_version) ?(dir = default_dir) ?chaos
     ?limit_bytes () =
-  { dir; version; chaos; limit_bytes; mu = Mutex.create ();
+  { dir; version; vdir = Filename.concat dir ("v" ^ string_of_int version);
+    chaos; limit_bytes; mu = Mutex.create ();
     hits = 0; misses = 0; corrupt = 0; stores = 0; evictions = 0 }
 
 let counted cache f =
   Mutex.lock cache.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock cache.mu) f
 
-let version_dir cache =
-  Filename.concat cache.dir (Printf.sprintf "v%d" cache.version)
-
+(* [vdir/kk/<key><suffix>]: on every lookup, so nothing is formatted. *)
 let path cache ~key ~suffix =
-  List.fold_left Filename.concat (version_dir cache)
-    [ Digest_hex.shard key; Digest_hex.to_hex key ^ suffix ]
+  String.concat Filename.dir_sep
+    [ cache.vdir; Digest_hex.shard key; Digest_hex.to_hex key ^ suffix ]
 
 let quarantine_dir cache = Filename.concat cache.dir quarantine_subdir
 
@@ -257,7 +257,7 @@ let is_tmp_name name =
     startup, before workers start writing. *)
 let reap_tmp cache =
   let reaped = ref 0 in
-  let vdir = version_dir cache in
+  let vdir = cache.vdir in
   if Sys.file_exists vdir && Sys.is_directory vdir then
     Array.iter
       (fun shard ->
@@ -284,7 +284,7 @@ let reap_over_limit cache =
   match cache.limit_bytes with
   | None -> 0
   | Some limit ->
-    let vdir = version_dir cache in
+    let vdir = cache.vdir in
     if not (Sys.file_exists vdir && Sys.is_directory vdir) then 0
     else begin
       let blobs = ref [] in

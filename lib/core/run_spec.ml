@@ -60,23 +60,31 @@ open Field_codec
 let dpattern_tag : Insn.dpattern -> int = function
   | Uc -> 0 | Or -> 1 | Om -> 2 | Orm -> 3 | Ua -> 4
 
+(* Written field by field, with no list built to iterate over: encoding
+   is on the warm path of every cache lookup. *)
 let enc_gpp b (g : Config.gpp) =
   (match g.kind with
    | Config.Inorder -> Buffer.add_char b 'I'
    | Config.Ooo { width; window } ->
      Buffer.add_char b 'O'; enc_int b width; enc_int b window);
-  List.iter (enc_int b)
-    [ g.l1_size; g.l1_ways; g.l1_line; g.load_use_latency; g.miss_penalty;
-      g.branch_penalty; g.mul_latency; g.div_latency; g.fpu_latency ]
+  enc_int b g.l1_size; enc_int b g.l1_ways; enc_int b g.l1_line;
+  enc_int b g.load_use_latency; enc_int b g.miss_penalty;
+  enc_int b g.branch_penalty; enc_int b g.mul_latency;
+  enc_int b g.div_latency; enc_int b g.fpu_latency
+
+let rec enc_patterns b = function
+  | [] -> ()
+  | dp :: rest -> enc_int b (dpattern_tag dp); enc_patterns b rest
 
 let enc_lpsu b (l : Config.lpsu) =
-  List.iter (enc_int b)
-    [ l.lanes; l.ib_entries; l.idq_entries; l.lsq_loads; l.lsq_stores;
-      l.mem_ports; l.llfu_ports; l.threads_per_lane; l.lane_issue_width ];
+  enc_int b l.lanes; enc_int b l.ib_entries; enc_int b l.idq_entries;
+  enc_int b l.lsq_loads; enc_int b l.lsq_stores; enc_int b l.mem_ports;
+  enc_int b l.llfu_ports; enc_int b l.threads_per_lane;
+  enc_int b l.lane_issue_width;
   enc_bool b l.inter_lane_fwd;
-  List.iter (enc_int b) [ l.scan_fixed; l.scan_per_insn ];
+  enc_int b l.scan_fixed; enc_int b l.scan_per_insn;
   enc_int b (List.length l.supported);
-  List.iter (fun dp -> enc_int b (dpattern_tag dp)) l.supported;
+  enc_patterns b l.supported;
   enc_int b l.squash_penalty
 
 let enc_cfg b (c : Config.t) =
@@ -174,39 +182,40 @@ let dec_cfg c : Config.t =
   in
   { Config.name; gpp; lpsu }
 
+let decode_at c =
+  if not (String.starts_with ~prefix:"XRS1" c.s) then
+    raise (Bad "bad magic (want XRS1)");
+  c.pos <- 4;
+  let kernel = dec_str c in
+  let cfg = dec_cfg c in
+  let mode =
+    match dec_char c with
+    | 'T' -> Machine.Traditional
+    | 'S' -> Machine.Specialized
+    | 'A' -> Machine.Adaptive
+    | _ -> fail_at c "unknown mode tag"
+  in
+  let xloops = dec_bool c in
+  let use_xi = dec_bool c in
+  let target = { Compile.xloops; use_xi } in
+  let fuel = dec_int_opt c in
+  let fault_seed =
+    match dec_char c with
+    | 'n' -> None
+    | 's' -> let seed = dec_int c in Some (seed, dec_int c)
+    | _ -> fail_at c "unknown fault tag"
+  in
+  let watchdog = dec_int c in
+  let degrade = dec_bool c in
+  finish c { kernel; cfg; mode; target; fuel; fault_seed; watchdog; degrade }
+
+let decode_error msg = Error ("Run_spec.decode: " ^ msg)
+
 (** Inverse of {!encode}: strict parse of the canonical encoding. *)
 let decode s : (t, string) result =
-  let c = { s; pos = 0 } in
-  match
-    if String.length s < 4 || String.sub s 0 4 <> "XRS1" then
-      raise (Bad "bad magic (want XRS1)");
-    c.pos <- 4;
-    let kernel = dec_str c in
-    let cfg = dec_cfg c in
-    let mode =
-      match dec_char c with
-      | 'T' -> Machine.Traditional
-      | 'S' -> Machine.Specialized
-      | 'A' -> Machine.Adaptive
-      | _ -> fail_at c "unknown mode tag"
-    in
-    let xloops = dec_bool c in
-    let use_xi = dec_bool c in
-    let target = { Compile.xloops; use_xi } in
-    let fuel = dec_int_opt c in
-    let fault_seed =
-      match dec_char c with
-      | 'n' -> None
-      | 's' -> let seed = dec_int c in Some (seed, dec_int c)
-      | _ -> fail_at c "unknown fault tag"
-    in
-    let watchdog = dec_int c in
-    let degrade = dec_bool c in
-    finish c
-      { kernel; cfg; mode; target; fuel; fault_seed; watchdog; degrade }
-  with
+  match decode_at (cursor s) with
   | spec -> Ok spec
-  | exception Bad msg -> Error ("Run_spec.decode: " ^ msg)
+  | exception Bad msg -> decode_error msg
 
 (* -- Content addressing -------------------------------------------------- *)
 
@@ -219,15 +228,35 @@ let resolve ?kernel (t : t) : Kernel.t * Program_cache.entry =
     let k = Registry.find t.kernel in
     (k, Program_cache.find ~target:t.target k)
 
+(* A spec that crossed a process boundary arrives as its encoding; its
+   digest and cache key are taken over those bytes instead of encoding
+   the decoded spec again.  That is only sound for the bytes [encode]
+   writes, so a non-canonical spelling is replaced by the encoding. *)
+module Encoded = struct
+  type nonrec t = { spec : t; bytes : string }
+
+  let of_spec spec = { spec; bytes = encode spec }
+
+  let decode s =
+    let c = cursor s in
+    match decode_at c with
+    | spec -> Ok { spec; bytes = (if c.canonical then s else encode spec) }
+    | exception Bad msg -> decode_error msg
+
+  let digest e = Digest_hex.of_digest (Digest.string e.bytes)
+
+  let cache_key ?kernel e =
+    let _, p = resolve ?kernel e.spec in
+    Digest_hex.of_digest (Digest.string (e.bytes ^ p.listing_digest))
+end
+
 (** The content address of a spec's result: digest over the canonical
     spec encoding {e and} the MD5 of the compiled program's listing.
     The listing digest comes from {!Program_cache}, so a registry
     kernel is compiled once per process, not once per key; the key
     still tracks the compiler and the kernel source, because the digest
     is taken over the listing the current build produces. *)
-let cache_key ?kernel (t : t) =
-  let _, e = resolve ?kernel t in
-  Digest_hex.of_digest (Digest.string (encode t ^ e.listing_digest))
+let cache_key ?kernel t = Encoded.cache_key ?kernel (Encoded.of_spec t)
 
 (** Content address of a kernel's target-independent metadata (dynamic
     instruction counts, body statistics): digest over its name and the

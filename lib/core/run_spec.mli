@@ -66,6 +66,31 @@ val cache_key : ?kernel:Kernel.t -> t -> Digest_hex.t
     afresh and never enters the program cache, so a synthetic kernel
     under a registry name keys on its own program. *)
 
+(** A spec paired with its canonical encoding, taken once: a daemon
+    digests and keys the bytes a spec arrived as instead of encoding
+    the decoded spec again.  {!digest} and {!cache_key} over a value
+    are exactly {!Run_spec.digest} and {!Run_spec.cache_key} of its
+    [spec]. *)
+module Encoded : sig
+  type spec := t
+
+  type t = private { spec : spec; bytes : string }
+  (** [bytes] is always [encode spec]. *)
+
+  val of_spec : spec -> t
+
+  val decode : string -> (t, string) result
+  (** {!Run_spec.decode}, keeping the input as [bytes].  An input that
+      spells an integer otherwise than {!encode} would (a leading zero,
+      ["-0"]) still decodes, and its [bytes] are the re-encoding. *)
+
+  val digest : t -> Digest_hex.t
+
+  val cache_key : ?kernel:Kernel.t -> t -> Digest_hex.t
+  (** Resolves the program like {!Run_spec.cache_key}, so an unknown
+      kernel raises here too. *)
+end
+
 val kernel_digest : Kernel.t -> Digest_hex.t
 (** Content address of a kernel's target-independent metadata: digest
     over its name and the listings of its general and XLOOPS programs.

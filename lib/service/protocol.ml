@@ -272,7 +272,7 @@ type request =
   | Submit of {
       deadline_ms : int option;
       max_retries : int;
-      specs : Run_spec.t list;
+      specs : Run_spec.Encoded.t list;
     }
   | Stats
   | Ping
@@ -301,14 +301,14 @@ let encode_request (r : request) =
      enc_int_opt b deadline_ms;
      enc_int b max_retries;
      enc_int b (List.length specs);
-     List.iter (fun spec -> enc_str b (Run_spec.encode spec)) specs
+     List.iter (fun (e : Run_spec.Encoded.t) -> enc_str b e.bytes) specs
    | Stats -> Buffer.add_char b 'T'
    | Ping -> Buffer.add_char b 'P'
    | Shutdown -> Buffer.add_char b 'Q');
   Buffer.contents b
 
 let decode_request s : (request, string) result =
-  let c = { s; pos = 0 } in
+  let c = cursor s in
   match
     match dec_char c with
     | 'H' ->
@@ -322,7 +322,7 @@ let decode_request s : (request, string) result =
       if n < 0 || n > 1_000_000 then fail_at c "implausible batch size";
       let specs =
         List.init n (fun i ->
-            match Run_spec.decode (dec_str c) with
+            match Run_spec.Encoded.decode (dec_str c) with
             | Ok spec -> spec
             | Error msg ->
               raise (Bad (Fmt.str "spec %d of %d: %s" i n msg)))
@@ -360,7 +360,7 @@ let encode_response (r : response) =
   Buffer.contents b
 
 let decode_response s : (response, string) result =
-  let c = { s; pos = 0 } in
+  let c = cursor s in
   match
     match dec_char c with
     | 'W' ->

@@ -18,8 +18,10 @@
 
     Specs cross the boundary only in their canonical
     {!Xloops.Run_spec.encode} form — {!decode_request} runs
-    {!Xloops.Run_spec.decode} on each, so a [Submit] that reaches the
-    caller holds fully validated specs.
+    {!Xloops.Run_spec.Encoded.decode} on each, so a [Submit] that
+    reaches the caller holds fully validated specs, each with the bytes
+    it arrived as: a daemon digests and keys those, and never encodes a
+    spec.
 
     Results stream back as one {!Result} frame per spec, in completion
     order, each tagged with the spec's index in the submitted batch;
@@ -159,7 +161,7 @@ type request =
   | Submit of {
       deadline_ms : int option;  (** per-spec wall-clock budget *)
       max_retries : int;         (** transient-failure retry budget *)
-      specs : Run_spec.t list;
+      specs : Run_spec.Encoded.t list;
     }
   | Stats
   | Ping

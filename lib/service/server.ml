@@ -54,7 +54,7 @@ type waiter = { w_conn : conn; w_index : int }
 
 type job = {
   j_digest : Digest_hex.t;
-  j_spec : Run_spec.t;
+  j_spec : Run_spec.Encoded.t;  (* the bytes it arrived as, keyed once *)
   j_deadline_ms : int option;
   j_max_retries : int;
   mutable j_waiters : waiter list;
@@ -157,18 +157,21 @@ let stats t : P.stats =
 (* Cache-or-simulate.  A hit is the cache's verified bytes, forwarded
    as they are: the daemon never decodes or marks a result, and the
    client sets the cache flags from the origin, as
-   [Experiments.caching_engine] does in process.  [before_block] runs
-   before a simulation starts. *)
-let simulate t ~before_block spec : P.run =
+   [Experiments.caching_engine] does in process.  The key is taken over
+   the bytes the spec arrived as; an unknown kernel raises here, inside
+   the job's retry policy, and fails that job alone.  [before_block]
+   runs before a simulation starts. *)
+let simulate t ~before_block (e : Run_spec.Encoded.t) : P.run =
   match t.cfg.cache with
-  | None -> before_block (); P.run_of_data P.Uncached (Run_spec.execute spec)
+  | None ->
+    before_block (); P.run_of_data P.Uncached (Run_spec.execute e.spec)
   | Some cache ->
-    let key = Run_spec.cache_key spec in
+    let key = Run_spec.Encoded.cache_key e in
     (match Run_cache.find_run_bytes cache ~key with
      | Some blob -> { P.origin = P.Hit; blob }
      | None ->
        before_block ();
-       let rd = Run_spec.execute spec in
+       let rd = Run_spec.execute e.spec in
        Run_cache.store_run cache ~key rd;
        P.run_of_data P.Miss rd)
 
@@ -278,9 +281,11 @@ let reject_error code message =
 
 (* Atomic batch admission: under one [t.mu] hold, either every spec of
    the batch is queued (or attached to an in-flight twin) or the whole
-   batch is rejected. *)
+   batch is rejected.  The digests are taken before that hold, so the
+   lock covers only table and queue updates. *)
 let admit t conn ~deadline_ms ~max_retries specs =
   let n = List.length specs in
+  let keyed = List.map (fun e -> (e, Run_spec.Encoded.digest e)) specs in
   let verdict =
     locked t (fun () ->
         if t.stopping then
@@ -290,13 +295,12 @@ let admit t conn ~deadline_ms ~max_retries specs =
             (reject_error P.Malformed
                "a batch is already in flight on this connection")
         else begin
-          let digests = List.map Run_spec.digest specs in
           let fresh = Hashtbl.create 16 in
           List.iter
-            (fun d ->
+            (fun (_, d) ->
                if not (Hashtbl.mem t.inflight d) then
                  Hashtbl.replace fresh d ())
-            digests;
+            keyed;
           let nfresh = Hashtbl.length fresh in
           let depth = Queue.length t.queue in
           if depth + nfresh > t.cfg.max_queue then begin
@@ -326,7 +330,7 @@ let admit t conn ~deadline_ms ~max_retries specs =
                    in
                    Hashtbl.replace t.inflight d job;
                    Queue.push job t.queue)
-              (List.combine specs digests);
+              keyed;
             Condition.broadcast t.work;
             Ok nfresh
           end

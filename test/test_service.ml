@@ -164,7 +164,10 @@ let gen_error =
            P.Io_error ])
       bool (string_size (int_bound 20)))
 
-let gen_specs = QCheck.Gen.(list_size (int_bound 4) (oneofl spec_pool))
+let gen_specs =
+  QCheck.Gen.(
+    list_size (int_bound 4)
+      (map Run_spec.Encoded.of_spec (oneofl spec_pool)))
 
 let gen_request =
   QCheck.Gen.(
@@ -447,6 +450,31 @@ let test_failure_streams_back () =
   | Some (Ok _) -> ()
   | _ -> Alcotest.fail "healthy spec must still succeed"
 
+(* Keys are taken in the worker, not at admission: a spec naming no
+   registry kernel is admitted with its batch, and its cache key fails
+   that job alone. *)
+let test_unknown_kernel_fails_its_job () =
+  let cache = Run_cache.create ~dir:(tmp_dir ()) () in
+  with_server ~cache @@ fun _t addr ->
+  let s = connect addr in
+  let delivered, results =
+    submit_all s [ spec "no-such-kernel"; spec "war-uc" ] in
+  Client.close s;
+  Alcotest.(check int) "both answered" 2 delivered;
+  (match results.(0) with
+   | Some (Error e) ->
+     let m = e.P.message and k = "no-such-kernel" in
+     let rec has i =
+       i + String.length k <= String.length m
+       && (String.sub m i (String.length k) = k || has (i + 1))
+     in
+     Alcotest.(check bool) ("names the kernel: " ^ m) true (has 0)
+   | Some (Ok _) -> Alcotest.fail "an unknown kernel must fail"
+   | None -> Alcotest.fail "no result for the unknown kernel");
+  match results.(1) with
+  | Some (Ok _) -> ()
+  | _ -> Alcotest.fail "its batch-mate must still succeed"
+
 let test_warm_cache_hits () =
   let dir = tmp_dir () in
   let cache = Run_cache.create ~dir () in
@@ -608,6 +636,8 @@ let () =
          Alcotest.test_case "admission control" `Quick test_backpressure;
          Alcotest.test_case "failure streaming" `Quick
            test_failure_streams_back;
+         Alcotest.test_case "unknown kernel fails its job" `Quick
+           test_unknown_kernel_fails_its_job;
          Alcotest.test_case "warm cache hits" `Quick test_warm_cache_hits;
          Alcotest.test_case "cache flags by origin" `Quick test_cache_flags;
          Alcotest.test_case "results stream before a stall" `Quick
