@@ -9,7 +9,11 @@
     quarantined to [dir/quarantine/] — never an error, never silently
     re-read.  Writes are temp-file + rename and directory creation
     tolerates races, so concurrent workers and concurrent processes are
-    safe; {!reap_tmp} cleans up after killed writers. *)
+    safe; {!reap_tmp} cleans up after killed writers.
+
+    A handle remembers the verified bytes of the blobs it has read (at
+    most {!memo_limit} bytes of them) and serves a repeated lookup from
+    memory.  Only a checked disk read fills that memo, never a store. *)
 
 type t
 
@@ -39,13 +43,21 @@ val find_run_bytes : t -> key:Digest_hex.t -> string option
     {!Run_spec.run_data} it sums, checked before it is returned: the
     layout of a service [Result] frame's payload, so a daemon forwards
     it without decoding it.  Counts and verdicts as {!find_run}: a
-    corrupt blob is quarantined and reads as [None]. *)
+    corrupt blob is quarantined and reads as [None].
+
+    Every lookup first draws the chaos plan's read error (a miss when it
+    fires), then consults the handle's memo, then the disk.  A memo hit
+    counts as a hit and returns the bytes an earlier read of this handle
+    checked; a disk hit is remembered.  So the blob is read and checked
+    once per handle: rot that happens after that read is caught by the
+    next handle (the next process) that reads it, not by this one. *)
 
 val store_run : t -> key:Digest_hex.t -> Run_spec.run_data -> unit
 
 val find_meta : t -> key:Digest_hex.t -> int array option
 (** Kernel-metadata blobs (dynamic instruction counts, body statistics),
-    keyed by {!Run_spec.kernel_digest}. *)
+    keyed by {!Run_spec.kernel_digest}; read through the memo as
+    {!find_run_bytes} is. *)
 
 val store_meta : t -> key:Digest_hex.t -> int array -> unit
 
@@ -74,5 +86,12 @@ val stores : t -> int
 
 val evictions : t -> int
 (** Blobs this handle deleted for space by {!reap_over_limit}. *)
+
+val memo_limit : int
+(** Bound on the bytes a handle's memo holds (4 MiB); an insert that
+    would pass it empties the memo first. *)
+
+val memo_bytes : t -> int
+(** Bytes the memo holds now. *)
 
 val pp_counters : Format.formatter -> t -> unit

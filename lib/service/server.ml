@@ -384,7 +384,8 @@ let handshake t conn ic =
        ignore (send conn (P.Rejected (reject_error P.Malformed msg)));
        false)
 
-let serve_conn t conn =
+(* The frame loop of one connection, until it closes or asks to. *)
+let session t conn =
   let ic = Unix.in_channel_of_descr conn.c_fd in
   if handshake t conn ic then begin
     if t.cfg.verbose then logf "conn %d: session open" conn.c_id;
@@ -417,7 +418,17 @@ let serve_conn t conn =
            if t.cfg.verbose then logf "conn %d: shutdown requested" conn.c_id;
            closing := true)
     done
-  end;
+  end
+
+(* Whatever ends the session, even an exception out of [admit] or
+   [send], the connection is unlisted and its socket closed: otherwise
+   its client would wait in [read_frame] forever. *)
+let serve_conn t conn =
+  (match session t conn with
+   | () -> ()
+   | exception e ->
+     if t.cfg.verbose then
+       logf "conn %d: dropped on %s" conn.c_id (Printexc.to_string e));
   locked t (fun () -> t.conns <- List.filter (fun c -> c != conn) t.conns);
   (* Closing the channel closes the socket and drops any frames still
      buffered: an out channel left open with pending bytes is never

@@ -4,8 +4,9 @@
    Failure-taxonomy → error-code mapping, and the daemon end-to-end
    over a loopback socket — handshake version rejection (any version
    but the one this build speaks), in-flight dedupe, whole-batch
-   admission control (OVERLOADED), failure streaming, warm-cache hits,
-   the cache flags each result origin sets, results streaming under
+   admission control (OVERLOADED), failure streaming, warm-cache hits
+   (and repeated warm batches answered from the cache's memo), the
+   cache flags each result origin sets, results streaming under
    the flush rule, and result equality between a remote plan and
    in-process execution. *)
 
@@ -495,6 +496,87 @@ let test_warm_cache_hits () =
   Alcotest.(check bool) "cache round-trip preserves results" true
     (rd cold.(0) = rd warm.(0) && rd cold.(1) = rd warm.(1))
 
+(* One Table II kernel's 12 specs, sent three times over one raw session
+   to a one-worker daemon: the first batch fills the cache, the second
+   reads it, and the third is answered with the cache directory moved
+   away, so from the handle's memo.  Every answer after the fill is a
+   hit with the same bytes, and only hits move in STATS. *)
+let test_warm_batches_from_memory () =
+  let dir = tmp_dir () in
+  let batch =
+    List.map Run_spec.Encoded.of_spec
+      (Xloops.Experiments.specs_for (Xloops.Kernels.Registry.find "war-uc"))
+  in
+  let n = List.length batch in
+  Alcotest.(check int) "a Table II request" 12 n;
+  with_server ~workers:1 ~cache:(Run_cache.create ~dir ()) @@ fun _t addr ->
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (P.sockaddr_of addr);
+  let ic = Unix.in_channel_of_descr fd
+  and oc = Unix.out_channel_of_descr fd in
+  let send r = P.write_frame oc (P.encode_request r); flush oc in
+  let recv () =
+    match P.read_frame ic with
+    | `Frame f ->
+      (match P.decode_response f with
+       | Ok r -> r
+       | Error m -> Alcotest.failf "bad response: %s" m)
+    | `Eof -> Alcotest.fail "daemon closed the connection"
+    | `Error m -> Alcotest.failf "read: %s" m
+  in
+  send (P.Hello { version = P.version; ocaml = Sys.ocaml_version });
+  (match recv () with
+   | P.Welcome _ -> ()
+   | _ -> Alcotest.fail "expected WELCOME");
+  let stats () =
+    send P.Stats;
+    match recv () with
+    | P.Stats_reply st -> (st.P.cache_hits, st.P.cache_misses)
+    | _ -> Alcotest.fail "expected STATS_REPLY"
+  in
+  let submit () =
+    send (P.Submit { deadline_ms = None; max_retries = 0; specs = batch });
+    let runs = Array.make n None in
+    let rec collect () =
+      match recv () with
+      | P.Result { index; outcome = Ok run; _ } ->
+        runs.(index) <- Some run; collect ()
+      | P.Result { index; outcome = Error e; _ } ->
+        Alcotest.failf "spec %d: %a" index P.pp_error e
+      | P.Batch_done { delivered } ->
+        Alcotest.(check int) "all delivered" n delivered
+      | _ -> Alcotest.fail "unexpected frame in a batch"
+    in
+    collect ();
+    Array.map
+      (function Some r -> r | None -> Alcotest.fail "a spec never answered")
+      runs
+  in
+  let blobs runs = Array.map (fun r -> r.P.blob) runs in
+  let all_hits what runs =
+    Array.iteri
+      (fun i r ->
+         if r.P.origin <> P.Hit then
+           Alcotest.failf "%s: spec %d not a hit" what i)
+      runs
+  in
+  let fill = submit () in
+  Alcotest.(check (pair int int)) "the fill misses" (0, n) (stats ());
+  let from_disk = submit () in
+  all_hits "second batch" from_disk;
+  Alcotest.(check (array string)) "hits forward the stored bytes"
+    (blobs fill) (blobs from_disk);
+  Alcotest.(check (pair int int)) "second batch: 12 more hits" (n, n)
+    (stats ());
+  Sys.rename dir (dir ^ ".gone");
+  let from_memory = submit () in
+  all_hits "third batch" from_memory;
+  Alcotest.(check (array string)) "the memo returns the same bytes"
+    (blobs from_disk) (blobs from_memory);
+  Alcotest.(check (pair int int)) "third batch: 12 more hits" (2 * n, n)
+    (stats ())
+
 (* The cache flags a client sees are set from the frame's origin tag:
    a cold daemon's results are misses, a warm one's hits, a cacheless
    one's neither.  Beyond the wall clock, each result equals the
@@ -639,6 +721,8 @@ let () =
          Alcotest.test_case "unknown kernel fails its job" `Quick
            test_unknown_kernel_fails_its_job;
          Alcotest.test_case "warm cache hits" `Quick test_warm_cache_hits;
+         Alcotest.test_case "warm batches from memory" `Quick
+           test_warm_batches_from_memory;
          Alcotest.test_case "cache flags by origin" `Quick test_cache_flags;
          Alcotest.test_case "results stream before a stall" `Quick
            test_results_stream;
