@@ -4,7 +4,13 @@
 
 type t = string
 
-let is_hex_char = function '0' .. '9' | 'a' .. 'f' -> true | _ -> false
+(* A direct loop, not [String.for_all] and a closure call per character:
+   a client checks the digest of every [Result] frame it reads. *)
+let rec all_hex s i =
+  i = String.length s
+  || (match String.unsafe_get s i with
+      | '0' .. '9' | 'a' .. 'f' -> all_hex s (i + 1)
+      | _ -> false)
 
 let of_digest (d : Stdlib.Digest.t) = Stdlib.Digest.to_hex d
 
@@ -12,7 +18,7 @@ let of_hex s =
   if String.length s <> 32 then
     Error
       (Printf.sprintf "digest must be 32 hex chars, got %d" (String.length s))
-  else if not (String.for_all is_hex_char s) then
+  else if not (all_hex s 0) then
     Error "digest must be lowercase hex"
   else Ok s
 

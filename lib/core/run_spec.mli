@@ -70,17 +70,36 @@ val cache_key : ?kernel:Kernel.t -> t -> Digest_hex.t
     digests and keys the bytes a spec arrived as instead of encoding
     the decoded spec again.  {!digest} and {!cache_key} over a value
     are exactly {!Run_spec.digest} and {!Run_spec.cache_key} of its
-    [spec]. *)
+    [spec].
+
+    {b Interning.}  {!decode} keeps one process-wide table from the
+    exact bytes of a canonical spelling to one value, so a spelling
+    decoded before costs one table lookup and returns the same
+    (physically equal) value.  Each value remembers its {!digest} the
+    first time it is taken, and its {!cache_key} the first time one
+    without [?kernel] succeeds; both are fixed for the life of the
+    process (the key hashes the listing of the process's
+    {!Program_cache} entry).  A key that raises (an unknown kernel)
+    is never remembered, so it raises on every call.  The table holds
+    at most {!intern_limit} values: an insert past the bound empties
+    it first.  Non-canonical spellings and spellings longer than 1 KiB
+    are decoded every time and never interned.  {!of_spec} never
+    touches the table. *)
 module Encoded : sig
   type spec := t
 
-  type t = private { spec : spec; bytes : string }
-  (** [bytes] is always [encode spec]. *)
+  type t
+
+  val spec : t -> spec
+
+  val bytes : t -> string
+  (** Always [encode (spec e)]. *)
 
   val of_spec : spec -> t
 
   val decode : string -> (t, string) result
-  (** {!Run_spec.decode}, keeping the input as [bytes].  An input that
+  (** {!Run_spec.decode}, with the input as [bytes] (for an interned
+      spelling, the bytes of its first arrival).  An input that
       spells an integer otherwise than {!encode} would (a leading zero,
       ["-0"]) still decodes, and its [bytes] are the re-encoding. *)
 
@@ -88,7 +107,15 @@ module Encoded : sig
 
   val cache_key : ?kernel:Kernel.t -> t -> Digest_hex.t
   (** Resolves the program like {!Run_spec.cache_key}, so an unknown
-      kernel raises here too. *)
+      kernel raises here too.  A [kernel] override is keyed afresh and
+      never remembered. *)
+
+  val intern_limit : int
+  (** Bound on the values the interning table holds (4096; the paper
+      plan has 384 distinct specs). *)
+
+  val interned : unit -> int
+  (** Values the interning table holds now. *)
 end
 
 val kernel_digest : Kernel.t -> Digest_hex.t

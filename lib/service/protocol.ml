@@ -301,7 +301,7 @@ let encode_request (r : request) =
      enc_int_opt b deadline_ms;
      enc_int b max_retries;
      enc_int b (List.length specs);
-     List.iter (fun (e : Run_spec.Encoded.t) -> enc_str b e.bytes) specs
+     List.iter (fun e -> enc_str b (Run_spec.Encoded.bytes e)) specs
    | Stats -> Buffer.add_char b 'T'
    | Ping -> Buffer.add_char b 'P'
    | Shutdown -> Buffer.add_char b 'Q');

@@ -10,7 +10,15 @@
    every connection it wrote to before it does anything that can
    block — waiting on an empty queue, a chaos hook, a simulation — so
    a batch of cache hits leaves in one socket write and a batch that
-   simulates still streams.  Every other frame is flushed at once. *)
+   simulates still streams.  Every other frame is flushed at once.
+
+   Warm specs: [Protocol.decode_request] decodes each spec through
+   [Run_spec.Encoded.decode], which interns canonical spellings process
+   wide, and the value remembers its digest and cache key.  A spec this
+   daemon has decoded before is therefore one table lookup in the
+   reader thread: [admit] takes no MD5 and the worker none either.  The
+   key is still asked for in the worker, inside the job's retry policy,
+   so a key that raises (an unknown kernel) fails its job every time. *)
 
 module Run_spec = Xloops.Run_spec
 module Run_cache = Xloops.Run_cache
@@ -158,20 +166,20 @@ let stats t : P.stats =
    as they are: the daemon never decodes or marks a result, and the
    client sets the cache flags from the origin, as
    [Experiments.caching_engine] does in process.  The key is taken over
-   the bytes the spec arrived as; an unknown kernel raises here, inside
-   the job's retry policy, and fails that job alone.  [before_block]
-   runs before a simulation starts. *)
+   the bytes the spec arrived as, once per interned spelling; an
+   unknown kernel raises here, inside the job's retry policy, and fails
+   that job alone.  [before_block] runs before a simulation starts. *)
 let simulate t ~before_block (e : Run_spec.Encoded.t) : P.run =
+  let spec = Run_spec.Encoded.spec e in
   match t.cfg.cache with
-  | None ->
-    before_block (); P.run_of_data P.Uncached (Run_spec.execute e.spec)
+  | None -> before_block (); P.run_of_data P.Uncached (Run_spec.execute spec)
   | Some cache ->
     let key = Run_spec.Encoded.cache_key e in
     (match Run_cache.find_run_bytes cache ~key with
      | Some blob -> { P.origin = P.Hit; blob }
      | None ->
        before_block ();
-       let rd = Run_spec.execute e.spec in
+       let rd = Run_spec.execute spec in
        Run_cache.store_run cache ~key rd;
        P.run_of_data P.Miss rd)
 
