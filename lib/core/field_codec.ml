@@ -27,6 +27,24 @@ let enc_int_opt b = function
   | None -> Buffer.add_char b 'n'
   | Some v -> Buffer.add_char b 's'; enc_int b v
 
+(* The same bytes straight into a channel, for a frame written without
+   a [Buffer] in between; the lengths let its header be written first. *)
+let rec output_digits oc q =
+  if q <= -10 then output_digits oc (q / 10);
+  output_char oc (Char.unsafe_chr (Char.code '0' - (q mod 10)))
+
+let output_int oc n =
+  if n < 0 then begin output_char oc '-'; output_digits oc n end
+  else output_digits oc (-n);
+  output_char oc ';'
+
+let output_str oc s = output_int oc (String.length s); output_string oc s
+
+let rec digits_length q = if q <= -10 then 1 + digits_length (q / 10) else 1
+
+let int_length n = if n < 0 then 2 + digits_length n else 1 + digits_length (-n)
+let str_length s = int_length (String.length s) + String.length s
+
 exception Bad of string
 
 type cursor = { s : string; mutable pos : int; mutable canonical : bool }

@@ -18,6 +18,14 @@ val enc_bool : Buffer.t -> bool -> unit
 val enc_int_opt : Buffer.t -> int option -> unit
 (** ['n'], or ['s'] followed by the integer. *)
 
+val output_int : out_channel -> int -> unit
+val output_str : out_channel -> string -> unit
+(** {!enc_int} and {!enc_str}, written into a channel. *)
+
+val int_length : int -> int
+val str_length : string -> int
+(** The number of bytes {!enc_int} and {!enc_str} write. *)
+
 exception Bad of string
 (** A malformed input; the message names the fault and its byte
     offset. *)

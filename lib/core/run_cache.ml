@@ -269,6 +269,19 @@ let find_bytes cache ~key ~suffix =
      | `Hit s -> Some s
      | `Absent | `Stale | `Corrupt -> None)
 
+(* The memo alone, for a caller that answers a hit without waiting on
+   a disk.  It counts nothing: the caller may still refuse the request
+   it probed for.  A handle with a chaos plan answers [None], so every
+   lookup it serves draws from the plan as [find_bytes] does. *)
+let memo_run_bytes cache ~key =
+  match cache.chaos with
+  | Some _ -> None
+  | None ->
+    Mutex.lock cache.mu;
+    let hit = Memo.find_opt cache.memo (key, ".run") in
+    Mutex.unlock cache.mu;
+    hit
+
 (* Unsafe generic unmarshal; the monomorphic wrappers below pin the
    payload type to the suffix that wrote it.  The body's MD5 was
    checked before this runs. *)

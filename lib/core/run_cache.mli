@@ -52,6 +52,13 @@ val find_run_bytes : t -> key:Digest_hex.t -> string option
     once per handle: rot that happens after that read is caught by the
     next handle (the next process) that reads it, not by this one. *)
 
+val memo_run_bytes : t -> key:Digest_hex.t -> string option
+(** The bytes {!find_run_bytes} would return from the handle's memo,
+    without a disk read, a chaos draw or a count: [None] when the memo
+    does not hold the key, and always [None] for a handle created with
+    a chaos plan.  A caller that answers with the bytes counts that
+    hit itself. *)
+
 val store_run : t -> key:Digest_hex.t -> Run_spec.run_data -> unit
 
 val find_meta : t -> key:Digest_hex.t -> int array option

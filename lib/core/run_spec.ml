@@ -94,11 +94,38 @@ let enc_cfg b (c : Config.t) =
   | None -> Buffer.add_char b 'N'
   | Some l -> Buffer.add_char b 'L'; enc_lpsu b l
 
+(* A plan names a handful of [Config.t] values thousands of times, and
+   a config is immutable, so its bytes are taken once per value: a
+   short list of (config, bytes) pairs searched by physical identity.
+   The list is replaced whole, by compare-and-set, so any domain may
+   read it; a lost race only forgoes one entry.  An insert past
+   [cfg_memo_limit] starts a new list, so configs built on the fly (a
+   fuzzer's) cost an encoding each and pin at most that many. *)
+let cfg_memo_limit = 32
+let cfg_memo : (Config.t * string) list Atomic.t = Atomic.make []
+
+let rec cfg_find (c : Config.t) = function
+  | [] -> ""                                 (* no encoding is empty *)
+  | (c', s) :: rest -> if c' == c then s else cfg_find c rest
+
+let cfg_bytes (c : Config.t) =
+  let memo = Atomic.get cfg_memo in
+  match cfg_find c memo with
+  | "" ->
+    let b = Buffer.create 96 in
+    enc_cfg b c;
+    let s = Buffer.contents b in
+    let keep = if List.length memo >= cfg_memo_limit then [] else memo in
+    ignore (Atomic.compare_and_set cfg_memo memo ((c, s) :: keep));
+    s
+  | s -> s
+
 let encode (t : t) =
-  let b = Buffer.create 128 in
+  let cfg = cfg_bytes t.cfg in
+  let b = Buffer.create (String.length t.kernel + String.length cfg + 48) in
   Buffer.add_string b "XRS1";                (* format magic + revision *)
   enc_str b t.kernel;
-  enc_cfg b t.cfg;
+  Buffer.add_string b cfg;
   Buffer.add_char b
     (match t.mode with
      | Machine.Traditional -> 'T' | Specialized -> 'S' | Adaptive -> 'A');
@@ -312,6 +339,8 @@ module Encoded = struct
       let d = Digest_hex.of_digest (Digest.string e.bytes) in
       e.digest <- Some d;
       d
+
+  let known_key e = e.key
 
   (* A key that raises (an unknown kernel) stores nothing, so it raises
      again on every call, inside the caller's retry policy. *)

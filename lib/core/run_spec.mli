@@ -45,7 +45,9 @@ val encode : t -> string
     serialization covering every field (including the full machine
     configuration), stable across processes.  This is the {e only} form
     in which a spec crosses a process boundary — the wire protocol
-    carries exactly these bytes. *)
+    carries exactly these bytes.  The bytes of each [Config.t] value are
+    taken once and reused while a small process-wide table, keyed by
+    the value's physical identity, holds them. *)
 
 val decode : string -> (t, string) result
 (** Strict inverse of {!encode}: every field must parse and the input
@@ -109,6 +111,10 @@ module Encoded : sig
   (** Resolves the program like {!Run_spec.cache_key}, so an unknown
       kernel raises here too.  A [kernel] override is keyed afresh and
       never remembered. *)
+
+  val known_key : t -> Digest_hex.t option
+  (** The key {!cache_key} has remembered, if any; never computes one,
+      so it costs no compile and never raises. *)
 
   val intern_limit : int
   (** Bound on the values the interning table holds (4096; the paper

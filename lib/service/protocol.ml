@@ -291,8 +291,17 @@ type response =
   | Rejected of error
   | Bye
 
+(* A [Submit] is sized from its specs' bytes, so its buffer is never
+   grown and copied on the way. *)
 let encode_request (r : request) =
-  let b = Buffer.create 256 in
+  let size =
+    match r with
+    | Submit { specs; _ } ->
+      List.fold_left
+        (fun n e -> n + str_length (Run_spec.Encoded.bytes e)) 64 specs
+    | Hello _ | Stats | Ping | Shutdown -> 64
+  in
+  let b = Buffer.create size in
   (match r with
    | Hello { version; ocaml } ->
      Buffer.add_char b 'H'; enc_int b version; enc_str b ocaml
@@ -336,8 +345,10 @@ let decode_request s : (request, string) result =
   | req -> Ok req
   | exception Bad msg -> Error ("decode_request: " ^ msg)
 
+(* Sized for the small frames: a daemon writes its successful [Result]
+   frames with [write_result]. *)
 let encode_response (r : response) =
-  let b = Buffer.create 256 in
+  let b = Buffer.create 64 in
   (match r with
    | Welcome { version; ocaml; banner } ->
      Buffer.add_char b 'W'; enc_int b version; enc_str b ocaml;
@@ -398,15 +409,30 @@ let decode_response s : (response, string) result =
 
 (* -- Framing -------------------------------------------------------------- *)
 
-let write_frame oc payload =
-  let n = String.length payload in
+let output_length oc n =
   if n > max_frame_bytes then
     invalid_arg (Fmt.str "Protocol.write_frame: %d-byte frame" n);
   output_byte oc (n lsr 24);
   output_byte oc (n lsr 16);
   output_byte oc (n lsr 8);
-  output_byte oc n;
+  output_byte oc n
+
+let write_frame oc payload =
+  output_length oc (String.length payload);
   output_string oc payload
+
+(* The frame [encode_response] would build for a successful [Result],
+   written field by field: the blob is copied once, into the channel. *)
+let write_result oc ~index ~digest run =
+  let hex = Digest_hex.to_hex digest in
+  output_length oc
+    (1 + int_length index + str_length hex + 2 + str_length run.blob);
+  output_char oc 'R';
+  output_int oc index;
+  output_str oc hex;
+  output_char oc 'k';
+  output_char oc (origin_tag run.origin);
+  output_str oc run.blob
 
 let read_frame ic =
   match really_input_string ic 4 with

@@ -116,7 +116,7 @@ type stats = {
   dedup_hits : int;      (** specs coalesced onto an in-flight twin *)
   completed : int;       (** jobs finished successfully *)
   failed : int;          (** jobs finished with a failure *)
-  cache_hits : int;
+  cache_hits : int;      (** including specs answered at admission *)
   cache_misses : int;
   cache_stores : int;
   per_worker : worker_stat list;
@@ -193,6 +193,13 @@ val write_frame : out_channel -> string -> unit
 (** Length prefix + payload, into the channel's buffer: the caller
     flushes, so a run of frames can leave in one write.  Raises
     [Sys_error] on a broken connection. *)
+
+val write_result :
+  out_channel -> index:int -> digest:Digest_hex.t -> run -> unit
+(** [write_frame oc (encode_response (Result { index; digest;
+    outcome = Ok run }))], byte for byte, written into the channel
+    without building the payload first; the same length check applies.
+    Both of a daemon's answer paths write successes with it. *)
 
 val read_frame : in_channel -> [ `Frame of string | `Eof | `Error of string ]
 (** One frame off the channel: [`Eof] on a cleanly closed connection

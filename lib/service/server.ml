@@ -6,19 +6,33 @@
    flush, and [c_wmu] is never acquired while holding [t.mu] — so a
    slow or dead client can never stall admission or the workers.
 
+   Warm hits are answered at admission.  A spec whose result blob the
+   cache handle's memo already holds is answered by the connection's
+   reader thread ([probe], then [admit]): no queue, no worker wake-up,
+   no retry policy, no disk.  Only the other specs become jobs.  A spec
+   is probed only once an earlier job has taken its cache key, so the
+   reader never compiles a kernel and never meets a key that raises.
+   A chaos plan, on the daemon or on its cache handle, turns this off:
+   every spec then runs as a job, so the plan's draws and the retry
+   policy see every lookup, as before.
+
    Flush rule: a worker writes [Result] frames unflushed and flushes
    every connection it wrote to before it does anything that can
    block — waiting on an empty queue, a chaos hook, a simulation — so
    a batch of cache hits leaves in one socket write and a batch that
-   simulates still streams.  Every other frame is flushed at once.
+   simulates still streams.  The reader flushes the answers it wrote
+   before it reads again: an all-hit batch's [Result] frames and its
+   [Batch_done] leave in one write.  Every other frame is flushed at
+   once.
 
    Warm specs: [Protocol.decode_request] decodes each spec through
    [Run_spec.Encoded.decode], which interns canonical spellings process
    wide, and the value remembers its digest and cache key.  A spec this
    daemon has decoded before is therefore one table lookup in the
    reader thread: [admit] takes no MD5 and the worker none either.  The
-   key is still asked for in the worker, inside the job's retry policy,
-   so a key that raises (an unknown kernel) fails its job every time. *)
+   key is still first asked for in the worker, inside the job's retry
+   policy, so a key that raises (an unknown kernel) fails its job every
+   time. *)
 
 module Run_spec = Xloops.Run_spec
 module Run_cache = Xloops.Run_cache
@@ -80,7 +94,8 @@ type t = {
   mutable conns : conn list;
   mutable next_conn : int;
   mutable stopping : bool;
-  mutable shutdown_req : bool;
+  mutable draining : bool;     (* a client asked to shut down *)
+  mutable shutdown_req : bool; (* ... and has been answered *)
   lsock : Unix.file_descr;
   bound : P.addr;
   started : float;
@@ -88,6 +103,7 @@ type t = {
   mutable accepted : int;
   mutable rejected_batches : int;
   mutable dedup_hits : int;
+  mutable memo_answers : int;  (* specs answered at admission *)
   mutable completed : int;
   mutable failed : int;
   wstats : wstat array;
@@ -109,15 +125,14 @@ let bound_addr t = t.bound
 (* Frame delivery: best effort under the connection's write lock.  A
    broken pipe marks the connection dead; its remaining results are
    simply dropped (the work still lands in the cache, so a reconnecting
-   client resubmits and hits).  [~flush:false] leaves the frame in the
+   client resubmits and hits).  [~flush:false] leaves the frames in the
    channel's buffer for the worker's next {!flush_conn}. *)
-let send ?(flush = true) conn resp =
-  let frame = P.encode_response resp in
+let deliver ?(flush = true) conn write =
   Mutex.lock conn.c_wmu;
   let ok =
     conn.c_alive
     && (match
-          P.write_frame conn.c_oc frame;
+          write conn.c_oc;
           if flush then Stdlib.flush conn.c_oc
         with
         | () -> true
@@ -127,6 +142,10 @@ let send ?(flush = true) conn resp =
   in
   Mutex.unlock conn.c_wmu;
   ok
+
+let send ?flush conn resp =
+  let frame = P.encode_response resp in
+  deliver ?flush conn (fun oc -> P.write_frame oc frame)
 
 let flush_conn conn =
   Mutex.lock conn.c_wmu;
@@ -149,7 +168,9 @@ let stats t : P.stats =
         completed = t.completed;
         failed = t.failed;
         cache_hits =
-          (match t.cfg.cache with Some c -> Run_cache.hits c | None -> 0);
+          (match t.cfg.cache with
+           | Some c -> Run_cache.hits c + t.memo_answers
+           | None -> 0);
         cache_misses =
           (match t.cfg.cache with Some c -> Run_cache.misses c | None -> 0);
         cache_stores =
@@ -183,12 +204,12 @@ let simulate t ~before_block (e : Run_spec.Encoded.t) : P.run =
        Run_cache.store_run cache ~key rd;
        P.run_of_data P.Miss rd)
 
-(* One owed result has been delivered (or dropped) for [conn]'s current
-   batch; when the count reaches zero the stream is closed. *)
-let finish_one t conn =
+(* [k] owed results have been delivered (or dropped) for [conn]'s
+   current batch; when the count reaches zero the stream is closed. *)
+let finish t conn k =
   let batch_done, delivered =
     locked t (fun () ->
-        conn.c_pending <- conn.c_pending - 1;
+        conn.c_pending <- conn.c_pending - k;
         (conn.c_pending = 0, conn.c_batch))
   in
   if batch_done then ignore (send conn (P.Batch_done { delivered }))
@@ -261,16 +282,20 @@ let worker t wi =
          logf "job %s failed: %a" (Digest_hex.short job.j_digest)
            Failure.pp_tagged f
        | Ok _ | Error _ -> ());
-      let outcome = Result.map_error P.error_of_failure result in
       List.iter
         (fun w ->
-           let c = w.w_conn in
+           let c = w.w_conn and index = w.w_index in
            ignore
-             (send ~flush:false c
-                (P.Result { index = w.w_index; digest = job.j_digest;
-                            outcome }));
+             (match result with
+              | Ok run ->
+                deliver ~flush:false c (fun oc ->
+                    P.write_result oc ~index ~digest:job.j_digest run)
+              | Error f ->
+                send ~flush:false c
+                  (P.Result { index; digest = job.j_digest;
+                              outcome = Error (P.error_of_failure f) }));
            if not (List.memq c !unflushed) then unflushed := c :: !unflushed;
-           finish_one t c)
+           finish t c 1)
         waiters;
       loop ()
     end
@@ -287,29 +312,75 @@ let reject_error code message =
   in
   { P.code; transient; message }
 
-(* Atomic batch admission: under one [t.mu] hold, either every spec of
-   the batch is queued (or attached to an in-flight twin) or the whole
-   batch is rejected.  The digests are taken before that hold, so the
-   lock covers only table and queue updates. *)
+(* The blob the cache's memo holds for each spec of a batch, or [""]
+   (never a blob: one starts with its 16-byte MD5) for a spec that runs
+   as a job; see the header for when a spec is probed. *)
+let probe t specs =
+  match t.cfg.cache, t.cfg.chaos with
+  | Some cache, None ->
+    Array.map
+      (fun e ->
+         match Run_spec.Encoded.known_key e with
+         | None -> ""
+         | Some key ->
+           Option.value ~default:"" (Run_cache.memo_run_bytes cache ~key))
+      specs
+  | _ -> Array.make (Array.length specs) ""
+
+let is_hit blob = String.length blob > 0
+
+let write_hits oc specs blobs =
+  Array.iteri
+    (fun index blob ->
+       if is_hit blob then
+         P.write_result oc ~index
+           ~digest:(Run_spec.Encoded.digest specs.(index))
+           { P.origin = P.Hit; blob })
+    blobs
+
+(* Atomic batch admission: under one [t.mu] hold, either the batch is
+   taken whole or it is rejected whole.  Taken, its memo hits are
+   answered after the hold, by this reader thread, and the rest are
+   queued (or attached to an in-flight twin); only queued specs count
+   against the queue limit.  The probe and the digests come before the
+   hold, so it covers only table, queue and counter updates.
+
+   [c_pending] owes the whole batch while any spec went to a worker,
+   and the hits are subtracted once their frames are written, so the
+   last answer of either kind sends the one [Batch_done].  An all-hit
+   batch owes nothing to a worker: its answers and [Batch_done] leave
+   in one flush, and no worker is woken. *)
 let admit t conn ~deadline_ms ~max_retries specs =
-  let n = List.length specs in
-  let keyed = List.map (fun e -> (e, Run_spec.Encoded.digest e)) specs in
+  let specs = Array.of_list specs in
+  let n = Array.length specs in
+  let blobs = probe t specs in
+  let misses = ref [] in
+  for i = n - 1 downto 0 do
+    if not (is_hit blobs.(i)) then
+      misses := (i, specs.(i), Run_spec.Encoded.digest specs.(i)) :: !misses
+  done;
+  let nhits = n - List.length !misses in
   let verdict =
     locked t (fun () ->
-        if t.stopping then
+        if t.stopping || t.draining then
           Error (reject_error P.Shutting_down "server is draining")
         else if conn.c_pending > 0 then
           Error
             (reject_error P.Malformed
                "a batch is already in flight on this connection")
         else begin
-          let fresh = Hashtbl.create 16 in
-          List.iter
-            (fun (_, d) ->
-               if not (Hashtbl.mem t.inflight d) then
-                 Hashtbl.replace fresh d ())
-            keyed;
-          let nfresh = Hashtbl.length fresh in
+          let nfresh =
+            match !misses with
+            | [] -> 0
+            | misses ->
+              let fresh = Hashtbl.create 16 in
+              List.iter
+                (fun (_, _, d) ->
+                   if not (Hashtbl.mem t.inflight d) then
+                     Hashtbl.replace fresh d ())
+                misses;
+              Hashtbl.length fresh
+          in
           let depth = Queue.length t.queue in
           if depth + nfresh > t.cfg.max_queue then begin
             t.rejected_batches <- t.rejected_batches + 1;
@@ -319,11 +390,12 @@ let admit t conn ~deadline_ms ~max_retries specs =
                     depth nfresh t.cfg.max_queue))
           end
           else begin
-            conn.c_pending <- n;
+            conn.c_pending <- (if nhits = n then 0 else n);
             conn.c_batch <- n;
             t.accepted <- t.accepted + n;
-            List.iteri
-              (fun i (spec, d) ->
+            t.memo_answers <- t.memo_answers + nhits;
+            List.iter
+              (fun (i, spec, d) ->
                  match Hashtbl.find_opt t.inflight d with
                  | Some job ->
                    t.dedup_hits <- t.dedup_hits + 1;
@@ -338,8 +410,8 @@ let admit t conn ~deadline_ms ~max_retries specs =
                    in
                    Hashtbl.replace t.inflight d job;
                    Queue.push job t.queue)
-              keyed;
-            Condition.broadcast t.work;
+              !misses;
+            if nfresh > 0 then Condition.broadcast t.work;
             Ok nfresh
           end
         end)
@@ -352,9 +424,21 @@ let admit t conn ~deadline_ms ~max_retries specs =
     ignore (send conn (P.Rejected e))
   | Ok nfresh ->
     if t.cfg.verbose then
-      logf "conn %d: admitted batch of %d (%d fresh, %d coalesced)"
-        conn.c_id n nfresh (n - nfresh);
-    if n = 0 then ignore (send conn (P.Batch_done { delivered = 0 }))
+      logf "conn %d: admitted batch of %d (%d from memory, %d fresh, %d \
+            coalesced)"
+        conn.c_id n nhits nfresh (n - nhits - nfresh);
+    if nhits = n then begin
+      let done_ = P.encode_response (P.Batch_done { delivered = n }) in
+      ignore
+        (deliver conn (fun oc ->
+             write_hits oc specs blobs;
+             P.write_frame oc done_))
+    end
+    else if nhits > 0 then begin
+      (* Flushed at once: the reader blocks on its next read. *)
+      ignore (deliver conn (fun oc -> write_hits oc specs blobs));
+      finish t conn nhits
+    end
 
 (* -- Connections ---------------------------------------------------------- *)
 
@@ -419,6 +503,10 @@ let session t conn =
          | Ok P.Stats -> ignore (send conn (P.Stats_reply (stats t)))
          | Ok P.Ping -> ignore (send conn P.Pong)
          | Ok P.Shutdown ->
+           (* No batch is admitted, on any connection, once [Bye] can
+              have been read; [wait] returns only after it has left, so
+              [stop] does not cut it off. *)
+           locked t (fun () -> t.draining <- true);
            ignore (send conn P.Bye);
            locked t (fun () ->
                t.shutdown_req <- true;
@@ -517,9 +605,10 @@ let start (cfg : config) =
     { cfg; mu = Mutex.create (); work = Condition.create ();
       stopc = Condition.create (); queue = Queue.create ();
       inflight = Hashtbl.create 64; conns = []; next_conn = 0;
-      stopping = false; shutdown_req = false; lsock; bound;
+      stopping = false; draining = false; shutdown_req = false; lsock; bound;
       started = Unix.gettimeofday (); executing = 0; accepted = 0;
-      rejected_batches = 0; dedup_hits = 0; completed = 0; failed = 0;
+      rejected_batches = 0; dedup_hits = 0; memo_answers = 0; completed = 0;
+      failed = 0;
       wstats = Array.init cfg.workers (fun _ -> { ws_jobs = 0; ws_busy_ms = 0 });
       domains = []; threads = [] }
   in

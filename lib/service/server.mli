@@ -8,15 +8,34 @@
        spawning one reader thread per connection;}
     {- {e reader} threads enforcing the {!Protocol} handshake and state
        machine (one outstanding batch per connection), running admission
-       control, and answering [STATS]/[PING] inline;}
+       control, answering warm hits from the cache's memo, and answering
+       [STATS]/[PING] inline;}
     {- {e worker} domains pulling admitted jobs off a bounded queue and
        executing them under the retry policy ({!Xloops.Failure.with_retries}),
        consulting and populating the on-disk result cache before
        simulating.}}
 
-    Admission is atomic per batch: a [Submit] either enters the queue
-    whole or is rejected whole with [Overloaded] (queue full, transient)
-    — no partial acceptance.  Specs are deduplicated in flight by
+    Admission is atomic per batch, and every rule is decided under one
+    lock hold before any frame is written: a daemon that is stopping, or
+    that a client has asked to shut down, answers [Shutting_down]; a
+    connection whose batch is still pending gets [Malformed]; a batch
+    whose queued specs would pass the queue limit is rejected whole with
+    [Overloaded] (transient) — no partial acceptance.
+
+    {b Warm hits at admission.}  A spec whose result blob the cache
+    handle already holds in memory ({!Xloops.Run_cache.memo_run_bytes})
+    is answered by the reader thread that admits its batch, without a
+    job: no queue, no worker, no retry policy, no disk read.  Only the
+    remaining specs are queued, and only they count against the queue
+    limit.  The batch's pending count covers both kinds of answer, so a
+    mixed batch ends in exactly one [Batch_done].  A spec is answered
+    this way only after an earlier job of the process has taken its
+    cache key.  Without a cache, or with a chaos plan (on the daemon or
+    on its cache handle), every spec is a job, so chaos still reaches
+    every lookup.  Such answers count in [cache_hits] and [accepted],
+    not in [completed] or a worker's jobs.
+
+    Specs are deduplicated in flight by
     {!Xloops.Run_spec.digest}: a spec equal to one already queued or
     executing attaches as a second waiter instead of simulating twice;
     each waiter still receives its own [Result] frame.  Results stream
@@ -30,8 +49,10 @@
     [Result] frames are written unflushed: a worker flushes every
     connection it wrote to before it can block (waiting on an empty
     queue, a chaos hook, a simulation), so the hits of a batch leave in
-    one write and simulated results still stream.  [Batch_done] and
-    every reply outside a batch are flushed at once.
+    one write and simulated results still stream.  A reader flushes the
+    answers it wrote before it reads the next request: an all-hit
+    batch's results and its [Batch_done] leave in one write.
+    [Batch_done] and every reply outside a batch are flushed at once.
 
     A session opens only on an exact {!Protocol.version} and OCaml
     version match; there is no negotiation.
@@ -86,8 +107,9 @@ val stop : t -> unit
     Unix sockets) unlink the listening socket.  Idempotent. *)
 
 val wait : t -> unit
-(** Block until a client's [SHUTDOWN] request arrives (or {!stop} is
-    called from another thread). *)
+(** Block until a client's [SHUTDOWN] request has been answered (or
+    {!stop} is called from another thread).  From the moment that
+    request is read, no batch is admitted on any connection. *)
 
 val run : config -> unit
 (** [start] + [wait] + [stop] — the blocking form the daemon binary

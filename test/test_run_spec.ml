@@ -363,6 +363,45 @@ let prop_of_hex =
     (fun s ->
        Result.map Digest_hex.to_hex (Digest_hex.of_hex s) = of_hex_ref s)
 
+(* [encode] reuses a config's bytes by the value's physical identity.
+   Over every spec the plans name, a repeat encoding (memoized) equals
+   the encoding of the same spec over a structurally equal fresh copy
+   of its config (a value the table has never seen, so encoded field
+   by field), and a copy that differs in one field encodes differently.
+   The copies are then encoded again, from the table. *)
+let test_cfg_bytes_memo () =
+  let specs =
+    E.dedupe_specs
+      (List.concat_map E.specs_for Registry.all
+       @ E.quick_plan () @ E.fig9_specs () @ E.table4_specs ()
+       @ E.fig10_specs () @ List.map snd E.extension_runs)
+  in
+  let copy (c : Config.t) : Config.t =
+    Marshal.from_string (Marshal.to_string c []) 0 in
+  List.iter
+    (fun (s : Run_spec.t) ->
+       let what = Run_spec.what s in
+       let memoized = Run_spec.encode s in
+       Alcotest.(check string) (what ^ ": repeat") memoized
+         (Run_spec.encode s);
+       let fresh = { s with cfg = copy s.cfg } in
+       Alcotest.(check bool) (what ^ ": a new value") false
+         (fresh.cfg == s.cfg);
+       Alcotest.(check string) (what ^ ": fresh copy") memoized
+         (Run_spec.encode fresh);
+       Alcotest.(check string) (what ^ ": fresh copy, again") memoized
+         (Run_spec.encode fresh);
+       let renamed = { s with cfg = { (copy s.cfg) with name = "x" } } in
+       Alcotest.(check bool) (what ^ ": another config") true
+         (Run_spec.encode renamed <> memoized
+          && Run_spec.decode (Run_spec.encode renamed) = Ok renamed))
+    specs;
+  Alcotest.(check bool) "the plans name several configs" true
+    (List.length
+       (List.sort_uniq compare
+          (List.map (fun (s : Run_spec.t) -> s.cfg) specs))
+     > 4)
+
 let test_spec_edges () =
   let base = List.hd (E.specs_for (Registry.find "war-uc")) in
   List.iter
@@ -425,11 +464,13 @@ let decode_digest_key bytes =
     Run_spec.Encoded.cache_key e
   | Error m -> failwith m
 
-(* An encoding is a string of at most ~110 bytes built in a 128-byte
-   buffer, a digest its MD5 in hex, and a cache key hashes the encoding
+(* An encoding is a string of at most ~110 bytes built in a buffer
+   sized for it, around the config's bytes reused from [encode]'s table;
+   a digest is its MD5 in hex, and a cache key hashes the encoding
    followed by the listing's MD5.  Formatting each integer through
    [string_of_int] cost 160, 170 and 208 words; an intermediate copy of
-   the encoding (~15 words) also breaks a bound.  Decoding a repeat
+   the encoding (~15 words) also breaks a bound, and so would encoding
+   the config into its own string on every call.  Decoding a repeat
    spelling and taking its digest and key again cost 134 words before
    decodes were interned. *)
 let test_key_allocation () =
@@ -438,7 +479,7 @@ let test_key_allocation () =
        Alcotest.(check bool)
          (Printf.sprintf "%s: %.1f minor words/call <= %.0f" what w budget)
          true (w <= budget))
-    [ ("encode", minor_words_per_call Fun.id Run_spec.encode, 50.);
+    [ ("encode", minor_words_per_call Fun.id Run_spec.encode, 40.);
       ("digest", minor_words_per_call Fun.id Run_spec.digest, 60.);
       ("cache_key", minor_words_per_call Fun.id Run_spec.cache_key, 100.);
       ("repeat decode+digest+key",
@@ -598,7 +639,8 @@ let () =
          QCheck_alcotest.to_alcotest prop_dec_int_canonical;
          QCheck_alcotest.to_alcotest prop_spec_roundtrip;
          QCheck_alcotest.to_alcotest prop_of_hex;
-         Alcotest.test_case "spec edges" `Quick test_spec_edges ]);
+         Alcotest.test_case "spec edges" `Quick test_spec_edges;
+         Alcotest.test_case "config bytes memo" `Quick test_cfg_bytes_memo ]);
       ("intern",
        [ Alcotest.test_case "one value per spelling" `Quick
            test_intern_shares;

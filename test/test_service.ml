@@ -1,14 +1,16 @@
 (* Service-tier tests: the address parsers (protocol and CLI), the
    shared CLI engine flags (range checks, a flag beating its variable), the
    wire protocol codec (round-trip and mutation fuzz), the
-   Failure-taxonomy → error-code mapping, and the daemon end-to-end
-   over a loopback socket — handshake version rejection (any version
-   but the one this build speaks), in-flight dedupe, whole-batch
-   admission control (OVERLOADED), failure streaming, warm-cache hits
-   (and repeated warm batches answered from the cache's memo), the
-   cache flags each result origin sets, results streaming under
-   the flush rule, and result equality between a remote plan and
-   in-process execution. *)
+   Failure-taxonomy → error-code mapping, [write_result] against the
+   frame [encode_response] builds, and the daemon end-to-end over a
+   loopback socket — handshake version rejection (any version but the
+   one this build speaks), in-flight dedupe, whole-batch admission
+   control (OVERLOADED), failure streaming, warm-cache hits (and
+   repeated warm batches answered from the cache's memo at admission,
+   alone or beside a new spec, under the same admission rules, and
+   through the workers under chaos), the cache flags each result
+   origin sets, results streaming under the flush rule, and result
+   equality between a remote plan and in-process execution. *)
 
 module P = Xloops_service.Protocol
 module Client = Xloops_service.Client
@@ -296,6 +298,39 @@ let prop_flipped_hit_rejected =
          (Char.chr (Char.code (Bytes.get s i) lxor (1 lsl (bit mod 8))));
        Result.is_error (P.decode_response (Bytes.to_string s)))
 
+(* The bytes a writer puts into a channel, read back from its file. *)
+let channel_bytes write =
+  let path = tmp_dir () ^ ".chan" in
+  let oc = open_out_bin path in
+  write oc;
+  close_out oc;
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  s
+
+(* Blobs of every size class: empty, small, and longer than a
+   channel's 64 KiB buffer. *)
+let gen_result_frame =
+  QCheck.Gen.(
+    let* index = oneof [ small_nat; int ] in
+    let* digest =
+      map (fun s -> Digest_hex.of_digest (Digest.string s)) string in
+    let* origin = oneofl [ P.Hit; P.Miss; P.Uncached ] in
+    let* n = oneof [ return 0; int_bound 600; int_range 65_537 70_000 ] in
+    let+ blob = string_size ~gen:char (return n) in
+    (index, digest, { P.origin; blob }))
+
+let prop_write_result =
+  QCheck.Test.make ~name:"write_result writes encode_response's frame"
+    ~count:100 (QCheck.make gen_result_frame)
+    (fun (index, digest, run) ->
+       String.equal
+         (channel_bytes (fun oc -> P.write_result oc ~index ~digest run))
+         (channel_bytes (fun oc ->
+              P.write_frame oc
+                (P.encode_response
+                   (P.Result { index; digest; outcome = Ok run })))))
+
 let test_framing () =
   let path = tmp_dir () ^ ".frames" in
   let oc = open_out_bin path in
@@ -511,26 +546,25 @@ let test_warm_cache_hits () =
   Alcotest.(check bool) "cache round-trip preserves results" true
     (rd cold.(0) = rd warm.(0) && rd cold.(1) = rd warm.(1))
 
-(* One Table II kernel's 12 specs, sent three times over one raw session
-   to a one-worker daemon: the first batch fills the cache, the second
-   reads it, and the third is answered with the cache directory moved
-   away, so from the handle's memo.  Every answer after the fill is a
-   hit with the same bytes, and only hits move in STATS. *)
-let test_warm_batches_from_memory () =
-  let dir = tmp_dir () in
-  let batch =
-    List.map Run_spec.Encoded.of_spec
-      (Xloops.Experiments.specs_for (Xloops.Kernels.Registry.find "war-uc"))
-  in
-  let n = List.length batch in
-  Alcotest.(check int) "a Table II request" 12 n;
-  with_server ~workers:1 ~cache:(Run_cache.create ~dir ()) @@ fun _t addr ->
+(* -- Raw sessions ------------------------------------------------------- *)
+
+(* A session driven frame by frame: a test can pipeline requests and
+   sees every frame the daemon writes, in order. *)
+type raw = {
+  send : P.request list -> unit;   (* all in one flush *)
+  recv : unit -> P.response;
+}
+
+let with_raw addr f =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
   Unix.connect fd (P.sockaddr_of addr);
   let ic = Unix.in_channel_of_descr fd
   and oc = Unix.out_channel_of_descr fd in
-  let send r = P.write_frame oc (P.encode_request r); flush oc in
+  let send rs =
+    List.iter (fun r -> P.write_frame oc (P.encode_request r)) rs;
+    flush oc
+  in
   let recv () =
     match P.read_frame ic with
     | `Frame f ->
@@ -540,57 +574,196 @@ let test_warm_batches_from_memory () =
     | `Eof -> Alcotest.fail "daemon closed the connection"
     | `Error m -> Alcotest.failf "read: %s" m
   in
-  send (P.Hello { version = P.version; ocaml = Sys.ocaml_version });
+  send [ P.Hello { version = P.version; ocaml = Sys.ocaml_version } ];
   (match recv () with
    | P.Welcome _ -> ()
    | _ -> Alcotest.fail "expected WELCOME");
+  f { send; recv }
+
+let submit_req specs =
+  P.Submit { deadline_ms = None; max_retries = 0; specs }
+
+let raw_stats r =
+  r.send [ P.Stats ];
+  match r.recv () with
+  | P.Stats_reply st -> st
+  | _ -> Alcotest.fail "expected STATS_REPLY"
+
+let jobs (st : P.stats) =
+  List.fold_left (fun n w -> n + w.P.w_jobs) 0 st.P.per_worker
+
+(* One batch's frames, up to its [Batch_done]: every index answered
+   once, with a success.  [Rejected] frames met on the way (the answer
+   to a pipelined request) are returned beside the results. *)
+let collect r n =
+  let runs = Array.make n None and rejected = ref [] in
+  let rec go () =
+    match r.recv () with
+    | P.Result { index; outcome = Ok run; _ } ->
+      if runs.(index) <> None then
+        Alcotest.failf "spec %d answered twice" index;
+      runs.(index) <- Some run;
+      go ()
+    | P.Result { index; outcome = Error e; _ } ->
+      Alcotest.failf "spec %d: %a" index P.pp_error e
+    | P.Batch_done { delivered } ->
+      Alcotest.(check int) "all delivered" n delivered
+    | P.Rejected e -> rejected := e :: !rejected; go ()
+    | _ -> Alcotest.fail "unexpected frame in a batch"
+  in
+  go ();
+  ( Array.map
+      (function Some run -> run | None -> Alcotest.fail "a spec never answered")
+      runs,
+    List.rev !rejected )
+
+let submit_raw r specs =
+  r.send [ submit_req specs ];
+  match collect r (List.length specs) with
+  | runs, [] -> runs
+  | _, e :: _ -> Alcotest.failf "batch rejected: %a" P.pp_error e
+
+(* Nothing is left of the last batch: the next frame is PING's answer. *)
+let check_quiet r =
+  r.send [ P.Ping ];
+  match r.recv () with
+  | P.Pong -> ()
+  | _ -> Alcotest.fail "a frame arrived after Batch_done"
+
+let blobs runs = Array.map (fun r -> r.P.blob) runs
+
+let all_hits what runs =
+  Array.iteri
+    (fun i r ->
+       if r.P.origin <> P.Hit then
+         Alcotest.failf "%s: spec %d not a hit" what i)
+    runs
+
+let table2 name =
+  List.map Run_spec.Encoded.of_spec
+    (Xloops.Experiments.specs_for (Xloops.Kernels.Registry.find name))
+
+(* One Table II kernel's 12 specs, sent three times over one raw session
+   to a one-worker daemon: the first batch fills the cache, the second
+   reads it, and the third is answered with the cache directory moved
+   away, so from the handle's memo, at admission: no worker job.  Every
+   answer after the fill is a hit with the same bytes, and only hits
+   move in STATS. *)
+let test_warm_batches_from_memory () =
+  let dir = tmp_dir () in
+  let batch = table2 "war-uc" in
+  let n = List.length batch in
+  Alcotest.(check int) "a Table II request" 12 n;
+  with_server ~workers:1 ~cache:(Run_cache.create ~dir ()) @@ fun _t addr ->
+  with_raw addr @@ fun r ->
   let stats () =
-    send P.Stats;
-    match recv () with
-    | P.Stats_reply st -> (st.P.cache_hits, st.P.cache_misses)
-    | _ -> Alcotest.fail "expected STATS_REPLY"
+    let st = raw_stats r in
+    (st.P.cache_hits, st.P.cache_misses)
   in
-  let submit () =
-    send (P.Submit { deadline_ms = None; max_retries = 0; specs = batch });
-    let runs = Array.make n None in
-    let rec collect () =
-      match recv () with
-      | P.Result { index; outcome = Ok run; _ } ->
-        runs.(index) <- Some run; collect ()
-      | P.Result { index; outcome = Error e; _ } ->
-        Alcotest.failf "spec %d: %a" index P.pp_error e
-      | P.Batch_done { delivered } ->
-        Alcotest.(check int) "all delivered" n delivered
-      | _ -> Alcotest.fail "unexpected frame in a batch"
-    in
-    collect ();
-    Array.map
-      (function Some r -> r | None -> Alcotest.fail "a spec never answered")
-      runs
-  in
-  let blobs runs = Array.map (fun r -> r.P.blob) runs in
-  let all_hits what runs =
-    Array.iteri
-      (fun i r ->
-         if r.P.origin <> P.Hit then
-           Alcotest.failf "%s: spec %d not a hit" what i)
-      runs
-  in
-  let fill = submit () in
+  let fill = submit_raw r batch in
   Alcotest.(check (pair int int)) "the fill misses" (0, n) (stats ());
-  let from_disk = submit () in
+  let from_disk = submit_raw r batch in
   all_hits "second batch" from_disk;
   Alcotest.(check (array string)) "hits forward the stored bytes"
     (blobs fill) (blobs from_disk);
   Alcotest.(check (pair int int)) "second batch: 12 more hits" (n, n)
     (stats ());
+  let jobs_before = jobs (raw_stats r) in
   Sys.rename dir (dir ^ ".gone");
-  let from_memory = submit () in
+  let from_memory = submit_raw r batch in
   all_hits "third batch" from_memory;
   Alcotest.(check (array string)) "the memo returns the same bytes"
     (blobs from_disk) (blobs from_memory);
   Alcotest.(check (pair int int)) "third batch: 12 more hits" (2 * n, n)
-    (stats ())
+    (stats ());
+  Alcotest.(check int) "memo hits run no worker job" jobs_before
+    (jobs (raw_stats r));
+  check_quiet r
+
+(* Memo hits and a spec never seen before, in one batch: the hits are
+   answered at admission and the new spec by a worker, each index
+   exactly once, and the batch ends in one [Batch_done]. *)
+let test_mixed_batch () =
+  let batch = table2 "war-uc" in
+  let n = List.length batch in
+  with_server ~workers:1 ~cache:(Run_cache.create ~dir:(tmp_dir ()) ())
+  @@ fun _t addr ->
+  with_raw addr @@ fun r ->
+  ignore (submit_raw r batch);
+  let warm = submit_raw r batch in
+  let jobs0 = jobs (raw_stats r) in
+  let fresh = Run_spec.Encoded.of_spec (spec ~fuel:9_999_999 "war-uc") in
+  let mixed = submit_raw r (batch @ [ fresh ]) in
+  check_quiet r;
+  all_hits "memo part" (Array.sub mixed 0 n);
+  Alcotest.(check (array string)) "memo part: the same bytes" (blobs warm)
+    (blobs (Array.sub mixed 0 n));
+  Alcotest.(check bool) "the new spec simulated" true
+    (mixed.(n).P.origin = P.Miss);
+  Alcotest.(check int) "one worker job: the new spec" (jobs0 + 1)
+    (jobs (raw_stats r))
+
+(* Answering at admission keeps admission's rules.  A batch of memo
+   hits pipelined behind a batch that is still simulating is refused as
+   [Malformed] (one batch per connection): both requests leave in one
+   write, so the reader reads the second while the worker is still on
+   the first batch's twelve simulations.  Once a client has asked the
+   daemon to shut down, the batch is refused as [Shutting_down]. *)
+let test_memo_hits_admission_rules () =
+  let warm = table2 "war-uc" and slow = table2 "sgemm-uc" in
+  with_server ~workers:1 ~cache:(Run_cache.create ~dir:(tmp_dir ()) ())
+  @@ fun _t addr ->
+  with_raw addr @@ fun r ->
+  ignore (submit_raw r warm);
+  ignore (submit_raw r warm);
+  r.send [ submit_req slow; submit_req warm ];
+  let _, rejected = collect r (List.length slow) in
+  let e =
+    match rejected with
+    | [ e ] -> e
+    | [] ->
+      (match r.recv () with
+       | P.Rejected e -> e
+       | _ -> Alcotest.fail "the pipelined batch was not refused")
+    | _ -> Alcotest.fail "more than one refusal"
+  in
+  Alcotest.(check string) "pipelined batch" "malformed"
+    (P.error_code_name e.P.code);
+  check_quiet r;
+  all_hits "after the refusal" (submit_raw r warm);
+  let s = connect addr in
+  (match Client.shutdown s with
+   | Ok () -> ()
+   | Error _ -> Alcotest.fail "shutdown not acknowledged");
+  Client.close s;
+  r.send [ submit_req warm ];
+  match r.recv () with
+  | P.Rejected e ->
+    Alcotest.(check string) "after SHUTDOWN" "shutting-down"
+      (P.error_code_name e.P.code);
+    Alcotest.(check bool) "transient" true e.P.transient
+  | _ -> Alcotest.fail "a draining daemon answered a batch"
+
+(* Under a chaos plan, on the daemon or on its cache handle, no spec is
+   answered at admission: a batch the memo holds still runs one worker
+   job per spec, inside the plan's draws. *)
+let test_chaos_hits_use_workers () =
+  let batch = table2 "war-uc" in
+  let n = List.length batch in
+  let check what ?chaos cache =
+    with_server ~workers:1 ~cache ?chaos @@ fun _t addr ->
+    with_raw addr @@ fun r ->
+    ignore (submit_raw r batch);
+    ignore (submit_raw r batch);
+    let jobs0 = jobs (raw_stats r) in
+    all_hits what (submit_raw r batch);
+    Alcotest.(check int) (what ^ ": one job per spec") (jobs0 + n)
+      (jobs (raw_stats r))
+  in
+  check "daemon plan" ~chaos:(Xloops.Chaos.none ())
+    (Run_cache.create ~dir:(tmp_dir ()) ());
+  check "cache plan"
+    (Run_cache.create ~dir:(tmp_dir ()) ~chaos:(Xloops.Chaos.none ()) ())
 
 (* The cache flags a client sees are set from the frame's origin tag:
    a cold daemon's results are misses, a warm one's hits, a cacheless
@@ -726,7 +899,8 @@ let () =
          QCheck_alcotest.to_alcotest prop_request_roundtrip;
          QCheck_alcotest.to_alcotest prop_response_roundtrip;
          QCheck_alcotest.to_alcotest prop_decode_total;
-         QCheck_alcotest.to_alcotest prop_flipped_hit_rejected ]);
+         QCheck_alcotest.to_alcotest prop_flipped_hit_rejected;
+         QCheck_alcotest.to_alcotest prop_write_result ]);
       ("daemon",
        [ Alcotest.test_case "version mismatch" `Quick test_version_mismatch;
          Alcotest.test_case "in-flight dedupe" `Quick test_dedupe_and_equality;
@@ -738,6 +912,11 @@ let () =
          Alcotest.test_case "warm cache hits" `Quick test_warm_cache_hits;
          Alcotest.test_case "warm batches from memory" `Quick
            test_warm_batches_from_memory;
+         Alcotest.test_case "mixed batch" `Quick test_mixed_batch;
+         Alcotest.test_case "memo hits keep admission rules" `Quick
+           test_memo_hits_admission_rules;
+         Alcotest.test_case "chaos: hits use workers" `Quick
+           test_chaos_hits_use_workers;
          Alcotest.test_case "cache flags by origin" `Quick test_cache_flags;
          Alcotest.test_case "results stream before a stall" `Quick
            test_results_stream;
