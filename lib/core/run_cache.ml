@@ -21,21 +21,7 @@
     directory creation tolerates [EEXIST]; {!reap_tmp} sweeps out
     orphaned temp files a killed writer left behind.  An optional
     {!Chaos} plan injects read errors and post-store corruption for
-    integrity testing.
-
-    Each handle keeps a read-through memo of the verified bytes its
-    disk reads returned, bounded by {!memo_limit}: blobs are
-    content-addressed and immutable, so a daemon answering the same
-    specs again reads them from memory.  Only a checked read fills it;
-    stores never do, so a blob rotted after its store is still read,
-    caught and quarantined. *)
-
-(* Verified [MD5 ++ Marshal body] strings by key and suffix. *)
-module Memo = Hashtbl.Make (struct
-    type t = Digest_hex.t * string
-    let equal (k, s) (k', s') = Digest_hex.equal k k' && String.equal s s'
-    let hash (k, _) = Digest_hex.hash k
-  end)
+    integrity testing. *)
 
 type t = {
   dir : string;
@@ -49,8 +35,6 @@ type t = {
   mutable corrupt : int;     (* integrity failures, quarantined *)
   mutable stores : int;
   mutable evictions : int;   (* blobs this handle deleted for space *)
-  memo : string Memo.t;      (* guarded by [mu], like the counters *)
-  mutable memo_bytes : int;  (* string bytes in [memo] *)
 }
 
 let magic = "XLOOPS-CACHE"
@@ -63,11 +47,6 @@ let current_version = 2
 let default_dir = "_xloops_cache"
 
 let quarantine_subdir = "quarantine"
-
-(* The paper plan's blobs total ~150 KB; a bound well above it keeps a
-   daemon's whole working set while capping what a larger cache can
-   pin. *)
-let memo_limit = 4 * 1024 * 1024
 
 (* Race-safe mkdir -p: concurrent workers may all attempt creation on
    first store; every failure mode is re-checked against the directory
@@ -84,8 +63,9 @@ let create ?(version = current_version) ?(dir = default_dir) ?chaos
     ?limit_bytes () =
   { dir; version; vdir = Filename.concat dir ("v" ^ string_of_int version);
     chaos; limit_bytes; mu = Mutex.create ();
-    hits = 0; misses = 0; corrupt = 0; stores = 0; evictions = 0;
-    memo = Memo.create 64; memo_bytes = 0 }
+    hits = 0; misses = 0; corrupt = 0; stores = 0; evictions = 0 }
+
+let chaos cache = cache.chaos
 
 let counted cache f =
   Mutex.lock cache.mu;
@@ -227,60 +207,22 @@ let write_blob cache ~key ~suffix payload =
   | Some c -> Chaos.after_store c p
   | None -> ()
 
-(* Under [cache.mu].  An insert that would pass [memo_limit] first
-   empties the memo; a twin read by another worker is kept once. *)
-let remember cache mk s =
-  let n = String.length s in
-  if n <= memo_limit && not (Memo.mem cache.memo mk) then begin
-    if cache.memo_bytes + n > memo_limit then begin
-      Memo.reset cache.memo;
-      cache.memo_bytes <- 0
-    end;
-    Memo.add cache.memo mk s;
-    cache.memo_bytes <- cache.memo_bytes + n
-  end
-
-(* The chaos draw comes first, so a memoized key still fails when the
-   plan says so and a plan's draws do not depend on the memo.  A memo
-   hit is counted under the same lock hold that finds it. *)
+(* The chaos draw comes first: an injected read error is a miss that
+   never touches the disk. *)
 let find_bytes cache ~key ~suffix =
-  let injected_error =
-    match cache.chaos with Some c -> Chaos.read_error c | None -> false in
-  let mk = (key, suffix) in
-  let memoized =
-    if injected_error then None
-    else
-      counted cache (fun () ->
-          let hit = Memo.find_opt cache.memo mk in
-          if Option.is_some hit then cache.hits <- cache.hits + 1;
-          hit)
+  let verdict =
+    match cache.chaos with
+    | Some c when Chaos.read_error c -> `Absent
+    | Some _ | None -> read_blob cache ~key ~suffix
   in
-  match memoized with
-  | Some _ -> memoized
-  | None ->
-    let verdict =
-      if injected_error then `Absent else read_blob cache ~key ~suffix in
-    counted cache (fun () ->
-        match verdict with
-        | `Hit s -> cache.hits <- cache.hits + 1; remember cache mk s
-        | `Absent | `Stale -> cache.misses <- cache.misses + 1
-        | `Corrupt -> cache.corrupt <- cache.corrupt + 1);
-    (match verdict with
-     | `Hit s -> Some s
-     | `Absent | `Stale | `Corrupt -> None)
-
-(* The memo alone, for a caller that answers a hit without waiting on
-   a disk.  It counts nothing: the caller may still refuse the request
-   it probed for.  A handle with a chaos plan answers [None], so every
-   lookup it serves draws from the plan as [find_bytes] does. *)
-let memo_run_bytes cache ~key =
-  match cache.chaos with
-  | Some _ -> None
-  | None ->
-    Mutex.lock cache.mu;
-    let hit = Memo.find_opt cache.memo (key, ".run") in
-    Mutex.unlock cache.mu;
-    hit
+  counted cache (fun () ->
+      match verdict with
+      | `Hit _ -> cache.hits <- cache.hits + 1
+      | `Absent | `Stale -> cache.misses <- cache.misses + 1
+      | `Corrupt -> cache.corrupt <- cache.corrupt + 1);
+  match verdict with
+  | `Hit s -> Some s
+  | `Absent | `Stale | `Corrupt -> None
 
 (* Unsafe generic unmarshal; the monomorphic wrappers below pin the
    payload type to the suffix that wrote it.  The body's MD5 was
@@ -403,7 +345,6 @@ let misses c = counted c (fun () -> c.misses)
 let corrupt c = counted c (fun () -> c.corrupt)
 let stores c = counted c (fun () -> c.stores)
 let evictions c = counted c (fun () -> c.evictions)
-let memo_bytes c = counted c (fun () -> c.memo_bytes)
 
 let pp_counters ppf c =
   Fmt.pf ppf

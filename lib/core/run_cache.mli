@@ -9,11 +9,8 @@
     quarantined to [dir/quarantine/] — never an error, never silently
     re-read.  Writes are temp-file + rename and directory creation
     tolerates races, so concurrent workers and concurrent processes are
-    safe; {!reap_tmp} cleans up after killed writers.
-
-    A handle remembers the verified bytes of the blobs it has read (at
-    most {!memo_limit} bytes of them) and serves a repeated lookup from
-    memory.  Only a checked disk read fills that memo, never a store. *)
+    safe; {!reap_tmp} cleans up after killed writers.  Every lookup
+    reads the disk. *)
 
 type t
 
@@ -35,6 +32,9 @@ val create :
     corruption for integrity testing.  [limit_bytes] bounds the cache,
     enforced by {!reap_over_limit} at startup. *)
 
+val chaos : t -> Chaos.t option
+(** The plan the handle was created with. *)
+
 val find_run : t -> key:Digest_hex.t -> Run_spec.run_data option
 (** {!find_run_bytes}, unmarshalled. *)
 
@@ -43,28 +43,14 @@ val find_run_bytes : t -> key:Digest_hex.t -> string option
     {!Run_spec.run_data} it sums, checked before it is returned: the
     layout of a service [Result] frame's payload, so a daemon forwards
     it without decoding it.  Counts and verdicts as {!find_run}: a
-    corrupt blob is quarantined and reads as [None].
-
-    Every lookup first draws the chaos plan's read error (a miss when it
-    fires), then consults the handle's memo, then the disk.  A memo hit
-    counts as a hit and returns the bytes an earlier read of this handle
-    checked; a disk hit is remembered.  So the blob is read and checked
-    once per handle: rot that happens after that read is caught by the
-    next handle (the next process) that reads it, not by this one. *)
-
-val memo_run_bytes : t -> key:Digest_hex.t -> string option
-(** The bytes {!find_run_bytes} would return from the handle's memo,
-    without a disk read, a chaos draw or a count: [None] when the memo
-    does not hold the key, and always [None] for a handle created with
-    a chaos plan.  A caller that answers with the bytes counts that
-    hit itself. *)
+    corrupt blob is quarantined and reads as [None].  A chaos plan's
+    read error is drawn first, and a miss when it fires. *)
 
 val store_run : t -> key:Digest_hex.t -> Run_spec.run_data -> unit
 
 val find_meta : t -> key:Digest_hex.t -> int array option
 (** Kernel-metadata blobs (dynamic instruction counts, body statistics),
-    keyed by {!Run_spec.kernel_digest}; read through the memo as
-    {!find_run_bytes} is. *)
+    keyed by {!Run_spec.kernel_digest}. *)
 
 val store_meta : t -> key:Digest_hex.t -> int array -> unit
 
@@ -93,12 +79,5 @@ val stores : t -> int
 
 val evictions : t -> int
 (** Blobs this handle deleted for space by {!reap_over_limit}. *)
-
-val memo_limit : int
-(** Bound on the bytes a handle's memo holds (4 MiB); an insert that
-    would pass it empties the memo first. *)
-
-val memo_bytes : t -> int
-(** Bytes the memo holds now. *)
 
 val pp_counters : Format.formatter -> t -> unit

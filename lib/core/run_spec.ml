@@ -264,94 +264,24 @@ let key_of_bytes ?kernel spec bytes =
 (* A spec that crossed a process boundary arrives as its encoding; its
    digest and cache key are taken over those bytes instead of encoding
    the decoded spec again.  That is only sound for the bytes [encode]
-   writes, so a non-canonical spelling is replaced by the encoding.
-
-   A daemon sees the same few hundred spellings over and over, and
-   everything derived from one is fixed for the life of the process:
-   the bytes fix the spec and the digest, and the process's
-   {!Program_cache} fixes the listing the key hashes.  So [decode]
-   interns canonical spellings in one process-wide table, and each
-   value remembers its digest and its (override-free) cache key the
-   first time they are asked for.  The memo fields are written without
-   a lock: two domains that race on one compute the same string, and
-   either write leaves a correct value. *)
+   writes, so a non-canonical spelling is replaced by the encoding. *)
 module Encoded = struct
-  type nonrec t = {
-    spec : t;
-    bytes : string;
-    mutable digest : Digest_hex.t option;
-    mutable key : Digest_hex.t option;  (* never for a [?kernel] key *)
-  }
+  type nonrec t = { spec : t; bytes : string }
 
   let spec e = e.spec
   let bytes e = e.bytes
 
-  let make spec bytes = { spec; bytes; digest = None; key = None }
-
-  let of_spec spec = make spec (encode spec)
-
-  module Table = Hashtbl.Make (String)
-
-  (* The paper plan has 384 distinct specs.  A spelling longer than any
-     registry spec's (~110 bytes) is decoded every time, so the table
-     pins at most [intern_limit] small values. *)
-  let intern_limit = 4096
-  let intern_max_bytes = 1024
-  let table : t Table.t = Table.create 512
-  let table_mu = Mutex.create ()
-
-  let interned () = Mutex.protect table_mu (fun () -> Table.length table)
-
-  (* An insert past the bound empties the table first; a twin decoded by
-     another thread meanwhile is kept, so one spelling has one value. *)
-  let intern s spec =
-    Mutex.lock table_mu;
-    let e =
-      match Table.find_opt table s with
-      | Some e -> e
-      | None ->
-        if Table.length table >= intern_limit then Table.reset table;
-        let e = make spec s in
-        Table.add table s e;
-        e
-    in
-    Mutex.unlock table_mu;
-    e
+  let of_spec spec = { spec; bytes = encode spec }
 
   let decode s =
-    Mutex.lock table_mu;
-    let seen = Table.find_opt table s in
-    Mutex.unlock table_mu;
-    match seen with
-    | Some e -> Ok e
-    | None ->
-      let c = cursor s in
-      match decode_at c with
-      | exception Bad msg -> decode_error msg
-      | spec when not c.canonical -> Ok (of_spec spec)
-      | spec when String.length s > intern_max_bytes -> Ok (make spec s)
-      | spec -> Ok (intern s spec)
+    let c = cursor s in
+    match decode_at c with
+    | spec -> Ok { spec; bytes = (if c.canonical then s else encode spec) }
+    | exception Bad msg -> decode_error msg
 
-  let digest e =
-    match e.digest with
-    | Some d -> d
-    | None ->
-      let d = Digest_hex.of_digest (Digest.string e.bytes) in
-      e.digest <- Some d;
-      d
+  let digest e = Digest_hex.of_digest (Digest.string e.bytes)
 
-  let known_key e = e.key
-
-  (* A key that raises (an unknown kernel) stores nothing, so it raises
-     again on every call, inside the caller's retry policy. *)
-  let cache_key ?kernel e =
-    match kernel, e.key with
-    | None, Some k -> k
-    | Some _, _ -> key_of_bytes ?kernel e.spec e.bytes
-    | None, None ->
-      let k = key_of_bytes e.spec e.bytes in
-      e.key <- Some k;
-      k
+  let cache_key e = key_of_bytes e.spec e.bytes
 end
 
 (** The content address of a spec's result: digest over the canonical

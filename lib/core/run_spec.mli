@@ -72,21 +72,7 @@ val cache_key : ?kernel:Kernel.t -> t -> Digest_hex.t
     digests and keys the bytes a spec arrived as instead of encoding
     the decoded spec again.  {!digest} and {!cache_key} over a value
     are exactly {!Run_spec.digest} and {!Run_spec.cache_key} of its
-    [spec].
-
-    {b Interning.}  {!decode} keeps one process-wide table from the
-    exact bytes of a canonical spelling to one value, so a spelling
-    decoded before costs one table lookup and returns the same
-    (physically equal) value.  Each value remembers its {!digest} the
-    first time it is taken, and its {!cache_key} the first time one
-    without [?kernel] succeeds; both are fixed for the life of the
-    process (the key hashes the listing of the process's
-    {!Program_cache} entry).  A key that raises (an unknown kernel)
-    is never remembered, so it raises on every call.  The table holds
-    at most {!intern_limit} values: an insert past the bound empties
-    it first.  Non-canonical spellings and spellings longer than 1 KiB
-    are decoded every time and never interned.  {!of_spec} never
-    touches the table. *)
+    [spec]. *)
 module Encoded : sig
   type spec := t
 
@@ -100,28 +86,15 @@ module Encoded : sig
   val of_spec : spec -> t
 
   val decode : string -> (t, string) result
-  (** {!Run_spec.decode}, with the input as [bytes] (for an interned
-      spelling, the bytes of its first arrival).  An input that
+  (** {!Run_spec.decode}, with the input as [bytes].  An input that
       spells an integer otherwise than {!encode} would (a leading zero,
       ["-0"]) still decodes, and its [bytes] are the re-encoding. *)
 
   val digest : t -> Digest_hex.t
 
-  val cache_key : ?kernel:Kernel.t -> t -> Digest_hex.t
+  val cache_key : t -> Digest_hex.t
   (** Resolves the program like {!Run_spec.cache_key}, so an unknown
-      kernel raises here too.  A [kernel] override is keyed afresh and
-      never remembered. *)
-
-  val known_key : t -> Digest_hex.t option
-  (** The key {!cache_key} has remembered, if any; never computes one,
-      so it costs no compile and never raises. *)
-
-  val intern_limit : int
-  (** Bound on the values the interning table holds (4096; the paper
-      plan has 384 distinct specs). *)
-
-  val interned : unit -> int
-  (** Values the interning table holds now. *)
+      kernel raises here too. *)
 end
 
 val kernel_digest : Kernel.t -> Digest_hex.t

@@ -88,7 +88,7 @@ let read_response s =
      | Error m -> Error (Submit_conn ("bad frame: " ^ m)))
 
 let submit s ?deadline_ms ?(max_retries = 0) ~on_result specs =
-  let specs = List.map Run_spec.Encoded.of_spec specs in
+  let specs = List.map Run_spec.encode specs in
   match send_request s (P.Submit { deadline_ms; max_retries; specs }) with
   | Error _ as e -> e
   | Ok () ->

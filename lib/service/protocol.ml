@@ -272,7 +272,7 @@ type request =
   | Submit of {
       deadline_ms : int option;
       max_retries : int;
-      specs : Run_spec.Encoded.t list;
+      specs : string list;
     }
   | Stats
   | Ping
@@ -291,14 +291,13 @@ type response =
   | Rejected of error
   | Bye
 
-(* A [Submit] is sized from its specs' bytes, so its buffer is never
+(* A [Submit] is sized from its specs' spellings, so its buffer is never
    grown and copied on the way. *)
 let encode_request (r : request) =
   let size =
     match r with
     | Submit { specs; _ } ->
-      List.fold_left
-        (fun n e -> n + str_length (Run_spec.Encoded.bytes e)) 64 specs
+      List.fold_left (fun n s -> n + str_length s) 64 specs
     | Hello _ | Stats | Ping | Shutdown -> 64
   in
   let b = Buffer.create size in
@@ -310,7 +309,7 @@ let encode_request (r : request) =
      enc_int_opt b deadline_ms;
      enc_int b max_retries;
      enc_int b (List.length specs);
-     List.iter (fun e -> enc_str b (Run_spec.Encoded.bytes e)) specs
+     List.iter (enc_str b) specs
    | Stats -> Buffer.add_char b 'T'
    | Ping -> Buffer.add_char b 'P'
    | Shutdown -> Buffer.add_char b 'Q');
@@ -329,13 +328,7 @@ let decode_request s : (request, string) result =
       let max_retries = dec_int c in
       let n = dec_int c in
       if n < 0 || n > 1_000_000 then fail_at c "implausible batch size";
-      let specs =
-        List.init n (fun i ->
-            match Run_spec.Encoded.decode (dec_str c) with
-            | Ok spec -> spec
-            | Error msg ->
-              raise (Bad (Fmt.str "spec %d of %d: %s" i n msg)))
-      in
+      let specs = List.init n (fun _ -> dec_str c) in
       finish c (Submit { deadline_ms; max_retries; specs })
     | 'T' -> finish c Stats
     | 'P' -> finish c Ping

@@ -17,11 +17,10 @@
     version; the handshake checks it, it does not negotiate.
 
     Specs cross the boundary only in their canonical
-    {!Xloops.Run_spec.encode} form — {!decode_request} runs
-    {!Xloops.Run_spec.Encoded.decode} on each, so a [Submit] that
-    reaches the caller holds fully validated specs, each with the bytes
-    it arrived as: a daemon digests and keys those, and never encodes a
-    spec.
+    {!Xloops.Run_spec.encode} form, and a [Submit] carries them as the
+    spellings that arrived, undecoded: a daemon answers a spelling it
+    has answered before without decoding it, and validates the rest
+    itself ({!Xloops.Run_spec.Encoded.decode}).
 
     Results stream back as one {!Result} frame per spec, in completion
     order, each tagged with the spec's index in the submitted batch;
@@ -161,7 +160,7 @@ type request =
   | Submit of {
       deadline_ms : int option;  (** per-spec wall-clock budget *)
       max_retries : int;         (** transient-failure retry budget *)
-      specs : Run_spec.Encoded.t list;
+      specs : string list;       (** {!Xloops.Run_spec.encode} spellings *)
     }
   | Stats
   | Ping

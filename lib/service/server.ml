@@ -1,20 +1,27 @@
 (* The spec-batch daemon.  See server.mli for the architecture contract.
 
-   Locking discipline: [t.mu] guards the queue, the in-flight table, the
-   connection list and every counter; each connection's [c_wmu] guards
-   its output channel.  [t.mu] is never held across a frame write or a
-   flush, and [c_wmu] is never acquired while holding [t.mu] — so a
-   slow or dead client can never stall admission or the workers.
+   Locking discipline: [t.mu] guards the queue, the in-flight table,
+   the answer table, the connection list and every counter; each
+   connection's [c_wmu] guards its output channel.  [t.mu] is never held
+   across a frame write or a flush, and [c_wmu] is never acquired while
+   holding [t.mu] — so a slow or dead client can never stall admission
+   or the workers.
 
-   Warm hits are answered at admission.  A spec whose result blob the
-   cache handle's memo already holds is answered by the connection's
-   reader thread ([probe], then [admit]): no queue, no worker wake-up,
-   no retry policy, no disk.  Only the other specs become jobs.  A spec
-   is probed only once an earlier job has taken its cache key, so the
-   reader never compiles a kernel and never meets a key that raises.
-   A chaos plan, on the daemon or on its cache handle, turns this off:
-   every spec then runs as a job, so the plan's draws and the retry
-   policy see every lookup, as before.
+   The answer table maps the exact spelling a spec arrived as to the
+   answer a verified disk hit gave it: its digest and the blob.  The
+   reader thread looks up every spelling of a [SUBMIT] under one [t.mu]
+   hold, before anything decodes it, and writes the hits' frames itself
+   after admission: no decode, no MD5, no queue, no worker, no disk.
+   Only the other spellings are decoded (a malformed one rejects the
+   whole batch) and become jobs, keyed inside their retry policy, so a
+   key that raises (an unknown kernel) fails its job alone.  A worker
+   fills the table, in the hold that retires the job, when the cache
+   returned a verified disk hit; a store never fills it, so a blob that
+   rots after its store is read, caught and quarantined by the next
+   job.  Without a cache, or with a chaos plan on the daemon or on its
+   cache handle, nothing fills it: every spec then runs as a job, so the
+   plan's draws and the retry policy see every lookup.  The table holds
+   at most [answer_limit] answers; an insert past it empties it first.
 
    Flush rule: a worker writes [Result] frames unflushed and flushes
    every connection it wrote to before it does anything that can
@@ -25,14 +32,9 @@
    [Batch_done] leave in one write.  Every other frame is flushed at
    once.
 
-   Warm specs: [Protocol.decode_request] decodes each spec through
-   [Run_spec.Encoded.decode], which interns canonical spellings process
-   wide, and the value remembers its digest and cache key.  A spec this
-   daemon has decoded before is therefore one table lookup in the
-   reader thread: [admit] takes no MD5 and the worker none either.  The
-   key is still first asked for in the worker, inside the job's retry
-   policy, so a key that raises (an unknown kernel) fails its job every
-   time. *)
+   [stop] lets the workers drain the queue and flush what they owe
+   before it shuts any client's socket, so a batch admitted before
+   [stop] is answered whole. *)
 
 module Run_spec = Xloops.Run_spec
 module Run_cache = Xloops.Run_cache
@@ -76,13 +78,21 @@ type waiter = { w_conn : conn; w_index : int }
 
 type job = {
   j_digest : Digest_hex.t;
-  j_spec : Run_spec.Encoded.t;  (* the bytes it arrived as, keyed once *)
+  j_spec : Run_spec.Encoded.t;  (* the bytes it arrived as *)
   j_deadline_ms : int option;
   j_max_retries : int;
   mutable j_waiters : waiter list;
 }
 
 type wstat = { mutable ws_jobs : int; mutable ws_busy_ms : int }
+
+(* What a verified disk hit answered for a spelling. *)
+type answer = { a_digest : Digest_hex.t; a_run : P.run }
+
+module Answers = Hashtbl.Make (String)
+
+(* The paper plan has 384 distinct specs. *)
+let answer_limit = 4096
 
 type t = {
   cfg : config;
@@ -91,19 +101,23 @@ type t = {
   stopc : Condition.t;         (* shutdown requested, or stopping *)
   queue : job Queue.t;
   inflight : (Digest_hex.t, job) Hashtbl.t;  (* queued or executing *)
+  answers : answer Answers.t;  (* by spelling; see the header *)
+  fills : bool;                (* a cache, and no chaos plan anywhere *)
   mutable conns : conn list;
   mutable next_conn : int;
   mutable stopping : bool;
   mutable draining : bool;     (* a client asked to shut down *)
   mutable shutdown_req : bool; (* ... and has been answered *)
   lsock : Unix.file_descr;
+  wake_r : Unix.file_descr;    (* readable once [stop] has begun *)
+  wake_w : Unix.file_descr;
   bound : P.addr;
   started : float;
   mutable executing : int;
   mutable accepted : int;
   mutable rejected_batches : int;
   mutable dedup_hits : int;
-  mutable memo_answers : int;  (* specs answered at admission *)
+  mutable table_answers : int; (* specs answered at admission *)
   mutable completed : int;
   mutable failed : int;
   wstats : wstat array;
@@ -169,7 +183,7 @@ let stats t : P.stats =
         failed = t.failed;
         cache_hits =
           (match t.cfg.cache with
-           | Some c -> Run_cache.hits c + t.memo_answers
+           | Some c -> Run_cache.hits c + t.table_answers
            | None -> 0);
         cache_misses =
           (match t.cfg.cache with Some c -> Run_cache.misses c | None -> 0);
@@ -187,9 +201,9 @@ let stats t : P.stats =
    as they are: the daemon never decodes or marks a result, and the
    client sets the cache flags from the origin, as
    [Experiments.caching_engine] does in process.  The key is taken over
-   the bytes the spec arrived as, once per interned spelling; an
-   unknown kernel raises here, inside the job's retry policy, and fails
-   that job alone.  [before_block] runs before a simulation starts. *)
+   the bytes the spec arrived as; an unknown kernel raises here, inside
+   the job's retry policy, and fails that job alone.  [before_block]
+   runs before a simulation starts. *)
 let simulate t ~before_block (e : Run_spec.Encoded.t) : P.run =
   let spec = Run_spec.Encoded.spec e in
   match t.cfg.cache with
@@ -213,6 +227,13 @@ let finish t conn k =
         (conn.c_pending = 0, conn.c_batch))
   in
   if batch_done then ignore (send conn (P.Batch_done { delivered }))
+
+(* Under [t.mu]; see the header. *)
+let remember t spelling a =
+  if not (Answers.mem t.answers spelling) then begin
+    if Answers.length t.answers >= answer_limit then Answers.reset t.answers;
+    Answers.add t.answers spelling a
+  end
 
 let worker t wi =
   (* Connections this worker has written unflushed frames to. *)
@@ -273,6 +294,11 @@ let worker t wi =
              | Ok _ -> t.completed <- t.completed + 1
              | Error _ -> t.failed <- t.failed + 1);
             Hashtbl.remove t.inflight job.j_digest;
+            (match result with
+             | Ok ({ P.origin = P.Hit; _ } as run) when t.fills ->
+               remember t (Run_spec.Encoded.bytes job.j_spec)
+                 { a_digest = job.j_digest; a_run = run }
+             | Ok _ | Error _ -> ());
             let ws = job.j_waiters in
             job.j_waiters <- [];
             ws)
@@ -312,54 +338,55 @@ let reject_error code message =
   in
   { P.code; transient; message }
 
-(* The blob the cache's memo holds for each spec of a batch, or [""]
-   (never a blob: one starts with its 16-byte MD5) for a spec that runs
-   as a job; see the header for when a spec is probed. *)
-let probe t specs =
-  match t.cfg.cache, t.cfg.chaos with
-  | Some cache, None ->
-    Array.map
-      (fun e ->
-         match Run_spec.Encoded.known_key e with
-         | None -> ""
-         | Some key ->
-           Option.value ~default:"" (Run_cache.memo_run_bytes cache ~key))
-      specs
-  | _ -> Array.make (Array.length specs) ""
+(* The table's answer for each spelling of a batch, under one hold. *)
+let lookup t spellings =
+  if not t.fills then Array.make (Array.length spellings) None
+  else begin
+    Mutex.lock t.mu;
+    let answers = Array.map (Answers.find_opt t.answers) spellings in
+    Mutex.unlock t.mu;
+    answers
+  end
 
-let is_hit blob = String.length blob > 0
+(* The spellings the table did not answer, decoded and digested in
+   batch order, or why the batch is malformed. *)
+let decode_misses spellings answers =
+  let n = Array.length spellings in
+  let rec go i acc =
+    if i = n then Ok (List.rev acc)
+    else
+      match answers.(i) with
+      | Some _ -> go (i + 1) acc
+      | None ->
+        (match Run_spec.Encoded.decode spellings.(i) with
+         | Ok e -> go (i + 1) ((i, e, Run_spec.Encoded.digest e) :: acc)
+         | Error msg -> Error (Fmt.str "spec %d of %d: %s" i n msg))
+  in
+  go 0 []
 
-let write_hits oc specs blobs =
+let write_hits oc answers =
   Array.iteri
-    (fun index blob ->
-       if is_hit blob then
-         P.write_result oc ~index
-           ~digest:(Run_spec.Encoded.digest specs.(index))
-           { P.origin = P.Hit; blob })
-    blobs
+    (fun index -> function
+       | Some a -> P.write_result oc ~index ~digest:a.a_digest a.a_run
+       | None -> ())
+    answers
 
 (* Atomic batch admission: under one [t.mu] hold, either the batch is
-   taken whole or it is rejected whole.  Taken, its memo hits are
-   answered after the hold, by this reader thread, and the rest are
+   taken whole or it is rejected whole.  Taken, its table hits are
+   answered after the hold, by this reader thread, and the [misses] are
    queued (or attached to an in-flight twin); only queued specs count
-   against the queue limit.  The probe and the digests come before the
-   hold, so it covers only table, queue and counter updates.
+   against the queue limit.  The lookup, the decodes and the digests
+   come before the hold, so it covers only table, queue and counter
+   updates.
 
    [c_pending] owes the whole batch while any spec went to a worker,
    and the hits are subtracted once their frames are written, so the
    last answer of either kind sends the one [Batch_done].  An all-hit
    batch owes nothing to a worker: its answers and [Batch_done] leave
    in one flush, and no worker is woken. *)
-let admit t conn ~deadline_ms ~max_retries specs =
-  let specs = Array.of_list specs in
-  let n = Array.length specs in
-  let blobs = probe t specs in
-  let misses = ref [] in
-  for i = n - 1 downto 0 do
-    if not (is_hit blobs.(i)) then
-      misses := (i, specs.(i), Run_spec.Encoded.digest specs.(i)) :: !misses
-  done;
-  let nhits = n - List.length !misses in
+let admit t conn ~deadline_ms ~max_retries answers misses =
+  let n = Array.length answers in
+  let nhits = n - List.length misses in
   let verdict =
     locked t (fun () ->
         if t.stopping || t.draining then
@@ -370,7 +397,7 @@ let admit t conn ~deadline_ms ~max_retries specs =
                "a batch is already in flight on this connection")
         else begin
           let nfresh =
-            match !misses with
+            match misses with
             | [] -> 0
             | misses ->
               let fresh = Hashtbl.create 16 in
@@ -393,7 +420,7 @@ let admit t conn ~deadline_ms ~max_retries specs =
             conn.c_pending <- (if nhits = n then 0 else n);
             conn.c_batch <- n;
             t.accepted <- t.accepted + n;
-            t.memo_answers <- t.memo_answers + nhits;
+            t.table_answers <- t.table_answers + nhits;
             List.iter
               (fun (i, spec, d) ->
                  match Hashtbl.find_opt t.inflight d with
@@ -410,7 +437,7 @@ let admit t conn ~deadline_ms ~max_retries specs =
                    in
                    Hashtbl.replace t.inflight d job;
                    Queue.push job t.queue)
-              !misses;
+              misses;
             if nfresh > 0 then Condition.broadcast t.work;
             Ok nfresh
           end
@@ -424,19 +451,19 @@ let admit t conn ~deadline_ms ~max_retries specs =
     ignore (send conn (P.Rejected e))
   | Ok nfresh ->
     if t.cfg.verbose then
-      logf "conn %d: admitted batch of %d (%d from memory, %d fresh, %d \
+      logf "conn %d: admitted batch of %d (%d from the table, %d fresh, %d \
             coalesced)"
         conn.c_id n nhits nfresh (n - nhits - nfresh);
     if nhits = n then begin
       let done_ = P.encode_response (P.Batch_done { delivered = n }) in
       ignore
         (deliver conn (fun oc ->
-             write_hits oc specs blobs;
+             write_hits oc answers;
              P.write_frame oc done_))
     end
     else if nhits > 0 then begin
       (* Flushed at once: the reader blocks on its next read. *)
-      ignore (deliver conn (fun oc -> write_hits oc specs blobs));
+      ignore (deliver conn (fun oc -> write_hits oc answers));
       finish t conn nhits
     end
 
@@ -499,7 +526,13 @@ let session t conn =
                 (P.Rejected (reject_error P.Malformed "duplicate HELLO")));
            closing := true
          | Ok (P.Submit { deadline_ms; max_retries; specs }) ->
-           admit t conn ~deadline_ms ~max_retries specs
+           let spellings = Array.of_list specs in
+           let answers = lookup t spellings in
+           (match decode_misses spellings answers with
+            | Ok misses -> admit t conn ~deadline_ms ~max_retries answers misses
+            | Error msg ->
+              ignore (send conn (P.Rejected (reject_error P.Malformed msg)));
+              closing := true)
          | Ok P.Stats -> ignore (send conn (P.Stats_reply (stats t)))
          | Ok P.Ping -> ignore (send conn P.Pong)
          | Ok P.Shutdown ->
@@ -540,35 +573,35 @@ let serve_conn t conn =
   Mutex.unlock conn.c_wmu;
   if t.cfg.verbose then logf "conn %d: closed" conn.c_id
 
+(* Blocks in [select] until a client connects or [stop] writes to the
+   wake-up pipe. *)
 let acceptor t =
   let continue = ref true in
   while !continue do
-    if locked t (fun () -> t.stopping) then continue := false
-    else
-      match Unix.select [ t.lsock ] [] [] 0.25 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | [], _, _ -> ()
-      | _ -> begin
-          match Unix.accept t.lsock with
-          | exception Unix.Unix_error _ -> () (* racing stop; loop re-checks *)
-          | fd, _ ->
-            P.set_nodelay fd;
-            let conn =
-              locked t (fun () ->
-                  let id = t.next_conn in
-                  t.next_conn <- id + 1;
-                  let c =
-                    { c_id = id; c_fd = fd;
-                      c_oc = Unix.out_channel_of_descr fd;
-                      c_wmu = Mutex.create (); c_alive = true;
-                      c_pending = 0; c_batch = 0 }
-                  in
-                  t.conns <- c :: t.conns;
-                  c)
-            in
-            let th = Thread.create (fun () -> serve_conn t conn) () in
-            locked t (fun () -> t.threads <- th :: t.threads)
-        end
+    match Unix.select [ t.lsock; t.wake_r ] [] [] (-1.) with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | ready, _, _ when List.mem t.wake_r ready -> continue := false
+    | [], _, _ -> ()
+    | _ ->
+      (match Unix.accept t.lsock with
+       | exception Unix.Unix_error _ -> () (* the client already left *)
+       | fd, _ ->
+         P.set_nodelay fd;
+         let conn =
+           locked t (fun () ->
+               let id = t.next_conn in
+               t.next_conn <- id + 1;
+               let c =
+                 { c_id = id; c_fd = fd;
+                   c_oc = Unix.out_channel_of_descr fd;
+                   c_wmu = Mutex.create (); c_alive = true;
+                   c_pending = 0; c_batch = 0 }
+               in
+               t.conns <- c :: t.conns;
+               c)
+         in
+         let th = Thread.create (fun () -> serve_conn t conn) () in
+         locked t (fun () -> t.threads <- th :: t.threads))
   done
 
 (* -- Lifecycle ------------------------------------------------------------ *)
@@ -601,13 +634,21 @@ let start (cfg : config) =
   if Sys.unix then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Option.iter (fun c -> ignore (Run_cache.reap_tmp c)) cfg.cache;
   let lsock, bound = listen_on cfg.addr in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  let fills =
+    match cfg.cache, cfg.chaos with
+    | Some c, None -> Option.is_none (Run_cache.chaos c)
+    | _ -> false
+  in
   let t =
     { cfg; mu = Mutex.create (); work = Condition.create ();
       stopc = Condition.create (); queue = Queue.create ();
-      inflight = Hashtbl.create 64; conns = []; next_conn = 0;
-      stopping = false; draining = false; shutdown_req = false; lsock; bound;
+      inflight = Hashtbl.create 64; answers = Answers.create 512; fills;
+      conns = []; next_conn = 0;
+      stopping = false; draining = false; shutdown_req = false; lsock;
+      wake_r; wake_w; bound;
       started = Unix.gettimeofday (); executing = 0; accepted = 0;
-      rejected_batches = 0; dedup_hits = 0; memo_answers = 0; completed = 0;
+      rejected_batches = 0; dedup_hits = 0; table_answers = 0; completed = 0;
       failed = 0;
       wstats = Array.init cfg.workers (fun _ -> { ws_jobs = 0; ws_busy_ms = 0 });
       domains = []; threads = [] }
@@ -636,9 +677,17 @@ let stop t =
     if t.cfg.verbose then
       logf "stopping: draining %d queued job(s)"
         (locked t (fun () -> Queue.length t.queue));
-    (* Join the acceptor and every reader; readers unblock when their
-       connection is shut down.  The acceptor may still register a last
-       thread before it notices [stopping], so pop until empty. *)
+    (* The acceptor leaves its [select] and accepts nobody else. *)
+    (try ignore (Unix.write_substring t.wake_w "x" 0 1)
+     with Unix.Unix_error _ -> ());
+    (* Workers drain the queue, deliver and flush every result they
+       owe, then exit on [stopping]; admission refuses every batch from
+       here on, so nothing is queued behind them. *)
+    List.iter Domain.join t.domains;
+    t.domains <- [];
+    (* Then join the acceptor and every reader; readers unblock when
+       their connection is shut down.  The acceptor may register a last
+       thread before it wakes, so pop until empty. *)
     let rec drain_threads () =
       locked t (fun () ->
           List.iter
@@ -656,10 +705,9 @@ let stop t =
       | None -> ()
     in
     drain_threads ();
-    (* Workers drain the queue, then exit on [stopping]. *)
-    List.iter Domain.join t.domains;
-    t.domains <- [];
-    (try Unix.close t.lsock with Unix.Unix_error _ -> ());
+    List.iter
+      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+      [ t.lsock; t.wake_r; t.wake_w ];
     (match t.bound with
      | P.Unix_path path ->
        (try Unix.unlink path with Unix.Unix_error _ -> ())

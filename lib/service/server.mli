@@ -8,8 +8,8 @@
        spawning one reader thread per connection;}
     {- {e reader} threads enforcing the {!Protocol} handshake and state
        machine (one outstanding batch per connection), running admission
-       control, answering warm hits from the cache's memo, and answering
-       [STATS]/[PING] inline;}
+       control, answering warm hits from the daemon's answer table, and
+       answering [STATS]/[PING] inline;}
     {- {e worker} domains pulling admitted jobs off a bounded queue and
        executing them under the retry policy ({!Xloops.Failure.with_retries}),
        consulting and populating the on-disk result cache before
@@ -22,18 +22,21 @@
     whose queued specs would pass the queue limit is rejected whole with
     [Overloaded] (transient) — no partial acceptance.
 
-    {b Warm hits at admission.}  A spec whose result blob the cache
-    handle already holds in memory ({!Xloops.Run_cache.memo_run_bytes})
-    is answered by the reader thread that admits its batch, without a
-    job: no queue, no worker, no retry policy, no disk read.  Only the
-    remaining specs are queued, and only they count against the queue
-    limit.  The batch's pending count covers both kinds of answer, so a
-    mixed batch ends in exactly one [Batch_done].  A spec is answered
-    this way only after an earlier job of the process has taken its
-    cache key.  Without a cache, or with a chaos plan (on the daemon or
-    on its cache handle), every spec is a job, so chaos still reaches
-    every lookup.  Such answers count in [cache_hits] and [accepted],
-    not in [completed] or a worker's jobs.
+    {b The answer table.}  The daemon remembers, by the exact spelling
+    a spec arrived as, the digest and blob of every answer a worker
+    read as a verified disk hit (never a store's).  The reader thread
+    looks up a batch's spellings in it before it decodes any, and
+    answers the hits itself, without a job: no decode, no MD5, no
+    queue, no worker, no retry policy, no disk read.  Only the other
+    spellings are decoded (one malformed spelling rejects the whole
+    batch [Malformed] and closes the connection) and queued, and only
+    they count against the queue limit.  The batch's pending count
+    covers both kinds of answer, so a mixed batch ends in exactly one
+    [Batch_done].  Without a cache, or with a chaos plan (on the daemon
+    or on its cache handle), the table stays empty and every spec is a
+    job, so chaos still reaches every lookup.  Table answers count in
+    [cache_hits] and [accepted], not in [completed] or a worker's jobs.
+    The table holds at most {!answer_limit} answers.
 
     Specs are deduplicated in flight by
     {!Xloops.Run_spec.digest}: a spec equal to one already queued or
@@ -89,6 +92,11 @@ val config :
 
 type t
 
+val answer_limit : int
+(** Bound on the answers the table holds (4096; the paper plan has 384
+    distinct specs).  An insert that would pass it empties the table
+    first. *)
+
 val start : config -> t
 (** Bind, listen, spawn workers and the acceptor, return immediately.
     Raises [Unix.Unix_error] if the address cannot be bound.  A stale
@@ -104,7 +112,10 @@ val stats : t -> Protocol.stats
 val stop : t -> unit
 (** Stop accepting, drain already-admitted jobs through the workers,
     disconnect clients, join every thread and domain, close and (for
-    Unix sockets) unlink the listening socket.  Idempotent. *)
+    Unix sockets) unlink the listening socket.  Idempotent.  Every
+    result of a batch admitted before [stop] is delivered, with its
+    [Batch_done], before any client is disconnected; a batch read after
+    [stop] has begun is refused [Shutting_down]. *)
 
 val wait : t -> unit
 (** Block until a client's [SHUTDOWN] request has been answered (or

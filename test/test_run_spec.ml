@@ -8,12 +8,8 @@
    Codec tests: [Field_codec] writes and parses integers by hand, and
    must agree byte for byte with [string_of_int] and with the
    [String.sub] + [int_of_string] decoder it replaced; specs round-trip;
-   and the spec keys stay within a minor-heap allocation budget.
-
-   Intern tests: [Run_spec.Encoded.decode] returns one value per
-   canonical spelling, keyed exactly like [Run_spec], within its bound,
-   and never interns a padded or long spelling or remembers a key that
-   raised or came from an override. *)
+   [Run_spec.Encoded] digests and keys exactly like [Run_spec]; and the
+   spec keys and a decode stay within a minor-heap allocation budget. *)
 
 module E = Xloops.Experiments
 module Run_spec = Xloops.Run_spec
@@ -316,6 +312,9 @@ let gen_spec : Run_spec.t QCheck.Gen.t =
 
 let print_spec s = Printf.sprintf "%S" (Run_spec.encode s)
 
+let key_result f = match f () with k -> Ok k | exception e -> Error e
+
+(* A spec naming no registry kernel raises from both keys alike. *)
 let prop_spec_roundtrip =
   QCheck.Test.make ~name:"decode (encode s) = Ok s" ~count:500
     (QCheck.make ~print:print_spec gen_spec)
@@ -327,6 +326,8 @@ let prop_spec_roundtrip =
              Run_spec.Encoded.spec e = s
              && String.equal (Run_spec.Encoded.bytes e) bytes
              && Run_spec.Encoded.digest e = Run_spec.digest s
+             && key_result (fun () -> Run_spec.Encoded.cache_key e)
+                = key_result (fun () -> Run_spec.cache_key s)
            | Error _ -> false))
 
 (* [Digest_hex.of_hex] as it was written with [String.for_all] and a
@@ -437,7 +438,7 @@ let test_spec_edges () =
 
 (* Minor-heap words per call over one kernel's twelve Table II specs;
    the heap is emptied around the loop (see test_machine), and a first,
-   discarded round warms the program cache and the interning table. *)
+   discarded round warms the program cache. *)
 let minor_words_per_call prepare f =
   let inputs =
     List.map prepare (E.specs_for (Registry.find "sgemm-uc")) in
@@ -454,25 +455,14 @@ let minor_words_per_call prepare f =
   ignore (run ());
   run ()
 
-(* A spelling the daemon has decoded before is one table lookup and two
-   remembered strings: what is left is the lookup's option and the
-   result's [Ok]. *)
-let decode_digest_key bytes =
-  match Run_spec.Encoded.decode bytes with
-  | Ok e ->
-    ignore (Sys.opaque_identity (Run_spec.Encoded.digest e));
-    Run_spec.Encoded.cache_key e
-  | Error m -> failwith m
-
 (* An encoding is a string of at most ~110 bytes built in a buffer
    sized for it, around the config's bytes reused from [encode]'s table;
    a digest is its MD5 in hex, and a cache key hashes the encoding
    followed by the listing's MD5.  Formatting each integer through
    [string_of_int] cost 160, 170 and 208 words; an intermediate copy of
    the encoding (~15 words) also breaks a bound, and so would encoding
-   the config into its own string on every call.  Decoding a repeat
-   spelling and taking its digest and key again cost 134 words before
-   decodes were interned. *)
+   the config into its own string on every call.  A decode builds the
+   spec and its config. *)
 let test_key_allocation () =
   List.iter
     (fun (what, w, budget) ->
@@ -482,143 +472,8 @@ let test_key_allocation () =
     [ ("encode", minor_words_per_call Fun.id Run_spec.encode, 40.);
       ("digest", minor_words_per_call Fun.id Run_spec.digest, 60.);
       ("cache_key", minor_words_per_call Fun.id Run_spec.cache_key, 100.);
-      ("repeat decode+digest+key",
-       minor_words_per_call Run_spec.encode decode_digest_key, 8.) ]
-
-(* -- Interned decodes ------------------------------------------------------ *)
-
-let decode_ok bytes =
-  match Run_spec.Encoded.decode bytes with
-  | Ok e -> e
-  | Error m -> Alcotest.failf "decode: %s" m
-
-let table_ii_specs () =
-  List.concat_map
-    (fun name -> E.specs_for (Registry.find name))
-    [ "war-uc"; "sgemm-uc"; "ksack-sm-om" ]
-
-let test_intern_shares () =
-  List.iter
-    (fun s ->
-       (* Two separately built, equal strings. *)
-       let a = decode_ok (Run_spec.encode s) in
-       let b = decode_ok (Run_spec.encode s) in
-       Alcotest.(check bool) (Fmt.str "%a: one value" Run_spec.pp s)
-         true (a == b))
-    (table_ii_specs ())
-
-let test_intern_keys_fixed () =
-  List.iter
-    (fun s ->
-       let e = decode_ok (Run_spec.encode s) in
-       for _ = 1 to 2 do
-         Alcotest.check key "digest" (Run_spec.digest s)
-           (Run_spec.Encoded.digest e);
-         Alcotest.check key "cache key" (Run_spec.cache_key s)
-           (Run_spec.Encoded.cache_key e);
-         Alcotest.check key "cache key of a fresh compile" (fresh_cache_key s)
-           (Run_spec.Encoded.cache_key e)
-       done)
-    (table_ii_specs ())
-
-let key_result f = match f () with k -> Ok k | exception e -> Error e
-
-(* Twice each, so the remembered digest and key are read back too; a
-   spec naming no registry kernel raises on both calls alike. *)
-let prop_intern_keys =
-  QCheck.Test.make ~name:"interned digest and key = Run_spec's" ~count:300
-    (QCheck.make ~print:print_spec gen_spec)
-    (fun s ->
-       let e = decode_ok (Run_spec.encode s) in
-       let want = key_result (fun () -> Run_spec.cache_key s) in
-       List.for_all
-         (fun () ->
-            Run_spec.Encoded.digest e = Run_spec.digest s
-            && key_result (fun () -> Run_spec.Encoded.cache_key e) = want)
-         [ (); () ])
-
-let test_intern_padded () =
-  let base = List.hd (E.specs_for (Registry.find "war-uc")) in
-  let bytes = Run_spec.encode base in
-  let padded = "XRS10" ^ String.sub bytes 4 (String.length bytes - 4) in
-  let n0 = Run_spec.Encoded.interned () in
-  let a = decode_ok padded and b = decode_ok padded in
-  Alcotest.(check int) "padded spelling not interned" n0
-    (Run_spec.Encoded.interned ());
-  Alcotest.(check bool) "decoded afresh" false (a == b);
-  Alcotest.(check string) "bytes are the canonical encoding" bytes
-    (Run_spec.Encoded.bytes a);
-  Alcotest.check key "digest as canonical" (Run_spec.digest base)
-    (Run_spec.Encoded.digest a);
-  Alcotest.check key "cache key as canonical" (Run_spec.cache_key base)
-    (Run_spec.Encoded.cache_key a);
-  Alcotest.check key "cache key of the canonical spelling"
-    (Run_spec.Encoded.cache_key (decode_ok bytes))
-    (Run_spec.Encoded.cache_key b)
-
-(* A spelling over 1 KiB (here a 2000-character kernel name) decodes
-   like any other but is never pinned by the table. *)
-let test_intern_long () =
-  let s =
-    Run_spec.make ~cfg:Config.io_x ~mode:Machine.Specialized
-      (String.make 2000 'k')
-  in
-  let bytes = Run_spec.encode s in
-  let n0 = Run_spec.Encoded.interned () in
-  let a = decode_ok bytes and b = decode_ok bytes in
-  Alcotest.(check int) "long spelling not interned" n0
-    (Run_spec.Encoded.interned ());
-  Alcotest.(check bool) "decoded afresh" false (a == b);
-  Alcotest.(check bool) "decodes to the spec" true
-    (Run_spec.Encoded.spec a = s);
-  Alcotest.check key "digest" (Run_spec.digest s) (Run_spec.Encoded.digest a)
-
-let test_intern_unknown_kernel () =
-  let s =
-    Run_spec.make ~cfg:Config.io_x ~mode:Machine.Specialized "no-such-kernel"
-  in
-  let e = decode_ok (Run_spec.encode s) in
-  for i = 1 to 3 do
-    match Run_spec.Encoded.cache_key e with
-    | k -> Alcotest.failf "call %d keyed an unknown kernel: %a" i Digest_hex.pp k
-    | exception Invalid_argument _ -> ()
-  done;
-  Alcotest.(check bool) "still interned" true
-    (decode_ok (Run_spec.encode s) == e)
-
-(* An override is keyed on its own program before and after the
-   registry key is remembered, and never replaces it. *)
-let test_intern_override () =
-  let war = Registry.find "war-uc" in
-  let impostor =
-    { (Registry.find "sgemm-uc") with Kernel.name = war.name } in
-  let spec = spec_for ~target:Compile.xloops war in
-  let e = decode_ok (Run_spec.encode spec) in
-  let override () = Run_spec.Encoded.cache_key ~kernel:impostor e in
-  let want = Run_spec.cache_key ~kernel:impostor spec in
-  Alcotest.check key "override first" want (override ());
-  Alcotest.check key "registry key" (Run_spec.cache_key spec)
-    (Run_spec.Encoded.cache_key e);
-  Alcotest.check key "override after" want (override ());
-  Alcotest.check key "registry key kept" (Run_spec.cache_key spec)
-    (Run_spec.Encoded.cache_key e)
-
-let test_intern_bound () =
-  let base = List.hd (E.specs_for (Registry.find "war-uc")) in
-  let n0 = Run_spec.Encoded.interned () in
-  let over = Run_spec.Encoded.intern_limit + 100 in
-  for i = 1 to over do
-    ignore (decode_ok (Run_spec.encode { base with watchdog = 1_000_000 + i }));
-    let n = Run_spec.Encoded.interned () in
-    if n > Run_spec.Encoded.intern_limit then
-      Alcotest.failf "after %d decodes the table holds %d > %d" i n
-        Run_spec.Encoded.intern_limit
-  done;
-  Alcotest.(check int) "emptied once, then refilled" (n0 + 100)
-    (Run_spec.Encoded.interned ());
-  let last = Run_spec.encode { base with watchdog = 1_000_000 + over } in
-  Alcotest.(check bool) "the newest spelling is still interned" true
-    (decode_ok last == decode_ok last)
+      ("Encoded.decode",
+       minor_words_per_call Run_spec.encode Run_spec.Encoded.decode, 90.) ]
 
 let () =
   Alcotest.run "run_spec"
@@ -641,18 +496,5 @@ let () =
          QCheck_alcotest.to_alcotest prop_of_hex;
          Alcotest.test_case "spec edges" `Quick test_spec_edges;
          Alcotest.test_case "config bytes memo" `Quick test_cfg_bytes_memo ]);
-      ("intern",
-       [ Alcotest.test_case "one value per spelling" `Quick
-           test_intern_shares;
-         Alcotest.test_case "keys at fixed points" `Quick
-           test_intern_keys_fixed;
-         QCheck_alcotest.to_alcotest prop_intern_keys;
-         Alcotest.test_case "padded spelling" `Quick test_intern_padded;
-         Alcotest.test_case "long spelling" `Quick test_intern_long;
-         Alcotest.test_case "unknown kernel never remembered" `Quick
-           test_intern_unknown_kernel;
-         Alcotest.test_case "override never remembered" `Quick
-           test_intern_override;
-         Alcotest.test_case "bound" `Quick test_intern_bound ]);
       ("allocation",
        [ Alcotest.test_case "spec keys" `Quick test_key_allocation ]) ]

@@ -6,11 +6,16 @@
    loopback socket — handshake version rejection (any version but the
    one this build speaks), in-flight dedupe, whole-batch admission
    control (OVERLOADED), failure streaming, warm-cache hits (and
-   repeated warm batches answered from the cache's memo at admission,
-   alone or beside a new spec, under the same admission rules, and
-   through the workers under chaos), the cache flags each result
-   origin sets, results streaming under the flush rule, and result
-   equality between a remote plan and in-process execution. *)
+   repeated warm batches answered from the daemon's answer table at
+   admission, alone or beside a new spec, under the same admission
+   rules, and through the workers under chaos), the cache flags each
+   result origin sets, results streaming under the flush rule, a
+   malformed spelling rejecting its batch, [stop] delivering what was
+   admitted before it, and result equality between a remote plan and
+   in-process execution.  What the answer table may hold, and the
+   minor words a warm spec costs the daemon, are tested in
+   test_answer_table.ml; the daemon and raw-session helpers both use
+   are in service_fixture.ml. *)
 
 module P = Xloops_service.Protocol
 module Client = Xloops_service.Client
@@ -23,10 +28,7 @@ module Config = Xloops.Sim.Config
 module Machine = Xloops.Sim.Machine
 module Stats = Xloops.Sim.Stats
 
-let tmp_dir () =
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "xloops_service_test_%d_%d" (Unix.getpid ())
-       (int_of_float (Unix.gettimeofday () *. 1e6) land 0xFFFFFF))
+open Service_fixture
 
 (* run_data comparison must ignore the wall clock and the cache-origin
    markers — the only fields that depend on how a result was obtained
@@ -36,9 +38,6 @@ let strip (rd : Run_spec.run_data) =
     Run_spec.stats =
       { rd.Run_spec.stats with Stats.wall_ns = 0; cache_hits = 0;
         cache_misses = 0 } }
-
-let spec ?fuel ?(cfg = Config.io_x) ?(mode = Machine.Specialized) name =
-  Run_spec.make ?fuel ~cfg ~mode name
 
 let spec_pool =
   [ spec "war-uc";
@@ -170,7 +169,7 @@ let gen_error =
 let gen_specs =
   QCheck.Gen.(
     list_size (int_bound 4)
-      (map Run_spec.Encoded.of_spec (oneofl spec_pool)))
+      (map Run_spec.encode (oneofl spec_pool)))
 
 let gen_request =
   QCheck.Gen.(
@@ -373,15 +372,6 @@ let test_error_of_failure () =
 
 (* -- The daemon, end to end ---------------------------------------------- *)
 
-let with_server ?workers ?max_queue ?cache ?chaos ?deadline_ms ?max_retries f =
-  let cfg =
-    Server.config ~addr:(P.Tcp ("127.0.0.1", 0)) ?workers ?max_queue ?cache
-      ?chaos ?deadline_ms ?max_retries ~banner:"test" ()
-  in
-  let t = Server.start cfg in
-  Fun.protect ~finally:(fun () -> Server.stop t)
-    (fun () -> f t (Server.bound_addr t))
-
 let connect addr =
   match Client.connect addr with
   | Ok s -> s
@@ -488,10 +478,9 @@ let test_failure_streams_back () =
 
 (* Keys are taken in the worker, not at admission: a spec naming no
    registry kernel is admitted with its batch, and its cache key fails
-   that job alone.  The daemon interns what it decodes but never
-   remembers a key that raised, so the same batch a second time fails
-   the same job again, and its batch-mate's result, now a cache hit,
-   is the first round's bytes. *)
+   that job alone.  The same batch a second time fails the same job
+   again, and its batch-mate's result, now a cache hit, is the first
+   round's bytes. *)
 let test_unknown_kernel_fails_its_job () =
   let cache = Run_cache.create ~dir:(tmp_dir ()) () in
   with_server ~cache @@ fun _t addr ->
@@ -546,107 +535,10 @@ let test_warm_cache_hits () =
   Alcotest.(check bool) "cache round-trip preserves results" true
     (rd cold.(0) = rd warm.(0) && rd cold.(1) = rd warm.(1))
 
-(* -- Raw sessions ------------------------------------------------------- *)
-
-(* A session driven frame by frame: a test can pipeline requests and
-   sees every frame the daemon writes, in order. *)
-type raw = {
-  send : P.request list -> unit;   (* all in one flush *)
-  recv : unit -> P.response;
-}
-
-let with_raw addr f =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-  Unix.connect fd (P.sockaddr_of addr);
-  let ic = Unix.in_channel_of_descr fd
-  and oc = Unix.out_channel_of_descr fd in
-  let send rs =
-    List.iter (fun r -> P.write_frame oc (P.encode_request r)) rs;
-    flush oc
-  in
-  let recv () =
-    match P.read_frame ic with
-    | `Frame f ->
-      (match P.decode_response f with
-       | Ok r -> r
-       | Error m -> Alcotest.failf "bad response: %s" m)
-    | `Eof -> Alcotest.fail "daemon closed the connection"
-    | `Error m -> Alcotest.failf "read: %s" m
-  in
-  send [ P.Hello { version = P.version; ocaml = Sys.ocaml_version } ];
-  (match recv () with
-   | P.Welcome _ -> ()
-   | _ -> Alcotest.fail "expected WELCOME");
-  f { send; recv }
-
-let submit_req specs =
-  P.Submit { deadline_ms = None; max_retries = 0; specs }
-
-let raw_stats r =
-  r.send [ P.Stats ];
-  match r.recv () with
-  | P.Stats_reply st -> st
-  | _ -> Alcotest.fail "expected STATS_REPLY"
-
-let jobs (st : P.stats) =
-  List.fold_left (fun n w -> n + w.P.w_jobs) 0 st.P.per_worker
-
-(* One batch's frames, up to its [Batch_done]: every index answered
-   once, with a success.  [Rejected] frames met on the way (the answer
-   to a pipelined request) are returned beside the results. *)
-let collect r n =
-  let runs = Array.make n None and rejected = ref [] in
-  let rec go () =
-    match r.recv () with
-    | P.Result { index; outcome = Ok run; _ } ->
-      if runs.(index) <> None then
-        Alcotest.failf "spec %d answered twice" index;
-      runs.(index) <- Some run;
-      go ()
-    | P.Result { index; outcome = Error e; _ } ->
-      Alcotest.failf "spec %d: %a" index P.pp_error e
-    | P.Batch_done { delivered } ->
-      Alcotest.(check int) "all delivered" n delivered
-    | P.Rejected e -> rejected := e :: !rejected; go ()
-    | _ -> Alcotest.fail "unexpected frame in a batch"
-  in
-  go ();
-  ( Array.map
-      (function Some run -> run | None -> Alcotest.fail "a spec never answered")
-      runs,
-    List.rev !rejected )
-
-let submit_raw r specs =
-  r.send [ submit_req specs ];
-  match collect r (List.length specs) with
-  | runs, [] -> runs
-  | _, e :: _ -> Alcotest.failf "batch rejected: %a" P.pp_error e
-
-(* Nothing is left of the last batch: the next frame is PING's answer. *)
-let check_quiet r =
-  r.send [ P.Ping ];
-  match r.recv () with
-  | P.Pong -> ()
-  | _ -> Alcotest.fail "a frame arrived after Batch_done"
-
-let blobs runs = Array.map (fun r -> r.P.blob) runs
-
-let all_hits what runs =
-  Array.iteri
-    (fun i r ->
-       if r.P.origin <> P.Hit then
-         Alcotest.failf "%s: spec %d not a hit" what i)
-    runs
-
-let table2 name =
-  List.map Run_spec.Encoded.of_spec
-    (Xloops.Experiments.specs_for (Xloops.Kernels.Registry.find name))
-
 (* One Table II kernel's 12 specs, sent three times over one raw session
    to a one-worker daemon: the first batch fills the cache, the second
    reads it, and the third is answered with the cache directory moved
-   away, so from the handle's memo, at admission: no worker job.  Every
+   away, so from the answer table, at admission: no worker job.  Every
    answer after the fill is a hit with the same bytes, and only hits
    move in STATS. *)
 let test_warm_batches_from_memory () =
@@ -672,15 +564,15 @@ let test_warm_batches_from_memory () =
   Sys.rename dir (dir ^ ".gone");
   let from_memory = submit_raw r batch in
   all_hits "third batch" from_memory;
-  Alcotest.(check (array string)) "the memo returns the same bytes"
+  Alcotest.(check (array string)) "the table returns the same bytes"
     (blobs from_disk) (blobs from_memory);
   Alcotest.(check (pair int int)) "third batch: 12 more hits" (2 * n, n)
     (stats ());
-  Alcotest.(check int) "memo hits run no worker job" jobs_before
+  Alcotest.(check int) "table hits run no worker job" jobs_before
     (jobs (raw_stats r));
   check_quiet r
 
-(* Memo hits and a spec never seen before, in one batch: the hits are
+(* Table hits and a spec never seen before, in one batch: the hits are
    answered at admission and the new spec by a worker, each index
    exactly once, and the batch ends in one [Batch_done]. *)
 let test_mixed_batch () =
@@ -692,18 +584,18 @@ let test_mixed_batch () =
   ignore (submit_raw r batch);
   let warm = submit_raw r batch in
   let jobs0 = jobs (raw_stats r) in
-  let fresh = Run_spec.Encoded.of_spec (spec ~fuel:9_999_999 "war-uc") in
+  let fresh = Run_spec.encode (spec ~fuel:9_999_999 "war-uc") in
   let mixed = submit_raw r (batch @ [ fresh ]) in
   check_quiet r;
-  all_hits "memo part" (Array.sub mixed 0 n);
-  Alcotest.(check (array string)) "memo part: the same bytes" (blobs warm)
+  all_hits "table part" (Array.sub mixed 0 n);
+  Alcotest.(check (array string)) "table part: the same bytes" (blobs warm)
     (blobs (Array.sub mixed 0 n));
   Alcotest.(check bool) "the new spec simulated" true
     (mixed.(n).P.origin = P.Miss);
   Alcotest.(check int) "one worker job: the new spec" (jobs0 + 1)
     (jobs (raw_stats r))
 
-(* Answering at admission keeps admission's rules.  A batch of memo
+(* Answering at admission keeps admission's rules.  A batch of table
    hits pipelined behind a batch that is still simulating is refused as
    [Malformed] (one batch per connection): both requests leave in one
    write, so the reader reads the second while the worker is still on
@@ -745,8 +637,8 @@ let test_memo_hits_admission_rules () =
   | _ -> Alcotest.fail "a draining daemon answered a batch"
 
 (* Under a chaos plan, on the daemon or on its cache handle, no spec is
-   answered at admission: a batch the memo holds still runs one worker
-   job per spec, inside the plan's draws. *)
+   answered at admission: a batch read from disk before still runs one
+   worker job per spec, inside the plan's draws. *)
 let test_chaos_hits_use_workers () =
   let batch = table2 "war-uc" in
   let n = List.length batch in
@@ -764,6 +656,62 @@ let test_chaos_hits_use_workers () =
     (Run_cache.create ~dir:(tmp_dir ()) ());
   check "cache plan"
     (Run_cache.create ~dir:(tmp_dir ()) ~chaos:(Xloops.Chaos.none ()) ())
+
+(* One malformed spelling rejects its whole batch [Malformed] and closes
+   the connection, even beside spellings the table answers: no frame of
+   the batch is written. *)
+let test_malformed_spelling () =
+  let batch = table2 "war-uc" in
+  with_server ~workers:1 ~cache:(Run_cache.create ~dir:(tmp_dir ()) ())
+  @@ fun t addr ->
+  with_raw addr @@ fun r ->
+  ignore (submit_raw r batch);
+  ignore (submit_raw r batch);
+  let jobs0 = jobs (raw_stats r) in
+  r.send [ submit_req (batch @ [ "XRS-not-a-spec" ]) ];
+  (match r.recv () with
+   | P.Rejected e ->
+     Alcotest.(check string) "code" "malformed" (P.error_code_name e.P.code)
+   | _ -> Alcotest.fail "a malformed batch was answered");
+  (match P.read_frame (Unix.in_channel_of_descr r.fd) with
+   | `Eof -> ()
+   | `Frame _ | `Error _ -> Alcotest.fail "the connection stayed open");
+  let st = Server.stats t in
+  Alcotest.(check int) "nothing admitted" (2 * List.length batch)
+    st.P.accepted;
+  Alcotest.(check int) "no job" jobs0 (jobs st)
+
+(* [stop] lets the workers finish what was admitted before it shuts any
+   socket.  The worker stalls before the batch's second spec, after it
+   has flushed the first result; [stop] begins during the stall, and the
+   client still receives every result and the [Batch_done]. *)
+let test_stop_delivers_admitted () =
+  let chaos =
+    Xloops.Chaos.explicit ~stall_ms:300 [ (2, Xloops.Chaos.Worker_stall) ]
+  in
+  let batch =
+    List.map Run_spec.encode
+      [ spec "war-uc"; spec ~cfg:Config.ooo2_x "war-uc";
+        spec ~cfg:Config.ooo4_x "war-uc" ]
+  in
+  with_server ~workers:1 ~chaos @@ fun t addr ->
+  with_raw addr @@ fun r ->
+  r.send [ submit_req batch ];
+  (match r.recv () with
+   | P.Result { outcome = Ok _; _ } -> ()
+   | _ -> Alcotest.fail "expected the first result");
+  let stopper = Thread.create Server.stop t in
+  let rec rest k =
+    match r.recv () with
+    | P.Result { outcome = Ok _; _ } -> rest (k + 1)
+    | P.Batch_done { delivered } ->
+      Alcotest.(check int) "delivered" (List.length batch) delivered;
+      k
+    | f -> Alcotest.failf "unexpected frame: %s" (P.encode_response f)
+  in
+  Alcotest.(check int) "every result" (List.length batch) (rest 1);
+  Thread.join stopper;
+  Alcotest.(check int) "the stall fired" 1 (Xloops.Chaos.injected_count chaos)
 
 (* The cache flags a client sees are set from the frame's origin tag:
    a cold daemon's results are misses, a warm one's hits, a cacheless
@@ -917,6 +865,10 @@ let () =
            test_memo_hits_admission_rules;
          Alcotest.test_case "chaos: hits use workers" `Quick
            test_chaos_hits_use_workers;
+         Alcotest.test_case "malformed spelling rejects its batch" `Quick
+           test_malformed_spelling;
+         Alcotest.test_case "stop delivers an admitted batch" `Quick
+           test_stop_delivers_admitted;
          Alcotest.test_case "cache flags by origin" `Quick test_cache_flags;
          Alcotest.test_case "results stream before a stall" `Quick
            test_results_stream;

@@ -1,7 +1,7 @@
 (* Fault-tolerant orchestration tests: the failure taxonomy and seeded
    retry/backoff ([Failure]), the crash-safe sweep journal ([Journal]),
    cache integrity (checksums, quarantine, tmp reaping, the size
-   reaper, the read-through memo), crash isolation in [Pool.run_each],
+   reaper), crash isolation in [Pool.run_each],
    and whole sweeps under injected infrastructure chaos — including the
    acceptance scenario (poisoned spec + stalling spec + bit-flipped
    blobs) and the kill-at-a-random-prefix / [--resume] property. *)
@@ -286,93 +286,6 @@ let test_reap_over_limit () =
   Alcotest.(check int) "no limit, no reap" 0
     (Run_cache.reap_over_limit (Run_cache.create ~dir ()))
 
-(* -- The read-through memo ---------------------------------------------- *)
-
-(* After one verified read, the handle answers from memory: the blob's
-   file can go and the same handle still hits with the same bytes,
-   while a fresh handle, with nothing remembered, misses. *)
-let test_memo_serves_verified_bytes () =
-  let dir = tmp_dir () in
-  let key = Run_spec.cache_key war_spec in
-  Run_cache.store_run (Run_cache.create ~dir ()) ~key (Lazy.force sample_rd);
-  let c = Run_cache.create ~dir () in
-  let first = Run_cache.find_run_bytes c ~key in
-  Alcotest.(check bool) "first read hits" true (Option.is_some first);
-  List.iter Sys.remove (run_blobs dir);
-  Alcotest.(check (option string)) "same handle, same bytes" first
-    (Run_cache.find_run_bytes c ~key);
-  Alcotest.(check int) "both reads count as hits" 2 (Run_cache.hits c);
-  Alcotest.(check int) "no miss" 0 (Run_cache.misses c);
-  let fresh = Run_cache.create ~dir () in
-  Alcotest.(check (option string)) "a fresh handle misses" None
-    (Run_cache.find_run_bytes fresh ~key);
-  Alcotest.(check int) "counted as a miss" 1 (Run_cache.misses fresh)
-
-(* A store never fills the memo: a blob that rots after it was written
-   by this very handle is read from disk, caught, quarantined, and
-   never served, not even on a second lookup. *)
-let test_memo_never_holds_rot () =
-  let dir = tmp_dir () in
-  let key = Run_spec.cache_key war_spec in
-  let c = Run_cache.create ~dir () in
-  Run_cache.store_run c ~key (Lazy.force sample_rd);
-  Alcotest.(check bool) "fixture corrupted" true
-    (Chaos.corrupt_file Chaos.Blob_bitflip (List.hd (run_blobs dir)));
-  Alcotest.(check (option string)) "rotten blob not served" None
-    (Run_cache.find_run_bytes c ~key);
-  Alcotest.(check int) "corruption counted" 1 (Run_cache.corrupt c);
-  Alcotest.(check int) "blob quarantined" 1 (Run_cache.quarantined c);
-  Alcotest.(check (option string)) "still not served" None
-    (Run_cache.find_run_bytes c ~key);
-  Alcotest.(check int) "then a plain miss" 1 (Run_cache.misses c);
-  Alcotest.(check int) "nothing remembered" 0 (Run_cache.memo_bytes c)
-
-(* The chaos read error is drawn before the memo: a remembered key
-   still reads as a miss when the plan fires.  Opportunities: the store
-   is 1, the first read 2, the failing read 3. *)
-let test_memo_under_read_error () =
-  let dir = tmp_dir () in
-  let key = Run_spec.cache_key war_spec in
-  let chaos = Chaos.explicit [ (3, Chaos.Cache_read_error) ] in
-  let c = Run_cache.create ~dir ~chaos () in
-  Run_cache.store_run c ~key (Lazy.force sample_rd);
-  let first = Run_cache.find_run_bytes c ~key in
-  Alcotest.(check bool) "first read hits" true (Option.is_some first);
-  Alcotest.(check (option string)) "injected error reads as a miss" None
-    (Run_cache.find_run_bytes c ~key);
-  Alcotest.(check int) "the error fired" 1 (Chaos.injected_count chaos);
-  Alcotest.(check (option string)) "then the memo answers again" first
-    (Run_cache.find_run_bytes c ~key);
-  Alcotest.(check int) "hits" 2 (Run_cache.hits c);
-  Alcotest.(check int) "misses" 1 (Run_cache.misses c)
-
-(* Blobs of ~1.25 MB each, more of them than the bound holds: the memo
-   never holds more than [memo_limit], and an insert past it empties
-   the memo, so with the files gone the last key still hits and the
-   first misses. *)
-let test_memo_bound () =
-  let dir = tmp_dir () in
-  let n = 8 in
-  let meta i = Array.make 250_000 ((1 lsl 20) + i) in
-  let seed = Run_cache.create ~dir () in
-  for i = 0 to n - 1 do
-    Run_cache.store_meta seed ~key:(key_of i) (meta i)
-  done;
-  let c = Run_cache.create ~dir () in
-  for i = 0 to n - 1 do
-    Alcotest.(check bool) (Printf.sprintf "meta %d reads back" i) true
-      (Run_cache.find_meta c ~key:(key_of i) = Some (meta i));
-    let held = Run_cache.memo_bytes c in
-    if held <= 0 || held > Run_cache.memo_limit then
-      Alcotest.failf "after read %d the memo holds %d bytes (bound %d)" i
-        held Run_cache.memo_limit
-  done;
-  List.iter Sys.remove (blobs ~suffix:".meta" dir);
-  Alcotest.(check bool) "the last key is remembered" true
-    (Run_cache.find_meta c ~key:(key_of (n - 1)) = Some (meta (n - 1)));
-  Alcotest.(check bool) "the first was dropped" true
-    (Run_cache.find_meta c ~key:(key_of 0) = None)
-
 (* -- Pool.run_each ------------------------------------------------------- *)
 
 let test_run_each_isolates_crashes () =
@@ -598,14 +511,7 @@ let () =
          Alcotest.test_case "truncation quarantined" `Quick
            (test_cache_detects_corruption Chaos.Blob_truncate);
          Alcotest.test_case "tmp reaping" `Quick test_cache_reaps_tmp;
-         Alcotest.test_case "reap_over_limit" `Quick test_reap_over_limit;
-         Alcotest.test_case "memo serves verified bytes" `Quick
-           test_memo_serves_verified_bytes;
-         Alcotest.test_case "memo never holds rot" `Quick
-           test_memo_never_holds_rot;
-         Alcotest.test_case "memo under read error" `Quick
-           test_memo_under_read_error;
-         Alcotest.test_case "memo bound" `Quick test_memo_bound ]);
+         Alcotest.test_case "reap_over_limit" `Quick test_reap_over_limit ]);
       ("run-each",
        [ Alcotest.test_case "crash isolation" `Quick
            test_run_each_isolates_crashes;
