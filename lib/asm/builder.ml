@@ -68,7 +68,6 @@ let sra b rd rs sh = alui b Sra rd rs sh
 let addi b rd rs imm = alui b Add rd rs imm
 let andi b rd rs imm = alui b And rd rs imm
 let ori b rd rs imm = alui b Or_ rd rs imm
-let slti b rd rs imm = alui b Slt rd rs imm
 let lw b rd rs imm = load b W rd rs imm
 let lb b rd rs imm = load b B rd rs imm
 let lbu b rd rs imm = load b Bu rd rs imm
@@ -81,10 +80,6 @@ let beq b rs rt l = branch b Beq rs rt l
 let bne b rs rt l = branch b Bne rs rt l
 let blt b rs rt l = branch b Blt rs rt l
 let bge b rs rt l = branch b Bge rs rt l
-let bltu b rs rt l = branch b Bltu rs rt l
-let bgeu b rs rt l = branch b Bgeu rs rt l
-let beqz b rs l = branch b Beq rs Reg.zero l
-let bnez b rs l = branch b Bne rs Reg.zero l
 let fadd b rd rs rt = fpu b Fadd rd rs rt
 let fsub b rd rs rt = fpu b Fsub rd rs rt
 let fmul b rd rs rt = fpu b Fmul rd rs rt
@@ -106,12 +101,6 @@ let li b rd imm =
     emit b (Lui (rd, hi));
     if lo <> 0 then ori b rd rd lo
   end
-
-(** [ble rs rt l] — branch if [rs <= rt] (signed). *)
-let ble b rs rt l = branch b Bge rt rs l
-
-(** [bgt rs rt l] — branch if [rs > rt] (signed). *)
-let bgt b rs rt l = branch b Blt rt rs l
 
 (* -- Assembly ------------------------------------------------------- *)
 

@@ -57,7 +57,6 @@ val sra : t -> Reg.t -> Reg.t -> int -> unit
 val addi : t -> Reg.t -> Reg.t -> int -> unit
 val andi : t -> Reg.t -> Reg.t -> int -> unit
 val ori : t -> Reg.t -> Reg.t -> int -> unit
-val slti : t -> Reg.t -> Reg.t -> int -> unit
 val lw : t -> Reg.t -> Reg.t -> int -> unit
 val lb : t -> Reg.t -> Reg.t -> int -> unit
 val lbu : t -> Reg.t -> Reg.t -> int -> unit
@@ -70,10 +69,6 @@ val beq : t -> Reg.t -> Reg.t -> string -> unit
 val bne : t -> Reg.t -> Reg.t -> string -> unit
 val blt : t -> Reg.t -> Reg.t -> string -> unit
 val bge : t -> Reg.t -> Reg.t -> string -> unit
-val bltu : t -> Reg.t -> Reg.t -> string -> unit
-val bgeu : t -> Reg.t -> Reg.t -> string -> unit
-val beqz : t -> Reg.t -> string -> unit
-val bnez : t -> Reg.t -> string -> unit
 val fadd : t -> Reg.t -> Reg.t -> Reg.t -> unit
 val fsub : t -> Reg.t -> Reg.t -> Reg.t -> unit
 val fmul : t -> Reg.t -> Reg.t -> Reg.t -> unit
@@ -88,12 +83,6 @@ val mv : t -> Reg.t -> Reg.t -> unit
 val li : t -> Reg.t -> int -> unit
 (** Load a 32-bit constant, expanding to [lui]+[ori] when it does not
     fit in a signed 16-bit immediate. *)
-
-val ble : t -> Reg.t -> Reg.t -> string -> unit
-(** Branch if [rs <= rt] (signed). *)
-
-val bgt : t -> Reg.t -> Reg.t -> string -> unit
-(** Branch if [rs > rt] (signed). *)
 
 (** {1 Assembly} *)
 

@@ -7,32 +7,29 @@ type region = { name : string; base : int; bytes : int }
 type t = {
   mutable next : int;
   mutable regions : region list;  (* reversed *)
-  limit : int;
 }
 
-(** [create ()] starts the data segment at byte address 0x1000 (addresses
-    below are reserved so that null-pointer-style bugs in kernels trap) and
-    bounds it by [limit] (default 1 MiB); runs size their memory to the
-    regions actually allocated, not to [limit]. *)
-let create ?(base = 0x1000) ?(limit = 1 lsl 20) () =
-  { next = base; regions = []; limit }
+(* The data segment starts at byte address 0x1000 (addresses below are
+   reserved so that null-pointer-style bugs in kernels trap) and is
+   bounded by [limit]; runs size their memory to the regions actually
+   allocated, not to [limit]. *)
+let limit = 1 lsl 20
 
-let align_up v a = (v + a - 1) / a * a
+let create () = { next = 0x1000; regions = [] }
 
-(** Allocate [bytes] bytes aligned to [align] (default 4); returns the base
-    address. *)
-let alloc ?(align = 4) t ~name ~bytes =
-  let base = align_up t.next align in
-  if base + bytes > t.limit then
+(** Allocate [bytes] bytes aligned to 4; returns the base address. *)
+let alloc t ~name ~bytes =
+  let base = (t.next + 3) / 4 * 4 in
+  if base + bytes > limit then
     invalid_arg
       (Printf.sprintf "Layout.alloc %s: out of data segment (%d + %d > %d)"
-         name base bytes t.limit);
+         name base bytes limit);
   t.next <- base + bytes;
   t.regions <- { name; base; bytes } :: t.regions;
   base
 
 (** Allocate an array of [n] 32-bit words. *)
-let alloc_words ?align t ~name ~n = alloc ?align t ~name ~bytes:(n * 4)
+let alloc_words t ~name ~n = alloc t ~name ~bytes:(n * 4)
 
 let regions t = List.rev t.regions
 

@@ -11,12 +11,10 @@ val length : t -> int
 val address_of_symbol : t -> string -> int
 (** Raises [Invalid_argument] on unknown symbols. *)
 
-val symbol_at : t -> int -> string list
-(** All labels defined at an address. *)
-
 val pp : Format.formatter -> t -> unit
-(** Disassembly listing with interleaved label definitions; re-parseable
-    by {!Parser.parse}. *)
+(** Disassembly listing with interleaved label definitions.  It is
+    faithful: two programs with different instructions print different
+    listings, so the listing's MD5 keys the program cache. *)
 
 val to_string : t -> string
 

@@ -38,25 +38,12 @@ type body_summary = {
 
 val summarize : Ast.block -> body_summary
 
-val cross_iteration_dep : var:string -> Ast.expr -> Ast.expr -> bool
-(** Conservative cross-iteration dependence test between two subscripts
-    of the same array: ZIV when both are invariant, strong SIV on equal
-    coefficients (distance-0 pairs are intra-iteration only), a GCD test
-    on mismatched coefficients, and [true] for anything non-affine. *)
-
-val array_has_dep : var:string -> body_summary -> string -> bool
-(** W-R, R-W and W-W pairs, skipping atomic-vs-atomic pairs (AMOs don't
-    order a loop by themselves). *)
-
 type classification = {
   pattern : Xloops_isa.Insn.xpat;
   cir_scalars : string list;   (** loop-carried scalars (become CIRs) *)
   dep_arrays : string list;
   dynamic_bound : bool;
 }
-
-val carried_scalars : index:string -> body_summary -> string list
-val bound_is_dynamic : Ast.for_loop -> body_summary -> bool
 
 val classify : Ast.for_loop -> classification
 (** [ordered] with no surviving dependence decays to the least

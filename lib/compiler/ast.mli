@@ -10,7 +10,6 @@
 
 type ty = U8 | U16 | I32 | F32
 
-val ty_name : ty -> string
 val elem_bytes : ty -> int
 
 (** Scalar value type. *)
@@ -114,11 +113,6 @@ end
 (** {1 Printing} *)
 
 val binop_name : binop -> string
-val amo_name : amo_kind -> string
-val pragma_name : pragma -> string
-val pp_expr : Format.formatter -> expr -> unit
-val pp_stmt : Format.formatter -> stmt -> unit
-val pp_block : Format.formatter -> block -> unit
 val pp_kernel : Format.formatter -> kernel -> unit
 
 (** {1 Transformations and helpers} *)

@@ -63,27 +63,15 @@ let check_no_spill_stores_in_xloops (p : Xloops_asm.Program.t) =
     insns
 
 (** Compile [k] for [target].  Array placement and the spill area are
-    allocated from a fresh {!Xloops_asm.Layout} (or a caller-provided one,
-    so that the same addresses can be reused across targets when comparing
-    binaries on identical datasets). *)
-let compile ?(target = xloops) ?layout (k : kernel) : compiled =
-  let layout = match layout with
-    | Some l -> l
-    | None -> Xloops_asm.Layout.create ()
-  in
+    allocated from a fresh {!Xloops_asm.Layout}. *)
+let compile ?(target = xloops) (k : kernel) : compiled =
+  let layout = Xloops_asm.Layout.create () in
   let arrays =
     List.map
       (fun a ->
          let base =
-           match
-             List.find_opt (fun (r : Xloops_asm.Layout.region) ->
-                 String.equal r.name a.a_name)
-               (Xloops_asm.Layout.regions layout)
-           with
-           | Some r -> r.base
-           | None ->
-             Xloops_asm.Layout.alloc layout ~name:a.a_name
-               ~bytes:(a.a_len * elem_bytes a.a_ty)
+           Xloops_asm.Layout.alloc layout ~name:a.a_name
+             ~bytes:(a.a_len * elem_bytes a.a_ty)
          in
          (a.a_name, { Lower.ai_base = base; ai_ty = a.a_ty }))
       k.arrays

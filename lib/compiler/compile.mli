@@ -32,13 +32,10 @@ type compiled = {
   kernel : Ast.kernel;
 }
 
-val compile : ?target:target -> ?layout:Xloops_asm.Layout.t ->
-  Ast.kernel -> compiled
+val compile : ?target:target -> Ast.kernel -> compiled
 (** Raises {!Error} on unbound names, type errors, or register pressure
     that would require spill stores inside an [xloop] body (spill slots
     are shared memory; lanes would race on them). *)
-
-val check_no_spill_stores_in_xloops : Xloops_asm.Program.t -> unit
 
 val xloop_bodies : Xloops_asm.Program.t -> (int * int * int) list
 (** (body start pc, xloop pc, static body length) per [xloop] — the

@@ -102,6 +102,3 @@ let pp ppf (i : instr) =
     Fmt.pf ppf "xloop.%a %a, %a, %s" Insn.pp_xpat_suffix p r a r b l
   | Xi_addi (d, a, imm) -> Fmt.pf ppf "addiu.xi %a, %a, %d" r d r a imm
   | Halt -> Fmt.string ppf "halt"
-
-let pp_program ppf (l : instr list) =
-  List.iter (fun i -> Fmt.pf ppf "%a@." pp i) l

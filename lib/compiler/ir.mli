@@ -31,4 +31,3 @@ val branch_target : instr -> string option
 val is_unconditional : instr -> bool
 
 val pp : Format.formatter -> instr -> unit
-val pp_program : Format.formatter -> instr list -> unit

@@ -26,13 +26,6 @@ val ok : outcome -> bool
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
-val run_kernel :
-  ?cfg:Config.t -> ?mode:Machine.mode -> ?watchdog:int ->
-  faults:Fault.t -> Kernel.t -> outcome
-(** Run the kernel traditionally, then under [faults] with the safety
-    net, and compare final memories byte for byte.  Raises [Failure] if
-    the fault-free reference run itself fails. *)
-
 val check_table2 :
   ?cfg:Config.t -> ?mode:Machine.mode -> ?watchdog:int -> ?events:int ->
   seed:int -> unit -> outcome list * Fault.kind list

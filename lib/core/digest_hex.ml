@@ -22,11 +22,6 @@ let of_hex s =
     Error "digest must be lowercase hex"
   else Ok s
 
-let of_hex_exn s =
-  match of_hex s with
-  | Ok t -> t
-  | Error msg -> invalid_arg ("Digest_hex.of_hex_exn: " ^ msg ^ ": " ^ s)
-
 let to_hex t = t
 let shard t = String.sub t 0 2
 let short t = String.sub t 0 8

@@ -17,9 +17,6 @@ val of_hex : string -> (t, string) result
 (** Parse a 32-lowercase-hex-character string; [Error] explains what is
     wrong with anything else.  The inverse of {!to_hex}. *)
 
-val of_hex_exn : string -> t
-(** {!of_hex}, raising [Invalid_argument]. *)
-
 val to_hex : t -> string
 (** The canonical 32-character lowercase hex spelling — the form that
     crosses process boundaries (wire frames, journal lines, file

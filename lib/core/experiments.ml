@@ -252,23 +252,28 @@ let sweep ?jobs ?(policy = Pool.default_policy) ?journal ?chaos
 let pp_sweep_failure ppf ((spec : Run_spec.t), f) =
   Fmt.pf ppf "%a: %a" Run_spec.pp spec Failure.pp_tagged f
 
+(* One host's (base, trad, spec, adapt) specs for kernel [name]. *)
+let host_specs name (gpp, gpp_x) =
+  ( Run_spec.make ~target:Compile.general ~cfg:gpp
+      ~mode:Machine.Traditional name,
+    Run_spec.make ~cfg:gpp_x ~mode:Machine.Traditional name,
+    Run_spec.make ~cfg:gpp_x ~mode:Machine.Specialized name,
+    Run_spec.make ~cfg:gpp_x ~mode:Machine.Adaptive name )
+
 (** The twelve specs of one kernel's Table II methodology, in canonical
     order: (base, trad, spec, adapt) per host. *)
-let specs_for ?(hosts = hosts) (k : Kernel.t) : Run_spec.t list =
+let specs_for (k : Kernel.t) : Run_spec.t list =
   List.concat_map
-    (fun (gpp, gpp_x) ->
-       [ Run_spec.make ~target:Compile.general ~cfg:gpp
-           ~mode:Machine.Traditional k.name;
-         Run_spec.make ~cfg:gpp_x ~mode:Machine.Traditional k.name;
-         Run_spec.make ~cfg:gpp_x ~mode:Machine.Specialized k.name;
-         Run_spec.make ~cfg:gpp_x ~mode:Machine.Adaptive k.name ])
+    (fun host ->
+       let b, t, s, a = host_specs k.name host in
+       [ b; t; s; a ])
     hosts
 
 (** Run the full Table II methodology for one kernel.  Without [engine]
     every spec executes directly against the passed kernel value (which
     need not be registered); with one, specs resolve through the kernel
     registry and may be served memoized or from the cache. *)
-let evaluate ?(hosts = hosts) ?engine (k : Kernel.t) : eval =
+let evaluate ?engine (k : Kernel.t) : eval =
   let run, meta_of =
     match engine with
     | Some e -> (e.run, e.meta)
@@ -277,16 +282,10 @@ let evaluate ?(hosts = hosts) ?engine (k : Kernel.t) : eval =
   let m = meta_of k in
   let per_host =
     List.map
-      (fun (gpp, gpp_x) ->
+      (fun ((gpp, _) as host) ->
+         let b, t, s, a = host_specs k.name host in
          (gpp.Config.name,
-          { base = run (Run_spec.make ~target:Compile.general ~cfg:gpp
-                          ~mode:Machine.Traditional k.name);
-            trad = run (Run_spec.make ~cfg:gpp_x ~mode:Machine.Traditional
-                          k.name);
-            spec = run (Run_spec.make ~cfg:gpp_x ~mode:Machine.Specialized
-                          k.name);
-            adapt = run (Run_spec.make ~cfg:gpp_x ~mode:Machine.Adaptive
-                           k.name) }))
+          { base = run b; trad = run t; spec = run s; adapt = run a }))
       hosts
   in
   { kernel = k; gpi_dyn = m.gpi_dyn; xli_dyn = m.xli_dyn;

@@ -27,9 +27,6 @@ val run_checked :
   Kernel.t -> run_data
 (** One checked run, described as a {!Run_spec} and executed in place. *)
 
-val hosts : (Config.t * Config.t) list
-(** Table II's (baseline GPP, +x machine) pairs. *)
-
 type host_eval = {
   base : run_data;   (** serial baseline on the bare GPP *)
   trad : run_data;
@@ -45,8 +42,6 @@ type eval = {
   body_max : int;
   per_host : (string * host_eval) list;
 }
-
-val body_stats : Kernel.t -> int * int
 
 (** {1 The run engine}
 
@@ -113,13 +108,11 @@ val sweep :
 val pp_sweep_failure :
   Format.formatter -> Run_spec.t * Failure.t -> unit
 
-val specs_for : ?hosts:(Config.t * Config.t) list -> Kernel.t ->
-  Run_spec.t list
+val specs_for : Kernel.t -> Run_spec.t list
 (** The twelve specs of one kernel's Table II methodology, in canonical
     (base, trad, spec, adapt)-per-host order. *)
 
-val evaluate :
-  ?hosts:(Config.t * Config.t) list -> ?engine:engine -> Kernel.t -> eval
+val evaluate : ?engine:engine -> Kernel.t -> eval
 (** Without [engine], every spec executes directly against the passed
     kernel value (which need not be registered); with one, specs resolve
     through the registry and may be served memoized or from cache. *)
@@ -166,7 +159,6 @@ type fig8_point = {
 val fig8_points : eval -> fig8_point list
 val pp_fig8 : Format.formatter -> fig8_point list -> unit
 
-val fig9_kernels : string list
 val fig9_specs : unit -> Run_spec.t list
 val fig9 : ?engine:engine -> unit -> (string * (string * float) list) list
 val pp_fig9 :
@@ -178,7 +170,6 @@ val table4 :
 val pp_table4 :
   Format.formatter -> (string * string * (string * float) list) list -> unit
 
-val fig10_kernels : string list
 val fig10_specs : unit -> Run_spec.t list
 val fig10 : ?engine:engine -> unit -> (string * float * float) list
 val pp_fig10 : Format.formatter -> (string * float * float) list -> unit

@@ -19,8 +19,6 @@
     stops the sweep — promptly, because every worker checks a shared
     stop flag before pulling its next item. *)
 
-let env_jobs_var = "XLOOPS_JOBS"
-
 let available_cores () = Domain.recommended_domain_count ()
 
 (* Warn-once registry keyed by variable name: every consumer of a
@@ -54,12 +52,10 @@ let env_int ?(min = 0) ~default var =
             var s min);
        default)
 
-let env_positive_int ~default var = env_int ~min:1 ~default var
-
 (** The job count to use when the caller gave none: [$XLOOPS_JOBS] if
     set to a positive integer, else 1 (serial — determinism of resource
     use by default; parallelism is opt-in). *)
-let default_jobs () = env_positive_int ~default:1 env_jobs_var
+let default_jobs () = env_int ~min:1 ~default:1 "XLOOPS_JOBS"
 
 (* Shared fan-out skeleton: run [worker i] for every index on up to
    [jobs] domains (including the calling one), honoring a stop flag

@@ -8,9 +8,6 @@
     isolation, per-item deadlines, and seeded-backoff retry of
     transient failures. *)
 
-val env_jobs_var : string
-(** ["XLOOPS_JOBS"] — environment fallback for the job count. *)
-
 val available_cores : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
@@ -21,11 +18,8 @@ val env_int : ?min:int -> default:int -> string -> int
     (this pool, the service daemon's worker count, the CLI engine
     defaults) shares. *)
 
-val env_positive_int : default:int -> string -> int
-(** [env_int ~min:1]. *)
-
 val default_jobs : unit -> int
-(** [env_positive_int ~default:1 env_jobs_var]: [$XLOOPS_JOBS] if set to
+(** [env_int ~min:1 ~default:1 "XLOOPS_JOBS"]: [$XLOOPS_JOBS] if set to
     a positive integer, else 1. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list

@@ -271,8 +271,6 @@ module Encoded = struct
   let spec e = e.spec
   let bytes e = e.bytes
 
-  let of_spec spec = { spec; bytes = encode spec }
-
   let decode s =
     let c = cursor s in
     match decode_at c with

@@ -83,8 +83,6 @@ module Encoded : sig
   val bytes : t -> string
   (** Always [encode (spec e)]. *)
 
-  val of_spec : spec -> t
-
   val decode : string -> (t, string) result
   (** {!Run_spec.decode}, with the input as [bytes].  An input that
       spells an integer otherwise than {!encode} would (a leading zero,

@@ -92,8 +92,8 @@ type breakdown = {
 }
 
 (** Total dynamic energy in joules for a run's statistics under [cfg]. *)
-let of_stats ?(costs = default_costs) (cfg : Config.t) (s : Stats.t)
-  : breakdown =
+let of_stats (cfg : Config.t) (s : Stats.t) : breakdown =
+  let costs = default_costs in
   let f = float_of_int in
   let scale = ooo_scale cfg in
   let fetch =

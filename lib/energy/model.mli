@@ -37,9 +37,6 @@ type costs = {
 
 val default_costs : costs
 
-val ooo_scale : Xloops_sim.Config.t -> float
-(** Width scaling applied to rename/IQ/ROB event prices. *)
-
 type breakdown = {
   fetch : float;
   decode_rename : float;
@@ -52,8 +49,8 @@ type breakdown = {
   total : float;          (** joules; the components are picojoules *)
 }
 
-val of_stats : ?costs:costs -> Xloops_sim.Config.t -> Xloops_sim.Stats.t ->
-  breakdown
+val of_stats : Xloops_sim.Config.t -> Xloops_sim.Stats.t -> breakdown
+(** Prices a run's events at {!default_costs}. *)
 
 val frequency_hz : float
 (** Clock used for power numbers (Table V cycle times are ~2 ns). *)

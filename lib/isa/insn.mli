@@ -113,7 +113,6 @@ val pp_resolved : Format.formatter -> int t -> unit
 val equal : ('lbl -> 'lbl -> bool) -> 'lbl t -> 'lbl t -> bool
 val equal_dpattern : dpattern -> dpattern -> bool
 val equal_cpattern : cpattern -> cpattern -> bool
-val equal_xpat : xpat -> xpat -> bool
 val equal_alu_op : alu_op -> alu_op -> bool
 val equal_fpu_op : fpu_op -> fpu_op -> bool
 val equal_width : width -> width -> bool

@@ -12,8 +12,6 @@ val int : rng -> int -> int
 val range : rng -> int -> int -> int
 (** Uniform in [\[lo, hi\]]. *)
 
-val float01 : rng -> float
-
 val ints : seed:int -> n:int -> bound:int -> int array
 val bytes : seed:int -> n:int -> int array
 val floats : seed:int -> n:int -> scale:float -> float array

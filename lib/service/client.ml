@@ -31,7 +31,7 @@ let close s =
     try Unix.close s.fd with Unix.Unix_error _ -> ()
   end
 
-let connect ?(version = P.version) ?(ocaml = Sys.ocaml_version) addr =
+let connect ?(version = P.version) addr =
   (* A daemon dying under us must surface as an error code, not kill
      the whole client process. *)
   if Sys.unix then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -51,7 +51,9 @@ let connect ?(version = P.version) ?(ocaml = Sys.ocaml_version) addr =
       Error (Conn msg)
     in
     (match
-       P.write_frame oc (P.encode_request (P.Hello { version; ocaml }));
+       P.write_frame oc
+         (P.encode_request
+            (P.Hello { version; ocaml = Sys.ocaml_version }));
        flush oc
      with
      | exception (Sys_error m | Stdlib.Failure m) -> fail m
@@ -145,7 +147,10 @@ let chunks_of k l =
 
 exception Round_over
 
-let run_plan ?(chunk = 64) ?(max_attempts = 10) ?deadline_ms
+(* Connection rounds before the runner gives up on unfinished specs. *)
+let max_attempts = 10
+
+let run_plan ?(chunk = 64) ?deadline_ms
     ?(max_retries = 0) addr specs =
   if chunk < 1 then invalid_arg "Client.run_plan: chunk must be >= 1";
   let spec_arr = Array.of_list specs in
@@ -231,7 +236,7 @@ let run_plan ?(chunk = 64) ?(max_attempts = 10) ?deadline_ms
 
 exception Remote_error of P.error
 
-let engine ?cache ?chunk ?max_attempts ?deadline_ms ?max_retries addr =
+let engine ?cache ?deadline_ms ?max_retries addr =
   let memo : (Digest_hex.t, Run_spec.run_data) Hashtbl.t =
     Hashtbl.create 256 in
   let mu = Mutex.create () in
@@ -242,7 +247,7 @@ let engine ?cache ?chunk ?max_attempts ?deadline_ms ?max_retries addr =
   let local = Experiments.caching_engine ?cache () in
   let fetch plan =
     match
-      run_plan ?chunk ?max_attempts ?deadline_ms ?max_retries addr plan
+      run_plan ?deadline_ms ?max_retries addr plan
     with
     | Error msg ->
       raise (Remote_error

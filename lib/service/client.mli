@@ -31,11 +31,11 @@ type connect_error =
 val pp_connect_error : Format.formatter -> connect_error -> unit
 
 val connect :
-  ?version:int -> ?ocaml:string -> Protocol.addr ->
-  (session, connect_error) result
-(** Dial, send [Hello], wait for [Welcome].  [version] (default
-    {!Protocol.version}) and [ocaml] override what the handshake offers
-    (tests exercise the server's rejection path). *)
+  ?version:int -> Protocol.addr -> (session, connect_error) result
+(** Dial, send [Hello] with this process's OCaml version, wait for
+    [Welcome].  [version] (default {!Protocol.version}) overrides the
+    protocol version the handshake offers (a test exercises the
+    server's rejection path). *)
 
 val banner : session -> string
 (** The server's [Welcome] banner. *)
@@ -66,11 +66,11 @@ val shutdown : session -> (unit, submit_error) result
 (** {1 The fault-tolerant plan runner} *)
 
 val run_plan :
-  ?chunk:int -> ?max_attempts:int -> ?deadline_ms:int ->
-  ?max_retries:int -> Protocol.addr -> Run_spec.t list ->
+  ?chunk:int -> ?deadline_ms:int -> ?max_retries:int -> Protocol.addr ->
+  Run_spec.t list ->
   ((Run_spec.run_data, Protocol.error) result array, string) result
 (** Run a whole plan through the service: batches of [chunk] (default
-    64) specs, [max_attempts] (default 10) connection rounds with
+    64) specs, at most 10 connection rounds with
     {!Xloops.Failure.backoff_ms} sleeps between them.  Permanent
     per-spec failures are final immediately; transient ones and specs
     orphaned by a dropped connection are resubmitted on the next round.
@@ -86,8 +86,8 @@ exception Remote_error of Protocol.error
     failure for an on-demand spec. *)
 
 val engine :
-  ?cache:Run_cache.t -> ?chunk:int -> ?max_attempts:int ->
-  ?deadline_ms:int -> ?max_retries:int -> Protocol.addr ->
+  ?cache:Run_cache.t -> ?deadline_ms:int -> ?max_retries:int ->
+  Protocol.addr ->
   Experiments.engine * (Run_spec.t list -> (Run_spec.t * Protocol.error) list)
 (** [(eng, warm)]: [warm plan] pushes the plan through {!run_plan},
     memoizes every success, and returns the failures; [eng.run] serves

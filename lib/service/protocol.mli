@@ -43,9 +43,6 @@ val version : int
 (** The protocol version this build speaks (2); a handshake must offer
     exactly this. *)
 
-val max_frame_bytes : int
-(** Upper bound on a frame payload (defense against garbage lengths). *)
-
 (** {1 Addresses} *)
 
 type addr = Cli_common.addr =

@@ -84,7 +84,9 @@ type job = {
   mutable j_waiters : waiter list;
 }
 
-type wstat = { mutable ws_jobs : int; mutable ws_busy_ms : int }
+(* Busy time is summed in ns and turned into ms only for STATS: a
+   per-job ms count would floor every sub-ms job to 0. *)
+type wstat = { mutable ws_jobs : int; mutable ws_busy_ns : int }
 
 (* What a verified disk hit answered for a spelling. *)
 type answer = { a_digest : Digest_hex.t; a_run : P.run }
@@ -192,7 +194,9 @@ let stats t : P.stats =
         per_worker =
           Array.to_list
             (Array.map
-               (fun w -> { P.w_jobs = w.ws_jobs; w_busy_ms = w.ws_busy_ms })
+               (fun w ->
+                  { P.w_jobs = w.ws_jobs;
+                    w_busy_ms = w.ws_busy_ns / 1_000_000 })
                t.wstats) })
 
 (* -- Workers -------------------------------------------------------------- *)
@@ -283,12 +287,12 @@ let worker t wi =
              sweep-kill to a per-job transient crash. *)
           Error (Failure.Crash { exn = "abort: " ^ msg; transient = true })
       in
-      let busy_ms = int_of_float (1000. *. (Unix.gettimeofday () -. t0)) in
+      let busy_ns = int_of_float (1e9 *. (Unix.gettimeofday () -. t0)) in
       let waiters =
         locked t (fun () ->
             let ws = t.wstats.(wi) in
             ws.ws_jobs <- ws.ws_jobs + 1;
-            ws.ws_busy_ms <- ws.ws_busy_ms + busy_ms;
+            ws.ws_busy_ns <- ws.ws_busy_ns + busy_ns;
             t.executing <- t.executing - 1;
             (match result with
              | Ok _ -> t.completed <- t.completed + 1
@@ -650,7 +654,7 @@ let start (cfg : config) =
       started = Unix.gettimeofday (); executing = 0; accepted = 0;
       rejected_batches = 0; dedup_hits = 0; table_answers = 0; completed = 0;
       failed = 0;
-      wstats = Array.init cfg.workers (fun _ -> { ws_jobs = 0; ws_busy_ms = 0 });
+      wstats = Array.init cfg.workers (fun _ -> { ws_jobs = 0; ws_busy_ns = 0 });
       domains = []; threads = [] }
   in
   t.domains <-

@@ -3,22 +3,23 @@
 
 type t = {
   counters : Bytes.t;     (* 0..3; >=2 predicts taken *)
-  mask : int;
   mutable lookups : int;
   mutable mispredicts : int;
 }
 
-let create ?(entries = 1024) () =
+(* A power of two, so [pc land (entries - 1)] indexes the table. *)
+let entries = 1024
+
+let create () =
   (* Initialize weakly-taken: loop back-edges predict well immediately,
      like a BTB-resident backward-taken heuristic. *)
-  { counters = Bytes.make entries '\002'; mask = entries - 1;
-    lookups = 0; mispredicts = 0 }
+  { counters = Bytes.make entries '\002'; lookups = 0; mispredicts = 0 }
 
 (** [predict_update t ~pc ~taken] returns [true] if the prediction was
     correct, updating the counter. *)
 let predict_update t ~pc ~taken =
   t.lookups <- t.lookups + 1;
-  let i = pc land t.mask in
+  let i = pc land (entries - 1) in
   let c = Bytes.get_uint8 t.counters i in
   let predicted = c >= 2 in
   Bytes.set_uint8 t.counters i

@@ -4,8 +4,8 @@
 
 type t
 
-val create : ?entries:int -> unit -> t
-(** [entries] must be a power of two (default 1024). *)
+val create : unit -> t
+(** A 1024-entry table. *)
 
 val predict_update : t -> pc:int -> taken:bool -> bool
 (** Returns [true] if the prediction was correct; updates the counter

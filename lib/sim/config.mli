@@ -54,10 +54,6 @@ type adaptive = {
 }
 
 val default_adaptive : adaptive
-val all_patterns : Xloops_isa.Insn.dpattern list
-
-val gpp_inorder : gpp
-val gpp_ooo : int -> gpp
 val default_lpsu : lpsu
 
 (** {1 The paper's configurations} *)
@@ -78,23 +74,15 @@ val with_lpsu : ?lpsu:lpsu -> t -> string -> t
 (** + 2-way vertical multithreading *)
 val ooo4_x4_t : t
 
-(** 8 lanes *)
-val ooo4_x8 : t
-
-(** 8 lanes + 2x memory/LLFU ports *)
-val ooo4_x8_r : t
-
 (** 8 lanes + 2x ports + 16+16 LSQs *)
 val ooo4_x8_r_m : t
 
-(** Inter-lane store-to-load forwarding ablations (not in the paper's
-    evaluated space). *)
+(** Inter-lane store-to-load forwarding, an ablation (not in the
+    paper's evaluated space). *)
 val io_x_fwd : t
-val ooo4_x_fwd : t
 
-(** Dual-issue ("superscalar") lanes, another future-work ablation. *)
+(** Dual-issue ("superscalar") lanes, a future-work ablation. *)
 val io_x_ss2 : t
-val ooo4_x_ss2 : t
 
 val baselines : t list
 val specialized : t list

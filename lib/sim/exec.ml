@@ -33,8 +33,6 @@ let[@inline] norm v = (v lsl sext_shift) asr sext_shift
 
 let create_hart ?(pc = 0) () = { regs = Array.make Reg.num_regs 0; pc }
 
-let copy_hart h = { regs = Array.copy h.regs; pc = h.pc }
-
 (* [set]/[set_int] never write r0, so [regs.(0)] stays 0 and reads need
    no special case. *)
 let get h r = Int32.of_int h.regs.(r)

@@ -24,7 +24,6 @@ type hart = {
 }
 
 val create_hart : ?pc:int -> unit -> hart
-val copy_hart : hart -> hart
 
 val get : hart -> Xloops_isa.Reg.t -> int32
 val set : hart -> Xloops_isa.Reg.t -> int32 -> unit

@@ -158,8 +158,6 @@ type hang = {
   h_detail : string;
 }
 
-let pp_resource ppf r = Fmt.string ppf (resource_name r)
-
 let pp_hang ppf h =
   Fmt.pf ppf "LPSU hang at cycle %d after %d iterations: %s (%s)"
     h.h_cycle h.h_committed (resource_name h.h_resource) h.h_detail

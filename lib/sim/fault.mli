@@ -64,7 +64,6 @@ type resource =
   | No_progress      (** stalled, but on no single identifiable resource *)
 
 val resource_name : resource -> string
-val pp_resource : Format.formatter -> resource -> unit
 
 type hang = {
   h_resource : resource;

@@ -19,7 +19,6 @@ type area_breakdown = {
 }
 
 val gpp_area : mm2
-val gpp_cycle_time_ns : float
 
 val area : Xloops_sim.Config.lpsu -> area_breakdown
 val overhead : Xloops_sim.Config.lpsu -> float
@@ -38,6 +37,5 @@ type table_v_row = {
   lpsu : Xloops_sim.Config.lpsu;
 }
 
-val table_v_configs : (string * Xloops_sim.Config.lpsu) list
 val table_v : unit -> table_v_row list
 val pp_table_v : Format.formatter -> table_v_row list -> unit

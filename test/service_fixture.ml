@@ -35,7 +35,8 @@ type raw = {
   fd : Unix.file_descr;            (* for a test that reads frames itself *)
 }
 
-let with_raw addr f =
+(* A connection before any handshake. *)
+let with_conn addr f =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
   Unix.connect fd (P.sockaddr_of addr);
@@ -54,11 +55,15 @@ let with_raw addr f =
     | `Eof -> Alcotest.fail "daemon closed the connection"
     | `Error m -> Alcotest.failf "read: %s" m
   in
-  send [ P.Hello { version = P.version; ocaml = Sys.ocaml_version } ];
-  (match recv () with
+  f { send; recv; fd }
+
+let with_raw addr f =
+  with_conn addr @@ fun r ->
+  r.send [ P.Hello { version = P.version; ocaml = Sys.ocaml_version } ];
+  (match r.recv () with
    | P.Welcome _ -> ()
    | _ -> Alcotest.fail "expected WELCOME");
-  f { send; recv; fd }
+  f r
 
 let submit_req specs =
   P.Submit { deadline_ms = None; max_retries = 0; specs }

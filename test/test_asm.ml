@@ -99,10 +99,10 @@ let test_layout () =
     (fun () -> ignore (Layout.find l "zz"))
 
 let test_layout_overflow () =
-  let l = Layout.create ~limit:0x2000 () in
+  let l = Layout.create () in
   ignore (Layout.alloc l ~name:"a" ~bytes:0xf00);
   Alcotest.(check bool) "raises" true
-    (try ignore (Layout.alloc l ~name:"b" ~bytes:0x1000); false
+    (try ignore (Layout.alloc l ~name:"b" ~bytes:(1 lsl 20)); false
      with Invalid_argument _ -> true)
 
 let test_disasm_roundtrip () =
@@ -123,91 +123,6 @@ let test_disasm_roundtrip () =
   Alcotest.(check bool) "mentions label" true (contains s "top:");
   Alcotest.(check bool) "mentions bne" true (contains s "bne")
 
-(* -- parser -------------------------------------------------------------- *)
-
-module Parser = Xloops_asm.Parser
-
-let programs_equal (a : Program.t) (b : Program.t) =
-  Array.length a.insns = Array.length b.insns
-  && Array.for_all2 (Insn.equal Int.equal) a.insns b.insns
-
-let test_parse_loop () =
-  let src = {|
-      addi t0, zero, 5      # counter
-      add  t1, zero, zero   ; sum
-    top:
-      add  t1, t1, t0
-      addi t0, t0, -1
-      bne  t0, zero, top
-      sw   t1, 0x100(zero)
-      halt
-  |} in
-  let p = Parser.parse src in
-  Alcotest.(check int) "length" 7 (Program.length p);
-  let mem = Xloops_mem.Memory.create () in
-  ignore (run_serial p mem);
-  Alcotest.(check int) "sum 5..1" 15 (Xloops_mem.Memory.get_int mem 0x100)
-
-let test_parse_memory_and_amo () =
-  let src = {|
-      addi a0, zero, 64
-      addi t0, zero, 7
-      sw   t0, 0(a0)
-      amo_add t1, (a0), t0
-      lw   t2, 0(a0)
-      lbu  t3, 1(a0)
-      halt
-  |} in
-  let p = Parser.parse src in
-  let mem = Xloops_mem.Memory.create () in
-  let r = run_serial p mem in
-  Alcotest.(check int32) "amo old" 7l (Xloops_sim.Exec.get r.final 9);
-  Alcotest.(check int32) "lw" 14l (Xloops_sim.Exec.get r.final 10)
-
-let test_parse_xloop () =
-  let src = {|
-    body:
-      addiu.xi t4, t4, 1
-      xloop.uc.db t4, t3, body
-      halt
-  |} in
-  let p = Parser.parse src in
-  (match p.insns.(1) with
-   | Insn.Xloop ({ dp = Uc; cp = Dyn }, 12, 11, 0) -> ()
-   | i -> Alcotest.failf "bad xloop: %a" Insn.pp_resolved i)
-
-let test_parse_errors () =
-  let bad src frag =
-    match Parser.parse src with
-    | exception Parser.Parse_error { msg; _ } ->
-      Alcotest.(check bool) ("mentions " ^ frag) true
-        (let nh = String.length msg and nn = String.length frag in
-         let rec go i =
-           i + nn <= nh && (String.sub msg i nn = frag || go (i + 1)) in
-         nn = 0 || go 0)
-    | _ -> Alcotest.failf "expected parse error for %S" src
-  in
-  bad "frobnicate t0, t1, t2" "unknown mnemonic";
-  bad "add t0, t1" "expects";
-  bad "lw t0, t1" "bad memory operand";
-  bad "add x9, t1, t2" "bad register";
-  bad "addi t0, t1, lots" "bad immediate";
-  bad "j nowhere\nhalt" "undefined label";
-  bad "xloop.zz t0, t1, 0" "unknown xloop pattern"
-
-(* Round-trip: disassembling any compiled kernel and re-parsing it yields
-   the identical program. *)
-let test_parse_roundtrip_kernels () =
-  List.iter
-    (fun name ->
-       let k = Xloops_kernels.Registry.find name in
-       let c = Xloops_compiler.Compile.compile k.kernel in
-       let text = Program.to_string c.program in
-       let p2 = Parser.parse text in
-       Alcotest.(check bool) (name ^ " roundtrip") true
-         (programs_equal c.program p2))
-    [ "war-om"; "sha-or"; "bfs-uc-db"; "mm-orm"; "rsort-ua" ]
-
 let () =
   Alcotest.run "asm"
     [ ("builder",
@@ -223,12 +138,5 @@ let () =
          Alcotest.test_case "overflow" `Quick test_layout_overflow ]);
       ("disasm", [ Alcotest.test_case "labels shown" `Quick
                      test_disasm_roundtrip ]);
-      ("parser",
-       [ Alcotest.test_case "loop" `Quick test_parse_loop;
-         Alcotest.test_case "memory/amo" `Quick test_parse_memory_and_amo;
-         Alcotest.test_case "xloop" `Quick test_parse_xloop;
-         Alcotest.test_case "errors" `Quick test_parse_errors;
-         Alcotest.test_case "kernel roundtrip" `Quick
-           test_parse_roundtrip_kernels ]);
     ]
 

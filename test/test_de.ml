@@ -34,17 +34,6 @@ let test_suffix_printing () =
   Alcotest.(check string) "uc.de" "uc.de"
     (Fmt.str "%a" Insn.pp_xpat_suffix (de Insn.Uc))
 
-let test_parser_roundtrip () =
-  let p = Xloops_asm.Parser.parse {|
-    body:
-      addiu.xi t4, t4, 1
-      xloop.uc.de t4, t3, body
-      halt
-  |} in
-  (match p.insns.(1) with
-   | Insn.Xloop ({ dp = Uc; cp = De }, _, _, 0) -> ()
-   | i -> Alcotest.failf "bad parse: %a" Insn.pp_resolved i)
-
 (* Traditional semantics: the xloop.de branches back while the exit
    register is clear. *)
 let test_traditional_semantics () =
@@ -170,7 +159,6 @@ let () =
     [ ("isa",
        [ Alcotest.test_case "encode roundtrip" `Quick test_encode_roundtrip;
          Alcotest.test_case "suffix" `Quick test_suffix_printing;
-         Alcotest.test_case "parser" `Quick test_parser_roundtrip;
          Alcotest.test_case "traditional semantics" `Quick
            test_traditional_semantics ]);
       ("find-de",

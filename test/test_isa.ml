@@ -1,5 +1,6 @@
 (* ISA-level unit and property tests: register naming, instruction
-   metadata (sources/dest/classes), and encode/decode round-tripping. *)
+   metadata (sources/dest/classes), faithful printing, and encode/decode
+   round-tripping. *)
 
 open Xloops_isa
 
@@ -141,6 +142,43 @@ let prop_dest_not_source_conflict =
        List.for_all Reg.is_valid (Insn.sources i)
        && (match Insn.dest i with Some d -> Reg.is_valid d | None -> true))
 
+(* The program cache keys results by the MD5 of a program's listing, so
+   two different instructions must never print the same line.  An
+   instruction one encoded bit away differs in at most one field; if it
+   differs at all, it must print apart. *)
+let line i = Fmt.str "%a" Insn.pp_resolved i
+
+let prop_listing_faithful =
+  QCheck.Test.make ~name:"same line, same insn" ~count:1000 arb
+    (fun (pc, i) ->
+       let w = Encode.to_word pc i in
+       List.for_all
+         (fun bit ->
+            match Encode.of_word pc (Int32.logxor w (Int32.shift_left 1l bit))
+            with
+            | exception Encode.Encoding_error _ -> true
+            | j -> line j <> line i || Insn.equal Int.equal i j)
+         (List.init 32 Fun.id))
+
+let test_kernel_listings_faithful () =
+  let seen = Hashtbl.create 4096 in
+  List.iter
+    (fun (k : Xloops_kernels.Kernel.t) ->
+       List.iter
+         (fun target ->
+            let c = Xloops_compiler.Compile.compile ~target k.kernel in
+            Array.iter
+              (fun i ->
+                 let l = line i in
+                 match Hashtbl.find_opt seen l with
+                 | Some j when not (Insn.equal Int.equal i j) ->
+                   Alcotest.failf "%s: two instructions print %S" k.name l
+                 | Some _ -> ()
+                 | None -> Hashtbl.add seen l i)
+              c.program.insns)
+         Xloops_compiler.Compile.[ general; xloops; xloops_no_xi ])
+    Xloops_kernels.Registry.all
+
 let test_encode_errors () =
   Alcotest.check_raises "imm17 rejected"
     (Encode.Encoding_error "imm16 out of range: 40000") (fun () ->
@@ -170,7 +208,10 @@ let () =
       ("insn",
        [ Alcotest.test_case "sources/dest" `Quick test_sources_dest;
          Alcotest.test_case "classes" `Quick test_classes;
-         Alcotest.test_case "pretty-printing" `Quick test_pp_smoke ]);
+         Alcotest.test_case "pretty-printing" `Quick test_pp_smoke;
+         QCheck_alcotest.to_alcotest prop_listing_faithful;
+         Alcotest.test_case "kernel listings" `Quick
+           test_kernel_listings_faithful ]);
       ("encode",
        [ QCheck_alcotest.to_alcotest prop_roundtrip;
          QCheck_alcotest.to_alcotest prop_dest_not_source_conflict;

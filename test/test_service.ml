@@ -408,6 +408,45 @@ let test_version_mismatch () =
   Alcotest.(check string) "banner still served" "test" (Client.banner s);
   Client.close s
 
+(* A client built with another OCaml could not read the daemon's
+   [Marshal]led results, so the handshake refuses it. *)
+let test_ocaml_mismatch () =
+  with_server @@ fun _t addr ->
+  with_conn addr @@ fun r ->
+  r.send [ P.Hello { version = P.version; ocaml = "0.0.0" } ];
+  match r.recv () with
+  | P.Rejected e ->
+    Alcotest.(check string) "code" "version-mismatch"
+      (P.error_code_name e.P.code);
+    Alcotest.(check bool) "permanent" false e.P.transient
+  | _ -> Alcotest.fail "expected REJECTED"
+
+(* Jobs that each simulate in well under a millisecond still add up in
+   STATS: a worker's busy time is at least the simulations it ran. *)
+let test_busy_time () =
+  with_server ~workers:1 @@ fun _t addr ->
+  with_raw addr @@ fun r ->
+  let batch =
+    List.init 40 (fun i ->
+        Run_spec.encode
+          (spec ~fuel:(1_000_000 + i) ~cfg:Config.io
+             ~mode:Machine.Traditional "ksack-sm-om"))
+  in
+  let runs = submit_raw r batch in
+  let wall_ns =
+    Array.fold_left
+      (fun n run ->
+         match P.data_of_run run with
+         | Ok rd -> n + rd.Run_spec.stats.wall_ns
+         | Error m -> Alcotest.failf "bad blob: %s" m)
+      0 runs
+  in
+  let busy_ms =
+    List.fold_left (fun n w -> n + w.P.w_busy_ms) 0 (raw_stats r).P.per_worker
+  in
+  if busy_ms < wall_ns / 1_000_000 then
+    Alcotest.failf "busy %d ms < %d ns simulated" busy_ms wall_ns
+
 let test_dedupe_and_equality () =
   with_server ~workers:2 @@ fun t addr ->
   let a = List.nth spec_pool 0 and b = List.nth spec_pool 1 in
@@ -851,6 +890,8 @@ let () =
          QCheck_alcotest.to_alcotest prop_write_result ]);
       ("daemon",
        [ Alcotest.test_case "version mismatch" `Quick test_version_mismatch;
+         Alcotest.test_case "ocaml mismatch" `Quick test_ocaml_mismatch;
+         Alcotest.test_case "busy time sums sub-ms jobs" `Quick test_busy_time;
          Alcotest.test_case "in-flight dedupe" `Quick test_dedupe_and_equality;
          Alcotest.test_case "admission control" `Quick test_backpressure;
          Alcotest.test_case "failure streaming" `Quick
