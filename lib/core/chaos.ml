@@ -19,7 +19,7 @@
 type kind =
   | Cache_read_error   (** a cache lookup fails as if unreadable *)
   | Blob_bitflip       (** flip one bit of a just-written cache blob *)
-  | Blob_truncate      (** truncate a just-written cache blob *)
+  | Blob_truncate      (** cut a just-written cache blob short *)
   | Worker_stall       (** sleep a worker before it runs its item *)
   | Worker_abort       (** crash a worker (transient, retryable) *)
   | Sweep_abort        (** kill the whole sweep mid-flight *)
@@ -151,42 +151,37 @@ let read_error t =
   | Some Cache_read_error -> true
   | _ -> false
 
-(** Apply [kind]'s corruption to the file at [path]: flip one payload
-    bit or truncate to half size.  Returns [false] when the file is too
-    small to corrupt meaningfully. *)
-let corrupt_file kind path =
+(** Apply [kind]'s corruption to the [len] bytes at [pos] of the file at
+    [path], in place: flip one bit in their middle, or cut them there by
+    zeroing their second half (the bytes around them, such as a cache
+    record's framing, stay intact).  Returns [false] when the span is
+    too small to corrupt meaningfully. *)
+let corrupt kind path ~pos ~len =
   match kind with
-  | Blob_bitflip ->
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    if len < 2 then (close_in_noerr ic; false)
-    else begin
-      let pos = len / 2 in
-      seek_in ic pos;
-      let byte = input_char ic in
-      close_in_noerr ic;
-      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
-      Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ())
-      @@ fun () ->
-      ignore (Unix.lseek fd pos Unix.SEEK_SET);
-      let flipped = Bytes.make 1 (Char.chr (Char.code byte lxor 0x10)) in
-      ignore (Unix.write fd flipped 0 1);
-      true
-    end
-  | Blob_truncate ->
-    let len = (Unix.stat path).Unix.st_size in
-    if len < 2 then false
-    else begin
-      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
-      Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ())
-      @@ fun () -> Unix.ftruncate fd (len / 2); true
-    end
+  | (Blob_bitflip | Blob_truncate) when len >= 2 ->
+    let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CLOEXEC ] 0 in
+    Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ())
+    @@ fun () ->
+    let mid = pos + len / 2 in
+    let bytes =
+      if kind = Blob_truncate then Bytes.make (len - len / 2) '\000'
+      else begin
+        let b = Bytes.create 1 in
+        ignore (Unix.lseek fd mid Unix.SEEK_SET);
+        ignore (Unix.read fd b 0 1);
+        Bytes.make 1 (Char.chr (Char.code (Bytes.get b 0) lxor 0x10))
+      end
+    in
+    ignore (Unix.lseek fd mid Unix.SEEK_SET);
+    ignore (Unix.write fd bytes 0 (Bytes.length bytes));
+    true
   | _ -> false
 
-(** Store-side hook: corrupt the just-written blob at [path] if the plan
-    says so. *)
-let after_store t path =
+(** Store-side hook: corrupt the just-written blob at [pos, pos + len)
+    of [path] if the plan says so. *)
+let after_store t path ~pos ~len =
   match fire t [ Blob_bitflip; Blob_truncate ] with
   | Some (Blob_bitflip | Blob_truncate as k) ->
-    (try ignore (corrupt_file k path) with Sys_error _ | Unix.Unix_error _ -> ())
+    (try ignore (corrupt k path ~pos ~len)
+     with Sys_error _ | Unix.Unix_error _ -> ())
   | _ -> ()

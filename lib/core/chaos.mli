@@ -49,14 +49,16 @@ val before_item : t -> unit
 val read_error : t -> bool
 (** Cache-read hook: [true] means "pretend this blob is unreadable". *)
 
-val after_store : t -> string -> unit
-(** Store-side hook: corrupt the just-written blob at the given path if
-    the plan says so (bit flip or truncation). *)
+val after_store : t -> string -> pos:int -> len:int -> unit
+(** Store-side hook: corrupt the just-written blob at [pos, pos + len)
+    of the given file if the plan says so (bit flip or cut). *)
 
-val corrupt_file : kind -> string -> bool
-(** Apply {!Blob_bitflip} / {!Blob_truncate} corruption directly (tests,
-    fixtures).  [false] if the file is too small or the kind does not
-    corrupt files. *)
+val corrupt : kind -> string -> pos:int -> len:int -> bool
+(** Apply {!Blob_bitflip} (flip one bit in the middle) or
+    {!Blob_truncate} (zero the second half) to the [len] bytes at [pos]
+    of a file, in place; the bytes around them are untouched (tests,
+    fixtures).  [false] if the span is too small or the kind does not
+    corrupt bytes. *)
 
 val injected : t -> (kind * int) list
 (** Events applied so far, oldest first, with their opportunity. *)

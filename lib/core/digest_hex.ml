@@ -23,7 +23,6 @@ let of_hex s =
   else Ok s
 
 let to_hex t = t
-let shard t = String.sub t 0 2
 let short t = String.sub t 0 8
 let equal = String.equal
 let compare = String.compare

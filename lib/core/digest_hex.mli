@@ -22,9 +22,6 @@ val to_hex : t -> string
     crosses process boundaries (wire frames, journal lines, file
     names). *)
 
-val shard : t -> string
-(** The first two hex digits — the result cache's shard directory. *)
-
 val short : t -> string
 (** First 8 hex digits, for diagnostics. *)
 

@@ -1,52 +1,59 @@
 (** Content-addressed on-disk result cache.
 
-    Results are filed under [dir/v<version>/<kk>/<key>.run] where [key]
-    is {!Run_spec.cache_key} (digest of canonical spec encoding +
-    compiled program bytes) and [kk] its first two hex digits.  Kernel
-    metadata (dynamic instruction counts, body statistics) lives beside
-    them as [.meta] blobs keyed by {!Run_spec.kernel_digest}.
+    Every blob lives in one append-only file per cache version,
+    [dir/v<version>/pack].  A store appends one framed record:
+
+    {v "XLPK" tag len:u32be key:32-hex | blob | len:u32be "kplx" v}
+
+    [tag] is ['R'] for a result, keyed by {!Run_spec.cache_key} (digest
+    of canonical spec encoding + compiled program bytes), or ['M'] for
+    kernel metadata (dynamic instruction counts, body statistics), keyed
+    by {!Run_spec.kernel_digest}.  The lower-case tag is a tombstone
+    whose 8-byte blob is the offset of the record it retires.
 
     A blob is a [Marshal]led header [(magic, version, ocaml-version)]
     followed by an MD5 checksum of the marshalled payload and the
-    payload itself.  Reads distinguish three non-hit cases and count
-    them separately: {e absent} (no file — a plain miss), {e stale} (a
-    well-formed blob from another cache version or compiler — also a
-    miss), and {e corrupt} (unparseable header, torn payload, or a
-    checksum mismatch).  Corrupt files are quarantined to
-    [dir/quarantine/] — moved aside for post-mortem rather than
-    silently re-read or deleted — and never crash a sweep.
-
-    Writes go to a unique temporary file and are [rename]d into place,
-    so concurrent workers (and concurrent processes) race safely;
-    directory creation tolerates [EEXIST]; {!reap_tmp} sweeps out
-    orphaned temp files a killed writer left behind.  An optional
-    {!Chaos} plan injects read errors and post-store corruption for
-    integrity testing. *)
+    payload itself.  Reads count three non-hit cases apart: {e absent}
+    (no record), {e stale} (a blob from another compiler) and
+    {e corrupt} (unparseable header, torn payload, or a checksum
+    mismatch), which is copied to [dir/quarantine/] and tombstoned.
+    Each record is one [write] on an [O_APPEND] descriptor, so
+    concurrent workers and processes append whole records. *)
 
 type t = {
   dir : string;
   version : int;
-  vdir : string;                  (* [dir/v<version>], formatted once *)
+  pack : string;                  (* [dir/v<version>/pack] *)
   chaos : Chaos.t option;
   limit_bytes : int option;       (* size bound (reap_over_limit) *)
-  mu : Mutex.t;
+  mu : Mutex.t;                   (* guards every field below *)
+  mutable fd : Unix.file_descr option;  (* the pack, read + append *)
+  mutable ino : int;              (* [fd]'s inode: a replaced pack reopens *)
+  mutable scanned : int;          (* pack bytes indexed so far *)
+  index : (Digest_hex.t * char, int * int) Hashtbl.t;
+  (* live record (key, tag) → its blob's offset and length *)
   mutable hits : int;
   mutable misses : int;      (* absent or stale — simply not usable *)
   mutable corrupt : int;     (* integrity failures, quarantined *)
   mutable stores : int;
-  mutable evictions : int;   (* blobs this handle deleted for space *)
+  mutable evictions : int;   (* records this handle dropped for space *)
 }
 
 let magic = "XLOOPS-CACHE"
 
 (** Bump when the marshalled payload layout changes ({!Run_spec.run_data},
-    [Stats.t], [Config.t] or the energy breakdown) — v2 added the
-    payload checksum. *)
-let current_version = 2
+    [Stats.t], [Config.t] or the energy breakdown) or the file layout
+    does — v2 added the payload checksum, v3 the pack. *)
+let current_version = 3
 
 let default_dir = "_xloops_cache"
 
 let quarantine_subdir = "quarantine"
+
+(* No suffix of a tail is a prefix of a head: a tail cut short and
+   followed by the next record's head must not read as whole. *)
+let head_magic = "XLPK" and tail_magic = "kplx"
+let head_len = 41 and tail_len = 8
 
 (* Race-safe mkdir -p: concurrent workers may all attempt creation on
    first store; every failure mode is re-checked against the directory
@@ -59,54 +66,175 @@ let rec mkdir_p d =
     with Sys_error _ when Sys.file_exists d -> ()
   end
 
+let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
 let create ?(version = current_version) ?(dir = default_dir) ?chaos
     ?limit_bytes () =
-  { dir; version; vdir = Filename.concat dir ("v" ^ string_of_int version);
-    chaos; limit_bytes; mu = Mutex.create ();
-    hits = 0; misses = 0; corrupt = 0; stores = 0; evictions = 0 }
+  let vdir = Filename.concat dir ("v" ^ string_of_int version) in
+  let cache =
+    { dir; version; pack = Filename.concat vdir "pack"; chaos;
+      limit_bytes; mu = Mutex.create (); fd = None; ino = 0; scanned = 0;
+      index = Hashtbl.create 256;
+      hits = 0; misses = 0; corrupt = 0; stores = 0; evictions = 0 }
+  in
+  (* A dropped handle must not keep its pack open: a sweep that creates
+     a handle per pass over a directory it deletes in between would
+     otherwise hold every deleted pack.  Every use of [fd] is under
+     [locked], which keeps the handle reachable. *)
+  Gc.finalise (fun c -> Option.iter close_fd c.fd) cache;
+  cache
 
 let chaos cache = cache.chaos
 
-let counted cache f =
+let locked cache f =
   Mutex.lock cache.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock cache.mu) f
 
-(* [vdir/kk/<key><suffix>]: on every lookup, so nothing is formatted. *)
-let path cache ~key ~suffix =
-  String.concat Filename.dir_sep
-    [ cache.vdir; Digest_hex.shard key; Digest_hex.to_hex key ^ suffix ]
-
 let quarantine_dir cache = Filename.concat cache.dir quarantine_subdir
 
-(* Move a corrupt blob aside for post-mortem.  Failure to quarantine
-   (e.g. a concurrent reader already moved it) must never break the
-   read path — the blob already reads as a miss. *)
-let quarantine cache p =
-  try
-    let qdir = quarantine_dir cache in
-    mkdir_p qdir;
-    Sys.rename p (Filename.concat qdir (Filename.basename p))
-  with Sys_error _ -> ()
-
-(* The rest of [fd].  Not through an [in_channel]: each channel is a
+(* Up to [n] bytes of [fd] from offset [pos] into [b] at [o]; fewer only
+   at end of file.  Not through an [in_channel]: each channel is a
    malloc'd 64 KiB buffer in a custom block whose declared size forces
    collections.  A one-worker [xloops_serve] answering warm hits ran a
    minor collection every ~2.4 batches that way, each a stop-the-world
    across its domains, and a lookup took 42 µs there against 9 µs
    this way (2-vCPU x86 host).  Raises [Unix.Unix_error] if a read
    fails. *)
-let read_fd fd =
-  let n = (Unix.fstat fd).Unix.st_size in
-  let b = Bytes.create n in
-  let rec fill o =
-    if o = n then b
+let read_at fd pos b o n =
+  ignore (Unix.lseek fd pos Unix.SEEK_SET);
+  let rec fill k =
+    if k = n then k
     else
-      match Unix.read fd b o (n - o) with
-      | 0 -> Bytes.sub b 0 o
-      | k -> fill (o + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill o
+      match Unix.read fd b (o + k) (n - k) with
+      | 0 -> k
+      | r -> fill (k + r)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill k
   in
   fill 0
+
+(* -- The index (all under [mu]) ------------------------------------------ *)
+
+let close_pack cache =
+  Option.iter close_fd cache.fd;
+  cache.fd <- None;
+  cache.scanned <- 0;
+  Hashtbl.reset cache.index
+
+let open_pack cache flags =
+  let fd =
+    Unix.openfile cache.pack
+      (Unix.O_RDWR :: Unix.O_APPEND :: Unix.O_CLOEXEC :: flags) 0o644 in
+  cache.fd <- Some fd;
+  cache.ino <- (Unix.fstat fd).Unix.st_ino;
+  fd
+
+(* Index the records in [scanned, size).  A frame whose head does not
+   parse, or whose tail does not repeat its length, was torn by a
+   killed writer: the scan steps one byte on, to the next head.  So
+   does a frame that runs past the end of the pack, but it is
+   remembered as [open_at]: appends to one file do not interleave, so
+   it is torn if a whole frame follows it, and otherwise it may still
+   be being written, and the next scan starts there.  The bytes are
+   read in chunks of 8 KiB, or one frame if that is longer; only the
+   index outlives the scan. *)
+let scan cache fd size =
+  let buf = ref (Bytes.create (min 8192 (size - cache.scanned))) in
+  let base = ref cache.scanned and fill = ref 0 in
+  (* Whether [!buf], holding the pack's [base, base + fill), can be
+     made to hold [o, o + n). *)
+  let have o n =
+    o + n <= !base + !fill
+    || o + n <= size
+       && begin
+         let keep = max 0 (!base + !fill - o) in
+         let b = if n > Bytes.length !buf then Bytes.create n else !buf in
+         if keep > 0 then Bytes.blit !buf (o - !base) b 0 keep;
+         buf := b;
+         base := o;
+         fill := keep + read_at fd (o + keep) b keep
+                   (min (Bytes.length b) (size - o) - keep);
+         o + n <= !base + !fill
+       end
+  in
+  let is s o = Bytes.sub_string !buf (o - !base) 4 = s in
+  let u32 o =
+    Int32.to_int (Bytes.get_int32_be !buf (o - !base)) land 0xFFFF_FFFF in
+  let rec go o open_at =
+    if not (have o head_len) then Option.value open_at ~default:o
+    else if not (is head_magic o) then go (o + 1) open_at
+    else
+      let tag = Bytes.get !buf (o - !base + 4) and len = u32 (o + 5) in
+      match Digest_hex.of_hex (Bytes.sub_string !buf (o - !base + 9) 32) with
+      | Error _ -> go (o + 1) open_at
+      | Ok key ->
+        let t = o + head_len + len in
+        if not (have o (head_len + len + tail_len)) then
+          go (o + 1) (if open_at = None then Some o else open_at)
+        else if u32 t <> len || not (is tail_magic (t + 4)) then
+          go (o + 1) open_at
+        else begin
+          (match tag with
+           | 'R' | 'M' ->
+             Hashtbl.replace cache.index (key, tag) (t - len, len)
+           | 'r' | 'm' when len = 8 ->
+             let k = (key, Char.uppercase_ascii tag) in
+             let dead = Bytes.get_int64_be !buf (t - 8 - !base) in
+             (match Hashtbl.find_opt cache.index k with
+              | Some (p, _) when Int64.of_int p = dead ->
+                Hashtbl.remove cache.index k
+              | _ -> ())
+           | _ -> ());
+          go (t + tail_len) None
+        end
+  in
+  cache.scanned <- go cache.scanned None
+
+(* Bring the index up to the pack on disk: forget a pack that is gone,
+   reopen one that was replaced, and index what was appended since the
+   last look. *)
+let refresh cache =
+  match Unix.stat cache.pack with
+  | exception Unix.Unix_error _ -> close_pack cache
+  | st ->
+    match
+      match cache.fd with
+      | Some fd when cache.ino = st.Unix.st_ino -> fd
+      | _ -> close_pack cache; open_pack cache []
+    with
+    | exception Unix.Unix_error _ -> close_pack cache
+    | fd -> if st.Unix.st_size > cache.scanned then scan cache fd st.st_size
+
+(* The live record of [(key, tag)]: from the index, or from the pack's
+   tail on an index miss. *)
+let locate cache key tag =
+  match Hashtbl.find_opt cache.index (key, tag) with
+  | Some _ as span -> span
+  | None -> refresh cache; Hashtbl.find_opt cache.index (key, tag)
+
+(* One framed record, appended by a single [write]; returns its blob's
+   offset.  A record this handle appends right after what it has
+   indexed extends the index without a re-scan. *)
+let append cache tag key blob =
+  let fd =
+    match cache.fd with
+    | Some fd -> fd
+    | None ->
+      mkdir_p (Filename.dirname cache.pack);
+      open_pack cache [ Unix.O_CREAT ]
+  in
+  let len = String.length blob in
+  let u32 = Bytes.create 4 in
+  Bytes.set_int32_be u32 0 (Int32.of_int len);
+  let u32 = Bytes.unsafe_to_string u32 in
+  let r = String.concat "" [ head_magic; String.make 1 tag; u32;
+                             Digest_hex.to_hex key; blob; u32; tail_magic ] in
+  let n = String.length r in
+  ignore (Unix.write_substring fd r 0 n);
+  let o = Unix.lseek fd 0 Unix.SEEK_CUR - n in
+  if cache.scanned = o then cache.scanned <- o + n;
+  o + head_len
+
+(* -- Reads and stores ---------------------------------------------------- *)
 
 (* The marshalled value at [!pos] in [b], advancing [pos] past it;
    [End_of_file] if [b] ends first, as [Marshal.from_channel] would. *)
@@ -118,68 +246,74 @@ let unmarshal_next b pos =
   pos := !pos + size;
   v
 
-(* The verified [MD5 ++ Marshal body] of the blob at [key], or why
-   there is none.  The body is not decoded here: callers that want the
-   value run [Marshal.from_string s 16], and the service forwards the
-   bytes as they are (this is the layout of a [Result] frame's
-   payload). *)
-let read_blob cache ~key ~suffix =
-  let p = path cache ~key ~suffix in
-  match Unix.openfile p [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
-  | exception Unix.Unix_error _ -> `Absent
-  | fd ->
-    let verdict =
-      (* Narrow catches only: a bare [_] here once masked
-         [Out_of_memory] and [Stack_overflow] as cache misses.  The
-         three below are exactly what a torn or rotten blob can
-         raise ([Marshal] signals corruption as [Failure]). *)
-      try
-        let b =
-          Fun.protect
-            ~finally:(fun () ->
-                try Unix.close fd with Unix.Unix_error _ -> ())
-            (fun () -> read_fd fd)
-        in
-        let pos = ref 0 in
-        let (m, v, ocaml) : string * int * string = unmarshal_next b pos in
-        if m <> magic then `Corrupt
-        else if v <> cache.version || ocaml <> Sys.ocaml_version then
-          `Stale
-        else begin
-          let sum : Digest.t = unmarshal_next b pos in
-          let payload : string = unmarshal_next b pos in
-          if Digest.string payload <> sum then `Corrupt
-          else `Hit (sum ^ payload)
-        end
-      with End_of_file | Stdlib.Failure _ | Unix.Unix_error _ -> `Corrupt
-    in
-    (match verdict with `Corrupt -> quarantine cache p | _ -> ());
+(* The verdict on a blob's bytes.  Narrow catches only: a bare [_] here
+   once masked [Out_of_memory] and [Stack_overflow] as cache misses.
+   The two below are exactly what a torn or rotten blob can raise
+   ([Marshal] signals corruption as [Failure]). *)
+let check cache b =
+  try
+    let pos = ref 0 in
+    let (m, v, ocaml) : string * int * string = unmarshal_next b pos in
+    if m <> magic then `Corrupt
+    else if v <> cache.version || ocaml <> Sys.ocaml_version then `Stale
+    else begin
+      let sum : Digest.t = unmarshal_next b pos in
+      let payload : string = unmarshal_next b pos in
+      if Digest.string payload <> sum then `Corrupt
+      else `Hit (sum ^ payload)
+    end
+  with End_of_file | Stdlib.Failure _ -> `Corrupt
+
+(* Copy a corrupt blob aside for post-mortem and tombstone its record,
+   so that no handle reads it again.  Failing at either must never
+   break the read path: the blob already reads as corrupt. *)
+let quarantine cache key tag pos b =
+  (try
+     let qdir = quarantine_dir cache in
+     mkdir_p qdir;
+     Out_channel.with_open_bin
+       (Filename.concat qdir
+          (Digest_hex.to_hex key ^ if tag = 'R' then ".run" else ".meta"))
+       (fun oc -> Out_channel.output_bytes oc b)
+   with Sys_error _ -> ());
+  locked cache @@ fun () ->
+  (match Hashtbl.find_opt cache.index (key, tag) with
+   | Some (p, _) when p = pos -> Hashtbl.remove cache.index (key, tag)
+   | _ -> ());
+  let dead = Bytes.create 8 in
+  Bytes.set_int64_be dead 0 (Int64.of_int pos);
+  try
+    ignore (append cache (Char.lowercase_ascii tag) key
+              (Bytes.unsafe_to_string dead))
+  with Sys_error _ | Unix.Unix_error _ -> ()
+
+(* The verified [MD5 ++ Marshal body] of [key]'s blob, or why there is
+   none.  The body is not decoded here: callers that want the value
+   run [Marshal.from_string s 16], and the service forwards the bytes
+   as they are (this is the layout of a [Result] frame's payload). *)
+let read_blob cache ~key ~tag =
+  let read =
+    locked cache @@ fun () ->
+    let span = locate cache key tag in
+    match span, cache.fd with
+    | Some (pos, len), Some fd ->
+      let b = Bytes.create len in
+      let n = try read_at fd pos b 0 len with Unix.Unix_error _ -> 0 in
+      Some (pos, if n = len then b else Bytes.sub b 0 n)
+    | _ -> None
+  in
+  match read with
+  | None -> `Absent
+  | Some (pos, b) ->
+    let verdict = check cache b in
+    if verdict = `Corrupt then quarantine cache key tag pos b;
     verdict
 
-(* [s] to [fd] whole, retrying short writes and EINTR. *)
-let write_all fd s =
-  let n = String.length s in
-  let rec go o =
-    if o < n then
-      match Unix.write_substring fd s o (n - o) with
-      | k -> go (o + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go o
-  in
-  go 0
-
-(* Not through an [out_channel], for the reason [read_fd] gives: each
-   channel mallocs a 64 KiB buffer.  The bytes are those
-   [Marshal.to_channel] wrote for the header, checksum and body, so
-   caches written either way read alike.  A failed open or write is a
-   [Sys_error], as it was through a channel, so the retry policy still
-   classifies it as transient I/O. *)
-let write_blob cache ~key ~suffix payload =
-  let p = path cache ~key ~suffix in
-  mkdir_p (Filename.dirname p);
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" p (Unix.getpid ())
-      (Domain.self () :> int)
-  in
+(* The blob is the bytes [Marshal.to_channel] wrote for the header,
+   checksum and body when each blob was a file of its own.  A failed
+   write is a [Sys_error], so the retry policy classifies it as
+   transient I/O. *)
+let store cache ~key ~tag payload =
   let body = Marshal.to_string payload [] in
   let blob =
     String.concat ""
@@ -187,35 +321,31 @@ let write_blob cache ~key ~suffix payload =
         Marshal.to_string (Digest.string body) [];
         Marshal.to_string body [] ]
   in
-  let io_error e =
-    Sys_error (Printf.sprintf "%s: %s" tmp (Unix.error_message e)) in
-  let fd =
+  let len = String.length blob in
+  let pos =
     try
-      Unix.openfile tmp
-        [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o666
-    with Unix.Unix_error (e, _, _) -> raise (io_error e)
+      locked cache @@ fun () ->
+      let pos = append cache tag key blob in
+      Hashtbl.replace cache.index (key, tag) (pos, len);
+      cache.stores <- cache.stores + 1;
+      pos
+    with Unix.Unix_error (e, _, _) ->
+      raise (Sys_error (cache.pack ^ ": " ^ Unix.error_message e))
   in
-  (try write_all fd blob; Unix.close fd
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     (try Sys.remove tmp with _ -> ());
-     raise (match e with Unix.Unix_error (e, _, _) -> io_error e | e -> e));
-  Sys.rename tmp p;
-  (* Chaos: rot the blob at rest, after the rename — the next reader
+  (* Chaos: rot the blob at rest, after the append — the next reader
      must detect it, quarantine it, and re-simulate. *)
-  match cache.chaos with
-  | Some c -> Chaos.after_store c p
-  | None -> ()
+  Option.iter (fun c -> Chaos.after_store c cache.pack ~pos ~len)
+    cache.chaos
 
 (* The chaos draw comes first: an injected read error is a miss that
    never touches the disk. *)
-let find_bytes cache ~key ~suffix =
+let find_bytes cache ~key ~tag =
   let verdict =
     match cache.chaos with
     | Some c when Chaos.read_error c -> `Absent
-    | Some _ | None -> read_blob cache ~key ~suffix
+    | Some _ | None -> read_blob cache ~key ~tag
   in
-  counted cache (fun () ->
+  locked cache (fun () ->
       match verdict with
       | `Hit _ -> cache.hits <- cache.hits + 1
       | `Absent | `Stale -> cache.misses <- cache.misses + 1
@@ -225,114 +355,79 @@ let find_bytes cache ~key ~suffix =
   | `Absent | `Stale | `Corrupt -> None
 
 (* Unsafe generic unmarshal; the monomorphic wrappers below pin the
-   payload type to the suffix that wrote it.  The body's MD5 was
-   checked before this runs. *)
-let find cache ~key ~suffix =
+   payload type to the tag that wrote it.  The body's MD5 was checked
+   before this runs. *)
+let find cache ~key ~tag =
   Option.map (fun s -> Marshal.from_string s 16)
-    (find_bytes cache ~key ~suffix)
+    (find_bytes cache ~key ~tag)
 
 let find_run cache ~key : Run_spec.run_data option =
-  find cache ~key ~suffix:".run"
+  find cache ~key ~tag:'R'
 
-let find_run_bytes cache ~key = find_bytes cache ~key ~suffix:".run"
+let find_run_bytes cache ~key = find_bytes cache ~key ~tag:'R'
 
 let store_run cache ~key (rd : Run_spec.run_data) =
-  write_blob cache ~key ~suffix:".run" rd;
-  counted cache (fun () -> cache.stores <- cache.stores + 1)
+  store cache ~key ~tag:'R' rd
 
-let find_meta cache ~key : int array option =
-  find cache ~key ~suffix:".meta"
+let find_meta cache ~key : int array option = find cache ~key ~tag:'M'
 
-let store_meta cache ~key (m : int array) =
-  write_blob cache ~key ~suffix:".meta" m;
-  counted cache (fun () -> cache.stores <- cache.stores + 1)
+let store_meta cache ~key (m : int array) = store cache ~key ~tag:'M' m
+
+let blob_span cache ~key =
+  locked cache @@ fun () ->
+  Option.map (fun (pos, len) -> (cache.pack, pos, len)) (locate cache key 'R')
 
 (* -- Startup hygiene ----------------------------------------------------- *)
 
-let is_tmp_name name =
-  (* <key><suffix>.tmp.<pid>.<domain> *)
-  let rec find_sub i =
-    i + 5 <= String.length name
-    && (String.sub name i 5 = ".tmp." || find_sub (i + 1))
-  in
-  find_sub 0
-
-(** Remove orphaned [*.tmp.*] files a killed writer left under this
-    cache version's tree; returns how many were reaped.  Safe to run
-    concurrently with readers (temp files are never read) but meant for
-    startup, before workers start writing. *)
 let reap_tmp cache =
-  let reaped = ref 0 in
-  let vdir = cache.vdir in
-  if Sys.file_exists vdir && Sys.is_directory vdir then
-    Array.iter
-      (fun shard ->
-         let sdir = Filename.concat vdir shard in
-         if Sys.is_directory sdir then
-           Array.iter
-             (fun name ->
-                if is_tmp_name name then begin
-                  (try Sys.remove (Filename.concat sdir name)
-                   with Sys_error _ -> ());
-                  incr reaped
-                end)
-             (Sys.readdir sdir))
-      (Sys.readdir vdir);
-  !reaped
+  let vdir = Filename.dirname cache.pack in
+  match Sys.readdir vdir with
+  | exception Sys_error _ -> 0
+  | names ->
+    Array.fold_left
+      (fun n name ->
+         if String.starts_with ~prefix:"pack.tmp." name then begin
+           (try Sys.remove (Filename.concat vdir name)
+            with Sys_error _ -> ());
+           n + 1
+         end else n)
+      0 names
 
-(** Bound the cache directory: when the version tree holds more blob
-    bytes than [limit_bytes], delete the least-recently-written blobs
-    (there is no access record, so write age is the recency signal;
-    ties go to the earlier-listed blob) until back under the limit.
-    Returns how many blobs were removed.  No-op when no limit was
-    configured. *)
+(* Keep the newest live records that fit in [limit_bytes], frames
+   included, and drop the rest with every retired record: the pack is
+   rewritten to a temp file, which is renamed over it. *)
 let reap_over_limit cache =
   match cache.limit_bytes with
   | None -> 0
   | Some limit ->
-    let vdir = cache.vdir in
-    if not (Sys.file_exists vdir && Sys.is_directory vdir) then 0
-    else begin
-      let blobs = ref [] in
-      let total = ref 0 in
-      Array.iter
-        (fun shard ->
-           let sdir = Filename.concat vdir shard in
-           if Sys.is_directory sdir then
-             Array.iter
-               (fun name ->
-                  if not (is_tmp_name name) then begin
-                    let p = Filename.concat sdir name in
-                    match Unix.stat p with
-                    | exception Unix.Unix_error _ -> ()
-                    | st ->
-                      total := !total + st.Unix.st_size;
-                      blobs :=
-                        (p, st.Unix.st_size, st.Unix.st_mtime) :: !blobs
-                  end)
-               (Sys.readdir sdir))
-        (Array.of_list (List.sort compare
-                          (Array.to_list (Sys.readdir vdir))));
-      if !total <= limit then 0
-      else begin
-        let excess = !total - limit in
-        let oldest_first =
-          List.stable_sort (fun (_, _, a) (_, _, b) -> Float.compare a b)
-            (List.rev !blobs)
-        in
-        let freed = ref 0 and n = ref 0 in
-        List.iter
-          (fun (p, size, _) ->
-             if !freed < excess then begin
-               (try Sys.remove p with Sys_error _ -> ());
-               freed := !freed + size;
-               incr n
-             end)
-          oldest_first;
-        counted cache (fun () -> cache.evictions <- cache.evictions + !n);
-        !n
-      end
-    end
+    locked cache @@ fun () ->
+    refresh cache;
+    match cache.fd with
+    | Some fd when (Unix.fstat fd).Unix.st_size > limit ->
+      let frame (_, (_, len)) = head_len + len + tail_len in
+      let rec keep room kept = function
+        | r :: older when frame r <= room ->
+          keep (room - frame r) (r :: kept) older
+        | older -> (kept, List.length older)
+      in
+      let kept, dropped =
+        keep limit []
+          (List.sort (fun (_, (a, _)) (_, (b, _)) -> Int.compare b a)
+             (List.of_seq (Hashtbl.to_seq cache.index)))
+      in
+      let tmp = Printf.sprintf "%s.tmp.%d" cache.pack (Unix.getpid ()) in
+      Out_channel.with_open_bin tmp (fun oc ->
+          List.iter
+            (fun ((_, (pos, _)) as r) ->
+               let b = Bytes.create (frame r) in
+               Out_channel.output oc b 0 (read_at fd (pos - head_len) b 0
+                                            (frame r)))
+            kept);
+      Sys.rename tmp cache.pack;
+      close_pack cache;
+      cache.evictions <- cache.evictions + dropped;
+      dropped
+    | _ -> 0
 
 let quarantined cache =
   let qdir = quarantine_dir cache in
@@ -340,11 +435,11 @@ let quarantined cache =
   then Array.length (Sys.readdir qdir)
   else 0
 
-let hits c = counted c (fun () -> c.hits)
-let misses c = counted c (fun () -> c.misses)
-let corrupt c = counted c (fun () -> c.corrupt)
-let stores c = counted c (fun () -> c.stores)
-let evictions c = counted c (fun () -> c.evictions)
+let hits c = locked c (fun () -> c.hits)
+let misses c = locked c (fun () -> c.misses)
+let corrupt c = locked c (fun () -> c.corrupt)
+let stores c = locked c (fun () -> c.stores)
+let evictions c = locked c (fun () -> c.evictions)
 
 let pp_counters ppf c =
   Fmt.pf ppf

@@ -2,15 +2,18 @@
 
     Keys are {!Run_spec.cache_key} digests (spec encoding + compiled
     program bytes), so a warm cache survives exactly as long as both the
-    experiment description and the generated code are unchanged.  Blobs
-    are versioned marshalled records carrying an MD5 payload checksum:
-    an absent or version/compiler-stale blob reads as a miss; a torn,
-    rotten, or checksum-failing blob counts as {e corrupt} and is
-    quarantined to [dir/quarantine/] — never an error, never silently
-    re-read.  Writes are temp-file + rename and directory creation
-    tolerates races, so concurrent workers and concurrent processes are
-    safe; {!reap_tmp} cleans up after killed writers.  Every lookup
-    reads the disk. *)
+    experiment description and the generated code are unchanged.  All
+    blobs of a cache version live in one append-only pack,
+    [dir/v<version>/pack]: each store appends one framed record with a
+    single [write], so concurrent workers and concurrent processes are
+    safe, and a record torn by a killed writer is skipped.  Blobs are
+    versioned marshalled records carrying an MD5 payload checksum: an
+    absent or compiler-stale blob reads as a miss; a torn, rotten, or
+    checksum-failing blob counts as {e corrupt}, is copied to
+    [dir/quarantine/] and tombstoned — never an error, never silently
+    re-read.  A handle indexes the pack in memory (key → offset) and
+    reads the pack's new tail on an index miss, so another process's
+    stores become visible to it. *)
 
 type t
 
@@ -26,7 +29,7 @@ val quarantine_subdir : string
 val create :
   ?version:int -> ?dir:string -> ?chaos:Chaos.t -> ?limit_bytes:int ->
   unit -> t
-(** A cache handle.  Nothing is touched on disk until the first store;
+(** A cache handle.  Nothing is created on disk until the first store;
     [version] defaults to {!current_version} (override only to test
     invalidation).  [chaos] injects read errors and post-store blob
     corruption for integrity testing.  [limit_bytes] bounds the cache,
@@ -54,15 +57,22 @@ val find_meta : t -> key:Digest_hex.t -> int array option
 
 val store_meta : t -> key:Digest_hex.t -> int array -> unit
 
+val blob_span : t -> key:Digest_hex.t -> (string * int * int) option
+(** The pack's path, and the offset and length of the blob in [key]'s
+    live result record, if any: for fixtures that rot a stored result
+    in place. *)
+
 val reap_tmp : t -> int
-(** Remove orphaned [*.tmp.*] files a killed writer left under this
-    version's tree; returns the count.  Run at startup. *)
+(** Remove the orphaned [pack.tmp.*] file a {!reap_over_limit} killed
+    mid-rewrite left behind; returns the count.  Run at startup. *)
 
 val reap_over_limit : t -> int
-(** For a cache with [limit_bytes]: delete least-recently-written blobs
-    until the version tree fits the limit; returns how many were
-    removed.  Recency is blob mtime — there is no access record.
-    Returns [0] with no limit.  Run at startup, like {!reap_tmp}. *)
+(** For a cache with [limit_bytes]: rewrite the pack (temp file +
+    rename) with only the newest live records that fit the limit, frames
+    included; returns how many live records were dropped.  Recency is
+    append order — there is no access record.  Returns [0] with no
+    limit or a pack that fits.  Run at startup, like {!reap_tmp}: a
+    process still appending to the old pack loses those appends. *)
 
 val quarantined : t -> int
 (** Files currently in the quarantine directory. *)
@@ -78,6 +88,6 @@ val stores : t -> int
 (** Lookup/store counters for this handle (thread-safe). *)
 
 val evictions : t -> int
-(** Blobs this handle deleted for space by {!reap_over_limit}. *)
+(** Records this handle dropped for space by {!reap_over_limit}. *)
 
 val pp_counters : Format.formatter -> t -> unit

@@ -636,7 +636,6 @@ let listen_on (addr : P.addr) =
 
 let start (cfg : config) =
   if Sys.unix then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  Option.iter (fun c -> ignore (Run_cache.reap_tmp c)) cfg.cache;
   let lsock, bound = listen_on cfg.addr in
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   let fills =

@@ -6,18 +6,10 @@
    test_service.ml. *)
 
 open Service_fixture
-module Digest_hex = Xloops.Digest_hex
 
 let sample_rd = lazy (Run_spec.execute (spec "war-uc"))
 
 let war_spelling = Run_spec.encode (spec "war-uc")
-
-(* The file a cache keeps the result of [war_spelling] in. *)
-let war_blob dir =
-  let key = Run_spec.cache_key (spec "war-uc") in
-  String.concat Filename.dir_sep
-    [ dir; "v" ^ string_of_int Run_cache.current_version;
-      Digest_hex.shard key; Digest_hex.to_hex key ^ ".run" ]
 
 let origin what (run : P.run) want =
   if run.P.origin <> want then Alcotest.failf "%s: wrong origin" what
@@ -54,8 +46,11 @@ let test_table_never_holds_rot () =
   with_raw addr @@ fun r ->
   let round () = (submit_raw r [ war_spelling ]).(0) in
   origin "the fill" (round ()) P.Miss;
+  let pack, pos, len =
+    Option.get (Run_cache.blob_span (Run_cache.create ~dir ())
+                  ~key:(Run_spec.cache_key (spec "war-uc"))) in
   Alcotest.(check bool) "fixture corrupted" true
-    (Xloops.Chaos.corrupt_file Xloops.Chaos.Blob_bitflip (war_blob dir));
+    (Xloops.Chaos.corrupt Xloops.Chaos.Blob_bitflip pack ~pos ~len);
   let jobs0 = jobs (raw_stats r) in
   origin "the rotten blob" (round ()) P.Miss;
   Alcotest.(check int) "read by a worker" (jobs0 + 1) (jobs (raw_stats r));

@@ -1,10 +1,11 @@
 (* Fault-tolerant orchestration tests: the failure taxonomy and seeded
    retry/backoff ([Failure]), the crash-safe sweep journal ([Journal]),
    cache integrity (checksums, quarantine, tmp reaping, the size
-   reaper), crash isolation in [Pool.run_each],
-   and whole sweeps under injected infrastructure chaos — including the
-   acceptance scenario (poisoned spec + stalling spec + bit-flipped
-   blobs) and the kill-at-a-random-prefix / [--resume] property. *)
+   reaper, torn and interleaved pack records), crash isolation in
+   [Pool.run_each], and whole sweeps under injected infrastructure
+   chaos — including the acceptance scenario (poisoned spec + stalling
+   spec + bit-flipped blobs) and the kill-at-a-random-prefix /
+   [--resume] property. *)
 
 module E = Xloops.Experiments
 module Run_spec = Xloops.Run_spec
@@ -34,22 +35,21 @@ let tmp_dir () =
 
 let tmp_file () = tmp_dir () ^ ".journal"
 
-(* Every [suffix] blob under a cache directory, sorted for
-   determinism. *)
-let blobs ~suffix dir =
-  let rec walk acc p =
-    if Sys.is_directory p then
-      Array.fold_left
-        (fun acc name ->
-           if name = Run_cache.quarantine_subdir then acc
-           else walk acc (Filename.concat p name))
-        acc (Sys.readdir p)
-    else if Filename.check_suffix p suffix then p :: acc
-    else acc
-  in
-  List.sort compare (walk [] dir)
+(* Rot the blob of [key]'s live result record in its pack. *)
+let rot kind cache ~key =
+  match Run_cache.blob_span cache ~key with
+  | Some (pack, pos, len) -> Chaos.corrupt kind pack ~pos ~len
+  | None -> Alcotest.fail "no live record to rot"
 
-let run_blobs = blobs ~suffix:".run"
+(* Every regular file under [dir], relative to it, sorted. *)
+let rec files dir =
+  List.concat_map
+    (fun name ->
+       let p = Filename.concat dir name in
+       if Sys.is_directory p then
+         List.map (Filename.concat name) (files p)
+       else [ name ])
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
 
 (* -- Failure taxonomy ---------------------------------------------------- *)
 
@@ -218,20 +218,19 @@ let test_cache_detects_corruption corrupt_kind () =
   let key = Run_spec.cache_key war_spec in
   let c1 = Run_cache.create ~dir () in
   Run_cache.store_run c1 ~key rd;
-  (match run_blobs dir with
-   | [ blob ] ->
-     Alcotest.(check bool) "fixture corrupted" true
-       (Chaos.corrupt_file corrupt_kind blob)
-   | blobs -> Alcotest.failf "expected one blob, found %d"
-                (List.length blobs));
+  Alcotest.(check bool) "fixture corrupted" true (rot corrupt_kind c1 ~key);
   let c2 = Run_cache.create ~dir () in
   Alcotest.(check bool) "corrupt blob reads as absent" true
     (Run_cache.find_run c2 ~key = None);
   Alcotest.(check int) "corruption counted" 1 (Run_cache.corrupt c2);
   Alcotest.(check int) "not a plain miss" 0 (Run_cache.misses c2);
   Alcotest.(check int) "blob quarantined" 1 (Run_cache.quarantined c2);
-  Alcotest.(check (list string)) "blob removed from the live tree" []
-    (run_blobs dir);
+  Alcotest.(check bool) "quarantined as <key>.run" true
+    (Sys.file_exists
+       (Filename.concat (Filename.concat dir Run_cache.quarantine_subdir)
+          (Xloops.Digest_hex.to_hex key ^ ".run")));
+  Alcotest.(check bool) "blob removed from the live tree" true
+    (Run_cache.blob_span (Run_cache.create ~dir ()) ~key = None);
   (* The slot is reusable: store again, read back clean. *)
   Run_cache.store_run c2 ~key rd;
   let c3 = Run_cache.create ~dir () in
@@ -244,9 +243,9 @@ let test_cache_reaps_tmp () =
   let key = Run_spec.cache_key war_spec in
   let c = Run_cache.create ~dir () in
   Run_cache.store_run c ~key rd;
-  (* A killed writer leaves its temp file behind... *)
-  let shard = Filename.dirname (List.hd (run_blobs dir)) in
-  let orphan = Filename.concat shard "dead.run.tmp.1234" in
+  (* A limit reap killed mid-rewrite leaves its temp file behind... *)
+  let pack, _, _ = Option.get (Run_cache.blob_span c ~key) in
+  let orphan = pack ^ ".tmp.1234" in
   let oc = open_out orphan in
   output_string oc "partial write";
   close_out oc;
@@ -260,6 +259,12 @@ let key_of i = dg (Printf.sprintf "k%d" i)
 
 let sample_rd = lazy (Run_spec.execute war_spec)
 
+(* The size of the pack that holds [key]'s record. *)
+let pack_size cache ~key =
+  match Run_cache.blob_span cache ~key with
+  | Some (pack, _, _) -> (Unix.stat pack).Unix.st_size
+  | None -> Alcotest.fail "no pack"
+
 let test_reap_over_limit () =
   let dir = tmp_dir () in
   let seed = Run_cache.create ~dir () in
@@ -268,23 +273,85 @@ let test_reap_over_limit () =
   for i = 0 to n - 1 do
     Run_cache.store_run seed ~key:(key_of i) rd
   done;
-  let size_of p = (Unix.stat p).Unix.st_size in
-  let total = List.fold_left (fun a p -> a + size_of p) 0 (run_blobs dir) in
-  let limit = total / 2 in
+  let limit = pack_size seed ~key:(key_of 0) / 2 in
   let c = Run_cache.create ~dir ~limit_bytes:limit () in
   let removed = Run_cache.reap_over_limit c in
   Alcotest.(check bool) "over-limit blobs reaped" true (removed > 0);
   Alcotest.(check int) "reaps counted as evictions" removed
     (Run_cache.evictions c);
-  let blobs = run_blobs dir in
+  let fresh = Run_cache.create ~dir () in
+  let live = List.filter (fun i -> Run_cache.find_run fresh ~key:(key_of i)
+                                   <> None) (List.init n Fun.id) in
   Alcotest.(check int) "removed + surviving = stored" n
-    (removed + List.length blobs);
+    (removed + List.length live);
+  Alcotest.(check bool) "the newest survive" true
+    (live = List.init (List.length live) (fun i -> n - List.length live + i));
   Alcotest.(check bool) "survivors fit the limit" true
-    (List.fold_left (fun a p -> a + size_of p) 0 blobs <= limit);
+    (pack_size fresh ~key:(key_of (n - 1)) <= limit);
   (* a second reap is a no-op; so is one without a limit *)
   Alcotest.(check int) "reap is idempotent" 0 (Run_cache.reap_over_limit c);
   Alcotest.(check int) "no limit, no reap" 0
     (Run_cache.reap_over_limit (Run_cache.create ~dir ()))
+
+(* A writer killed mid-record leaves a torn tail; the next append lands
+   after it.  The records on both sides read back, the torn one is a
+   plain miss, and nothing counts as corrupt. *)
+let test_torn_record_skipped () =
+  let dir = tmp_dir () in
+  let rd = Lazy.force sample_rd in
+  let c = Run_cache.create ~dir () in
+  Run_cache.store_run c ~key:(key_of 0) rd;
+  Run_cache.store_run c ~key:(key_of 1) rd;
+  let pack, pos, len = Option.get (Run_cache.blob_span c ~key:(key_of 1)) in
+  Unix.truncate pack (pos + len / 2);
+  Run_cache.store_run (Run_cache.create ~dir ()) ~key:(key_of 2) rd;
+  let fresh = Run_cache.create ~dir () in
+  Alcotest.(check bool) "record before the tear" true
+    (Run_cache.find_run fresh ~key:(key_of 0) = Some rd);
+  Alcotest.(check bool) "record after the tear" true
+    (Run_cache.find_run fresh ~key:(key_of 2) = Some rd);
+  Alcotest.(check bool) "torn record absent" true
+    (Run_cache.find_run fresh ~key:(key_of 1) = None);
+  Alcotest.(check (pair int int)) "two hits, one miss" (2, 1)
+    (Run_cache.hits fresh, Run_cache.misses fresh);
+  Alcotest.(check int) "nothing corrupt" 0 (Run_cache.corrupt fresh)
+
+(* Two handles on one directory, stores interleaved: each finds the
+   other's records from the pack's tail. *)
+let test_two_handles_interleave () =
+  let dir = tmp_dir () in
+  let rd = Lazy.force sample_rd in
+  let a = Run_cache.create ~dir () and b = Run_cache.create ~dir () in
+  List.iter (fun i -> Run_cache.store_run (if i mod 2 = 0 then a else b)
+                ~key:(key_of i) rd) [ 0; 1; 2; 3 ];
+  List.iter
+    (fun (name, h) ->
+       List.iter
+         (fun i ->
+            Alcotest.(check bool) (Printf.sprintf "%s finds k%d" name i) true
+              (Run_cache.find_run h ~key:(key_of i) = Some rd))
+         [ 0; 1; 2; 3 ])
+    [ ("a", a); ("b", b) ];
+  Alcotest.(check (pair int int)) "every lookup hit" (8, 0)
+    (Run_cache.hits a + Run_cache.hits b,
+     Run_cache.misses a + Run_cache.misses b)
+
+(* A cold journaled sweep of the quick plan, tables included, creates
+   the pack and the journal and nothing else. *)
+let test_cold_sweep_two_files () =
+  let dir = tmp_dir () in
+  let journal = Journal.start (Filename.concat dir Journal.default_name) in
+  let engine = E.caching_engine ~cache:(Run_cache.create ~dir ()) () in
+  let report = E.sweep ~jobs:1 ~journal engine (E.quick_plan ()) in
+  Journal.close journal;
+  Alcotest.(check int) "clean sweep" 0 (List.length report.E.sr_failures);
+  List.iter (fun k -> ignore (E.evaluate ~engine (Registry.find k)))
+    E.quick_kernels;
+  Alcotest.(check (list string)) "only the pack and the journal"
+    [ Journal.default_name;
+      Filename.concat ("v" ^ string_of_int Run_cache.current_version)
+        "pack" ]
+    (files dir)
 
 (* -- Pool.run_each ------------------------------------------------------- *)
 
@@ -339,14 +406,16 @@ let test_acceptance_sweep () =
     E.sweep ~jobs:1 (E.caching_engine ~cache:cold ()) good_specs in
   Alcotest.(check int) "cold sweep clean" 0 (List.length r0.E.sr_failures);
   (* ...then three of the four blobs rot on disk. *)
-  let blobs = run_blobs dir in
-  Alcotest.(check int) "four blobs stored" 4 (List.length blobs);
+  let keys = List.map Run_spec.cache_key good_specs in
+  Alcotest.(check int) "four blobs stored" 4
+    (List.length (List.filter_map
+                    (fun key -> Run_cache.blob_span cold ~key) keys));
   List.iteri
-    (fun i blob ->
+    (fun i key ->
        if i < 3 then
          Alcotest.(check bool) "blob corrupted" true
-           (Chaos.corrupt_file Chaos.Blob_bitflip blob))
-    blobs;
+           (rot Chaos.Blob_bitflip cold ~key))
+    keys;
   (* The dirty sweep: healthy plan + poisoned spec + stalling spec. *)
   let poisoned =
     Run_spec.make ~cfg:Config.io_x ~mode:Machine.Specialized
@@ -511,7 +580,13 @@ let () =
          Alcotest.test_case "truncation quarantined" `Quick
            (test_cache_detects_corruption Chaos.Blob_truncate);
          Alcotest.test_case "tmp reaping" `Quick test_cache_reaps_tmp;
-         Alcotest.test_case "reap_over_limit" `Quick test_reap_over_limit ]);
+         Alcotest.test_case "reap_over_limit" `Quick test_reap_over_limit;
+         Alcotest.test_case "torn record skipped" `Quick
+           test_torn_record_skipped;
+         Alcotest.test_case "two handles interleave" `Quick
+           test_two_handles_interleave;
+         Alcotest.test_case "cold sweep: two files" `Quick
+           test_cold_sweep_two_files ]);
       ("run-each",
        [ Alcotest.test_case "crash isolation" `Quick
            test_run_each_isolates_crashes;
