@@ -1,7 +1,9 @@
 (** Content-addressed on-disk result cache.
 
-    Every blob lives in one append-only file per cache version,
-    [dir/v<version>/pack].  A store appends one framed record:
+    Every blob lives in one append-only file per cache version and
+    OCaml version, [dir/v<version>/pack-<ocaml-version>] ([Marshal]'s
+    format is only promised within one compiler).  A store appends one
+    framed record:
 
     {v "XLPK" tag len:u32be key:32-hex | blob | len:u32be "kplx" v}
 
@@ -11,19 +13,18 @@
     by {!Run_spec.kernel_digest}.  The lower-case tag is a tombstone
     whose 8-byte blob is the offset of the record it retires.
 
-    A blob is a [Marshal]led header [(magic, version, ocaml-version)]
-    followed by an MD5 checksum of the marshalled payload and the
-    payload itself.  Reads count three non-hit cases apart: {e absent}
-    (no record), {e stale} (a blob from another compiler) and
-    {e corrupt} (unparseable header, torn payload, or a checksum
-    mismatch), which is copied to [dir/quarantine/] and tombstoned.
-    Each record is one [write] on an [O_APPEND] descriptor, so
-    concurrent workers and processes append whole records. *)
+    A blob is sealed ({!seal}): the MD5 of a [Marshal]led value, then
+    those bytes.  Reads tell three outcomes apart: {e hit}, {e absent}
+    (no record) and {e corrupt} (a checksum mismatch — copied to
+    [dir/quarantine/] and tombstoned); the checksum is compared before
+    anything is unmarshalled.  Each record is one [write] on an
+    [O_APPEND] descriptor, so concurrent workers and processes append
+    whole records. *)
 
 type t = {
   dir : string;
   version : int;
-  pack : string;                  (* [dir/v<version>/pack] *)
+  pack : string;                  (* [dir/v<version>/pack-<ocaml>] *)
   chaos : Chaos.t option;
   limit_bytes : int option;       (* size bound (reap_over_limit) *)
   mu : Mutex.t;                   (* guards every field below *)
@@ -33,18 +34,17 @@ type t = {
   index : (Digest_hex.t * char, int * int) Hashtbl.t;
   (* live record (key, tag) → its blob's offset and length *)
   mutable hits : int;
-  mutable misses : int;      (* absent or stale — simply not usable *)
+  mutable misses : int;      (* absent, or a chaos read error *)
   mutable corrupt : int;     (* integrity failures, quarantined *)
   mutable stores : int;
   mutable evictions : int;   (* records this handle dropped for space *)
 }
 
-let magic = "XLOOPS-CACHE"
-
 (** Bump when the marshalled payload layout changes ({!Run_spec.run_data},
     [Stats.t], [Config.t] or the energy breakdown) or the file layout
-    does — v2 added the payload checksum, v3 the pack. *)
-let current_version = 3
+    does — v2 added the payload checksum, v3 the pack, v4 the sealed
+    blob and the OCaml version in the pack's name. *)
+let current_version = 4
 
 let default_dir = "_xloops_cache"
 
@@ -72,8 +72,8 @@ let create ?(version = current_version) ?(dir = default_dir) ?chaos
     ?limit_bytes () =
   let vdir = Filename.concat dir ("v" ^ string_of_int version) in
   let cache =
-    { dir; version; pack = Filename.concat vdir "pack"; chaos;
-      limit_bytes; mu = Mutex.create (); fd = None; ino = 0; scanned = 0;
+    { dir; version; pack = Filename.concat vdir ("pack-" ^ Sys.ocaml_version);
+      chaos; limit_bytes; mu = Mutex.create (); fd = None; ino = 0; scanned = 0;
       index = Hashtbl.create 256;
       hits = 0; misses = 0; corrupt = 0; stores = 0; evictions = 0 }
   in
@@ -236,47 +236,32 @@ let append cache tag key blob =
 
 (* -- Reads and stores ---------------------------------------------------- *)
 
-(* The marshalled value at [!pos] in [b], advancing [pos] past it;
-   [End_of_file] if [b] ends first, as [Marshal.from_channel] would. *)
-let unmarshal_next b pos =
-  if !pos > Bytes.length b - Marshal.header_size then raise End_of_file;
-  let size = Marshal.total_size b !pos in
-  if size > Bytes.length b - !pos then raise End_of_file;
-  let v = Marshal.from_bytes b !pos in
-  pos := !pos + size;
-  v
+let seal v =
+  let body = Marshal.to_string v [] in
+  Digest.string body ^ body
 
-(* The verdict on a blob's bytes.  Narrow catches only: a bare [_] here
-   once masked [Out_of_memory] and [Stack_overflow] as cache misses.
-   The two below are exactly what a torn or rotten blob can raise
-   ([Marshal] signals corruption as [Failure]). *)
-let check cache b =
-  try
-    let pos = ref 0 in
-    let (m, v, ocaml) : string * int * string = unmarshal_next b pos in
-    if m <> magic then `Corrupt
-    else if v <> cache.version || ocaml <> Sys.ocaml_version then `Stale
-    else begin
-      let sum : Digest.t = unmarshal_next b pos in
-      let payload : string = unmarshal_next b pos in
-      if Digest.string payload <> sum then `Corrupt
-      else `Hit (sum ^ payload)
-    end
-  with End_of_file | Stdlib.Failure _ -> `Corrupt
+(* The MD5 in [s]'s first 16 bytes sums the rest, compared in place. *)
+let sealed_ok s =
+  let n = String.length s in
+  n >= 16
+  && (let sum = Digest.substring s 16 (n - 16) in
+      let rec eq i = i = 16 || (sum.[i] = s.[i] && eq (i + 1)) in
+      eq 0)
 
-(* Copy a corrupt blob aside for post-mortem and tombstone its record,
-   so that no handle reads it again.  Failing at either must never
-   break the read path: the blob already reads as corrupt. *)
-let quarantine cache key tag pos b =
+(* Count a corrupt blob, copy it aside for post-mortem and tombstone
+   its record, so that no handle reads it again.  Failing at either
+   must never break the read path: the blob already reads as corrupt. *)
+let quarantine cache key tag pos s =
   (try
      let qdir = quarantine_dir cache in
      mkdir_p qdir;
      Out_channel.with_open_bin
        (Filename.concat qdir
           (Digest_hex.to_hex key ^ if tag = 'R' then ".run" else ".meta"))
-       (fun oc -> Out_channel.output_bytes oc b)
+       (fun oc -> Out_channel.output_string oc s)
    with Sys_error _ -> ());
   locked cache @@ fun () ->
+  cache.corrupt <- cache.corrupt + 1;
   (match Hashtbl.find_opt cache.index (key, tag) with
    | Some (p, _) when p = pos -> Hashtbl.remove cache.index (key, tag)
    | _ -> ());
@@ -287,40 +272,10 @@ let quarantine cache key tag pos b =
               (Bytes.unsafe_to_string dead))
   with Sys_error _ | Unix.Unix_error _ -> ()
 
-(* The verified [MD5 ++ Marshal body] of [key]'s blob, or why there is
-   none.  The body is not decoded here: callers that want the value
-   run [Marshal.from_string s 16], and the service forwards the bytes
-   as they are (this is the layout of a [Result] frame's payload). *)
-let read_blob cache ~key ~tag =
-  let read =
-    locked cache @@ fun () ->
-    let span = locate cache key tag in
-    match span, cache.fd with
-    | Some (pos, len), Some fd ->
-      let b = Bytes.create len in
-      let n = try read_at fd pos b 0 len with Unix.Unix_error _ -> 0 in
-      Some (pos, if n = len then b else Bytes.sub b 0 n)
-    | _ -> None
-  in
-  match read with
-  | None -> `Absent
-  | Some (pos, b) ->
-    let verdict = check cache b in
-    if verdict = `Corrupt then quarantine cache key tag pos b;
-    verdict
-
-(* The blob is the bytes [Marshal.to_channel] wrote for the header,
-   checksum and body when each blob was a file of its own.  A failed
-   write is a [Sys_error], so the retry policy classifies it as
-   transient I/O. *)
+(* A failed write is a [Sys_error], so the retry policy classifies it
+   as transient I/O. *)
 let store cache ~key ~tag payload =
-  let body = Marshal.to_string payload [] in
-  let blob =
-    String.concat ""
-      [ Marshal.to_string (magic, cache.version, Sys.ocaml_version) [];
-        Marshal.to_string (Digest.string body) [];
-        Marshal.to_string body [] ]
-  in
+  let blob = seal payload in
   let len = String.length blob in
   let pos =
     try
@@ -337,26 +292,37 @@ let store cache ~key ~tag payload =
   Option.iter (fun c -> Chaos.after_store c cache.pack ~pos ~len)
     cache.chaos
 
-(* The chaos draw comes first: an injected read error is a miss that
-   never touches the disk. *)
+(* The sealed bytes of [key]'s blob, returned as read once their MD5
+   matches; a blob that fails it is quarantined.  They are not
+   unmarshalled here: callers that want the value run
+   [Marshal.from_string s 16], and the service forwards the bytes as
+   they are (a [Result] frame's payload).  The chaos draw comes first:
+   an injected read error is a miss that never touches the disk. *)
 let find_bytes cache ~key ~tag =
-  let verdict =
+  let read =
     match cache.chaos with
-    | Some c when Chaos.read_error c -> `Absent
-    | Some _ | None -> read_blob cache ~key ~tag
+    | Some c when Chaos.read_error c -> None
+    | Some _ | None ->
+      locked cache @@ fun () ->
+      let span = locate cache key tag in
+      match span, cache.fd with
+      | Some (pos, len), Some fd ->
+        let b = Bytes.create len in
+        let n = try read_at fd pos b 0 len with Unix.Unix_error _ -> 0 in
+        Some (pos, Bytes.unsafe_to_string
+                     (if n = len then b else Bytes.sub b 0 n))
+      | _ -> None
   in
-  locked cache (fun () ->
-      match verdict with
-      | `Hit _ -> cache.hits <- cache.hits + 1
-      | `Absent | `Stale -> cache.misses <- cache.misses + 1
-      | `Corrupt -> cache.corrupt <- cache.corrupt + 1);
-  match verdict with
-  | `Hit s -> Some s
-  | `Absent | `Stale | `Corrupt -> None
+  match read with
+  | Some (_, s) when sealed_ok s ->
+    locked cache (fun () -> cache.hits <- cache.hits + 1);
+    Some s
+  | Some (pos, s) -> quarantine cache key tag pos s; None
+  | None -> locked cache (fun () -> cache.misses <- cache.misses + 1); None
 
 (* Unsafe generic unmarshal; the monomorphic wrappers below pin the
-   payload type to the tag that wrote it.  The body's MD5 was checked
-   before this runs. *)
+   payload type to the tag that wrote it.  [find_bytes] returns only
+   bytes whose MD5 matched. *)
 let find cache ~key ~tag =
   Option.map (fun s -> Marshal.from_string s 16)
     (find_bytes cache ~key ~tag)
@@ -380,13 +346,14 @@ let blob_span cache ~key =
 (* -- Startup hygiene ----------------------------------------------------- *)
 
 let reap_tmp cache =
-  let vdir = Filename.dirname cache.pack in
+  let vdir = Filename.dirname cache.pack
+  and prefix = Filename.basename cache.pack ^ ".tmp." in
   match Sys.readdir vdir with
   | exception Sys_error _ -> 0
   | names ->
     Array.fold_left
       (fun n name ->
-         if String.starts_with ~prefix:"pack.tmp." name then begin
+         if String.starts_with ~prefix name then begin
            (try Sys.remove (Filename.concat vdir name)
             with Sys_error _ -> ());
            n + 1

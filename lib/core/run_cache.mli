@@ -4,21 +4,32 @@
     program bytes), so a warm cache survives exactly as long as both the
     experiment description and the generated code are unchanged.  All
     blobs of a cache version live in one append-only pack,
-    [dir/v<version>/pack]: each store appends one framed record with a
-    single [write], so concurrent workers and concurrent processes are
-    safe, and a record torn by a killed writer is skipped.  Blobs are
-    versioned marshalled records carrying an MD5 payload checksum: an
-    absent or compiler-stale blob reads as a miss; a torn, rotten, or
-    checksum-failing blob counts as {e corrupt}, is copied to
-    [dir/quarantine/] and tombstoned — never an error, never silently
-    re-read.  A handle indexes the pack in memory (key → offset) and
-    reads the pack's new tail on an index miss, so another process's
-    stores become visible to it. *)
+    [dir/v<version>/pack-<ocaml-version>]: each store appends one framed
+    record with a single [write], so concurrent workers and concurrent
+    processes are safe, and a record torn by a killed writer is skipped.
+    Each blob is {!seal}ed — an MD5 followed by the [Marshal]led value
+    it sums — and a read compares the MD5 before anything is
+    unmarshalled.  A lookup is a hit, absent (a miss), or {e corrupt}:
+    a blob whose checksum fails is copied to [dir/quarantine/] and
+    tombstoned — never an error, never silently re-read.  A handle
+    indexes the pack in memory (key → offset) and reads the pack's new
+    tail on an index miss, so another process's stores become visible
+    to it. *)
 
 type t
 
 val current_version : int
 (** Bump when the marshalled payload layout changes. *)
+
+val seal : 'a -> string
+(** The 16-byte MD5 of [Marshal.to_string v []], followed by those
+    bytes: the layout of every pack blob and of a service [Result]
+    frame's payload. *)
+
+val sealed_ok : string -> bool
+(** Whether [s]'s first 16 bytes are the MD5 of the rest: the check a
+    {!seal}ed string passes before [Marshal.from_string s 16] may read
+    it. *)
 
 val default_dir : string
 (** ["_xloops_cache"]. *)
@@ -42,10 +53,10 @@ val find_run : t -> key:Digest_hex.t -> Run_spec.run_data option
 (** {!find_run_bytes}, unmarshalled. *)
 
 val find_run_bytes : t -> key:Digest_hex.t -> string option
-(** The stored result as its 16-byte MD5 followed by the [Marshal]led
-    {!Run_spec.run_data} it sums, checked before it is returned: the
-    layout of a service [Result] frame's payload, so a daemon forwards
-    it without decoding it.  Counts and verdicts as {!find_run}: a
+(** The stored result's {!seal}ed bytes, as read from the pack and
+    checked by {!sealed_ok} before they are returned: the layout of a
+    service [Result] frame's payload, so a daemon forwards them without
+    decoding them.  Counts and verdicts as {!find_run}: a
     corrupt blob is quarantined and reads as [None].  A chaos plan's
     read error is drawn first, and a miss when it fires. *)
 
@@ -63,8 +74,9 @@ val blob_span : t -> key:Digest_hex.t -> (string * int * int) option
     in place. *)
 
 val reap_tmp : t -> int
-(** Remove the orphaned [pack.tmp.*] file a {!reap_over_limit} killed
-    mid-rewrite left behind; returns the count.  Run at startup. *)
+(** Remove the orphaned [pack-<ocaml-version>.tmp.*] file a
+    {!reap_over_limit} killed mid-rewrite left behind; returns the
+    count.  Run at startup. *)
 
 val reap_over_limit : t -> int
 (** For a cache with [limit_bytes]: rewrite the pack (temp file +
@@ -79,7 +91,7 @@ val quarantined : t -> int
 
 val hits : t -> int
 val misses : t -> int
-(** Absent or version-stale lookups. *)
+(** Lookups that found no live record, or drew a chaos read error. *)
 
 val corrupt : t -> int
 (** Integrity failures detected (and quarantined) by this handle. *)

@@ -4,6 +4,7 @@
 module Run_spec = Xloops.Run_spec
 module Failure = Xloops.Failure
 module Digest_hex = Xloops.Digest_hex
+module Run_cache = Xloops.Run_cache
 
 let version = 2
 
@@ -224,28 +225,19 @@ let dec_stats c : stats =
 
 (* -- run_data transport --------------------------------------------------- *)
 
-(* Results are checksummed [Marshal] blobs laid out exactly like the
-   on-disk result cache's ([Run_cache.find_run_bytes]), so a daemon
-   forwards a cache hit's bytes untouched.  The handshake pins both the
-   protocol version and the OCaml version, which is what makes
-   [Marshal] safe here, and the MD5 prefix catches in-flight truncation
-   or corruption. *)
+(* Results travel sealed by [Run_cache.seal], the layout of a cache
+   blob, so a daemon forwards a cache hit's bytes untouched.  The
+   handshake pins both the protocol version and the OCaml version,
+   which is what makes [Marshal] safe here, and [Run_cache.sealed_ok]
+   catches in-flight truncation or corruption before anything is
+   unmarshalled. *)
 
 type origin = Hit | Miss | Uncached
 
 type run = { origin : origin; blob : string }
 
 let run_of_data origin (rd : Run_spec.run_data) =
-  let body = Marshal.to_string rd [] in
-  { origin; blob = Digest.string body ^ body }
-
-(* The MD5 in [blob]'s first 16 bytes sums the rest, compared in place. *)
-let checksum_ok blob =
-  let n = String.length blob in
-  n >= 16
-  && (let sum = Digest.substring blob 16 (n - 16) in
-      let rec eq i = i = 16 || (sum.[i] = blob.[i] && eq (i + 1)) in
-      eq 0)
+  { origin; blob = Run_cache.seal rd }
 
 let data_of_run { origin; blob } : (Run_spec.run_data, string) result =
   match (Marshal.from_string blob 16 : Run_spec.run_data) with
@@ -384,7 +376,8 @@ let decode_response s : (response, string) result =
         | 'k' ->
           let origin = origin_of_tag c (dec_char c) in
           let blob = dec_str c in
-          if not (checksum_ok blob) then fail_at c "run_data checksum mismatch";
+          if not (Run_cache.sealed_ok blob) then
+            fail_at c "run_data checksum mismatch";
           Ok { origin; blob }
         | 'e' -> Error (dec_error c)
         | _ -> fail_at c "unknown outcome tag"

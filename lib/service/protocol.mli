@@ -10,10 +10,10 @@
 
     Sessions open with a handshake: the client's first frame must be
     {!Hello} carrying the protocol version {e and} the client's OCaml
-    version (result payloads are checksummed [Marshal] blobs, so the
-    OCaml versions must match exactly).  Both must equal the server's
-    own; anything else is answered with {!Rejected} [Version_mismatch]
-    and the connection is closed.  There is exactly one protocol
+    version (result payloads are {!Xloops.Run_cache.seal}ed [Marshal]
+    bytes, so the OCaml versions must match exactly).  Both must equal
+    the server's own; anything else is answered with {!Rejected}
+    [Version_mismatch] and the connection is closed.  There is exactly one protocol
     version; the handshake checks it, it does not negotiate.
 
     Specs cross the boundary only in their canonical
@@ -25,10 +25,11 @@
     Results stream back as one {!Result} frame per spec, in completion
     order, each tagged with the spec's index in the submitted batch;
     {!Batch_done} terminates the stream.  A success carries its
-    {!origin} (cache hit, miss or no cache) and the checksummed
-    [Marshal] bytes of the result, which for a hit are the cache
-    blob's bytes unchanged; {!decode_response} verifies the checksum,
-    and a result that fails it decodes to [Error].  A daemon writes
+    {!origin} (cache hit, miss or no cache) and the result sealed the
+    way the cache stores it ({!Xloops.Run_cache.seal}), which for a hit
+    are the cache blob's bytes unchanged; {!decode_response} checks the
+    seal ({!Xloops.Run_cache.sealed_ok}), and a result that fails it
+    decodes to [Error].  A daemon writes
     the frames of a batch unflushed and flushes before it can block
     (see {!Server}), so a batch of cache hits leaves in one write.  Errors carry a structured
     {!error_code} mapped from the orchestration failure taxonomy
@@ -137,17 +138,17 @@ type origin =
 type run = {
   origin : origin;
   blob : string;
-      (** the 16-byte MD5 of a [Marshal]led {!Xloops.Run_spec.run_data}
-          followed by those bytes: the layout of
-          {!Xloops.Run_cache.find_run_bytes}, so a hit is forwarded as
-          the cache returned it.  The flags above are never set in it. *)
+      (** a {!Xloops.Run_spec.run_data} {!Xloops.Run_cache.seal}ed: the
+          bytes {!Xloops.Run_cache.find_run_bytes} returns, so a hit is
+          forwarded as the cache returned it.  The flags above are never
+          set in it. *)
 }
 
 val run_of_data : origin -> Run_spec.run_data -> run
-(** Marshal and checksum a freshly simulated result. *)
+(** Seal a freshly simulated result. *)
 
 val data_of_run : run -> (Run_spec.run_data, string) result
-(** Unmarshal [blob] (whose checksum {!decode_response} has verified)
+(** Unmarshal [blob] (whose seal {!decode_response} has checked)
     and set the cache flag its [origin] names. *)
 
 (** {1 Messages} *)

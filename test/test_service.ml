@@ -2,7 +2,8 @@
    shared CLI engine flags (range checks, a flag beating its variable), the
    wire protocol codec (round-trip and mutation fuzz), the
    Failure-taxonomy → error-code mapping, [write_result] against the
-   frame [encode_response] builds, and the daemon end-to-end over a
+   frame [encode_response] builds, a stored cache blob against the
+   [Result] payload of the same result, and the daemon end-to-end over a
    loopback socket — handshake version rejection (any version but the
    one this build speaks), in-flight dedupe, whole-batch admission
    control (OVERLOADED), failure streaming, warm-cache hits (and
@@ -196,6 +197,22 @@ let sample_hit =
      match Run_cache.find_run_bytes cache ~key with
      | Some blob -> { P.origin = P.Hit; blob }
      | None -> Alcotest.fail "stored sample reads back as a miss")
+
+(* One sealed format: the blob a store leaves in the pack is the
+   payload a freshly simulated result travels as. *)
+let test_pack_blob_is_wire_blob () =
+  let rd = Lazy.force sample_rd in
+  let cache = Run_cache.create ~dir:(tmp_dir ()) () in
+  let key = Run_spec.cache_key (List.hd spec_pool) in
+  Run_cache.store_run cache ~key rd;
+  let pack, pos, len = Option.get (Run_cache.blob_span cache ~key) in
+  let stored =
+    In_channel.with_open_bin pack (fun ic ->
+        In_channel.seek ic (Int64.of_int pos);
+        really_input_string ic len)
+  in
+  Alcotest.(check bool) "pack blob = Result payload" true
+    (stored = (P.run_of_data P.Miss rd).blob)
 
 let gen_run =
   QCheck.Gen.(
@@ -883,6 +900,8 @@ let () =
        [ Alcotest.test_case "parse_addr" `Quick test_parse_addr;
          Alcotest.test_case "framing" `Quick test_framing;
          Alcotest.test_case "taxonomy mapping" `Quick test_error_of_failure;
+         Alcotest.test_case "pack blob is the wire blob" `Quick
+           test_pack_blob_is_wire_blob;
          QCheck_alcotest.to_alcotest prop_request_roundtrip;
          QCheck_alcotest.to_alcotest prop_response_roundtrip;
          QCheck_alcotest.to_alcotest prop_decode_total;

@@ -1,7 +1,8 @@
 (* Fault-tolerant orchestration tests: the failure taxonomy and seeded
    retry/backoff ([Failure]), the crash-safe sweep journal ([Journal]),
-   cache integrity (checksums, quarantine, tmp reaping, the size
-   reaper, torn and interleaved pack records), crash isolation in
+   cache integrity (checksums, a one-byte rot at every blob byte,
+   quarantine, tmp reaping, the size reaper, torn and interleaved pack
+   records), crash isolation in
    [Pool.run_each], and whole sweeps under injected infrastructure
    chaos — including the acceptance scenario (poisoned spec + stalling
    spec + bit-flipped blobs) and the kill-at-a-random-prefix /
@@ -293,6 +294,69 @@ let test_reap_over_limit () =
   Alcotest.(check int) "no limit, no reap" 0
     (Run_cache.reap_over_limit (Run_cache.create ~dir ()))
 
+(* Every one-byte rot of a sealed blob is caught before it is
+   unmarshalled.  The pack bytes of one stored result and of one stored
+   meta record are saved.  Each case resets a case directory to a copy
+   of them with one blob byte overwritten and an empty quarantine (no
+   mkdir per case: that made the cases nine times slower), and reads it
+   back with a fresh handle: a miss, counted corrupt, quarantined,
+   never an exception. *)
+let test_every_byte_rot_caught () =
+  let root = tmp_dir () and key = key_of 9 in
+  let store name f =
+    let dir = Filename.concat root name in
+    f (Run_cache.create ~dir ());
+    dir
+  in
+  let run_dir = store "run" (fun c ->
+      Run_cache.store_run c ~key (Lazy.force sample_rd)) in
+  let meta_dir = store "meta" (fun c ->
+      Run_cache.store_meta c ~key [| 1; 22; 333; 4444; -5 |]) in
+  let pack, pos, len =
+    Option.get (Run_cache.blob_span (Run_cache.create ~dir:run_dir ()) ~key)
+  in
+  let rel = String.sub pack (String.length run_dir + 1)
+      (String.length pack - String.length run_dir - 1) in
+  let saved dir =
+    In_channel.with_open_bin (Filename.concat dir rel) In_channel.input_all in
+  let run_pack = saved run_dir and meta_pack = saved meta_dir in
+  (* Both packs hold one record: the blob sits between the same frame. *)
+  let tail = String.length run_pack - pos - len in
+  let dir = Filename.concat root "case" in
+  let qdir = Filename.concat dir Run_cache.quarantine_subdir in
+  Sys.mkdir dir 0o755;
+  Sys.mkdir (Filename.concat dir (Filename.dirname rel)) 0o755;
+  let n = ref 0 in
+  let case what bytes find =
+    for i = pos to String.length bytes - tail - 1 do
+      List.iter
+        (fun v ->
+           if Char.code bytes.[i] <> v then begin
+             incr n;
+             let rotted = Bytes.of_string bytes in
+             Bytes.set rotted i (Char.chr v);
+             let fd =
+               Unix.openfile (Filename.concat dir rel)
+                 [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
+             ignore (Unix.write fd rotted 0 (Bytes.length rotted));
+             Unix.ftruncate fd (Bytes.length rotted);
+             Unix.close fd;
+             let c = Run_cache.create ~dir () in
+             let at = Printf.sprintf "%s byte %d := %#x" what (i - pos) v in
+             Alcotest.(check bool) (at ^ ": a miss") true (find c);
+             Alcotest.(check int) (at ^ ": corrupt") 1 (Run_cache.corrupt c);
+             Alcotest.(check int) (at ^ ": quarantined") 1
+               (Run_cache.quarantined c);
+             Array.iter (fun f -> Sys.remove (Filename.concat qdir f))
+               (Sys.readdir qdir)
+           end)
+        [ 0x00; 0x7f; 0x80; 0xff ]
+    done
+  in
+  case "result" run_pack (fun c -> Run_cache.find_run c ~key = None);
+  case "meta" meta_pack (fun c -> Run_cache.find_meta c ~key = None);
+  Alcotest.(check bool) "every blob byte rotted" true (!n > 3 * len)
+
 (* A writer killed mid-record leaves a torn tail; the next append lands
    after it.  The records on both sides read back, the torn one is a
    plain miss, and nothing counts as corrupt. *)
@@ -350,7 +414,7 @@ let test_cold_sweep_two_files () =
   Alcotest.(check (list string)) "only the pack and the journal"
     [ Journal.default_name;
       Filename.concat ("v" ^ string_of_int Run_cache.current_version)
-        "pack" ]
+        ("pack-" ^ Sys.ocaml_version) ]
     (files dir)
 
 (* -- Pool.run_each ------------------------------------------------------- *)
@@ -581,6 +645,8 @@ let () =
            (test_cache_detects_corruption Chaos.Blob_truncate);
          Alcotest.test_case "tmp reaping" `Quick test_cache_reaps_tmp;
          Alcotest.test_case "reap_over_limit" `Quick test_reap_over_limit;
+         Alcotest.test_case "every byte rot caught" `Quick
+           test_every_byte_rot_caught;
          Alcotest.test_case "torn record skipped" `Quick
            test_torn_record_skipped;
          Alcotest.test_case "two handles interleave" `Quick
