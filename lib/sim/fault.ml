@@ -98,21 +98,21 @@ let explicit events =
       List.stable_sort (fun a b -> compare a.ev_after b.ev_after) events;
     injected = [] }
 
-let none () = { seed = 0; pending = []; injected = [] }
+(** Offer the events due at [rel] to [apply] in plan order; record the
+    applied ones at [cycle] and leave the declined ones in place. *)
+let fire t ~rel ~cycle apply =
+  let rec go = function
+    | e :: rest when e.ev_after <= rel ->
+      if apply e then (t.injected <- (e.ev_kind, cycle) :: t.injected; go rest)
+      else e :: go rest
+    | later -> later
+  in
+  t.pending <- go t.pending
 
-(** Events due at relative cycle [rel]; they are removed from the plan
-    and the injector is expected to {!record} the ones it could apply and
-    {!defer} the rest. *)
-let due t ~rel =
-  let fire, keep = List.partition (fun e -> e.ev_after <= rel) t.pending in
-  t.pending <- keep;
-  fire
-
-(** Put an event the injector found no applicable target for back on the
-    plan; it retries on later cycles (and later specialized runs). *)
-let defer t ev = t.pending <- ev :: t.pending
-
-let record t kind ~cycle = t.injected <- (kind, cycle) :: t.injected
+let next_due t ~rel =
+  match List.find_opt (fun e -> e.ev_after > rel) t.pending with
+  | Some e -> e.ev_after
+  | None -> max_int
 
 let injected t = List.length t.injected
 

@@ -34,16 +34,14 @@ val plan : ?kinds:kind list -> seed:int -> events:int -> unit -> t
 val explicit : event list -> t
 (** A hand-written plan (tests, targeted reproduction). *)
 
-val none : unit -> t
-(** The empty plan (injects nothing, records nothing). *)
+val fire : t -> rel:int -> cycle:int -> (event -> bool) -> unit
+(** Offer each event due at relative cycle [rel] to the injector, in
+    plan order.  One it applies ([true]) leaves the plan and is recorded
+    at [cycle]; one it declines stays in its place for a later call. *)
 
-val due : t -> rel:int -> event list
-(** Events whose offset has been reached at relative cycle [rel];
-    removed from the plan.  The injector {!record}s the ones it applied
-    and {!defer}s the ones with no applicable target. *)
-
-val defer : t -> event -> unit
-val record : t -> kind -> cycle:int -> unit
+val next_due : t -> rel:int -> int
+(** The offset of the first pending event not yet due at [rel], or
+    [max_int] if there is none. *)
 
 val injected : t -> int
 (** Number of faults actually applied so far. *)

@@ -89,7 +89,7 @@ type ctx = {
   mutable insns_iter : int;
   mutable next_issue : int;
   mutable exit_flag : int;       (** .de: exit-register value at loop end *)
-  mutable frozen_until : int;    (** injected lane freeze; [max_int] = dead *)
+  mutable frozen : bool;         (** injected lane freeze, for the run *)
   (* Per-context memory interfaces, built once at LPSU creation instead
      of once per memory instruction. *)
   mutable spec_if : Exec.mem_iface;   (** LSQ overlay for this context *)
@@ -191,11 +191,10 @@ type t = {
   (* Lane fast path: per-pc closure dispatch for instructions whose
      lane-level effects are fully recoverable without the event record
      (the body's slice of [lane_ops], further demoted in [start] for CIR
-     and dynamic-bound bookkeeping).  [fast_ok] gates the whole array off
-     whenever an observer (trace or fault injector) is attached. *)
+     and dynamic-bound bookkeeping).  Only an attached trace, which
+     observes every instruction, turns it off. *)
   mutable lane_fast : Lane_ops.lane_meta array;  (* by pc - body_start;
                                                     grown, never shrunk *)
-  fast_ok : bool;
   mutable watchdog : int;        (* no-progress cycles before a hang; 0=off *)
   mutable last_progress : int;   (* cycle of the last dispatch or commit *)
   mutable drop_broadcasts : int; (* injected: swallow this many broadcasts *)
@@ -280,7 +279,7 @@ let create ~pre ~mem ~dcache ~(cfg : Config.t) ~stats ?trace ?faults () =
           drain_next = -1; got_cir = Array.make Reg.num_regs false;
           sleep_reason = stall_idle; sleep_until = 0; sleep_epoch = 0;
           insns_iter = 0; next_issue = 0;
-          exit_flag = 0; frozen_until = 0;
+          exit_flag = 0; frozen = false;
           (* real interfaces are installed after [t] exists *)
           spec_if = direct_if; fwd_if = direct_if;
           fwd_src = -1; fwd_raw = 0; fwd_addr = -1; fwd_bytes = 0 })
@@ -319,7 +318,6 @@ let create ~pre ~mem ~dcache ~(cfg : Config.t) ~stats ?trace ?faults () =
       cycle = 0; stop_after = max_int;
       spec_pattern = false; has_cirs = false; trace;
       faults; lane_fast = [||];
-      fast_ok = trace = None && faults = None;
       watchdog = 0; last_progress = 0; drop_broadcasts = 0 }
   in
   Array.iter
@@ -375,7 +373,7 @@ let start t ~(info : Scan.t) ~(regs : int array) ~start_cycle ~stop_after
     (fun c ->
        c.st <- Idle; c.iter <- -1; c.drain_next <- -1;
        c.sleep_until <- 0; c.insns_iter <- 0; c.next_issue <- 0;
-       c.exit_flag <- 0; c.frozen_until <- 0;
+       c.exit_flag <- 0; c.frozen <- false;
        c.fwd_src <- -1; c.fwd_raw <- 0; c.fwd_addr <- -1; c.fwd_bytes <- 0;
        Lsq.clear c.lsq)
     t.all_ctxs;
@@ -452,8 +450,6 @@ let seed_ctx t (c : ctx) k =
   c.hart.pc <- t.info.body_start;
   Array.fill c.got_cir 0 t.n_cibs false;
   c.insns_iter <- 0
-
-let[@inline] frozen (t : t) (c : ctx) = t.cycle < c.frozen_until
 
 (* -- Sleeping lanes ---------------------------------------------------- *)
 
@@ -952,11 +948,11 @@ let attempt_issue t (c : ctx) =
                (Printf.sprintf "lane pc %d escaped xloop body [%d,%d]"
                   pc t.info.body_start t.info.xloop_pc));
     match
-      (if t.fast_ok then t.lane_fast.(pc - t.info.body_start)
+      (if t.trace == None then t.lane_fast.(pc - t.info.body_start)
        else Lane_ops.L_slow)
     with
     | Lane_ops.L_plain { l_op; l_ctrl } ->
-      (* Fast path: a plain single-cycle instruction with no observer
+      (* Fast path: a plain single-cycle instruction with no trace
          attached.  It touches no memory, so speculation does not
          change it.  The closure applies exactly [Exec.step]'s register
          effect to the hart's register file and returns the outgoing
@@ -1100,8 +1096,8 @@ let apply_fault t (e : Fault.event) =
     true
   | Lane_freeze ->
     (match pick_ctx t e.ev_lane
-             (fun c -> c.st <> Idle && c.frozen_until < max_int) with
-     | Some c -> c.frozen_until <- max_int; true
+             (fun c -> c.st <> Idle && not c.frozen) with
+     | Some c -> c.frozen <- true; true
      | None -> false)
 
 (* -- Main loop -------------------------------------------------------- *)
@@ -1128,7 +1124,7 @@ let classify_hang t : Fault.hang =
   let count code = Array.fold_left (fun n r -> if r = code then n + 1 else n)
       0 t.lane_reason in
   let frozen_lanes =
-    Array.fold_left (fun n c -> if frozen t c then n + 1 else n) 0 t.ctxs in
+    Array.fold_left (fun n c -> if c.frozen then n + 1 else n) 0 t.ctxs in
   let resource, detail =
     if frozen_lanes > 0 then
       Fault.Lane_frozen,
@@ -1155,28 +1151,29 @@ let classify_hang t : Fault.hang =
     h_detail = detail }
 
 let inject_faults t plan ~start =
-  List.iter
+  Fault.fire plan ~rel:(t.cycle - start) ~cycle:t.cycle
     (fun (e : Fault.event) ->
-       if apply_fault t e then begin
+       apply_fault t e
+       && begin
          bump t;
-         Fault.record plan e.ev_kind ~cycle:t.cycle;
          t.stats.faults_injected <- t.stats.faults_injected + 1;
          if tracing t Lanes then
            Trace.event t.trace Lanes
              "[%7d] FAULT inject %a (lane %d)" t.cycle Fault.pp_kind
-             e.ev_kind e.ev_lane
-       end else Fault.defer plan e)
-    (Fault.due plan ~rel:(t.cycle - start))
+             e.ev_kind e.ev_lane;
+         true
+       end)
 
 let[@inline] asleep t (c : ctx) =
   t.cycle < c.sleep_until && c.sleep_epoch = t.epoch
 
 (* One context's issue slot for this cycle: [issued] or a stall code.  A
-   sleeping context answers at once.  Only epoch events change an idle
-   or a waiting context, so each sleeps for good. *)
+   sleeping context answers at once.  Only epoch events change an idle,
+   a waiting or a frozen context (a freeze bumps the epoch), so each
+   sleeps for good. *)
 let[@inline] attempt t (c : ctx) =
   if asleep t c then c.sleep_reason
-  else if frozen t c && c.st <> Idle then stall_frozen
+  else if c.frozen && c.st <> Idle then sleep t c stall_frozen max_int
   else match c.st with
     | Idle -> sleep t c stall_idle max_int
     | Wait_commit -> sleep t c stall_lsq max_int
@@ -1217,15 +1214,19 @@ let[@inline] sat_add a b = if a > max_int - b then max_int else a + b
 
 (* After a cycle that issued nothing and moved no epoch, every cycle
    repeats it exactly until the first one at which something can
-   differ: a context's sleep ends, the watchdog trips or the fuel runs
-   out.  Returns that cycle, or at most [t.cycle] when some context is
-   not asleep (its next attempt may differ). *)
-let quiet_until t ~fuel_trip =
-  let until =
-    ref (if t.watchdog > 0 then
-           imin fuel_trip (sat_add t.last_progress (t.watchdog + 1))
-         else fuel_trip)
-  in
+   differ: a context's sleep ends, the watchdog trips, the fuel runs out
+   or the fault plan's next event falls due.  Returns that cycle, or at
+   most [t.cycle] when some context is not asleep (its next attempt may
+   differ).  No skipped retry of a declined fault could succeed: every
+   {!apply_fault} test reads state that only an issue or an epoch event
+   changes, and [Port_stall] always applies, so it is never declined. *)
+let quiet_until t ~start ~fuel_trip =
+  let next_fault = match t.faults with
+    | Some p -> sat_add start (Fault.next_due p ~rel:(t.cycle - start))
+    | None -> max_int in
+  let until = ref (imin fuel_trip next_fault) in
+  if t.watchdog > 0 then
+    until := imin !until (sat_add t.last_progress (t.watchdog + 1));
   let i = ref 0 and n = Array.length t.ctxs in
   while !i < n do
     let c = t.ctxs.(!i) in
@@ -1268,7 +1269,7 @@ let run_to_completion t ~fuel : (unit, Fault.hang) Stdlib.result =
       if t.n_idle > 0 then
         for i = 0 to Array.length t.ctxs - 1 do
           let c = t.ctxs.(i) in
-          if c.st = Idle && not (frozen t c) && can_dispense t then
+          if c.st = Idle && not c.frozen && can_dispense t then
             dispatch t c
         done;
       if t.spec_pattern then try_commits t;
@@ -1291,12 +1292,12 @@ let run_to_completion t ~fuel : (unit, Fault.hang) Stdlib.result =
       done;
       if t.spec_pattern then try_commits t;
       (* A quiet cycle repeats until [quiet_until]: jump there, adding
-         the skipped cycles to each lane's outcome.  An observer could
-         act in a skipped cycle (a fault falls due, a trace line), so
-         the jump is off whenever one is attached. *)
+         the skipped cycles to each lane's outcome.  A trace would print
+         the skipped cycles, so the jump is off whenever one is
+         attached. *)
       let skip =
-        if !quiet && t.fast_ok && t.epoch = epoch then
-          quiet_until t ~fuel_trip - (t.cycle + 1)
+        if !quiet && t.trace == None && t.epoch = epoch then
+          quiet_until t ~start ~fuel_trip - (t.cycle + 1)
         else 0
       in
       if skip > 0 then begin

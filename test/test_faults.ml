@@ -27,35 +27,61 @@ let test_plan_deterministic () =
 let test_plan_covers_kinds () =
   (* A seeded plan rotates through every fault kind. *)
   let p = Fault.plan ~seed:3 ~events:(List.length Fault.all_kinds) () in
-  let rec drain rel acc =
-    if Fault.pending p = 0 || rel > 10_000 then acc
-    else drain (rel + 1) (Fault.due p ~rel @ acc)
+  let fired = ref [] in
+  let rec drain rel =
+    if Fault.pending p > 0 && rel <= 10_000 then begin
+      Fault.fire p ~rel ~cycle:rel (fun e -> fired := e :: !fired; true);
+      drain (rel + 1)
+    end
   in
+  drain 0;
   let kinds =
-    drain 0 [] |> List.map (fun e -> e.Fault.ev_kind)
-    |> List.sort_uniq compare
+    List.map (fun e -> e.Fault.ev_kind) !fired |> List.sort_uniq compare
   in
   Alcotest.(check int) "every kind scheduled once"
     (List.length Fault.all_kinds) (List.length kinds)
 
-let test_due_defer_record () =
+let test_fire () =
   let ev k after = { Fault.ev_after = after; ev_lane = 0; ev_kind = k } in
-  let p = Fault.explicit [ ev Fault.Cib_drop 5; ev Fault.Port_stall 9 ] in
-  Alcotest.(check int) "nothing due early" 0
-    (List.length (Fault.due p ~rel:4));
-  (match Fault.due p ~rel:5 with
-   | [ { Fault.ev_kind = Fault.Cib_drop; _ } ] -> ()
-   | l -> Alcotest.failf "expected one cib-drop due, got %d" (List.length l));
-  Alcotest.(check int) "one still pending" 1 (Fault.pending p);
-  (* A due event with no valid target goes back in the queue. *)
-  Fault.defer p (ev Fault.Cib_drop 5);
-  Alcotest.(check int) "deferred event pending again" 2 (Fault.pending p);
+  let p =
+    Fault.explicit
+      [ ev Fault.Cib_drop 5; ev Fault.Lane_freeze 5; ev Fault.Port_stall 9 ]
+  in
+  let offered = ref [] in
+  let fire ~rel accept =
+    offered := [];
+    Fault.fire p ~rel ~cycle:(100 + rel) (fun e ->
+        offered := e.Fault.ev_kind :: !offered;
+        accept e.Fault.ev_kind)
+  in
+  let kinds = Alcotest.list (Alcotest.of_pp Fault.pp_kind) in
+  fire ~rel:4 (fun _ -> true);
+  Alcotest.(check kinds) "nothing offered before its cycle" [] !offered;
+  Alcotest.(check int) "next due at 5" 5 (Fault.next_due p ~rel:4);
+  (* Two declined events are offered in plan order on every call and
+     keep their places. *)
+  fire ~rel:5 (fun _ -> false);
+  Alcotest.(check kinds) "both offered, in plan order"
+    [ Fault.Cib_drop; Fault.Lane_freeze ] (List.rev !offered);
+  fire ~rel:6 (fun _ -> false);
+  Alcotest.(check kinds) "offered again, in plan order"
+    [ Fault.Cib_drop; Fault.Lane_freeze ] (List.rev !offered);
+  Alcotest.(check int) "declined events stay pending" 3 (Fault.pending p);
   Alcotest.(check int) "nothing injected yet" 0 (Fault.injected p);
-  Fault.record p Fault.Port_stall ~cycle:12;
-  Fault.record p Fault.Port_stall ~cycle:30;
-  Alcotest.(check int) "two injections" 2 (Fault.injected p);
-  Alcotest.(check int) "one distinct kind" 1
-    (List.length (Fault.injected_kinds p))
+  Alcotest.(check int) "next not yet due is 9" 9 (Fault.next_due p ~rel:6);
+  fire ~rel:7 (fun k -> k = Fault.Lane_freeze);
+  Alcotest.(check int) "one injection" 1 (Fault.injected p);
+  Alcotest.(check int) "the declined one still pending" 2 (Fault.pending p);
+  fire ~rel:9 (fun _ -> true);
+  Alcotest.(check kinds) "the rest offered in plan order"
+    [ Fault.Cib_drop; Fault.Port_stall ] (List.rev !offered);
+  Alcotest.(check int) "plan drained" 0 (Fault.pending p);
+  Alcotest.(check int) "none left to fall due" max_int
+    (Fault.next_due p ~rel:9);
+  Alcotest.(check int) "applied events recorded" 3 (Fault.injected p);
+  Alcotest.(check kinds) "recorded kinds"
+    [ Fault.Cib_drop; Fault.Port_stall; Fault.Lane_freeze ]
+    (Fault.injected_kinds p)
 
 (* -- memory write journal ------------------------------------------- *)
 
@@ -253,7 +279,7 @@ let () =
     [ ("plan",
        [ Alcotest.test_case "deterministic" `Quick test_plan_deterministic;
          Alcotest.test_case "covers kinds" `Quick test_plan_covers_kinds;
-         Alcotest.test_case "due/defer/record" `Quick test_due_defer_record ]);
+         Alcotest.test_case "fire" `Quick test_fire ]);
       ("journal",
        [ Alcotest.test_case "abort restores" `Quick
            test_journal_abort_restores;

@@ -478,24 +478,34 @@ let test_lane_pc_escape_traps () =
 
 (* -- unobserved lanes: fast path and quiet-cycle jump are invisible ---- *)
 
-(* With no observer attached, lanes run plain instructions through the
+(* With no trace attached, lanes run plain instructions through the
    per-pc closures of Lane_ops, and a cycle in which every context
-   sleeps jumps to the next wake.  Both must be invisible: the same
-   architectural result, cycle count, hang list and full statistics —
-   violations, squashes, lane-cycle breakdown — as the Exec.step path
-   that steps every cycle, which a discarding trace sink forces. *)
-let differential ?watchdog ~cfg name =
+   sleeps jumps to the next wake, fault plan or not.  Both must be
+   invisible: the same architectural result, cycle count, hang list and
+   full statistics — violations, squashes, lane-cycle breakdown,
+   injected faults — as the Exec.step path that steps every cycle,
+   which a discarding trace sink forces.  [fault_seed] attaches a fresh
+   12-event plan (the CLI's default) to each run. *)
+let differential ?watchdog ?fault_seed ~cfg name =
   let discard () = Xloops_sim.Trace.create (fun _ -> ()) in
   let k = Registry.find name in
   let run trace =
-    Kernel.run ~cfg ~mode:Machine.Specialized ?watchdog ?trace k in
+    let faults =
+      Option.map (fun seed -> Xloops_sim.Fault.plan ~seed ~events:12 ())
+        fault_seed in
+    Kernel.run ~cfg ~mode:Machine.Specialized ?faults ?watchdog ?trace k in
   let fast = run None and slow = run (Some (discard ())) in
-  let what = Printf.sprintf "%s %s%s" name cfg.Config.name
+  let what = Printf.sprintf "%s %s%s%s" name cfg.Config.name
       (match watchdog with
        | Some w -> Printf.sprintf " watchdog %d" w
+       | None -> "")
+      (match fault_seed with
+       | Some s -> Printf.sprintf " fault-seed %d" s
        | None -> "") in
+  (* An injected fault may corrupt the output; both runs must agree. *)
   (match fast.Kernel.check_result, slow.Kernel.check_result with
    | Ok (), Ok () -> ()
+   | f, s when fault_seed <> None && f = s -> ()
    | _ -> Alcotest.failf "%s: result check failed" what);
   let f = fast.Kernel.result and s = slow.Kernel.result in
   f.Machine.stats.wall_ns <- 0;
@@ -541,6 +551,29 @@ let test_watchdog_capped_differential () =
   in
   check_differential runs;
   Alcotest.(check bool) "the watchdog trips" true
+    (List.exists (fun (_, _, _, _, (fs : Xloops_sim.Stats.t), _) ->
+         fs.watchdog_hangs > 0) runs)
+
+(* Fault plans take the fast path and the jump as well: the jump stops
+   where the plan's next event falls due, and frozen lanes sleep, so a
+   frozen-lane hang jumps to its watchdog trip. *)
+let test_faulted_differential () =
+  let cases =
+    List.concat_map
+      (fun cfg ->
+         List.concat_map
+           (fun name -> List.map (fun seed -> (cfg, name, seed)) [ 1; 7 ])
+           Registry.names)
+      Config.[ io_x; ooo4_x4_t; io_x_fwd ]
+  in
+  let runs =
+    Xloops.Pool.map ~jobs:(Xloops.Pool.available_cores ())
+      (fun (cfg, name, seed) ->
+         differential ~watchdog:500 ~fault_seed:seed ~cfg name)
+      cases
+  in
+  check_differential runs;
+  Alcotest.(check bool) "some run hangs" true
     (List.exists (fun (_, _, _, _, (fs : Xloops_sim.Stats.t), _) ->
          fs.watchdog_hangs > 0) runs)
 
@@ -660,7 +693,9 @@ let () =
        [ Alcotest.test_case "compiled lanes invisible" `Quick
            test_unobserved_differential;
          Alcotest.test_case "watchdog-capped jump invisible" `Quick
-           test_watchdog_capped_differential ]);
+           test_watchdog_capped_differential;
+         Alcotest.test_case "faulted jump invisible" `Quick
+           test_faulted_differential ]);
       ("memory",
        [ Alcotest.test_case "configured miss penalty" `Quick
            test_lpsu_miss_penalty_configured ]);
