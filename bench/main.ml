@@ -497,8 +497,9 @@ let bench quick named (eng : Cli_common.engine_args) journal_path resume
       in
       match E.sweep ~jobs ~policy ?journal ?chaos !engine plan with
       | exception Failure.Abort msg ->
-        (* The journal already holds every completed spec (fsync'd), so a
-           rerun with --resume picks up exactly where this died. *)
+        (* The journal already holds every completed spec (each written
+           before it counted as done), so a rerun with --resume picks up
+           exactly where this died. *)
         Option.iter
           (fun j -> Fmt.epr "[journal] %a@." Journal.pp_counters j) journal;
         Fmt.epr "bench: sweep aborted: %s (rerun with --resume)@." msg;

@@ -4,11 +4,15 @@
 
     Format: one header line ([XLOOPS-JOURNAL 1]) then one 32-hex-char
     {!Run_spec.digest} per line.  A fresh journal is created atomically
-    (unique temp file, fsync, rename); records are single short appends
-    followed by [fsync], so a record is either durably present or absent
-    — and a crash mid-append leaves at worst one torn final line, which
-    {!load} ignores and a resuming {!start} repairs (terminates with a
-    newline) before appending anything new.
+    (unique temp file, rename); each record is one short [write] made
+    before the spec counts as done, so it is in the kernel's page cache
+    when the call returns and survives a killed process ([kill -9]).
+    Nothing is fsync'd: after an OS crash or power loss the newest
+    records may be lost, and [--resume] re-simulates those specs, just
+    as the result cache's pack can lose its newest records.  A crash
+    mid-append leaves at worst one torn final line, which {!load}
+    ignores and a resuming {!start} repairs (terminates with a newline)
+    before appending anything new.
 
     The journal records {e completion}, not results: results live in the
     content-addressed {!Run_cache}.  The two compose — on resume, the
@@ -59,16 +63,13 @@ let rec mkdir_p d =
     with Sys_error _ when Sys.file_exists d -> ()
   end
 
-let fsync_noerr fd = try Unix.fsync fd with Unix.Unix_error _ -> ()
-
-(* Atomic fresh creation: header to a unique temp file, fsync, rename. *)
+(* Atomic fresh creation: header to a unique temp file, then rename. *)
 let create_fresh path =
   mkdir_p (Filename.dirname path);
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
   let line = Bytes.of_string (header ^ "\n") in
   ignore (Unix.write fd line 0 (Bytes.length line));
-  fsync_noerr fd;
   Unix.close fd;
   Sys.rename tmp path
 
@@ -83,10 +84,8 @@ let repair_tail path =
   if len > 0 then begin
     ignore (Unix.lseek fd (len - 1) Unix.SEEK_SET);
     let last = Bytes.create 1 in
-    if Unix.read fd last 0 1 = 1 && Bytes.get last 0 <> '\n' then begin
-      ignore (Unix.write fd (Bytes.of_string "\n") 0 1);
-      fsync_noerr fd
-    end
+    if Unix.read fd last 0 1 = 1 && Bytes.get last 0 <> '\n' then
+      ignore (Unix.write fd (Bytes.of_string "\n") 0 1)
   end
 
 (** Open the journal at [path].  With [resume:true] existing entries are
@@ -111,16 +110,15 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-(** Durably record [digest] as completed: one append (a single [write])
-    plus [fsync].  Recording a digest twice is harmless (the journal is
-    a set). *)
+(** Record [digest] as completed: one append (a single [write]), which
+    survives the process being killed but not an OS crash.  Recording a
+    digest twice is harmless (the journal is a set). *)
 let record t digest =
   let hex = Digest_hex.to_hex digest in
   locked t @@ fun () ->
   if not (Hashtbl.mem t.members hex) then begin
     let line = Bytes.of_string (hex ^ "\n") in
     ignore (Unix.write t.fd line 0 (Bytes.length line));
-    fsync_noerr t.fd;
     Hashtbl.replace t.members hex ();
     t.recorded <- t.recorded + 1
   end

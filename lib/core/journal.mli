@@ -1,8 +1,10 @@
-(** Crash-safe sweep journal: an append-only, fsync'd record of
-    completed spec digests, so an interrupted sweep resumes from where
-    it left off.  Fresh journals are created atomically (temp + rename);
-    each record is a single append + fsync; a torn final line from a
-    crash mid-append is ignored on load and repaired on resume. *)
+(** Crash-safe sweep journal: an append-only record of completed spec
+    digests, so an interrupted sweep resumes from where it left off.
+    Fresh journals are created atomically (temp + rename); each record
+    is a single append, so records survive a killed process.  Nothing
+    is fsync'd: after an OS crash the newest records may be lost, and a
+    resumed sweep re-simulates them.  A torn final line from a crash
+    mid-append is ignored on load and repaired on resume. *)
 
 type t
 
@@ -19,8 +21,8 @@ val start : ?resume:bool -> string -> t
     with an empty one. *)
 
 val record : t -> Digest_hex.t -> unit
-(** Durably record a completed spec digest (append + fsync).
-    Idempotent; thread-safe. *)
+(** Record a completed spec digest: one [write], which survives a
+    killed process but not an OS crash.  Idempotent; thread-safe. *)
 
 val member : t -> Digest_hex.t -> bool
 val count : t -> int

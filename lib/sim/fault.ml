@@ -54,7 +54,7 @@ type event = {
 type t = {
   seed : int;
   mutable pending : event list;          (* sorted by [ev_after] *)
-  mutable injected : (kind * int) list;  (* kind, absolute cycle; newest first *)
+  mutable injected : kind list;          (* newest first *)
 }
 
 (* SplitMix-style deterministic generator: no dependence on the global
@@ -99,11 +99,11 @@ let explicit events =
     injected = [] }
 
 (** Offer the events due at [rel] to [apply] in plan order; record the
-    applied ones at [cycle] and leave the declined ones in place. *)
-let fire t ~rel ~cycle apply =
+    applied ones and leave the declined ones in place. *)
+let fire t ~rel apply =
   let rec go = function
     | e :: rest when e.ev_after <= rel ->
-      if apply e then (t.injected <- (e.ev_kind, cycle) :: t.injected; go rest)
+      if apply e then (t.injected <- e.ev_kind :: t.injected; go rest)
       else e :: go rest
     | later -> later
   in
@@ -116,8 +116,7 @@ let next_due t ~rel =
 
 let injected t = List.length t.injected
 
-let injected_kinds t =
-  List.sort_uniq compare (List.map fst t.injected)
+let injected_kinds t = List.sort_uniq compare t.injected
 
 let pending t = List.length t.pending
 

@@ -34,10 +34,10 @@ val plan : ?kinds:kind list -> seed:int -> events:int -> unit -> t
 val explicit : event list -> t
 (** A hand-written plan (tests, targeted reproduction). *)
 
-val fire : t -> rel:int -> cycle:int -> (event -> bool) -> unit
+val fire : t -> rel:int -> (event -> bool) -> unit
 (** Offer each event due at relative cycle [rel] to the injector, in
-    plan order.  One it applies ([true]) leaves the plan and is recorded
-    at [cycle]; one it declines stays in its place for a later call. *)
+    plan order.  One it applies ([true]) leaves the plan and is
+    recorded; one it declines stays in its place for a later call. *)
 
 val next_due : t -> rel:int -> int
 (** The offset of the first pending event not yet due at [rel], or

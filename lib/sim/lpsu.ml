@@ -1151,7 +1151,7 @@ let classify_hang t : Fault.hang =
     h_detail = detail }
 
 let inject_faults t plan ~start =
-  Fault.fire plan ~rel:(t.cycle - start) ~cycle:t.cycle
+  Fault.fire plan ~rel:(t.cycle - start)
     (fun (e : Fault.event) ->
        apply_fault t e
        && begin
@@ -1192,12 +1192,14 @@ let[@inline] attempt t (c : ctx) =
         sleep t c stall_raw c.next_issue
       else attempt_issue t c
 
-(* The lane cycle of a lane that may act: each lane owns
-   [lane_issue_width] issue slots per cycle (1 in the paper's simple
-   lanes; 2 models the "superscalar lane" future work).  Vertical
-   multithreading lets the next context use a slot when one stalls; a
-   context that stalls is not retried within the cycle.  Returns
-   [issued] if any slot issued, else the highest stall code. *)
+(* The lane cycle of a multithreaded or wider lane: each lane owns
+   [lane_issue_width] issue slots per cycle (2 models the "superscalar
+   lane" future work; the paper's simple lanes have one, and with one
+   context they skip this loop, whose answer would be that context's
+   [attempt]).  Vertical multithreading lets the next context use a
+   slot when one stalls; a context that stalls is not retried within
+   the cycle.  Returns [issued] if any slot issued, else the highest
+   stall code. *)
 let lane_slots t ~base ~threads ~width =
   let slots = ref width and ti = ref 0 and reason = ref stall_idle in
   while !slots > 0 && !ti < threads do
@@ -1242,6 +1244,7 @@ let run_to_completion t ~fuel : (unit, Fault.hang) Stdlib.result =
   let lanes = t.lpsu.lanes in
   let threads = Array.length t.ctxs / lanes in
   let width = t.lpsu.lane_issue_width in
+  let simple = threads = 1 && width = 1 in
   let start = t.cycle in
   let fuel_trip = sat_add start (sat_add fuel 1) in
   let rotate = ref 0 in
@@ -1273,17 +1276,17 @@ let run_to_completion t ~fuel : (unit, Fault.hang) Stdlib.result =
             dispatch t c
         done;
       if t.spec_pattern then try_commits t;
-      (* A single-context lane that sleeps is answered here; only a lane
-         that may act runs its issue slots. *)
+      (* A lane with one context and one issue slot (the paper's simple
+         lanes) makes one attempt; only multithreaded or wider lanes run
+         the slot loop. *)
       let quiet = ref true in
       for li = 0 to lanes - 1 do
         let lane =
           if li + !rotate >= lanes then li + !rotate - lanes else li + !rotate
         in
         let base = lane * threads in
-        let c = t.ctxs.(base) in
         let r =
-          if threads = 1 && asleep t c then c.sleep_reason
+          if simple then attempt t t.ctxs.(base)
           else lane_slots t ~base ~threads ~width
         in
         if r = issued then quiet := false;

@@ -30,7 +30,7 @@ let test_plan_covers_kinds () =
   let fired = ref [] in
   let rec drain rel =
     if Fault.pending p > 0 && rel <= 10_000 then begin
-      Fault.fire p ~rel ~cycle:rel (fun e -> fired := e :: !fired; true);
+      Fault.fire p ~rel (fun e -> fired := e :: !fired; true);
       drain (rel + 1)
     end
   in
@@ -50,7 +50,7 @@ let test_fire () =
   let offered = ref [] in
   let fire ~rel accept =
     offered := [];
-    Fault.fire p ~rel ~cycle:(100 + rel) (fun e ->
+    Fault.fire p ~rel (fun e ->
         offered := e.Fault.ev_kind :: !offered;
         accept e.Fault.ev_kind)
   in

@@ -186,6 +186,28 @@ let test_journal_torn_tail () =
     [ dg "a"; dg "c" ] (Journal.load path);
   Sys.remove path
 
+(* A sweep killed with SIGKILL never reaches [close]: every record it
+   made must already be in the file.  The writer is a separate process
+   (journal_kill.exe), which records three digests and kills itself. *)
+let test_journal_survives_sigkill () =
+  let path = tmp_file () in
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "journal_kill.exe"
+  in
+  let pid =
+    Unix.create_process exe [| exe; path |] Unix.stdin Unix.stdout
+      Unix.stderr
+  in
+  (match snd (Unix.waitpid [] pid) with
+   | Unix.WSIGNALED s when s = Sys.sigkill -> ()
+   | _ -> Alcotest.fail "journal_kill.exe was not killed by SIGKILL");
+  Alcotest.(check (list digest)) "load returns the three records"
+    [ dg "a"; dg "b"; dg "c" ] (Journal.load path);
+  let j = Journal.start ~resume:true path in
+  Alcotest.(check int) "resume preloads 3" 3 (Journal.preloaded j);
+  Journal.close j;
+  Sys.remove path
+
 let test_journal_rejects_garbage () =
   (* Garbage can no longer reach [Journal.record] — it takes an abstract
      [Digest_hex.t] — so the validation now lives in [Digest_hex.of_hex]
@@ -637,7 +659,9 @@ let () =
        [ Alcotest.test_case "roundtrip" `Quick test_journal_roundtrip;
          Alcotest.test_case "torn tail" `Quick test_journal_torn_tail;
          Alcotest.test_case "rejects garbage" `Quick
-           test_journal_rejects_garbage ]);
+           test_journal_rejects_garbage;
+         Alcotest.test_case "records survive SIGKILL" `Quick
+           test_journal_survives_sigkill ]);
       ("cache-integrity",
        [ Alcotest.test_case "bit flip quarantined" `Quick
            (test_cache_detects_corruption Chaos.Blob_bitflip);
