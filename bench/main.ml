@@ -411,12 +411,13 @@ let bench quick named (eng : Cli_common.engine_args) journal_path resume
     | Some p, _ -> Some (Journal.start ~resume p)
     | None, Some dir ->
       Some (Journal.start ~resume (Filename.concat dir Journal.default_name))
-    | None, None ->
-      if resume then
-        Fmt.epr "bench: --resume without a cache or --journal has \
-                 nothing to resume from; ignoring@.";
-      None
+    | None, None -> None
   in
+  (* A resumed sweep skips journaled specs, and table assembly reads
+     their results back from a cache: the local one, or the daemon's. *)
+  if resume && cache = None && (server = None || journal = None) then
+    Fmt.epr "bench: --resume without a cache has no results to resume \
+             from; every spec is run again@.";
   (* In server mode the remote engine memoizes results fetched from the
      daemon and computes kernel metadata locally; otherwise the usual
      in-process memoizing/caching engine. *)

@@ -77,10 +77,9 @@ let rec enc_patterns b = function
   | dp :: rest -> enc_int b (dpattern_tag dp); enc_patterns b rest
 
 let enc_lpsu b (l : Config.lpsu) =
-  enc_int b l.lanes; enc_int b l.ib_entries; enc_int b l.idq_entries;
-  enc_int b l.lsq_loads; enc_int b l.lsq_stores; enc_int b l.mem_ports;
-  enc_int b l.llfu_ports; enc_int b l.threads_per_lane;
-  enc_int b l.lane_issue_width;
+  enc_int b l.lanes; enc_int b l.ib_entries; enc_int b l.lsq_loads;
+  enc_int b l.lsq_stores; enc_int b l.mem_ports; enc_int b l.llfu_ports;
+  enc_int b l.threads_per_lane; enc_int b l.lane_issue_width;
   enc_bool b l.inter_lane_fwd;
   enc_int b l.scan_fixed; enc_int b l.scan_per_insn;
   enc_int b (List.length l.supported);
@@ -123,7 +122,7 @@ let cfg_bytes (c : Config.t) =
 let encode (t : t) =
   let cfg = cfg_bytes t.cfg in
   let b = Buffer.create (String.length t.kernel + String.length cfg + 48) in
-  Buffer.add_string b "XRS1";                (* format magic + revision *)
+  Buffer.add_string b "XRS2";                (* format magic + revision *)
   enc_str b t.kernel;
   Buffer.add_string b cfg;
   Buffer.add_char b
@@ -178,7 +177,6 @@ let dec_gpp c : Config.gpp =
 let dec_lpsu c : Config.lpsu =
   let lanes = dec_int c in
   let ib_entries = dec_int c in
-  let idq_entries = dec_int c in
   let lsq_loads = dec_int c in
   let lsq_stores = dec_int c in
   let mem_ports = dec_int c in
@@ -194,8 +192,8 @@ let dec_lpsu c : Config.lpsu =
   let supported =
     List.init n_supported (fun _ -> dpattern_of_tag c (dec_int c)) in
   let squash_penalty = dec_int c in
-  { Config.lanes; ib_entries; idq_entries; lsq_loads; lsq_stores; mem_ports;
-    llfu_ports; threads_per_lane; lane_issue_width; inter_lane_fwd;
+  { Config.lanes; ib_entries; lsq_loads; lsq_stores; mem_ports; llfu_ports;
+    threads_per_lane; lane_issue_width; inter_lane_fwd;
     scan_fixed; scan_per_insn; supported; squash_penalty }
 
 let dec_cfg c : Config.t =
@@ -210,8 +208,8 @@ let dec_cfg c : Config.t =
   { Config.name; gpp; lpsu }
 
 let decode_at c =
-  if not (String.starts_with ~prefix:"XRS1" c.s) then
-    raise (Bad "bad magic (want XRS1)");
+  if not (String.starts_with ~prefix:"XRS2" c.s) then
+    raise (Bad "bad magic (want XRS2)");
   c.pos <- 4;
   let kernel = dec_str c in
   let cfg = dec_cfg c in

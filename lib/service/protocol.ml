@@ -6,7 +6,7 @@ module Failure = Xloops.Failure
 module Digest_hex = Xloops.Digest_hex
 module Run_cache = Xloops.Run_cache
 
-let version = 2
+let version = 3
 
 let max_frame_bytes = 64 * 1024 * 1024
 

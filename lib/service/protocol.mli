@@ -41,8 +41,8 @@ module Failure = Xloops.Failure
 module Digest_hex = Xloops.Digest_hex
 
 val version : int
-(** The protocol version this build speaks (2); a handshake must offer
-    exactly this. *)
+(** The protocol version this build speaks (3: {!Submit} spellings are
+    [Run_spec] revision [XRS2]); a handshake must offer exactly this. *)
 
 (** {1 Addresses} *)
 

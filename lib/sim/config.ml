@@ -27,7 +27,6 @@ type gpp = {
 type lpsu = {
   lanes : int;
   ib_entries : int;         (** loop instruction buffer capacity per LPSU *)
-  idq_entries : int;        (** index-queue entries per lane *)
   lsq_loads : int;          (** LSQ load entries per lane *)
   lsq_stores : int;         (** LSQ store entries per lane *)
   mem_ports : int;          (** shared data-memory ports *)
@@ -53,19 +52,14 @@ type t = {
 }
 
 (* Profiling thresholds for adaptive execution (Section IV-D: "we use 256
-   iterations and 2000 cycles as thresholds for the profiling phases"). *)
+   iterations and 2000 cycles as thresholds for the profiling phases").
+   The APT itself has no modelled capacity: it holds every xloop PC. *)
 type adaptive = {
-  profile_iters : int;
-  profile_cycles : int;
-  apt_entries : int;
-  reconsider_after : int option;
-      (** re-enter profiling after this many dynamic loop instances have
-          used a decision (the paper's future-work "reconsider the
-          profiling results"); [None] = decide once, as in the paper *)
+  profile_iters : int;   (** GPP back-edges before the LPSU is tried *)
+  profile_cycles : int;  (** or GPP cycles, whichever comes first *)
 }
 
-let default_adaptive = { profile_iters = 256; profile_cycles = 2000;
-                         apt_entries = 16; reconsider_after = None }
+let default_adaptive = { profile_iters = 256; profile_cycles = 2000 }
 
 let all_patterns = Insn.[ Uc; Or; Om; Orm; Ua ]
 
@@ -85,7 +79,6 @@ let gpp_ooo width = {
 let default_lpsu = {
   lanes = 4;
   ib_entries = 128;
-  idq_entries = 4;
   lsq_loads = 8; lsq_stores = 8;
   mem_ports = 1; llfu_ports = 1;
   threads_per_lane = 1;

@@ -18,10 +18,12 @@ type gpp = {
   fpu_latency : int;
 }
 
+(** The loop-pattern specialization unit (Section II-D).  Index-queue
+    traffic is counted ([Stats.idq_ops]) but the queues have no
+    modelled capacity, so no field sizes them. *)
 type lpsu = {
   lanes : int;
   ib_entries : int;        (** loop instruction buffer capacity *)
-  idq_entries : int;
   lsq_loads : int;         (** LSQ load entries per lane *)
   lsq_stores : int;
   mem_ports : int;
@@ -43,14 +45,12 @@ type t = {
 }
 
 (** Adaptive-execution profiling thresholds (Section IV-D: 256
-    iterations / 2000 cycles). *)
+    iterations / 2000 cycles).  A loop's GPP profile ends at whichever
+    threshold it reaches first; its decision then holds for the rest of
+    the run.  The APT has no modelled capacity. *)
 type adaptive = {
-  profile_iters : int;
-  profile_cycles : int;
-  apt_entries : int;
-  reconsider_after : int option;
-      (** re-profile after this many instances used a decision (paper
-          future work); [None] = decide once *)
+  profile_iters : int;   (** GPP back-edges before the LPSU is tried *)
+  profile_cycles : int;  (** or GPP cycles, whichever comes first *)
 }
 
 val default_adaptive : adaptive

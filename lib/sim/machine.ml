@@ -49,12 +49,7 @@ type apt_entry =
       mutable cycles : int;
       mutable last_taken : int;   (* -1 between dynamic instances *)
     }
-  | Decided of {
-      spec : bool;
-      mutable uses : int;   (* dynamic loop instances under this decision *)
-    }
-
-let decided spec = Decided { spec; uses = 0 }
+  | Decided of bool   (* true: specialize every later instance *)
 
 type t = {
   cfg : Config.t;
@@ -155,7 +150,7 @@ let analyze t ~pc =
             "xloop@%d falls back to traditional execution: %a" pc
             Scan.pp_fallback reason;
         t.stats.xloops_traditional <- t.stats.xloops_traditional + 1;
-        Hashtbl.replace t.apt pc (decided false)
+        Hashtbl.replace t.apt pc (Decided false)
       end;
       Error reason)
 
@@ -203,7 +198,7 @@ type spec_outcome =
 (** Pin [pc] to traditional execution for the rest of the run. *)
 let mark_degraded t ~pc =
   Hashtbl.replace t.degraded pc ();
-  Hashtbl.replace t.apt pc (decided false);
+  Hashtbl.replace t.apt pc (Decided false);
   t.stats.degradations <- t.stats.degradations + 1;
   t.stats.xloops_traditional <- t.stats.xloops_traditional + 1
 
@@ -294,33 +289,13 @@ let adaptive_step t ~pc (ev : Exec.event) =
       Hashtbl.replace t.apt pc e;
       e
   in
-  let reprofile_if_stale uses =
-    (* Future-work extension (Section II-E): optionally reconsider a
-       decision after it has served a number of dynamic loop instances. *)
-    match t.adaptive.reconsider_after with
-    | Some n when uses >= n ->
-      if Trace.enabled t.trace Decisions then
-        Trace.event t.trace Decisions
-          "xloop@%d: decision stale after %d instances; re-profiling" pc
-          uses;
-      Hashtbl.replace t.apt pc
-        (Profiling { iters = 0; cycles = 0; last_taken = -1 })
-    | _ -> ()
-  in
   match entry with
-  | Decided ({ spec = false; _ } as d) ->
-    (* A traditional instance completes when the xloop falls through. *)
-    if not ev.taken then begin
-      d.uses <- d.uses + 1;
-      reprofile_if_stale d.uses
-    end
-  | Decided ({ spec = true; _ } as d) ->
+  | Decided false -> ()
+  | Decided true ->
     if ev.taken then begin
-      (match analyze t ~pc with
-       | Ok info -> specialize_fully t info
-       | Error _ -> Hashtbl.replace t.apt pc (decided false));
-      d.uses <- d.uses + 1;
-      reprofile_if_stale d.uses
+      match analyze t ~pc with
+      | Ok info -> specialize_fully t info
+      | Error _ -> Hashtbl.replace t.apt pc (Decided false)
     end
   | Profiling p ->
     if not ev.taken then p.last_taken <- -1
@@ -331,7 +306,7 @@ let adaptive_step t ~pc (ev : Exec.event) =
       if p.iters >= t.adaptive.profile_iters
       || p.cycles >= t.adaptive.profile_cycles then begin
         match analyze t ~pc with
-        | Error _ -> Hashtbl.replace t.apt pc (decided false)
+        | Error _ -> Hashtbl.replace t.apt pc (Decided false)
         | Ok info ->
           (* LPSU profiling phase: same number of iterations as measured
              traditionally. *)
@@ -350,7 +325,7 @@ let adaptive_step t ~pc (ev : Exec.event) =
             in
             if r.finished then begin
               t.hart.pc <- info.xloop_pc + 1;
-              Hashtbl.replace t.apt pc (decided spec_faster)
+              Hashtbl.replace t.apt pc (Decided spec_faster)
             end else if spec_faster then begin
               (* Stay on the LPSU for the rest of the loop. *)
               match try_specialize t info with
@@ -358,7 +333,7 @@ let adaptive_step t ~pc (ev : Exec.event) =
               | Completed r2 ->
                 assert r2.finished;
                 t.hart.pc <- info.xloop_pc + 1;
-                Hashtbl.replace t.apt pc (decided true)
+                Hashtbl.replace t.apt pc (Decided true)
             end else begin
               (* Migrate back: the GPP finishes the remaining iterations. *)
               if Trace.enabled t.trace Decisions then
@@ -367,7 +342,7 @@ let adaptive_step t ~pc (ev : Exec.event) =
                    migrating back to the GPP" pc r.cycles r.iterations;
               t.stats.migrations <- t.stats.migrations + 1;
               t.hart.pc <- info.body_start;
-              Hashtbl.replace t.apt pc (decided false)
+              Hashtbl.replace t.apt pc (Decided false)
             end
       end
     end
@@ -426,9 +401,9 @@ let ok_exn = function
   | Error f -> failwith (Fmt.str "Machine.run: %a" pp_failure f)
 
 (** One-call convenience: build a machine and run [prog] on [mem]. *)
-let simulate ?adaptive ?lpsu_fuel ?trace ?faults ?watchdog ?degrade
+let simulate ?lpsu_fuel ?trace ?faults ?watchdog ?degrade
     ?entry ?fuel ~cfg ~mode prog mem
   : (result, failure) Stdlib.result =
-  let t = create ?adaptive ?lpsu_fuel ?trace ?faults ?watchdog ?degrade
+  let t = create ?lpsu_fuel ?trace ?faults ?watchdog ?degrade
       ~cfg ~mode ~prog ~mem ?entry () in
   run ?fuel t

@@ -71,7 +71,7 @@ val ok_exn : (result, failure) Stdlib.result -> result
     for tests and examples where a failure is a bug. *)
 
 val simulate :
-  ?adaptive:Config.adaptive -> ?lpsu_fuel:int -> ?trace:Trace.t ->
+  ?lpsu_fuel:int -> ?trace:Trace.t ->
   ?faults:Fault.t -> ?watchdog:int -> ?degrade:bool ->
   ?entry:int -> ?fuel:int ->
   cfg:Config.t -> mode:mode ->

@@ -40,8 +40,8 @@ let fresh_mem n =
   for i = 0 to n - 1 do Memory.set_int m (base_in + 4 * i) (i * 2) done;
   m
 
-let simulate ?adaptive ~cfg ~mode prog mem =
-  Machine.ok_exn (Machine.simulate ?adaptive ~cfg ~mode prog mem)
+let simulate ~cfg ~mode prog mem =
+  Machine.ok_exn (Machine.simulate ~cfg ~mode prog mem)
 
 let cycles ~cfg ~mode prog mem = (simulate ~cfg ~mode prog mem).Machine.cycles
 
@@ -449,6 +449,127 @@ let test_lpsu_allocation_budget () =
   check_budget ~cfg:Config.io_x ~mode:Specialized "adpcm-or" 3.6;
   check_budget ~cfg:Config.io_x ~mode:Specialized "war-om" 13.0
 
+
+(* -- Every machine field is live ----------------------------------------- *)
+
+(* A [Config] field that no simulated number depends on is a knob that
+   changes nothing.  Each field of [Config.gpp], [Config.lpsu] and
+   [Config.adaptive] gets one perturbation and one witness run, and the
+   perturbed run must differ from the default one in [cycles] or in
+   some [Stats] counter.  The default records are destructured by full
+   record patterns, and each bound value feeds its perturbation, so a
+   new field is a compile error here (warnings 9 and 27 in the dev
+   profile) until it has a witness. *)
+
+(* The GPP witness: per iteration, a load from a 2 KiB sequential
+   stream and its use, a load from four lines [l1_size / l1_ways] apart
+   (one set, more lines than the default ways), a dependent mul, div
+   and fadd, and a taken branch. *)
+let live_gpp_prog = lazy (
+  let conflict = Config.io.gpp.l1_size / Config.io.gpp.l1_ways in
+  let b = B.create () in
+  B.li b 8 0;                              (* stream address *)
+  B.li b 9 200;                            (* iterations left *)
+  B.li b 20 0;                             (* conflict offset *)
+  B.li b 21 0x1900;                        (* conflict base *)
+  B.label b "top";
+  B.lw b 10 8 0;
+  B.add b 11 10 10;
+  B.add b 22 21 20;
+  B.lw b 12 22 0;
+  B.mul b 13 11 9;
+  B.add b 14 13 13;
+  B.div b 15 14 9;
+  B.add b 16 15 15;
+  B.fadd b 17 16 16;
+  B.add b 18 17 17;
+  B.addi b 8 8 32;
+  B.andi b 8 8 0x7FF;
+  B.addi b 20 20 conflict;
+  B.andi b 20 20 (4 * conflict - 1);
+  B.addi b 9 9 (-1);
+  B.bne b 9 0 "top";
+  B.halt b;
+  B.assemble b)
+
+let observe_gpp gpp =
+  let r = simulate ~cfg:{ Config.io with gpp } ~mode:Traditional
+      (Lazy.force live_gpp_prog) (Memory.create ~size:0x8000 ()) in
+  (r.Machine.cycles, r.stats)
+
+let observe_kernel ?adaptive ~cfg ~mode name =
+  let r = Kernel.run ?adaptive ~cfg ~mode (Registry.find name) in
+  (match r.Kernel.check_result with
+   | Ok () -> ()
+   | Error m -> Alcotest.failf "%s: %s" name m);
+  (r.result.cycles, r.result.stats)
+
+let liveness_cases () =
+  let g = Config.io.gpp and l = Config.default_lpsu
+  and a = Config.default_adaptive in
+  let { Config.kind; l1_size; l1_ways; l1_line; load_use_latency;
+        miss_penalty; branch_penalty; mul_latency; div_latency;
+        fpu_latency } = g in
+  let { Config.lanes; ib_entries; lsq_loads; lsq_stores; mem_ports;
+        llfu_ports; threads_per_lane; lane_issue_width; inter_lane_fwd;
+        scan_fixed; scan_per_insn; supported; squash_penalty } = l in
+  let { Config.profile_iters; profile_cycles } = a in
+  let gpp field g' = (field, fun () -> (observe_gpp g, observe_gpp g')) in
+  let lpsu field name l' =
+    let run lpsu =
+      observe_kernel ~cfg:(Config.with_lpsu Config.io "+x" ~lpsu)
+        ~mode:Specialized name in
+    (field, fun () -> (run l, run l')) in
+  let adaptive field name a' =
+    let run adaptive =
+      observe_kernel ~adaptive ~cfg:Config.io_x ~mode:Adaptive name in
+    (field, fun () -> (run a, run a')) in
+  [ gpp "kind"
+      { g with kind = (match kind with
+            | Config.Inorder -> Ooo { width = 2; window = 32 }
+            | Ooo _ -> Inorder) };
+    gpp "l1_size" { g with l1_size = l1_size / 16 };
+    gpp "l1_ways" { g with l1_ways = l1_ways * 2 };
+    gpp "l1_line" { g with l1_line = l1_line * 2 };
+    gpp "load_use_latency"
+      { g with load_use_latency = load_use_latency + 2 };
+    gpp "miss_penalty" { g with miss_penalty = miss_penalty * 2 };
+    gpp "branch_penalty" { g with branch_penalty = branch_penalty + 2 };
+    gpp "mul_latency" { g with mul_latency = mul_latency + 2 };
+    gpp "div_latency" { g with div_latency = div_latency + 2 };
+    gpp "fpu_latency" { g with fpu_latency = fpu_latency + 2 };
+    lpsu "lanes" "war-uc" { l with lanes = lanes / 2 };
+    lpsu "ib_entries" "war-uc" { l with ib_entries = ib_entries / 32 };
+    lpsu "lsq_loads" "war-om" { l with lsq_loads = lsq_loads / 8 };
+    lpsu "lsq_stores" "war-om" { l with lsq_stores = lsq_stores / 8 };
+    lpsu "mem_ports" "war-uc" { l with mem_ports = mem_ports * 2 };
+    lpsu "llfu_ports" "sgemm-uc" { l with llfu_ports = llfu_ports * 2 };
+    lpsu "threads_per_lane" "war-uc"
+      { l with threads_per_lane = threads_per_lane * 2 };
+    lpsu "lane_issue_width" "war-uc"
+      { l with lane_issue_width = lane_issue_width * 2 };
+    lpsu "inter_lane_fwd" "war-om"
+      { l with inter_lane_fwd = not inter_lane_fwd };
+    lpsu "scan_fixed" "war-uc" { l with scan_fixed = scan_fixed * 2 };
+    lpsu "scan_per_insn" "war-uc"
+      { l with scan_per_insn = scan_per_insn * 2 };
+    lpsu "supported" "war-om"
+      { l with supported = List.filter (( <> ) Insn.Om) supported };
+    lpsu "squash_penalty" "war-om"
+      { l with squash_penalty = squash_penalty * 4 };
+    adaptive "profile_iters" "war-uc"
+      { a with profile_iters = profile_iters / 16 };
+    adaptive "profile_cycles" "war-uc"
+      { a with profile_cycles = profile_cycles / 16 } ]
+
+let test_every_field_is_live () =
+  List.iter
+    (fun (field, runs) ->
+       let base, perturbed = runs () in
+       Alcotest.(check bool) (field ^ " changes a simulated number") true
+         (base <> perturbed))
+    (liveness_cases ())
+
 let () =
   Alcotest.run "machine"
     [ ("timing",
@@ -493,6 +614,9 @@ let () =
          Alcotest.test_case "window monotone" `Quick test_window_monotone;
          Alcotest.test_case "scan cost" `Quick test_scan_cost_model;
          Alcotest.test_case "skip_to" `Quick test_skip_to_advances_clock ]);
+      ("liveness",
+       [ Alcotest.test_case "every field is live" `Quick
+           test_every_field_is_live ]);
       ("allocation",
        [ Alcotest.test_case "GPP path" `Quick test_gpp_allocation_free;
          Alcotest.test_case "LPSU budget" `Quick test_lpsu_allocation_budget ]);

@@ -278,17 +278,17 @@ let gen_cfg : Config.t QCheck.Gen.t =
       branch_penalty = g.(5); mul_latency = g.(6); div_latency = g.(7);
       fpu_latency = g.(8) }
   in
-  let* l = array_repeat 12 gen_any_int in
+  let* l = array_repeat 11 gen_any_int in
   let* inter_lane_fwd = bool in
   let* supported =
     list_size (int_bound 8) (oneofl Xloops.Isa.Insn.[ Uc; Or; Om; Orm; Ua ])
   in
   let lpsu =
-    { Config.lanes = l.(0); ib_entries = l.(1); idq_entries = l.(2);
-      lsq_loads = l.(3); lsq_stores = l.(4); mem_ports = l.(5);
-      llfu_ports = l.(6); threads_per_lane = l.(7);
-      lane_issue_width = l.(8); inter_lane_fwd; scan_fixed = l.(9);
-      scan_per_insn = l.(10); supported; squash_penalty = l.(11) }
+    { Config.lanes = l.(0); ib_entries = l.(1); lsq_loads = l.(2);
+      lsq_stores = l.(3); mem_ports = l.(4); llfu_ports = l.(5);
+      threads_per_lane = l.(6); lane_issue_width = l.(7); inter_lane_fwd;
+      scan_fixed = l.(8); scan_per_insn = l.(9); supported;
+      squash_penalty = l.(10) }
   in
   map (fun has -> { Config.name; gpp; lpsu = (if has then Some lpsu else None) })
     bool
@@ -421,7 +421,7 @@ let test_spec_edges () =
   Alcotest.(check bool) "truncated" true
     (Result.is_error (Run_spec.decode (String.sub bytes 0 (n - 1))));
   (* The kernel name's length prefix spelled with a leading zero. *)
-  let padded = "XRS10" ^ String.sub bytes 4 (n - 4) in
+  let padded = String.sub bytes 0 4 ^ "0" ^ String.sub bytes 4 (n - 4) in
   (match Run_spec.Encoded.decode padded with
    | Error m -> Alcotest.failf "padded spelling rejected: %s" m
    | Ok e ->
@@ -433,6 +433,20 @@ let test_spec_edges () =
        (Run_spec.Encoded.digest e);
      Alcotest.check key "cache key unchanged" (Run_spec.cache_key base)
        (Run_spec.Encoded.cache_key e))
+
+(* A spelling of the previous revision, XRS1: war-uc on io+x,
+   specialized, default knobs.  Its LPSU block has one more field (the
+   third, 4) than XRS2's, so both decoders must refuse it rather than
+   shift every later LPSU field by one. *)
+let xrs1_war_uc_io_x_s =
+  "XRS16;war-uc4;io+xI16384;2;32;2;20;2;4;12;4;L4;128;4;8;8;1;1;1;1;f8;1;5;\
+   0;1;2;3;4;2;Sttnn50000;t"
+
+let test_old_revision_rejected () =
+  Alcotest.(check bool) "Run_spec.decode" true
+    (Result.is_error (Run_spec.decode xrs1_war_uc_io_x_s));
+  Alcotest.(check bool) "Encoded.decode" true
+    (Result.is_error (Run_spec.Encoded.decode xrs1_war_uc_io_x_s))
 
 (* -- Allocation budget of the spec keys ---------------------------------- *)
 
@@ -495,6 +509,8 @@ let () =
          QCheck_alcotest.to_alcotest prop_spec_roundtrip;
          QCheck_alcotest.to_alcotest prop_of_hex;
          Alcotest.test_case "spec edges" `Quick test_spec_edges;
-         Alcotest.test_case "config bytes memo" `Quick test_cfg_bytes_memo ]);
+         Alcotest.test_case "config bytes memo" `Quick test_cfg_bytes_memo;
+         Alcotest.test_case "old revision rejected" `Quick
+           test_old_revision_rejected ]);
       ("allocation",
        [ Alcotest.test_case "spec keys" `Quick test_key_allocation ]) ]
